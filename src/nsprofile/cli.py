@@ -308,6 +308,14 @@ def _write_outputs(cfg: RunConfig, out_dir: str, verdict: dict, rows, svg) -> No
         emit_svg(series, axes, os.path.join(out_dir, f"{name}.svg"))
 
 
+def _env_threads() -> int:
+    raw = os.environ.get("NSPROFILE_THREADS", "1")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(f"NSPROFILE_THREADS must be an integer, got {raw!r}") from None
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="nsprofile",
@@ -323,12 +331,8 @@ def main(argv: list[str] | None = None) -> int:
                        help="worker threads (default NSPROFILE_THREADS or 1)")
     args = parser.parse_args(argv)
 
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("NSPROFILE_THREADS", "1"))
-    threads = max(1, threads)
-
     try:
+        threads = max(1, args.threads if args.threads is not None else _env_threads())
         cfg = load_config_file(args.subcommand, args.config)
     except ConfigError as exc:
         json.dump({"error": str(exc), "subcommand": args.subcommand}, sys.stderr, indent=2)

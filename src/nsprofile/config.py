@@ -28,7 +28,7 @@ _BASE_DEFAULTS: dict[str, Any] = {
     "params": {"alpha": 1.0, "beta": 1.0, "gamma": 1.0, "n": 2},
     "data": {"amplitude_v": None, "amplitude_rho": 1.0, "width": 1.0, "family": "gaussian"},
     "time_grid": {"t_min": 100.0, "t_max": 1.0e4, "points": 11, "spacing": "geometric"},
-    "quadrature": {"base_panels": 48, "osc_factor": 8, "angular_nodes": 16,
+    "quadrature": {"base_panels": 12, "osc_factor": 2, "angular_nodes": 3,
                    "rel_tol": 1.0e-6, "r_max": None},
     "thresholds": {"rate_slope_tol": 0.05, "remainder_slope_margin": 0.1,
                    "sandwich_max_ratio": 2.0, "kernel_max_ratio": 4.0,

@@ -1,13 +1,22 @@
 """L^2 norms over frequency zones by radial-angular reduction.
 
 All acceptance integrands are axially symmetric about the initial-velocity
-moment direction, so an n-dimensional integral reduces to a 2-d (r, phi) one
-with weight ``omega_{n-2} r^{n-1} sin^{n-2}(phi)`` (n = 1 degenerates to the
-two half-lines).  Radial panels are fixed-order-8 Gauss-Legendre laid out
-densely enough to resolve the sin/cos(gamma t r) oscillation; a cheap
-deterministic probe locates the radially active sub-interval so that huge
-times do not pay for panels where the integrand has already underflowed.
-Every result carries an error estimate from panel doubling plus an analytic
+moment direction, so an n-dimensional integral reduces to a 2-d one in the
+radius r and u = cos(phi), the cosine of the angle to the e1 axis, with weight
+``omega_{n-2} r^{n-1} (1-u^2)^((n-3)/2)`` (n = 1 degenerates to the two
+half-lines).  The angular rule is Gauss in u for that weight: Gauss-Chebyshev
+in closed form for n = 2, Gauss-Legendre for n = 3 and Golub-Welsch (1969)
+for n >= 4; k nodes integrate polynomials in u of degree 2k - 1 exactly, and
+the integrands here are quadratic in u.  Every call certifies this on the
+radial probe: k and k + 1 angular nodes must give the same probe mass to
+within ``rel_tol``, otherwise the call raises :class:`QuadratureError`.
+
+Radial panels are fixed-order-8 Gauss-Legendre laid out densely enough to
+resolve the sin/cos(gamma t r) oscillation; a cheap deterministic probe
+locates the radially active sub-interval so that huge times do not pay for
+panels where the integrand has already underflowed.  The layout starts
+coarse and doubles until two successive levels agree to ``rel_tol``; every
+result carries that difference as its error estimate, plus an analytic
 Gaussian bound for the truncated high-frequency tail.
 """
 
@@ -41,14 +50,20 @@ class SymmetryError(ValueError):
 class QuadratureSpec:
     """Panel layout and tolerance knobs.
 
-    ``osc_factor`` is the minimum number of radial panels per oscillation
-    period 2*pi/(gamma*t) on the radially active sub-interval.  ``r_max``
-    overrides the default high-zone truncation max(4*delta0, 8/sqrt(alpha*t)).
+    Refinement level 0 lays out at least ``base_panels`` radial panels, and
+    at least ``osc_factor`` panels per oscillation period 2*pi/(gamma*t) on
+    the radially active sub-interval; each further level doubles them, up to
+    ``max_refinements`` times.  The defaults start coarse, because doubling
+    stops as soon as two levels agree to ``rel_tol``.  ``angular_nodes`` is
+    the number k of Gauss nodes in u = cos(phi), exact to degree 2k - 1; the
+    (k+1)-node certificate rejects integrands that k nodes do not resolve.
+    ``r_max`` overrides the default high-zone truncation
+    max(4*delta0, 8/sqrt(alpha*t)).
     """
 
-    base_panels: int = 48
-    osc_factor: int = 8
-    angular_nodes: int = 16
+    base_panels: int = 12
+    osc_factor: int = 2
+    angular_nodes: int = 3
     rel_tol: float = 1e-6
     r_max: float | None = None
     max_refinements: int = 6
@@ -105,18 +120,37 @@ def _panel_nodes(lo: float, hi: float, panels: int) -> tuple[np.ndarray, np.ndar
     return nodes, weights
 
 
+def _gauss_u(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """k-node Gauss rule on [-1, 1] for the weight (1-u^2)^((n-3)/2), n >= 2.
+
+    n = 2 is Gauss-Chebyshev in closed form and n = 3 Gauss-Legendre.  For
+    n >= 4 (Gauss-Gegenbauer) the nodes are the eigenvalues of the symmetric
+    Jacobi matrix of the weight and the weights are its total mass times the
+    squared first components of the eigenvectors (Golub & Welsch 1969).
+    """
+    if n == 2:
+        return np.cos((2 * np.arange(k) + 1) * math.pi / (2 * k)), np.full(k, math.pi / k)
+    if n == 3:
+        return leggauss(k)
+    a = (n - 3) / 2
+    j = np.arange(1, k)
+    off = np.sqrt(j * (j + 2 * a) / ((2 * j + 2 * a - 1) * (2 * j + 2 * a + 1)))
+    u, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    mass = math.sqrt(math.pi) * math.gamma(a + 1) / math.gamma(a + 1.5)
+    return u, mass * vecs[0] ** 2
+
+
 def _angular_frame(n: int, angular_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unit directions in the (e1, e2) plane and their angular weights."""
+    """Unit directions (u, sqrt(1-u^2), 0, ...) and their angular weights."""
     if n == 1:
         return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
-    phi = 0.5 * (leggauss(angular_nodes)[0] + 1.0) * math.pi
-    w = 0.5 * math.pi * leggauss(angular_nodes)[1]
+    u, w = _gauss_u(n, angular_nodes)
     dirs = np.zeros((angular_nodes, n))
-    dirs[:, 0] = np.cos(phi)
-    dirs[:, 1] = np.sin(phi)
+    dirs[:, 0] = u
+    dirs[:, 1] = np.sqrt(1.0 - u * u)
     # omega_{n-2}: area of S^{n-2} (equals 2 for n = 2, the two half-planes)
     omega = 2.0 * math.pi ** ((n - 1) / 2) / math.gamma((n - 1) / 2)
-    return dirs, omega * w * np.sin(phi) ** (n - 2)
+    return dirs, omega * w
 
 
 def _abs_sq(values: np.ndarray) -> np.ndarray:
@@ -155,25 +189,49 @@ def _check_axial_symmetry(f, radii: np.ndarray, n: int) -> None:
             )
 
 
-def _active_end(f, r_lo: float, r_hi: float, n: int, dirs: np.ndarray,
-                ang_w: np.ndarray) -> float:
-    """Largest radius where the probe sees non-negligible mass, plus padding."""
-    spacing = (r_hi - r_lo) / _PROBE_POINTS
-    radii = r_lo + (np.arange(_PROBE_POINTS) + 0.5) * spacing
+def _radial_profile(f, radii: np.ndarray, n: int, dirs: np.ndarray,
+                    ang_w: np.ndarray) -> np.ndarray:
+    """r^(n-1) times the angular integral of |f|^2 at each radius."""
     xi = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, n)
-    vals = (_eval_abs_sq(f, xi).reshape(_PROBE_POINTS, -1) * ang_w[None, :]).sum(axis=1)
-    vals *= radii ** (n - 1)
-    peak = float(np.max(vals))
+    vals = (_eval_abs_sq(f, xi).reshape(radii.size, -1) * ang_w[None, :]).sum(axis=1)
+    return vals * radii ** (n - 1)
+
+
+def _check_angular_rule(f, radii: np.ndarray, probe: np.ndarray, n: int,
+                        spec: QuadratureSpec) -> None:
+    """Raise unless k + 1 angular nodes reproduce the k-node probe mass."""
+    if n == 1:
+        return
+    finer = _radial_profile(f, radii, n, *_angular_frame(n, spec.angular_nodes + 1))
+    gap = float(np.sum(np.abs(finer - probe)))
+    mass = float(np.sum(finer))
+    if not gap <= spec.rel_tol * mass:
+        raise QuadratureError(
+            f"{spec.angular_nodes} angular nodes do not resolve the integrand: "
+            f"probe mass {mass:.6g} moves by {gap:.3g} with one node more"
+        )
+
+
+def _active_end(radii: np.ndarray, probe: np.ndarray, r_lo: float, r_hi: float) -> float:
+    """Largest radius where the probe sees non-negligible mass, plus padding."""
+    spacing = (r_hi - r_lo) / radii.size
+    peak = float(np.max(probe))
     if peak == 0.0:
         return min(r_hi, r_lo + 2.0 * spacing)
-    above = np.nonzero(vals > peak * _PROBE_FLOOR)[0]
+    above = np.nonzero(probe > peak * _PROBE_FLOOR)[0]
     return min(r_hi, float(radii[above[-1]]) + 2.0 * spacing)
 
 
 def _gaussian_tail_bound(r_from: float, lam: float, n: int) -> float:
-    """Upper bound for int_{r_from}^inf r^{n-1} e^{-lam (r^2 - r_from^2)} dr."""
+    """Upper bound for int_{r_from}^inf r^{n-1} e^{-lam (r^2 - r_from^2)} dr.
+
+    For n <= 2, r^{n-1} <= r r_from^{n-2} on r >= r_from gives
+    r_from^{n-2} / (2 lam), exact at n = 2.
+    """
     if lam <= 0:
         return math.inf
+    if n <= 2:
+        return r_from ** (n - 2) / (2.0 * lam)
     p = n / 2 - 1
     scale = 2.0 ** max(p - 1, 0.0) if p > 1 else 1.0
     return 0.5 * scale * (r_from ** (n - 2) / lam + math.gamma(n / 2) / lam ** (n / 2))
@@ -208,8 +266,10 @@ def zone_norm_sq(f: Callable[[np.ndarray], np.ndarray], params: ModelParams, t: 
 
     ``f`` maps a batch of frequencies (m, n) to complex scalars (m,) or
     complex vectors (m, n) and must be axially symmetric about the e1 axis
-    (spot-checked).  Zones: "low" = {|xi| <= delta0/sqrt(2)}, "high" = the
-    complement truncated at r_max, "full" = both.
+    (spot-checked), with |f|^2 resolved by the angular rule in u (certified
+    on the probe; :class:`QuadratureError` otherwise).  Zones: "low" =
+    {|xi| <= delta0/sqrt(2)}, "high" = the complement truncated at r_max,
+    "full" = both.
     """
     spec = spec or QuadratureSpec()
     n = params.n
@@ -228,17 +288,16 @@ def zone_norm_sq(f: Callable[[np.ndarray], np.ndarray], params: ModelParams, t: 
         raise ValueError(f"truncation radius {r_hi} does not exceed the zone start {r_lo}")
 
     dirs, ang_w = _angular_frame(n, spec.angular_nodes)
-    probe_radii = np.array([0.25, 0.55, 0.85]) * (r_hi - r_lo) + r_lo
-    _check_axial_symmetry(f, probe_radii, n)
-    split = _active_end(f, r_lo, r_hi, n, dirs, ang_w)
+    _check_axial_symmetry(f, np.array([0.25, 0.55, 0.85]) * (r_hi - r_lo) + r_lo, n)
+    radii = r_lo + (np.arange(_PROBE_POINTS) + 0.5) * ((r_hi - r_lo) / _PROBE_POINTS)
+    probe = _radial_profile(f, radii, n, dirs, ang_w)
+    _check_angular_rule(f, radii, probe, n, spec)
+    split = _active_end(radii, probe, r_lo, r_hi)
     gamma_t = params.gamma * max(t, 0.0)
 
     def evaluate(refine: int) -> float:
         r, wr = _radial_layout(r_lo, r_hi, split, gamma_t, spec, refine)
-        xi = (r[:, None, None] * dirs[None, :, :]).reshape(-1, n)
-        vals = _eval_abs_sq(f, xi).reshape(r.size, -1)
-        radial = (vals * ang_w[None, :]).sum(axis=1) * r ** (n - 1)
-        return float(np.dot(radial, wr))
+        return float(np.dot(_radial_profile(f, r, n, dirs, ang_w), wr))
 
     tail = 0.0
     if truncated:

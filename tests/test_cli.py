@@ -138,3 +138,17 @@ def test_cli_env_thread_fallback_and_json_thread_independence(tmp_path, monkeypa
     # verdict files are byte-identical regardless of parallelism
     assert (out1 / "rate.json").read_bytes() == (out2 / "rate.json").read_bytes()
     assert (out1 / "rate.csv").read_bytes() == (out2 / "rate.csv").read_bytes()
+
+
+def test_cli_bad_thread_env_exits_2(tmp_path, monkeypatch, capsys):
+    path = write_config(tmp_path, {})
+    monkeypatch.setenv("NSPROFILE_THREADS", "abc")
+    assert main(["rate", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    diagnostic = json.loads(capsys.readouterr().err)
+    assert diagnostic["subcommand"] == "rate"
+    assert "NSPROFILE_THREADS" in diagnostic["error"]
+
+
+def test_cli_highfreq_n1_default_config_passes(tmp_path):
+    path = write_config(tmp_path, {"params": {"n": 1}})
+    assert main(["highfreq", "--config", path, "--out", str(tmp_path / "out")]) == 0

@@ -5,8 +5,12 @@ import pytest
 
 from nsprofile.model import InitialData, ModelParams
 from nsprofile.quadrature import (
+    QuadratureError,
     QuadratureSpec,
     SymmetryError,
+    _angular_frame,
+    _gauss_u,
+    _gaussian_tail_bound,
     cone_cap_area,
     cone_cosine_integral,
     sine_kernel_integral,
@@ -16,6 +20,7 @@ from nsprofile.quadrature import (
 
 PARAMS2 = ModelParams(alpha=1.0, beta=1.0, gamma=1.0, n=2)
 PARAMS3 = ModelParams(alpha=1.0, beta=1.0, gamma=1.0, n=3)
+PARAMS4 = ModelParams(alpha=1.0, beta=1.0, gamma=1.0, n=4)
 
 
 def test_sphere_area_values():
@@ -174,3 +179,57 @@ def test_profile_norm_equals_sine_kernel_times_moment():
     res = zone_norm_sq(f, PARAMS2, t, "full", QuadratureSpec(rel_tol=1e-8))
     assert res.converged
     assert res.value == pytest.approx(q0**2 * sine_kernel_integral(PARAMS2, t), rel=1e-6)
+
+
+@pytest.mark.parametrize("k", range(2, 6))
+@pytest.mark.parametrize("n", range(2, 7))
+def test_gauss_u_exact_to_degree_2k_minus_1(n, k):
+    # int_{-1}^{1} u^d (1-u^2)^a du = B((d+1)/2, a+1) for even d, 0 for odd d
+    u, w = _gauss_u(n, k)
+    a = (n - 3) / 2
+    for d in range(2 * k):
+        exact = 0.0 if d % 2 else (math.gamma((d + 1) / 2) * math.gamma(a + 1)
+                                   / math.gamma(d / 2 + a + 1.5))
+        assert float(np.dot(w, u ** d)) == pytest.approx(exact, rel=1e-13, abs=1e-14)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_angular_frame_integrates_sphere_moments(n):
+    # over S^{n-1}: int 1 = |S^{n-1}|, int w_1^2 = |S^{n-1}|/n, int w_1^4 = 3|S^{n-1}|/(n(n+2))
+    dirs, ang_w = _angular_frame(n, 3)
+    np.testing.assert_allclose(np.linalg.norm(dirs, axis=1), 1.0, rtol=1e-15)
+    area = sphere_area(n)
+    assert float(np.sum(ang_w)) == pytest.approx(area, rel=1e-14)
+    assert float(np.dot(ang_w, dirs[:, 0] ** 2)) == pytest.approx(area / n, rel=1e-14)
+    assert float(np.dot(ang_w, dirs[:, 0] ** 4)) == pytest.approx(
+        3 * area / (n * (n + 2)), rel=1e-14)
+
+
+def _exp_cosine_field(xi):
+    # |f|^2 = e^{6u - 2r^2}: axially symmetric, but not polynomial in u
+    r = np.sqrt(np.sum(xi * xi, axis=1))
+    return np.exp(3.0 * xi[:, 0] / r - r * r).astype(complex)
+
+
+@pytest.mark.parametrize("params", [PARAMS2, PARAMS3, PARAMS4], ids=["n2", "n3", "n4"])
+def test_angular_certificate_rejects_non_polynomial_integrand(params):
+    with pytest.raises(QuadratureError, match="angular nodes"):
+        zone_norm_sq(_exp_cosine_field, params, 1.0, "full")
+
+
+def test_angular_certificate_accepts_enough_nodes():
+    # int_{R^2} e^{6 cos(theta) - 2 r^2} r dr dtheta = 2 pi I0(6) / 4
+    res = zone_norm_sq(_exp_cosine_field, PARAMS2, 1.0, "full",
+                       QuadratureSpec(angular_nodes=12))
+    assert res.converged
+    assert res.value == pytest.approx(2 * math.pi * float(np.i0(6.0)) / 4, rel=1e-6)
+
+
+def test_gaussian_tail_bound_dominates_for_low_dimensions():
+    integrate = pytest.importorskip("scipy.integrate")
+    for n in (1, 2):
+        for r_from, lam in [(0.1, 100.0), (0.5, 0.3), (2.0, 1.0), (5.66, 4.0), (8.0, 40.0)]:
+            ref, _ = integrate.quad(
+                lambda r: r ** (n - 1) * math.exp(-lam * (r * r - r_from * r_from)),
+                r_from, math.inf, epsabs=0.0, epsrel=1e-12)
+            assert _gaussian_tail_bound(r_from, lam, n) >= ref * (1 - 1e-10)

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from nsprofile.model import InitialData, ModelParams
+from nsprofile.model import InitialData, ModelParams, fourier_data_batch
 from nsprofile.spectral import (
     BRANCH_COMPLEX,
     BRANCH_DOUBLE,
     BRANCH_REAL,
     SpectralState,
+    _flow_matrix,
     density_ode_residual,
     eigenvalues,
     energy,
@@ -206,3 +207,30 @@ def test_batch_matches_scalar_path():
         s = solve_exact(PARAMS, DATA, xi[i], 2.5)
         np.testing.assert_allclose(v[i], s.v_hat, rtol=0, atol=0)
         assert rho[i] == s.rho_hat
+
+
+def test_solve_exact_batch_rejects_negative_time():
+    with pytest.raises(ValueError, match="nonnegative"):
+        solve_exact_batch(PARAMS, DATA, np.array([[0.5, 0.2]]), -1.0)
+
+
+def test_oracle_matrix_power_matches_step_loop():
+    # reference: the same RK4 step advanced one step at a time
+    d0 = PARAMS.delta0
+    radii = np.array([0.3, 0.999 * d0, d0, 1.001 * d0, 2.0])
+    theta = np.linspace(0.1, 2.9, radii.size)
+    xi = radii[:, None] * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    step = 1e-3
+    for t in (0.37, 2.0):
+        nsteps = math.ceil(t / step)
+        ha = (t / nsteps) * _flow_matrix(PARAMS, xi)
+        ha2 = ha @ ha
+        rk4 = np.eye(3) + ha + ha2 / 2 + ha2 @ ha / 6 + ha2 @ ha2 / 24
+        v0, rho0 = fourier_data_batch(DATA, xi)
+        y = np.concatenate([v0, rho0[:, None]], axis=1)
+        for _ in range(nsteps):
+            y = np.einsum("mij,mj->mi", rk4, y)
+        v, rho = solve_ode_oracle_batch(PARAMS, DATA, xi, t, step)
+        got = np.concatenate([v, rho[:, None]], axis=1)
+        rel = np.linalg.norm(got - y, axis=1) / np.linalg.norm(y, axis=1)
+        assert float(np.max(rel)) <= 1e-12
