@@ -8,7 +8,6 @@ from .model import (
     Moments,
     ParameterError,
     ab_decomposition,
-    derived_params,
     fourier_data,
     moment_bound_constants,
     moments,
@@ -28,7 +27,6 @@ from .profiles import (
     decompose_velocity,
     density_profile,
     gaussian_moment_bound,
-    gaussian_moment_integral,
     moment_defect_term,
     moment_flow,
     remainder_bounds,

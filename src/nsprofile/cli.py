@@ -5,7 +5,8 @@
 Each subcommand writes ``<out>/<subcommand>.csv`` (the series it computed),
 ``<subcommand>.json`` (verdict, fitted numbers, thresholds, config hash) and,
 unless disabled, ``<subcommand>.svg``.  Exit status: 0 when every verdict
-passes, 1 on a verdict failure, 2 on configuration or numerical errors.
+passes, 1 on a verdict failure, 2 on configuration or numerical errors and on
+any other error (with a diagnostic JSON on stderr, never a traceback).
 Inner norm evaluations run on a thread pool with an order-preserving reduce,
 so results are byte-identical for any thread count.
 """
@@ -18,6 +19,7 @@ import math
 import os
 import sys
 import time
+import traceback
 
 import numpy as np
 
@@ -276,6 +278,8 @@ def run_plot(cfg: RunConfig, threads: int):
     return verdict, rows, (series, axes)
 
 
+_ANTICIPATED = (ConfigError, QuadratureError, ArithmeticError, ValueError, OSError)
+
 _RUNNERS = {
     "oracle-check": run_oracle_check,
     "profile-error": run_profile_error,
@@ -334,30 +338,40 @@ def main(argv: list[str] | None = None) -> int:
     try:
         threads = max(1, args.threads if args.threads is not None else _env_threads())
         cfg = load_config_file(args.subcommand, args.config)
-    except ConfigError as exc:
-        json.dump({"error": str(exc), "subcommand": args.subcommand}, sys.stderr, indent=2)
-        sys.stderr.write("\n")
-        return 2
+    except Exception as exc:  # every failure exits 2; exit 1 means a verdict failed
+        return _fail({"subcommand": args.subcommand}, exc)
 
     out_dir = args.out or cfg.output_dir
     try:
         verdict, rows, svg = _RUNNERS[args.subcommand](cfg, threads)
         _write_outputs(cfg, out_dir, verdict, rows, svg)
-    except (ConfigError, QuadratureError, ArithmeticError, ValueError, OSError) as exc:
-        diagnostic = {"error": str(exc), "error_type": type(exc).__name__,
-                      "subcommand": args.subcommand, "pass": False,
+    except Exception as exc:
+        diagnostic = {"subcommand": args.subcommand, "pass": False,
                       "config_hash": cfg.config_hash}
+        return _fail(diagnostic, exc, os.path.join(out_dir, f"{args.subcommand}.json"))
+    return 0 if verdict["pass"] else 1
+
+
+def _fail(diagnostic: dict, exc: Exception, path: str | None = None) -> int:
+    """Write the diagnostic JSON of ``exc`` to stderr (and to ``path``); return 2.
+
+    An error other than the anticipated input and numerical ones also
+    carries its stack frames, so the defect behind it can be located.
+    """
+    diagnostic = {**diagnostic, "error": str(exc), "error_type": type(exc).__name__}
+    if not isinstance(exc, _ANTICIPATED):
+        diagnostic["traceback"] = traceback.format_tb(exc.__traceback__)
+    if path is not None:
         try:
-            os.makedirs(out_dir, exist_ok=True)
-            with open(os.path.join(out_dir, f"{args.subcommand}.json"), "w") as fh:
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            with open(path, "w") as fh:
                 json.dump(diagnostic, fh, sort_keys=True, indent=2)
                 fh.write("\n")
         except OSError:
             pass
-        json.dump(diagnostic, sys.stderr, indent=2)
-        sys.stderr.write("\n")
-        return 2
-    return 0 if verdict["pass"] else 1
+    json.dump(diagnostic, sys.stderr, indent=2)
+    sys.stderr.write("\n")
+    return 2
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -63,7 +64,8 @@ def default_config(subcommand: str) -> dict[str, Any]:
 
 
 def _check_type(section: str, key: str, value, kinds) -> None:
-    if not isinstance(value, kinds):
+    # bool is a subclass of int, but JSON true/false is never a number here
+    if isinstance(value, bool) or not isinstance(value, kinds):
         raise ConfigError(f"{section}.{key}: expected {kinds}, got {type(value).__name__}")
 
 
@@ -133,6 +135,8 @@ def build_run_config(subcommand: str, user: dict[str, Any]) -> RunConfig:
         else:
             d["amplitude_v"] = [0.0] * params.n
     _check_type("data", "amplitude_v", d["amplitude_v"], list)
+    for c in d["amplitude_v"]:
+        _check_type("data", "amplitude_v", c, (int, float))
     _check_type("data", "amplitude_rho", d["amplitude_rho"], (int, float))
     _check_type("data", "width", d["width"], (int, float))
     try:
@@ -152,8 +156,8 @@ def build_run_config(subcommand: str, user: dict[str, Any]) -> RunConfig:
         raise ConfigError("time_grid.spacing: only 'geometric' is supported")
     if g["points"] < 8:
         raise ConfigError("time_grid.points must be >= 8")
-    if not 0 < g["t_min"] < g["t_max"]:
-        raise ConfigError("need 0 < t_min < t_max")
+    if not 0 < g["t_min"] < g["t_max"] < math.inf:
+        raise ConfigError("need 0 < t_min < t_max < inf")
     if subcommand in _ASYMPTOTIC_SUBCOMMANDS and g["t_min"] < 1.0:
         raise ConfigError(f"{subcommand} is an asymptotic run and needs t_min >= 1")
     times = np.geomspace(float(g["t_min"]), float(g["t_max"]), g["points"])
@@ -164,9 +168,12 @@ def build_run_config(subcommand: str, user: dict[str, Any]) -> RunConfig:
     _check_type("quadrature", "rel_tol", q["rel_tol"], (int, float))
     if q["r_max"] is not None:
         _check_type("quadrature", "r_max", q["r_max"], (int, float))
-    spec = QuadratureSpec(base_panels=q["base_panels"], osc_factor=q["osc_factor"],
-                          angular_nodes=q["angular_nodes"], rel_tol=float(q["rel_tol"]),
-                          r_max=None if q["r_max"] is None else float(q["r_max"]))
+    try:
+        spec = QuadratureSpec(base_panels=q["base_panels"], osc_factor=q["osc_factor"],
+                              angular_nodes=q["angular_nodes"], rel_tol=float(q["rel_tol"]),
+                              r_max=None if q["r_max"] is None else float(q["r_max"]))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
     for key, value in cfg["thresholds"].items():
         _check_type("thresholds", key, value, (int, float))

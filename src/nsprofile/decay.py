@@ -93,61 +93,53 @@ def fit_semilog(series: DecaySeries, window: tuple[int, int] | None = None) -> D
     return _linear_fit(series.times, np.log(series.values), window)
 
 
-def _velocity_field(params: ModelParams, data: InitialData, t: float):
-    def f(xi):
-        v, _ = solve_exact_batch(params, data, xi, t)
-        return v
-    return f
+def zone_series(field_at, params: ModelParams, times: np.ndarray, zone: str,
+                spec: QuadratureSpec, threads: int) -> np.ndarray:
+    """Converged :func:`zone_norm_sq` of the integrand ``field_at(t)`` at each
+    time, mapped in order over ``threads`` workers."""
+    def at(t: float) -> float:
+        return zone_norm_sq(field_at(t), params, t, zone, spec).require_converged().value
+
+    return np.array(ordered_map(at, [float(t) for t in times], threads))
 
 
 def velocity_norm_series(params: ModelParams, data: InitialData, times: np.ndarray,
                          spec: QuadratureSpec | None = None, threads: int = 1,
                          zone: str = "full") -> DecaySeries:
     """L^2 norms ||v_hat(t, .)|| of the exact solution on a time grid."""
-    spec = spec or QuadratureSpec()
+    def field_at(t: float):
+        return lambda xi: solve_exact_batch(params, data, xi, t)[0]
 
-    def norm_at(t: float) -> float:
-        res = zone_norm_sq(_velocity_field(params, data, t), params, t, zone, spec)
-        return math.sqrt(res.require_converged().value)
-
-    values = ordered_map(norm_at, [float(t) for t in times], threads)
-    return DecaySeries(np.asarray(times, float), np.array(values), label="velocity-norm")
+    values = zone_series(field_at, params, times, zone, spec or QuadratureSpec(), threads)
+    return DecaySeries(np.asarray(times, float), np.sqrt(values), label="velocity-norm")
 
 
 def velocity_remainder_series(params: ModelParams, data: InitialData, times: np.ndarray,
                               spec: QuadratureSpec | None = None,
                               threads: int = 1) -> DecaySeries:
     """Squared low-zone L^2 norms of (exact velocity - leading profile)."""
-    spec = spec or QuadratureSpec()
     mom = moments(data)
 
-    def sq_norm(t: float) -> float:
-        def f(xi):
-            v, _ = solve_exact_batch(params, data, xi, t)
-            return v - velocity_profile(params, mom, xi, t)
-        return zone_norm_sq(f, params, t, "low", spec).require_converged().value
+    def field_at(t: float):
+        return lambda xi: (solve_exact_batch(params, data, xi, t)[0]
+                           - velocity_profile(params, mom, xi, t))
 
-    values = ordered_map(sq_norm, [float(t) for t in times], threads)
-    return DecaySeries(np.asarray(times, float), np.array(values),
-                       label="velocity-remainder-sq")
+    values = zone_series(field_at, params, times, "low", spec or QuadratureSpec(), threads)
+    return DecaySeries(np.asarray(times, float), values, label="velocity-remainder-sq")
 
 
 def density_remainder_series(params: ModelParams, data: InitialData, times: np.ndarray,
                              spec: QuadratureSpec | None = None,
                              threads: int = 1) -> DecaySeries:
     """Squared low-zone L^2 norms of (exact density - leading profile)."""
-    spec = spec or QuadratureSpec()
     mom = moments(data)
 
-    def sq_norm(t: float) -> float:
-        def f(xi):
-            _, rho = solve_exact_batch(params, data, xi, t)
-            return rho - density_profile(params, mom, xi, t)
-        return zone_norm_sq(f, params, t, "low", spec).require_converged().value
+    def field_at(t: float):
+        return lambda xi: (solve_exact_batch(params, data, xi, t)[1]
+                           - density_profile(params, mom, xi, t))
 
-    values = ordered_map(sq_norm, [float(t) for t in times], threads)
-    return DecaySeries(np.asarray(times, float), np.array(values),
-                       label="density-remainder-sq")
+    values = zone_series(field_at, params, times, "low", spec or QuadratureSpec(), threads)
+    return DecaySeries(np.asarray(times, float), values, label="density-remainder-sq")
 
 
 def check_moment_ratio(params: ModelParams, data: InitialData, max_ratio: float = 0.1):
@@ -195,16 +187,8 @@ def verify_sandwich(params: ModelParams, data: InitialData, times: np.ndarray,
     """Two-sided optimality check: ||v(t)|| t^{n/4} must plateau on the tail."""
     check_moment_ratio(params, data)
     series = velocity_norm_series(params, data, times, spec, threads)
-    normalized = series.values * series.times ** (params.n / 4)
-    lo, hi = tail_window(series.times.size)
-    tail = normalized[lo:hi]
-    return SandwichReport(
-        times=series.times,
-        normalized_values=normalized,
-        window=(lo, hi),
-        plateau_min=float(np.min(tail)),
-        plateau_max=float(np.max(tail)),
-    )
+    p = _plateau("sandwich", series.times, series.values * series.times ** (params.n / 4))
+    return SandwichReport(p.times, p.scaled_values, p.window, p.plateau_min, p.plateau_max)
 
 
 @dataclass(frozen=True)
@@ -286,11 +270,8 @@ def verify_kernel_plateaus(params: ModelParams, p0: np.ndarray, times: np.ndarra
             return coef[:, None] * xi
         return f
 
-    def at(make_field, t):
-        return zone_norm_sq(make_field(t), params, t, "full", spec).require_converged().value
-
-    heat_vals = np.array(ordered_map(lambda t: at(heat_field, t), times, threads))
-    cos_vals = np.array(ordered_map(lambda t: at(cosine_field, t), times, threads))
+    heat_vals = zone_series(heat_field, params, times, "full", spec, threads)
+    cos_vals = zone_series(cosine_field, params, times, "full", spec, threads)
     sine_vals = np.array(ordered_map(lambda t: sine_kernel_integral(params, t, spec),
                                      times, threads))
     witness = np.array(ordered_map(
@@ -348,12 +329,8 @@ def highfreq_energy(params: ModelParams, data: InitialData, times: np.ndarray,
     """High-zone energy E_h(t) with exponential-decay and averaged-energy checks."""
     spec = spec or QuadratureSpec()
     times = np.asarray(times, dtype=float)
-
-    def energy_at(t: float) -> float:
-        res = zone_norm_sq(_energy_field(params, data, t), params, t, "high", spec)
-        return res.require_converged().value
-
-    values = np.array(ordered_map(energy_at, times, threads))
+    values = zone_series(lambda t: _energy_field(params, data, t), params, times, "high",
+                         spec, threads)
     series = DecaySeries(times, values, label="highfreq-energy")
     fit = fit_semilog(series)
 

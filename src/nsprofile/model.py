@@ -34,7 +34,7 @@ class ParameterError(ValueError):
 class ModelParams:
     """Coefficients of the linearized system plus the space dimension.
 
-    Requires alpha > 0, beta >= 0, gamma > 0 and integer n >= 1.  The main
+    Requires finite alpha > 0, beta >= 0, gamma > 0 and integer n >= 1.  The main
     decay statements assume n >= 2; n = 1 is accepted for the radial kernel
     plateau tests only.
     """
@@ -45,12 +45,12 @@ class ModelParams:
     n: int
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ParameterError(f"alpha must be positive, got {self.alpha}")
-        if self.beta < 0:
-            raise ParameterError(f"beta must be nonnegative, got {self.beta}")
-        if not self.gamma > 0:
-            raise ParameterError(f"gamma must be positive, got {self.gamma}")
+        if not 0 < self.alpha < math.inf:
+            raise ParameterError(f"alpha must be positive and finite, got {self.alpha}")
+        if not 0 <= self.beta < math.inf:
+            raise ParameterError(f"beta must be nonnegative and finite, got {self.beta}")
+        if not 0 < self.gamma < math.inf:
+            raise ParameterError(f"gamma must be positive and finite, got {self.gamma}")
         if int(self.n) != self.n or self.n < 1:
             raise ParameterError(f"n must be an integer >= 1, got {self.n}")
 
@@ -72,18 +72,6 @@ class ModelParams:
         return self.delta0 / _SQRT2
 
 
-class DerivedParams(NamedTuple):
-    a: float
-    b: float
-    delta0: float
-    r_low: float
-
-
-def derived_params(params: ModelParams) -> DerivedParams:
-    """Derived symbols a = gamma^2, b = alpha+beta, delta0 = 2*gamma/b, r_low."""
-    return DerivedParams(params.a, params.b, params.delta0, params.r_low)
-
-
 @dataclass(frozen=True)
 class InitialData:
     """Gaussian-bump initial data.
@@ -103,6 +91,8 @@ class InitialData:
 
     def __post_init__(self):
         object.__setattr__(self, "amplitude_v", tuple(float(c) for c in self.amplitude_v))
+        if not all(map(math.isfinite, (*self.amplitude_v, self.amplitude_rho, self.width))):
+            raise ParameterError("amplitudes and width must be finite")
         if not self.width > 0:
             raise ParameterError(f"width must be positive, got {self.width}")
         if self.family != "gaussian":
@@ -150,19 +140,17 @@ def moments(data: InitialData) -> Moments:
 
 
 def fourier_data(data: InitialData, xi: np.ndarray) -> tuple[np.ndarray, complex]:
-    """Transform of the data at one frequency: (v0_hat vector, rho0_hat).
+    """Transform of the data at one frequency: (v0_hat vector, rho0_hat)."""
+    v0_hat, rho0_hat = fourier_data_batch(data, np.asarray(xi, dtype=float)[None, :])
+    return v0_hat[0], complex(rho0_hat[0])
+
+
+def fourier_data_batch(data: InitialData, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Transform of the data over xi of shape (m, n): (v0_hat, rho0_hat).
 
     For the Gaussian family both are real multiples of exp(-s^2 |xi|^2 / 2);
     they are returned as complex values to match the solver's state type.
     """
-    xi = np.asarray(xi, dtype=float)
-    envelope = math.exp(-data.width ** 2 * float(np.dot(xi, xi)) / 2.0)
-    v0_hat = np.asarray(data.amplitude_v, dtype=complex) * envelope
-    return v0_hat, complex(data.amplitude_rho * envelope)
-
-
-def fourier_data_batch(data: InitialData, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized :func:`fourier_data` for xi of shape (m, n)."""
     xi = np.asarray(xi, dtype=float)
     envelope = np.exp(-data.width ** 2 * np.sum(xi * xi, axis=1) / 2.0)
     v0_hat = np.asarray(data.amplitude_v, dtype=complex)[None, :] * envelope[:, None]
@@ -232,26 +220,3 @@ def moment_bound_constants() -> MomentBoundConstants:
     g = lambda t: (1.0 - math.cos(t)) / t
     t_star = _golden_maximize(g, 1e-9, 2.0 * math.pi)
     return MomentBoundConstants(versine_ratio=g(t_star), sinc_ratio=1.0)
-
-
-def l11_norm_radial_quadrature(data: InitialData, panels: int = 64, order: int = 16,
-                               r_max_widths: float = 14.0) -> float:
-    """Independent check of the closed-form density L^{1,1} norm.
-
-    Integrates (1 + r) |rho0(r)| over R^n in radial coordinates with
-    panel-wise Gauss-Legendre; used by tests to validate the Gamma-function
-    closed form to ~1e-10 relative.
-    """
-    from numpy.polynomial.legendre import leggauss
-
-    n, s = data.n, data.width
-    area = 2.0 * math.pi ** (n / 2) / math.gamma(n / 2)
-    nodes, weights = leggauss(order)
-    edges = np.linspace(0.0, r_max_widths * s, panels + 1)
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        r = 0.5 * (nodes + 1.0) * (hi - lo) + lo
-        w = 0.5 * (hi - lo) * weights
-        rho = abs(data.amplitude_rho) * (2 * math.pi * s * s) ** (-n / 2) * np.exp(-r * r / (2 * s * s))
-        total += float(np.sum((1.0 + r) * rho * r ** (n - 1) * w))
-    return area * total

@@ -14,9 +14,12 @@ that splits into
   their closed-form upper bounds are evaluated;
 * one *longitudinal sine correction* — computable pointwise.
 
-Because the exact flow is linear in the data decomposition, the moment defect
-equals ``solve_exact`` minus the pure-moment flow identically; tests use that
-identity at machine precision.
+The exact flow, the pure-moment flow and the moment defect are one closed-form
+kernel (``spectral._flow``) applied to three data pairs: the data transform,
+the zeroth moments (P0, Q0), and the moment remainder
+(e^{-s^2 |xi|^2/2} - 1)(P0, Q0).  Because that kernel is linear in the data,
+the moment defect equals ``solve_exact`` minus the pure-moment flow
+identically; tests use that identity at machine precision.
 """
 
 from __future__ import annotations
@@ -25,41 +28,28 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
-from .model import (
-    InitialData,
-    ModelParams,
-    Moments,
-    ab_decomposition,
-    moment_bound_constants,
-    moments,
-)
-from .spectral import _eigenvalues_batch, _phi_psi, solve_exact_batch
+from .model import InitialData, ModelParams, Moments, moment_bound_constants, moments
+from .quadrature import sphere_area
+from .spectral import _flow, solve_exact_batch
 
 
-def _as_batch(xi: np.ndarray, n: int) -> tuple[np.ndarray, bool]:
+def _as_batch(xi: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, bool]:
+    """(xi as an (m, n) batch, |xi|^2, whether xi was a single frequency)."""
     xi = np.asarray(xi, dtype=float)
-    if xi.ndim == 1:
-        if xi.shape != (n,):
-            raise ValueError(f"xi must have shape ({n},), got {xi.shape}")
-        return xi[None, :], True
-    if xi.shape[1] != n:
-        raise ValueError(f"xi batch must have shape (m, {n}), got {xi.shape}")
-    return xi, False
-
-
-def _radii_sq(xi: np.ndarray) -> np.ndarray:
+    single = xi.ndim == 1
+    if xi.ndim not in (1, 2) or xi.shape[-1] != n:
+        raise ValueError(f"xi must have shape ({n},) or (m, {n}), got {xi.shape}")
+    xi = xi[None, :] if single else xi
     r2 = np.sum(xi * xi, axis=1)
     if np.any(r2 == 0.0):
         raise ValueError("xi = 0 is excluded from profile evaluation")
-    return r2
+    return xi, r2, single
 
 
 def velocity_profile(params: ModelParams, mom: Moments, xi: np.ndarray, t: float) -> np.ndarray:
     """Four-term leading profile of the velocity transform at (t, xi != 0)."""
-    xi, single = _as_batch(xi, params.n)
-    r2 = _radii_sq(xi)
+    xi, r2, single = _as_batch(xi, params.n)
     r = np.sqrt(r2)
     b, g = params.b, params.gamma
     p0 = np.asarray(mom.P0, dtype=float)
@@ -76,8 +66,7 @@ def velocity_profile(params: ModelParams, mom: Moments, xi: np.ndarray, t: float
 
 def density_profile(params: ModelParams, mom: Moments, xi: np.ndarray, t: float):
     """Two-term leading profile of the density transform at (t, xi != 0)."""
-    xi, single = _as_batch(xi, params.n)
-    r2 = _radii_sq(xi)
+    xi, r2, single = _as_batch(xi, params.n)
     r = np.sqrt(r2)
     wave = np.exp(-params.b * r2 * t / 2.0)
     xi_p0 = xi @ np.asarray(mom.P0, dtype=float)
@@ -89,16 +78,9 @@ def density_profile(params: ModelParams, mom: Moments, xi: np.ndarray, t: float)
 def moment_flow(params: ModelParams, mom: Moments, xi: np.ndarray, t: float) -> np.ndarray:
     """Exact velocity flow of the pure moments (P0, Q0) with the true
     divided-difference coefficients; the moment defect is solve_exact minus this."""
-    xi, single = _as_batch(xi, params.n)
-    r2 = _radii_sq(xi)
-    s1, s2 = _eigenvalues_batch(params, np.sqrt(r2))
-    phi, psi = _phi_psi(s1, s2, t)
-    heat = np.exp(-params.alpha * r2 * t)
-    p0 = np.asarray(mom.P0, dtype=float)
-    xi_p0 = xi @ p0
-    out = (heat[:, None] * p0[None, :]
-           - 1j * params.gamma * (phi * mom.Q0)[:, None] * xi
-           + ((psi - heat) * xi_p0 / r2)[:, None] * xi)
+    xi, r2, single = _as_batch(xi, params.n)
+    p0 = np.asarray(mom.P0, dtype=float)[None, :]
+    out, _ = _flow(params, xi, r2, t, p0, np.array([mom.Q0], dtype=float))
     return out[0] if single else out
 
 
@@ -106,30 +88,17 @@ def moment_defect_term(params: ModelParams, data: InitialData, xi: np.ndarray,
                        t: float) -> np.ndarray:
     """Remainder driven by the data transform minus its moments (low zone).
 
-    With the moment-remainder split (A - iB) of the data this is
-
-        e^{-alpha r^2 t} (A0 - i B0) - i gamma xi Phi (A_rho - i B_rho)
-        + (Psi - e^{-alpha r^2 t}) xi (xi.(A0 - i B0)) / r^2,
-
-    using the same Phi, Psi divided differences as the exact flow.  Restricted
-    to |xi| <= delta0 where those coefficients are oscillatory.
+    This is the exact velocity flow of the moment-remainder split (A - iB) of
+    the data; for the even Gaussian family B vanishes and
+    A = (e^{-s^2 r^2/2} - 1) times the moments.  Restricted to
+    |xi| <= delta0, where the divided differences are oscillatory.
     """
-    xi, single = _as_batch(xi, params.n)
-    r2 = _radii_sq(xi)
-    r = np.sqrt(r2)
-    if np.any(r > params.delta0 * (1 + 1e-12)):
+    xi, r2, single = _as_batch(xi, params.n)
+    if np.any(np.sqrt(r2) > params.delta0 * (1 + 1e-12)):
         raise ValueError("moment defect is evaluated on |xi| <= delta0 only")
-    s1, s2 = _eigenvalues_batch(params, r)
-    phi, psi = _phi_psi(s1, s2, t)
-    heat = np.exp(-params.alpha * r2 * t)
     env = np.exp(-data.width ** 2 * r2 / 2.0) - 1.0
     p0 = np.asarray(data.amplitude_v, dtype=float)
-    a0 = env[:, None] * p0[None, :]          # A0(xi); B terms vanish for even data
-    a_rho = env * data.amplitude_rho
-    xi_a0 = np.einsum("ij,ij->i", xi, a0)
-    out = (heat[:, None] * a0
-           - 1j * params.gamma * (phi * a_rho)[:, None] * xi
-           + ((psi - heat) * xi_a0 / r2)[:, None] * xi)
+    out, _ = _flow(params, xi, r2, t, env[:, None] * p0[None, :], env * data.amplitude_rho)
     return out[0] if single else out
 
 
@@ -137,8 +106,7 @@ def sine_correction_term(params: ModelParams, mom: Moments, xi: np.ndarray,
                          t: float) -> np.ndarray:
     """Longitudinal damped-sine correction,
     -(b/2) xi (xi.P0) e^{-b r^2 t/2} sin(gamma t r) / (gamma r)."""
-    xi, single = _as_batch(xi, params.n)
-    r2 = _radii_sq(xi)
+    xi, r2, single = _as_batch(xi, params.n)
     r = np.sqrt(r2)
     xi_p0 = xi @ np.asarray(mom.P0, dtype=float)
     coef = (-0.5 * params.b * xi_p0 * np.exp(-params.b * r2 * t / 2.0)
@@ -165,7 +133,7 @@ def decompose_velocity(params: ModelParams, data: InitialData, xi: np.ndarray,
     two computable pieces leaves only the five bounded expansion corrections.
     """
     mom = moments(data)
-    xi1, _ = _as_batch(xi, params.n)
+    xi1, _, _ = _as_batch(xi, params.n)
     v_hat, _ = solve_exact_batch(params, data, xi1, t)
     leading = velocity_profile(params, mom, xi1, t)
     return ProfileDecomposition(
@@ -188,39 +156,8 @@ def gaussian_moment_bound(n: int, k: int, rate: float, t: float) -> float:
         raise ValueError("need k + n > 0")
     if rate <= 0 or t <= 0:
         raise ValueError("rate and t must be positive")
-    area = 2.0 * math.pi ** (n / 2) / math.gamma(n / 2)
-    c = area * math.gamma((n + k) / 2) / (2.0 * rate ** ((n + k) / 2))
+    c = sphere_area(n) * math.gamma((n + k) / 2) / (2.0 * rate ** ((n + k) / 2))
     return c * t ** (-(n + k) / 2)
-
-
-def gaussian_moment_integral(n: int, k: int, rate: float, t: float, r_cut: float,
-                             panels: int = 64) -> float:
-    """Radial quadrature of int_{|xi| <= r_cut} |xi|^k e^{-rate |xi|^2 t} dxi.
-
-    Asserts the value stays below :func:`gaussian_moment_bound`; the smooth
-    integrand needs no oscillation handling, only grading near the decay scale.
-    """
-    if k + n <= 0:
-        raise ValueError("need k + n > 0")
-    if rate <= 0 or t <= 0 or r_cut <= 0:
-        raise ValueError("rate, t and r_cut must be positive")
-    area = 2.0 * math.pi ** (n / 2) / math.gamma(n / 2)
-    hi = min(r_cut, math.sqrt(100.0 / (rate * t)))
-    nodes, weights = leggauss(16)
-    edges = np.geomspace(hi / panels, hi, panels)
-    edges = np.concatenate([[0.0], edges])
-    total = 0.0
-    for lo_e, hi_e in zip(edges[:-1], edges[1:]):
-        r = 0.5 * (nodes + 1.0) * (hi_e - lo_e) + lo_e
-        w = 0.5 * (hi_e - lo_e) * weights
-        total += float(np.sum(r ** (n - 1 + k) * np.exp(-rate * t * r * r) * w))
-    value = area * total
-    bound = gaussian_moment_bound(n, k, rate, t)
-    if value > bound * (1.0 + 1e-9):
-        raise ArithmeticError(
-            f"moment integral {value!r} exceeded its dominating constant {bound!r}"
-        )
-    return value
 
 
 @dataclass(frozen=True)
@@ -236,10 +173,6 @@ class RemainderBounds:
     @property
     def total(self) -> float:
         return self.moment_defect + sum(self.expansion) + self.sine_correction
-
-    @property
-    def expansion_total(self) -> float:
-        return sum(self.expansion)
 
 
 def measured_remainder_norms(params: ModelParams, data: InitialData, t: float,

@@ -14,10 +14,11 @@ within ``rel_tol``, otherwise the call raises :class:`QuadratureError`.
 Radial panels are fixed-order-8 Gauss-Legendre laid out densely enough to
 resolve the sin/cos(gamma t r) oscillation; a cheap deterministic probe
 locates the radially active sub-interval so that huge times do not pay for
-panels where the integrand has already underflowed.  The layout starts
-coarse and doubles until two successive levels agree to ``rel_tol``; every
-result carries that difference as its error estimate, plus an analytic
-Gaussian bound for the truncated high-frequency tail.
+panels where the integrand has already underflowed.  One refinement loop
+(:func:`_refine`) serves both the zone norms and the 1-d oscillatory kernel
+integrals: the layout starts coarse and doubles until two successive levels
+agree to ``rel_tol``; every result carries that difference as its error
+estimate, plus an analytic Gaussian bound for the truncated tail.
 """
 
 from __future__ import annotations
@@ -67,6 +68,12 @@ class QuadratureSpec:
     rel_tol: float = 1e-6
     r_max: float | None = None
     max_refinements: int = 6
+
+    def __post_init__(self):
+        if not min(self.base_panels, self.osc_factor, self.angular_nodes) >= 1:
+            raise ValueError(f"panel and node counts must be >= 1: {self}")
+        if not 0 < self.rel_tol < math.inf:
+            raise ValueError(f"rel_tol must be finite and positive, got {self.rel_tol}")
 
 
 @dataclass(frozen=True)
@@ -149,8 +156,7 @@ def _angular_frame(n: int, angular_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     dirs[:, 0] = u
     dirs[:, 1] = np.sqrt(1.0 - u * u)
     # omega_{n-2}: area of S^{n-2} (equals 2 for n = 2, the two half-planes)
-    omega = 2.0 * math.pi ** ((n - 1) / 2) / math.gamma((n - 1) / 2)
-    return dirs, omega * w
+    return dirs, sphere_area(n - 1) * w
 
 
 def _abs_sq(values: np.ndarray) -> np.ndarray:
@@ -169,23 +175,23 @@ def _eval_abs_sq(f: Callable[[np.ndarray], np.ndarray], xi: np.ndarray,
 
 
 def _check_axial_symmetry(f, radii: np.ndarray, n: int) -> None:
+    """Compare |f|^2 at each radius on two directions at the same angle to e1:
+    tilted into e2 and reflected (n = 2), or tilted into e2 and into e3."""
     if n == 1:
         return
     phi = 1.03
-    for r in radii:
-        xi_a = np.zeros((1, n))
-        xi_b = np.zeros((1, n))
-        xi_a[0, 0] = xi_b[0, 0] = r * math.cos(phi)
-        xi_a[0, 1] = r * math.sin(phi)
-        if n == 2:
-            xi_b[0, 1] = -r * math.sin(phi)
-        else:
-            xi_b[0, 2] = r * math.sin(phi)
-        fa = float(_abs_sq(f(xi_a))[0])
-        fb = float(_abs_sq(f(xi_b))[0])
-        if abs(fa - fb) > 1e-8 * max(fa, fb) + 1e-280:
+    xi = np.zeros((2, radii.size, n))
+    xi[:, :, 0] = radii * math.cos(phi)
+    xi[0, :, 1] = radii * math.sin(phi)
+    if n == 2:
+        xi[1, :, 1] = -radii * math.sin(phi)
+    else:
+        xi[1, :, 2] = radii * math.sin(phi)
+    fa, fb = _abs_sq(f(xi.reshape(-1, n))).reshape(2, radii.size)
+    for r, a, b in zip(radii, fa.tolist(), fb.tolist()):
+        if abs(a - b) > 1e-8 * max(a, b) + 1e-280:
             raise SymmetryError(
-                f"integrand is not axially symmetric at r={r:.4g}: {fa!r} vs {fb!r}"
+                f"integrand is not axially symmetric at r={r:.4g}: {a!r} vs {b!r}"
             )
 
 
@@ -260,6 +266,22 @@ def default_r_max(params: ModelParams, t: float) -> float:
     return max(4.0 * params.delta0, 8.0 / math.sqrt(params.alpha * t))
 
 
+def _refine(evaluate: Callable[[int], float], tail: float,
+            spec: QuadratureSpec) -> tuple[float, float, bool]:
+    """Evaluate levels 0, 1, ... until two successive ones agree to ``rel_tol``;
+    returns (value, est_error, converged), est_error = level gap + ``tail``."""
+    coarse = evaluate(0)
+    diff = math.inf
+    for refine in range(1, spec.max_refinements + 1):
+        fine = evaluate(refine)
+        diff = abs(fine - coarse)
+        scale = max(abs(fine), 1e-300)
+        if diff + tail <= spec.rel_tol * scale or (fine == 0.0 and diff == 0.0):
+            return fine, diff + tail, True
+        coarse = fine
+    return coarse, diff + tail, False
+
+
 def zone_norm_sq(f: Callable[[np.ndarray], np.ndarray], params: ModelParams, t: float,
                  zone: str, spec: QuadratureSpec | None = None) -> ZoneNorm:
     """Integral of |f(xi)|^2 over a frequency zone.
@@ -306,22 +328,13 @@ def zone_norm_sq(f: Callable[[np.ndarray], np.ndarray], params: ModelParams, t: 
         lam = min(2.0 * params.alpha, params.b) * max(t, 0.0)
         tail = edge * sphere_area(n) * _gaussian_tail_bound(r_hi, lam, n) if lam > 0 else 0.0
 
-    coarse = evaluate(0)
-    diff = math.inf
-    for refine in range(1, spec.max_refinements + 1):
-        fine = evaluate(refine)
-        diff = abs(fine - coarse)
-        scale = max(abs(fine), 1e-300)
-        if diff + tail <= spec.rel_tol * scale or (fine == 0.0 and diff == 0.0):
-            return ZoneNorm(zone, fine, diff + tail, converged=True)
-        coarse = fine
-    return ZoneNorm(zone, coarse, diff + tail, converged=False)
+    return ZoneNorm(zone, *_refine(evaluate, tail, spec))
 
 
 def _radial_osc_integral(g: Callable[[np.ndarray], np.ndarray], params: ModelParams,
-                         t: float, spec: QuadratureSpec,
-                         power: int) -> tuple[float, float, bool]:
-    """Integral of g(r) r^power over (0, inf) for g with e^{-b t r^2} envelope."""
+                         t: float, spec: QuadratureSpec, power: int, label: str) -> float:
+    """Integral of g(r) r^power over (0, inf) for g with e^{-b t r^2} envelope;
+    :class:`QuadratureError` naming ``label`` if it does not converge."""
     if t <= 0:
         raise ValueError("t must be positive")
     n = power + 1
@@ -335,16 +348,10 @@ def _radial_osc_integral(g: Callable[[np.ndarray], np.ndarray], params: ModelPar
         r, w = _panel_nodes(0.0, r_hi, panels)
         return float(np.dot(g(r) * r ** power, w))
 
-    coarse = evaluate(0)
-    diff = math.inf
-    for refine in range(1, spec.max_refinements + 1):
-        fine = evaluate(refine)
-        diff = abs(fine - coarse)
-        scale = max(abs(fine), 1e-300)
-        if diff + tail <= spec.rel_tol * scale:
-            return fine, diff + tail, True
-        coarse = fine
-    return coarse, diff + tail, False
+    value, _, converged = _refine(evaluate, tail, spec)
+    if not converged:
+        raise QuadratureError(f"{label} integral did not converge at t={t}")
+    return value
 
 
 def sine_kernel_integral(params: ModelParams, t: float,
@@ -360,10 +367,8 @@ def sine_kernel_integral(params: ModelParams, t: float,
     spec = spec or QuadratureSpec()
     b, g = params.b, params.gamma
     fn = lambda r: np.exp(-b * t * r * r) * np.sin(g * t * r) ** 2
-    value, _, ok = _radial_osc_integral(fn, params, t, spec, params.n - 1)
-    if not ok:
-        raise QuadratureError(f"sine-kernel integral did not converge at t={t}")
-    return sphere_area(params.n) * value
+    return sphere_area(params.n) * _radial_osc_integral(fn, params, t, spec, params.n - 1,
+                                                        "sine-kernel")
 
 
 def cone_cosine_integral(params: ModelParams, p0: np.ndarray, t: float,
@@ -381,7 +386,5 @@ def cone_cosine_integral(params: ModelParams, p0: np.ndarray, t: float,
         raise ValueError("cone integral needs a nonzero moment direction")
     b, g = params.b, params.gamma
     fn = lambda r: np.exp(-b * t * r * r) * np.cos(g * t * r) ** 2
-    value, _, ok = _radial_osc_integral(fn, params, t, spec, params.n - 1)
-    if not ok:
-        raise QuadratureError(f"cone integral did not converge at t={t}")
-    return cone_cap_area(params.n) * value
+    return cone_cap_area(params.n) * _radial_osc_integral(fn, params, t, spec,
+                                                          params.n - 1, "cone")

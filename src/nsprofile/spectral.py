@@ -12,6 +12,10 @@ lambda^2 + b |xi|^2 lambda + a |xi|^2.  The closed form is evaluated with a
 confluent (double-root) branch and a series-stabilized divided difference so
 it is smooth across the resonance radius delta0.
 
+The solution is linear in the data: one batched kernel (:func:`_flow`) maps
+the data transform, the zeroth moments or the moment remainder to their flow.
+The scalar entry points wrap the batched ones.
+
 The classical fixed-step RK4 integrator is kept deliberately independent of
 the closed form and serves as the verification oracle.
 """
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import InitialData, ModelParams, fourier_data, fourier_data_batch
+from .model import InitialData, ModelParams, fourier_data_batch
 
 BRANCH_COMPLEX = "complex-pair"
 BRANCH_DOUBLE = "double-root"
@@ -53,30 +57,26 @@ class EigenPair:
     branch: str
 
 
+def _discriminant(params: ModelParams, r2):
+    """4a - b^2 r^2: positive on the oscillatory branch, zero at r = delta0."""
+    return 4.0 * params.a - params.b * params.b * r2
+
+
 def eigenvalues(params: ModelParams, r: float) -> EigenPair:
     """Eigenvalues of the longitudinal 2x2 flow at radius r = |xi| >= 0."""
     if r < 0:
         raise ValueError(f"radius must be nonnegative, got {r}")
-    a, b = params.a, params.b
-    r2 = r * r
-    disc = 4.0 * a - b * b * r2
-    if disc > 0.0:
-        im = 0.5 * r * np.sqrt(disc)
-        re = -0.5 * b * r2
-        return EigenPair(complex(re, im), complex(re, -im), BRANCH_COMPLEX)
-    if disc == 0.0:
-        s = complex(-0.5 * b * r2, 0.0)
-        return EigenPair(s, s, BRANCH_DOUBLE)
-    big = complex(0.5 * (-b * r2 - r * np.sqrt(-disc)), 0.0)
-    small = complex(a * r2) / big
-    return EigenPair(small, big, BRANCH_REAL)
+    s1, s2 = _eigenvalues_batch(params, np.array([r], dtype=float))
+    disc = _discriminant(params, r * r)
+    branch = BRANCH_COMPLEX if disc > 0 else BRANCH_DOUBLE if disc == 0 else BRANCH_REAL
+    return EigenPair(complex(s1[0]), complex(s2[0]), branch)
 
 
 def _eigenvalues_batch(params: ModelParams, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a, b = params.a, params.b
     r = np.asarray(r, dtype=float)
     r2 = r * r
-    disc = 4.0 * a - b * b * r2
+    disc = _discriminant(params, r2)
     s1 = np.empty(r.shape, dtype=complex)
     s2 = np.empty(r.shape, dtype=complex)
     osc = disc > 0.0
@@ -127,26 +127,19 @@ def solve_exact(params: ModelParams, data: InitialData, xi: np.ndarray, t: float
     return SpectralState(v_hat=v[0], rho_hat=complex(rho[0]))
 
 
-def solve_exact_batch(params: ModelParams, data: InitialData, xi: np.ndarray,
-                      t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized closed form over xi of shape (m, n); returns (v_hat, rho_hat).
+def _flow(params: ModelParams, xi: np.ndarray, r2: np.ndarray, t: float,
+          v0: np.ndarray, rho0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form flow of the transformed data (v0, rho0) over xi of shape (m, n).
 
-    The velocity is heat flow on the transverse part plus the longitudinal
-    2x2 flow; the density uses the same flow applied to (rho0_hat, xi.v0_hat):
+    ``r2`` is |xi|^2 (nonzero); ``v0`` and ``rho0`` broadcast against (m, n)
+    and (m,), so constant data may be passed as (1, n) and (1,) arrays.  The
+    velocity is heat flow on the transverse part plus the longitudinal 2x2
+    flow; the density uses the same flow applied to (rho0, xi.v0):
 
         v_hat   = e^{-alpha r^2 t} v0 - i gamma xi Phi rho0
                   + (Psi - e^{-alpha r^2 t}) xi (xi.v0)/r^2,
         rho_hat = (Psi + b r^2 Phi) rho0 - i gamma Phi (xi.v0).
     """
-    if data.n != params.n:
-        raise ValueError(f"data dimension {data.n} != params dimension {params.n}")
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
-    xi = np.asarray(xi, dtype=float)
-    r2 = np.sum(xi * xi, axis=1)
-    if np.any(r2 == 0.0):
-        raise ValueError("xi = 0 is excluded from pointwise evaluation")
-    v0, rho0 = fourier_data_batch(data, xi)
     s1, s2 = _eigenvalues_batch(params, np.sqrt(r2))
     phi, psi = _phi_psi(s1, s2, t)
     heat = np.exp(-params.alpha * r2 * t)
@@ -156,6 +149,22 @@ def solve_exact_batch(params: ModelParams, data: InitialData, xi: np.ndarray,
              + ((psi - heat) * w0 / r2)[:, None] * xi)
     rho_hat = (psi + params.b * r2 * phi) * rho0 - 1j * params.gamma * phi * w0
     return v_hat, rho_hat
+
+
+def solve_exact_batch(params: ModelParams, data: InitialData, xi: np.ndarray,
+                      t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized closed form over xi of shape (m, n); returns (v_hat, rho_hat),
+    the :func:`_flow` of the data transform."""
+    if data.n != params.n:
+        raise ValueError(f"data dimension {data.n} != params dimension {params.n}")
+    if t < 0:
+        raise ValueError(f"t must be nonnegative, got {t}")
+    xi = np.asarray(xi, dtype=float)
+    r2 = np.sum(xi * xi, axis=1)
+    if np.any(r2 == 0.0):
+        raise ValueError("xi = 0 is excluded from pointwise evaluation")
+    v0, rho0 = fourier_data_batch(data, xi)
+    return _flow(params, xi, r2, t, v0, rho0)
 
 
 def _flow_matrix(params: ModelParams, xi: np.ndarray) -> np.ndarray:

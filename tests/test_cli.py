@@ -1,7 +1,9 @@
 import json
+import math
 
 import pytest
 
+from nsprofile import cli
 from nsprofile.cli import main
 from nsprofile.config import ConfigError, build_run_config, config_hash, merge_config
 
@@ -30,6 +32,21 @@ def test_build_rejects_bad_types_and_invariants():
         build_run_config("rate", {"params": {"alpha": -1.0}})
     with pytest.raises(ConfigError):
         build_run_config("rate", {"data": {"amplitude_v": [1.0, 0.0, 0.0]}})
+    with pytest.raises(ConfigError):
+        build_run_config("rate", {"params": {"n": True}})
+    with pytest.raises(ConfigError):
+        build_run_config("rate", {"data": {"amplitude_v": [True, 0.0]}})
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ConfigError):
+            build_run_config("rate", {"params": {"beta": bad}})
+        with pytest.raises(ConfigError):
+            build_run_config("rate", {"data": {"width": bad}})
+        with pytest.raises(ConfigError):
+            build_run_config("rate", {"quadrature": {"rel_tol": bad}})
+        with pytest.raises(ConfigError):
+            build_run_config("rate", {"time_grid": {"t_max": bad}})
+    with pytest.raises(ConfigError):
+        build_run_config("rate", {"quadrature": {"angular_nodes": 0}})
 
 
 def test_highfreq_allows_small_t_min():
@@ -152,3 +169,34 @@ def test_cli_bad_thread_env_exits_2(tmp_path, monkeypatch, capsys):
 def test_cli_highfreq_n1_default_config_passes(tmp_path):
     path = write_config(tmp_path, {"params": {"n": 1}})
     assert main(["highfreq", "--config", path, "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("payload", [
+    {"params": {"n": True}},
+    {"params": {"gamma": math.inf}},
+    {"params": {"beta": math.nan}},
+])
+def test_cli_bad_value_exits_2(tmp_path, capsys, payload):
+    # json writes NaN/Infinity, which json.load reads back as floats
+    path = write_config(tmp_path, payload)
+    assert main(["rate", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert json.loads(err)["error_type"] == "ConfigError"
+    assert "Traceback" not in err
+
+
+def test_cli_unexpected_runner_error_exits_2(tmp_path, monkeypatch, capsys):
+    def broken(cfg, threads):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setitem(cli._RUNNERS, "rate", broken)
+    out = tmp_path / "out"
+    path = write_config(tmp_path, {})
+    assert main(["rate", "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    diagnostic = json.loads(err)
+    assert diagnostic["error_type"] == "TypeError"
+    assert diagnostic["pass"] is False
+    assert diagnostic["traceback"]
+    assert json.loads((out / "rate.json").read_text()) == diagnostic
+    assert "Traceback" not in err

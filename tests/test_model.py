@@ -11,24 +11,23 @@ from nsprofile.model import (
     ModelParams,
     ParameterError,
     ab_decomposition,
-    derived_params,
     fourier_data,
     fourier_data_batch,
-    l11_norm_radial_quadrature,
     moment_bound_constants,
     moments,
 )
+from oracles import l11_norm_radial_quadrature
 
 
 def test_derived_params_direct_substitution():
-    d = derived_params(ModelParams(alpha=1.0, beta=1.0, gamma=1.0, n=2))
-    assert d.a == 1.0
-    assert d.b == 2.0
-    assert d.delta0 == 1.0
-    assert d.r_low == pytest.approx(1.0 / math.sqrt(2.0), rel=0, abs=1e-16)
+    p = ModelParams(alpha=1.0, beta=1.0, gamma=1.0, n=2)
+    assert p.a == 1.0
+    assert p.b == 2.0
+    assert p.delta0 == 1.0
+    assert p.r_low == pytest.approx(1.0 / math.sqrt(2.0), rel=0, abs=1e-16)
 
-    d = derived_params(ModelParams(alpha=1.0, beta=0.0, gamma=2.0, n=2))
-    assert (d.a, d.b, d.delta0) == (4.0, 1.0, 4.0)
+    p = ModelParams(alpha=1.0, beta=0.0, gamma=2.0, n=2)
+    assert (p.a, p.b, p.delta0) == (4.0, 1.0, 4.0)
 
 
 @pytest.mark.parametrize(
@@ -39,6 +38,10 @@ def test_derived_params_direct_substitution():
         dict(alpha=1.0, beta=-0.1, gamma=1.0, n=2),
         dict(alpha=1.0, beta=0.0, gamma=0.0, n=2),
         dict(alpha=1.0, beta=0.0, gamma=1.0, n=0),
+        dict(alpha=math.inf, beta=0.0, gamma=1.0, n=2),
+        dict(alpha=1.0, beta=math.nan, gamma=1.0, n=2),
+        dict(alpha=1.0, beta=math.inf, gamma=1.0, n=2),
+        dict(alpha=1.0, beta=0.0, gamma=math.inf, n=2),
     ],
 )
 def test_invalid_params_rejected(kwargs):
@@ -51,6 +54,13 @@ def test_initial_data_validation():
         InitialData(amplitude_v=(1.0,), amplitude_rho=1.0, width=0.0)
     with pytest.raises(ParameterError):
         InitialData(amplitude_v=(1.0,), amplitude_rho=1.0, width=1.0, family="box")
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ParameterError):
+            InitialData(amplitude_v=(1.0, bad), amplitude_rho=1.0, width=1.0)
+        with pytest.raises(ParameterError):
+            InitialData(amplitude_v=(1.0,), amplitude_rho=bad, width=1.0)
+        with pytest.raises(ParameterError):
+            InitialData(amplitude_v=(1.0,), amplitude_rho=1.0, width=bad)
 
 
 def test_moments_equal_amplitudes_exactly():

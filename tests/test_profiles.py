@@ -9,7 +9,6 @@ from nsprofile.profiles import (
     decompose_velocity,
     density_profile,
     gaussian_moment_bound,
-    gaussian_moment_integral,
     moment_defect_term,
     moment_flow,
     remainder_bounds,
@@ -18,6 +17,7 @@ from nsprofile.profiles import (
 )
 from nsprofile.quadrature import QuadratureSpec, zone_norm_sq
 from nsprofile.spectral import solve_exact, solve_exact_batch
+from oracles import gaussian_moment_integral
 
 PARAMS = ModelParams(alpha=1.0, beta=1.0, gamma=1.0, n=2)
 DATA = InitialData(amplitude_v=(0.1, 0.0), amplitude_rho=1.0, width=1.0)

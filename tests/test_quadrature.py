@@ -94,12 +94,39 @@ def test_oscillation_factor_aliasing_guard():
     assert a.value == pytest.approx(b.value, rel=1e-6)
 
 
-def test_symmetry_check_rejects_non_axisymmetric_field():
+@pytest.mark.parametrize("params", [PARAMS2, PARAMS3], ids=["n2", "n3"])
+def test_symmetry_check_rejects_non_axisymmetric_field(params):
     def f(xi):
         return (xi[:, 1] + 0.1).astype(complex)  # odd in the transverse coordinate
 
     with pytest.raises(SymmetryError):
-        zone_norm_sq(f, PARAMS3, t=1.0, zone="low")
+        zone_norm_sq(f, params, t=1.0, zone="low")
+
+
+def test_unreachable_tolerance_is_reported_not_converged():
+    # n = 1 has no angular certificate, so only the refinement loop can fail
+    params = ModelParams(alpha=1.0, beta=1.0, gamma=1.0, n=1)
+    spec = QuadratureSpec(rel_tol=1e-300)
+    t = 10.0
+    f = lambda xi: np.exp(-params.alpha * xi[:, 0] ** 2 * t).astype(complex)
+    res = zone_norm_sq(f, params, t, "full", spec)
+    assert not res.converged
+    assert res.value > 0 and res.est_error > 0
+    with pytest.raises(QuadratureError):
+        res.require_converged()
+    with pytest.raises(QuadratureError, match="sine-kernel"):
+        sine_kernel_integral(params, t, spec)
+    with pytest.raises(QuadratureError, match="cone"):
+        cone_cosine_integral(params, np.array([1.0]), t, spec)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(base_panels=0), dict(osc_factor=0), dict(angular_nodes=0),
+    dict(rel_tol=0.0), dict(rel_tol=-1e-6), dict(rel_tol=math.nan), dict(rel_tol=math.inf),
+])
+def test_spec_rejects_degenerate_settings(kwargs):
+    with pytest.raises(ValueError):
+        QuadratureSpec(**kwargs)
 
 
 def test_one_dimensional_reduction():
