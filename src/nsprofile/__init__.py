@@ -1,5 +1,5 @@
 """Frequency-space solver and decay-verification toolkit for a linearized
-compressible viscous flow model."""
+compressible viscous flow model.  Frequencies are passed as (m, n) batches."""
 
 from .model import (
     ABDecomposition,
@@ -8,23 +8,13 @@ from .model import (
     Moments,
     ParameterError,
     ab_decomposition,
-    fourier_data,
+    fourier_data_batch,
     moment_bound_constants,
     moments,
 )
-from .spectral import (
-    EigenPair,
-    SpectralState,
-    density_ode_residual,
-    eigenvalues,
-    energy,
-    solve_exact,
-    solve_ode_oracle,
-)
+from .spectral import solve_exact_batch, solve_ode_oracle_batch
 from .profiles import (
-    ProfileDecomposition,
     RemainderBounds,
-    decompose_velocity,
     density_profile,
     gaussian_moment_bound,
     moment_defect_term,
@@ -48,13 +38,13 @@ from .decay import (
     DecaySeries,
     HighFreqReport,
     KernelPlateauReport,
-    SandwichReport,
+    PlateauReport,
     fit_loglog,
     fit_semilog,
     highfreq_energy,
+    velocity_norm_series,
     verify_kernel_plateaus,
     verify_sandwich,
-    verify_velocity_rate,
 )
 
 __version__ = "0.1.0"

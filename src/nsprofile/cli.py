@@ -52,7 +52,7 @@ def _series_from_rows(rows, x: str, ys: list[str]) -> list[Series]:
 
 def run_oracle_check(cfg: RunConfig, threads: int):
     o = cfg.oracle
-    n_r, n_t = int(o["radii"]), int(o["times"])
+    n_r, n_t = o["radii"], o["times"]
     if n_r < 4 or n_t < 2:
         raise ConfigError("oracle grid needs at least 4 radii and 2 times")
     delta0 = cfg.params.delta0
@@ -61,7 +61,7 @@ def run_oracle_check(cfg: RunConfig, threads: int):
         [delta0 * 0.999, delta0 * 1.001],
     ]))
     times = np.geomspace(float(o["t_min"]), float(o["t_max"]), n_t)
-    rng = np.random.default_rng(int(o["seed"]))
+    rng = np.random.default_rng(o["seed"])
     angles = rng.uniform(0.0, 2.0 * math.pi, size=(n_t, n_r))
     step = float(o["step"])
 
@@ -155,12 +155,12 @@ def run_sandwich(cfg: RunConfig, threads: int):
     max_ratio = cfg.thresholds["sandwich_max_ratio"]
     n4 = cfg.params.n / 4.0
     rows = [{"t": float(t), "velocity_norm": float(v * t ** -n4), "normalized": float(v)}
-            for t, v in zip(rep.times, rep.normalized_values)]
+            for t, v in zip(rep.times, rep.scaled_values)]
     verdict = {
         "pass": rep.passed(max_ratio),
         "metrics": {"plateau_min": rep.plateau_min, "plateau_max": rep.plateau_max,
                     "ratio": rep.ratio, "max_ratio": max_ratio,
-                    "normalized_last": float(rep.normalized_values[-1])},
+                    "normalized_last": float(rep.scaled_values[-1])},
         "window": list(rep.window),
     }
     svg = (_series_from_rows(rows, "t", ["normalized"]),

@@ -64,8 +64,9 @@ def default_config(subcommand: str) -> dict[str, Any]:
 
 
 def _check_type(section: str, key: str, value, kinds) -> None:
-    # bool is a subclass of int, but JSON true/false is never a number here
-    if isinstance(value, bool) or not isinstance(value, kinds):
+    # JSON true/false is accepted only where a bool is expected: bool is a
+    # subclass of int, but never a number here
+    if isinstance(value, bool) != (kinds is bool) or not isinstance(value, kinds):
         raise ConfigError(f"{section}.{key}: expected {kinds}, got {type(value).__name__}")
 
 
@@ -177,6 +178,11 @@ def build_run_config(subcommand: str, user: dict[str, Any]) -> RunConfig:
 
     for key, value in cfg["thresholds"].items():
         _check_type("thresholds", key, value, (int, float))
+    for key, value in cfg["oracle"].items():
+        kinds = int if key in ("radii", "times", "seed") else (int, float)
+        _check_type("oracle", key, value, kinds)
+    _check_type("config", "output_dir", cfg["output_dir"], str)
+    _check_type("config", "emit_svg", cfg["emit_svg"], bool)
 
     return RunConfig(
         subcommand=subcommand,
@@ -187,8 +193,8 @@ def build_run_config(subcommand: str, user: dict[str, Any]) -> RunConfig:
         thresholds={k: float(v) for k, v in cfg["thresholds"].items()},
         oracle=cfg["oracle"],
         plot=cfg["plot"],
-        output_dir=str(cfg["output_dir"]),
-        emit_svg=bool(cfg["emit_svg"]),
+        output_dir=cfg["output_dir"],
+        emit_svg=cfg["emit_svg"],
         raw=cfg,
     )
 

@@ -153,46 +153,10 @@ def check_moment_ratio(params: ModelParams, data: InitialData, max_ratio: float 
         )
 
 
-def verify_velocity_rate(params: ModelParams, data: InitialData, times: np.ndarray,
-                         spec: QuadratureSpec | None = None, threads: int = 1) -> DecayFit:
-    """Fit the decay exponent of ||v_hat(t)||; the expected slope is -n/4.
-
-    Preconditions: Q0 != 0 and |P0|/|Q0| <= 0.1.
-    """
-    check_moment_ratio(params, data)
-    series = velocity_norm_series(params, data, times, spec, threads)
-    return fit_loglog(series)
-
-
-@dataclass(frozen=True)
-class SandwichReport:
-    """Normalized values ||v(t)|| t^{n/4} and their tail plateau."""
-
-    times: np.ndarray
-    normalized_values: np.ndarray
-    window: tuple[int, int]
-    plateau_min: float
-    plateau_max: float
-
-    @property
-    def ratio(self) -> float:
-        return self.plateau_max / self.plateau_min if self.plateau_min > 0 else math.inf
-
-    def passed(self, max_ratio: float = 2.0) -> bool:
-        return self.plateau_min > 0 and self.ratio <= max_ratio
-
-
-def verify_sandwich(params: ModelParams, data: InitialData, times: np.ndarray,
-                    spec: QuadratureSpec | None = None, threads: int = 1) -> SandwichReport:
-    """Two-sided optimality check: ||v(t)|| t^{n/4} must plateau on the tail."""
-    check_moment_ratio(params, data)
-    series = velocity_norm_series(params, data, times, spec, threads)
-    p = _plateau("sandwich", series.times, series.values * series.times ** (params.n / 4))
-    return SandwichReport(p.times, p.scaled_values, p.window, p.plateau_min, p.plateau_max)
-
-
 @dataclass(frozen=True)
 class PlateauReport:
+    """Values scaled by a power of t and their extremes on the tail window."""
+
     label: str
     times: np.ndarray
     scaled_values: np.ndarray
@@ -213,6 +177,14 @@ def _plateau(label: str, times: np.ndarray, scaled: np.ndarray) -> PlateauReport
     tail = scaled[lo:hi]
     return PlateauReport(label, times, scaled, (lo, hi),
                          float(np.min(tail)), float(np.max(tail)))
+
+
+def verify_sandwich(params: ModelParams, data: InitialData, times: np.ndarray,
+                    spec: QuadratureSpec | None = None, threads: int = 1) -> PlateauReport:
+    """Two-sided optimality check: ||v(t)|| t^{n/4} must plateau on the tail."""
+    check_moment_ratio(params, data)
+    series = velocity_norm_series(params, data, times, spec, threads)
+    return _plateau("sandwich", series.times, series.values * series.times ** (params.n / 4))
 
 
 @dataclass(frozen=True)
@@ -275,7 +247,7 @@ def verify_kernel_plateaus(params: ModelParams, p0: np.ndarray, times: np.ndarra
     sine_vals = np.array(ordered_map(lambda t: sine_kernel_integral(params, t, spec),
                                      times, threads))
     witness = np.array(ordered_map(
-        lambda t: 0.25 * float(p0 @ p0) * cone_cosine_integral(params, p0, t, spec),
+        lambda t: 0.25 * float(p0 @ p0) * cone_cosine_integral(params, t, spec),
         times, threads))
 
     s0 = math.gamma(n / 2) / 2.0

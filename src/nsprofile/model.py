@@ -34,9 +34,10 @@ class ParameterError(ValueError):
 class ModelParams:
     """Coefficients of the linearized system plus the space dimension.
 
-    Requires finite alpha > 0, beta >= 0, gamma > 0 and integer n >= 1.  The main
-    decay statements assume n >= 2; n = 1 is accepted for the radial kernel
-    plateau tests only.
+    Requires finite alpha > 0, beta >= 0, gamma > 0 and integer n >= 1, with
+    a = gamma^2 and b^2 = (alpha + beta)^2 finite, so the discriminant
+    4a - b^2 r^2 can be formed.  The main decay statements assume n >= 2;
+    n = 1 is accepted for the radial kernel plateau tests only.
     """
 
     alpha: float
@@ -51,6 +52,9 @@ class ModelParams:
             raise ParameterError(f"beta must be nonnegative and finite, got {self.beta}")
         if not 0 < self.gamma < math.inf:
             raise ParameterError(f"gamma must be positive and finite, got {self.gamma}")
+        if not math.isfinite(self.gamma * self.gamma) or not math.isfinite(self.b * self.b):
+            raise ParameterError(f"gamma^2 and (alpha + beta)^2 overflow: gamma={self.gamma}, "
+                                 f"alpha + beta={self.b}")
         if int(self.n) != self.n or self.n < 1:
             raise ParameterError(f"n must be an integer >= 1, got {self.n}")
 
@@ -139,12 +143,6 @@ def moments(data: InitialData) -> Moments:
     )
 
 
-def fourier_data(data: InitialData, xi: np.ndarray) -> tuple[np.ndarray, complex]:
-    """Transform of the data at one frequency: (v0_hat vector, rho0_hat)."""
-    v0_hat, rho0_hat = fourier_data_batch(data, np.asarray(xi, dtype=float)[None, :])
-    return v0_hat[0], complex(rho0_hat[0])
-
-
 def fourier_data_batch(data: InitialData, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Transform of the data over xi of shape (m, n): (v0_hat, rho0_hat).
 
@@ -158,29 +156,28 @@ def fourier_data_batch(data: InitialData, xi: np.ndarray) -> tuple[np.ndarray, n
 
 
 class ABDecomposition(NamedTuple):
-    """Split of the data transform into moment-remainder pieces.
+    """Split of the data transform into moment-remainder pieces over xi (m, n).
 
     v0_hat(xi) = A0(xi) - i*B0(xi) + P0 componentwise, where A collects the
     (cos(x.xi) - 1) integral and B the sin(x.xi) integral; likewise for the
-    density with (A_rho, B_rho, Q0).  Even real data have B identically zero.
+    density with (A_rho, B_rho, Q0).  A0 and B0 have shape (m, n), A_rho and
+    B_rho shape (m,).  Even real data have B identically zero.
     """
 
     A0: np.ndarray
     B0: np.ndarray
-    A_rho: float
-    B_rho: float
+    A_rho: np.ndarray
+    B_rho: np.ndarray
 
 
 def ab_decomposition(data: InitialData, xi: np.ndarray) -> ABDecomposition:
+    """Moment remainder of the Gaussian family: A = (e^{-s^2 |xi|^2/2} - 1)
+    times the moments, B = 0."""
     xi = np.asarray(xi, dtype=float)
-    defect = math.exp(-data.width ** 2 * float(np.dot(xi, xi)) / 2.0) - 1.0
-    p0 = np.asarray(data.amplitude_v, dtype=float)
-    return ABDecomposition(
-        A0=p0 * defect,
-        B0=np.zeros_like(p0),
-        A_rho=data.amplitude_rho * defect,
-        B_rho=0.0,
-    )
+    defect = np.exp(-data.width ** 2 * np.sum(xi * xi, axis=1) / 2.0) - 1.0
+    a0 = defect[:, None] * np.asarray(data.amplitude_v, dtype=float)[None, :]
+    return ABDecomposition(A0=a0, B0=np.zeros_like(a0), A_rho=defect * data.amplitude_rho,
+                           B_rho=np.zeros_like(defect))
 
 
 class MomentBoundConstants(NamedTuple):

@@ -16,10 +16,11 @@ that splits into
 
 The exact flow, the pure-moment flow and the moment defect are one closed-form
 kernel (``spectral._flow``) applied to three data pairs: the data transform,
-the zeroth moments (P0, Q0), and the moment remainder
-(e^{-s^2 |xi|^2/2} - 1)(P0, Q0).  Because that kernel is linear in the data,
-the moment defect equals ``solve_exact`` minus the pure-moment flow
-identically; tests use that identity at machine precision.
+the zeroth moments (P0, Q0), and the moment remainder A - iB of
+``model.ab_decomposition``.  Because that kernel is linear in the data, the
+moment defect equals ``solve_exact_batch`` minus the pure-moment flow
+identically; tests use that identity at machine precision.  Every function
+takes frequencies as an (m, n) batch.
 """
 
 from __future__ import annotations
@@ -29,27 +30,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import InitialData, ModelParams, Moments, moment_bound_constants, moments
+from .model import (InitialData, ModelParams, Moments, ab_decomposition,
+                    moment_bound_constants, moments)
 from .quadrature import sphere_area
-from .spectral import _flow, solve_exact_batch
+from .spectral import _flow
+# no function here calls it: bench/spans.py wraps this attribute as a trace site
+from .spectral import solve_exact_batch  # noqa: F401
 
 
-def _as_batch(xi: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, bool]:
-    """(xi as an (m, n) batch, |xi|^2, whether xi was a single frequency)."""
+def _as_batch(xi: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(xi as an (m, n) float array, |xi|^2), rejecting other shapes and xi = 0."""
     xi = np.asarray(xi, dtype=float)
-    single = xi.ndim == 1
-    if xi.ndim not in (1, 2) or xi.shape[-1] != n:
-        raise ValueError(f"xi must have shape ({n},) or (m, {n}), got {xi.shape}")
-    xi = xi[None, :] if single else xi
+    if xi.ndim != 2 or xi.shape[1] != n:
+        raise ValueError(f"xi must have shape (m, {n}), got {xi.shape}")
     r2 = np.sum(xi * xi, axis=1)
     if np.any(r2 == 0.0):
         raise ValueError("xi = 0 is excluded from profile evaluation")
-    return xi, r2, single
+    return xi, r2
 
 
 def velocity_profile(params: ModelParams, mom: Moments, xi: np.ndarray, t: float) -> np.ndarray:
     """Four-term leading profile of the velocity transform at (t, xi != 0)."""
-    xi, r2, single = _as_batch(xi, params.n)
+    xi, r2 = _as_batch(xi, params.n)
     r = np.sqrt(r2)
     b, g = params.b, params.gamma
     p0 = np.asarray(mom.P0, dtype=float)
@@ -57,91 +59,55 @@ def velocity_profile(params: ModelParams, mom: Moments, xi: np.ndarray, t: float
     wave = np.exp(-b * r2 * t / 2.0)
     xi_p0 = xi @ p0
     long_proj = (xi_p0 / r2)[:, None] * xi  # xi (xi.P0)/|xi|^2
-    out = (heat[:, None] * p0[None, :]
-           - heat[:, None] * long_proj
-           - 1j * (wave * np.sin(g * t * r) / r * mom.Q0)[:, None] * xi
-           + (wave * np.cos(g * t * r))[:, None] * long_proj)
-    return out[0] if single else out
+    return (heat[:, None] * p0[None, :]
+            - heat[:, None] * long_proj
+            - 1j * (wave * np.sin(g * t * r) / r * mom.Q0)[:, None] * xi
+            + (wave * np.cos(g * t * r))[:, None] * long_proj)
 
 
 def density_profile(params: ModelParams, mom: Moments, xi: np.ndarray, t: float):
     """Two-term leading profile of the density transform at (t, xi != 0)."""
-    xi, r2, single = _as_batch(xi, params.n)
+    xi, r2 = _as_batch(xi, params.n)
     r = np.sqrt(r2)
     wave = np.exp(-params.b * r2 * t / 2.0)
     xi_p0 = xi @ np.asarray(mom.P0, dtype=float)
-    out = (-1j * xi_p0 * wave * np.sin(params.gamma * t * r) / r
-           + mom.Q0 * wave * np.cos(params.gamma * t * r))
-    return complex(out[0]) if single else out
+    return (-1j * xi_p0 * wave * np.sin(params.gamma * t * r) / r
+            + mom.Q0 * wave * np.cos(params.gamma * t * r))
 
 
 def moment_flow(params: ModelParams, mom: Moments, xi: np.ndarray, t: float) -> np.ndarray:
     """Exact velocity flow of the pure moments (P0, Q0) with the true
-    divided-difference coefficients; the moment defect is solve_exact minus this."""
-    xi, r2, single = _as_batch(xi, params.n)
+    divided-difference coefficients; the moment defect is solve_exact_batch minus this."""
+    xi, r2 = _as_batch(xi, params.n)
     p0 = np.asarray(mom.P0, dtype=float)[None, :]
-    out, _ = _flow(params, xi, r2, t, p0, np.array([mom.Q0], dtype=float))
-    return out[0] if single else out
+    return _flow(params, xi, r2, t, p0, np.array([mom.Q0], dtype=float))[0]
 
 
 def moment_defect_term(params: ModelParams, data: InitialData, xi: np.ndarray,
                        t: float) -> np.ndarray:
     """Remainder driven by the data transform minus its moments (low zone).
 
-    This is the exact velocity flow of the moment-remainder split (A - iB) of
-    the data; for the even Gaussian family B vanishes and
-    A = (e^{-s^2 r^2/2} - 1) times the moments.  Restricted to
+    This is the exact velocity flow of the moment remainder A - iB of the
+    data (:func:`~nsprofile.model.ab_decomposition`).  Restricted to
     |xi| <= delta0, where the divided differences are oscillatory.
     """
-    xi, r2, single = _as_batch(xi, params.n)
+    xi, r2 = _as_batch(xi, params.n)
     if np.any(np.sqrt(r2) > params.delta0 * (1 + 1e-12)):
         raise ValueError("moment defect is evaluated on |xi| <= delta0 only")
-    env = np.exp(-data.width ** 2 * r2 / 2.0) - 1.0
-    p0 = np.asarray(data.amplitude_v, dtype=float)
-    out, _ = _flow(params, xi, r2, t, env[:, None] * p0[None, :], env * data.amplitude_rho)
-    return out[0] if single else out
+    dec = ab_decomposition(data, xi)
+    return _flow(params, xi, r2, t, dec.A0 - 1j * dec.B0, dec.A_rho - 1j * dec.B_rho)[0]
 
 
 def sine_correction_term(params: ModelParams, mom: Moments, xi: np.ndarray,
                          t: float) -> np.ndarray:
     """Longitudinal damped-sine correction,
     -(b/2) xi (xi.P0) e^{-b r^2 t/2} sin(gamma t r) / (gamma r)."""
-    xi, r2, single = _as_batch(xi, params.n)
+    xi, r2 = _as_batch(xi, params.n)
     r = np.sqrt(r2)
     xi_p0 = xi @ np.asarray(mom.P0, dtype=float)
     coef = (-0.5 * params.b * xi_p0 * np.exp(-params.b * r2 * t / 2.0)
             * np.sin(params.gamma * t * r) / (params.gamma * r))
-    out = coef[:, None] * xi
-    return (out[0] if single else out).astype(complex)
-
-
-@dataclass(frozen=True)
-class ProfileDecomposition:
-    """Profile terms and computable remainder pieces at one (t, xi)."""
-
-    leading: np.ndarray
-    moment_defect: np.ndarray
-    sine_correction: np.ndarray
-    raw_remainder: np.ndarray
-
-
-def decompose_velocity(params: ModelParams, data: InitialData, xi: np.ndarray,
-                       t: float) -> ProfileDecomposition:
-    """Exact solution split into leading profile plus remainder pieces.
-
-    ``raw_remainder`` is exact minus leading by construction; subtracting the
-    two computable pieces leaves only the five bounded expansion corrections.
-    """
-    mom = moments(data)
-    xi1, _, _ = _as_batch(xi, params.n)
-    v_hat, _ = solve_exact_batch(params, data, xi1, t)
-    leading = velocity_profile(params, mom, xi1, t)
-    return ProfileDecomposition(
-        leading=leading[0],
-        moment_defect=moment_defect_term(params, data, xi1, t)[0],
-        sine_correction=sine_correction_term(params, mom, xi1, t)[0],
-        raw_remainder=v_hat[0] - leading[0],
-    )
+    return (coef[:, None] * xi).astype(complex)
 
 
 def gaussian_moment_bound(n: int, k: int, rate: float, t: float) -> float:

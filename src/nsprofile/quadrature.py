@@ -371,19 +371,18 @@ def sine_kernel_integral(params: ModelParams, t: float,
                                                         "sine-kernel")
 
 
-def cone_cosine_integral(params: ModelParams, p0: np.ndarray, t: float,
+def cone_cosine_integral(params: ModelParams, t: float,
                          spec: QuadratureSpec | None = None) -> float:
-    """Damped-cosine mass on the cone {xi : (xi.p0)/(|xi||p0|) >= 1/2},
+    """Damped-cosine mass on a cone {xi : (xi.p)/(|xi||p|) >= 1/2} around any
+    direction p,
 
         int_K e^{-b t |xi|^2} cos^2(gamma t |xi|) dxi
         = c(n) int_0^inf r^{n-1} e^{-b t r^2} cos^2(gamma t r) dr,
 
-    where c(n) is the spherical cap measure (2*pi/3 in 2-d, pi in 3-d).
-    The direction p0 only gates validity; the value is rotation invariant.
+    where c(n) is the spherical cap measure (2*pi/3 in 2-d, pi in 3-d); the
+    value is rotation invariant, so it does not depend on p.
     """
     spec = spec or QuadratureSpec()
-    if float(np.linalg.norm(np.asarray(p0, dtype=float))) == 0.0:
-        raise ValueError("cone integral needs a nonzero moment direction")
     b, g = params.b, params.gamma
     fn = lambda r: np.exp(-b * t * r * r) * np.cos(g * t * r) ** 2
     return cone_cap_area(params.n) * _radial_osc_integral(fn, params, t, spec,

@@ -14,7 +14,7 @@ it is smooth across the resonance radius delta0.
 
 The solution is linear in the data: one batched kernel (:func:`_flow`) maps
 the data transform, the zeroth moments or the moment remainder to their flow.
-The scalar entry points wrap the batched ones.
+Every entry point takes frequencies as an (m, n) batch.
 
 The classical fixed-step RK4 integrator is kept deliberately independent of
 the closed form and serves as the verification oracle.
@@ -22,61 +22,24 @@ the closed form and serves as the verification oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .model import InitialData, ModelParams, fourier_data_batch
-
-BRANCH_COMPLEX = "complex-pair"
-BRANCH_DOUBLE = "double-root"
-BRANCH_REAL = "real-pair"
 
 # Switch Phi/Psi to the sinhc series once |(s1-s2)*t| drops below this.
 _CONFLUENT_CUTOFF = 1e-6
 
 
-@dataclass(frozen=True)
-class SpectralState:
-    """Velocity transform (complex n-vector) and density transform at one (t, xi)."""
-
-    v_hat: np.ndarray
-    rho_hat: complex
-
-
-@dataclass(frozen=True)
-class EigenPair:
-    """Roots of lambda^2 + b r^2 lambda + a r^2 with their branch label.
+def _eigenvalues_batch(params: ModelParams, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Roots (sigma1, sigma2) of lambda^2 + b r^2 lambda + a r^2 at radii r >= 0.
 
     On the real branch sigma1 is the small-magnitude root (computed
     cancellation-free as a r^2 / sigma2) and sigma2 the large-magnitude one.
     """
-
-    sigma1: complex
-    sigma2: complex
-    branch: str
-
-
-def _discriminant(params: ModelParams, r2):
-    """4a - b^2 r^2: positive on the oscillatory branch, zero at r = delta0."""
-    return 4.0 * params.a - params.b * params.b * r2
-
-
-def eigenvalues(params: ModelParams, r: float) -> EigenPair:
-    """Eigenvalues of the longitudinal 2x2 flow at radius r = |xi| >= 0."""
-    if r < 0:
-        raise ValueError(f"radius must be nonnegative, got {r}")
-    s1, s2 = _eigenvalues_batch(params, np.array([r], dtype=float))
-    disc = _discriminant(params, r * r)
-    branch = BRANCH_COMPLEX if disc > 0 else BRANCH_DOUBLE if disc == 0 else BRANCH_REAL
-    return EigenPair(complex(s1[0]), complex(s2[0]), branch)
-
-
-def _eigenvalues_batch(params: ModelParams, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a, b = params.a, params.b
     r = np.asarray(r, dtype=float)
     r2 = r * r
-    disc = _discriminant(params, r2)
+    disc = 4.0 * a - b * b * r2  # > 0 oscillatory, 0 at r = delta0, < 0 overdamped
     s1 = np.empty(r.shape, dtype=complex)
     s2 = np.empty(r.shape, dtype=complex)
     osc = disc > 0.0
@@ -96,8 +59,8 @@ def _eigenvalues_batch(params: ModelParams, r: np.ndarray) -> tuple[np.ndarray, 
 def _phi_psi(s1: np.ndarray, s2: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
     """Divided differences Phi = (e^{s1 t}-e^{s2 t})/(s1-s2) and
     Psi = (s1 e^{s1 t}-s2 e^{s2 t})/(s1-s2), stable through the double root."""
-    s1 = np.atleast_1d(np.asarray(s1, dtype=complex))
-    s2 = np.atleast_1d(np.asarray(s2, dtype=complex))
+    s1 = np.asarray(s1, dtype=complex)
+    s2 = np.asarray(s2, dtype=complex)
     diff = s1 - s2
     phi = np.empty(s1.shape, dtype=complex)
     psi = np.empty(s1.shape, dtype=complex)
@@ -116,15 +79,6 @@ def _phi_psi(s1: np.ndarray, s2: np.ndarray, t: float) -> tuple[np.ndarray, np.n
     phi[near] = t * emt * sinhc
     psi[near] = emt * (m * t * sinhc + np.cosh(z))
     return phi, psi
-
-
-def solve_exact(params: ModelParams, data: InitialData, xi: np.ndarray, t: float) -> SpectralState:
-    """Closed-form state at one frequency xi != 0 and time t >= 0."""
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape != (params.n,):
-        raise ValueError(f"xi must have shape ({params.n},), got {xi.shape}")
-    v, rho = solve_exact_batch(params, data, xi[None, :], t)
-    return SpectralState(v_hat=v[0], rho_hat=complex(rho[0]))
 
 
 def _flow(params: ModelParams, xi: np.ndarray, r2: np.ndarray, t: float,
@@ -211,41 +165,3 @@ def solve_ode_oracle_batch(params: ModelParams, data: InitialData, xi: np.ndarra
             rk4 = rk4 + power
         y = np.einsum("mij,mj->mi", np.linalg.matrix_power(rk4, nsteps), y)
     return y[:, :-1].copy(), y[:, -1].copy()
-
-
-def solve_ode_oracle(params: ModelParams, data: InitialData, xi: np.ndarray, t: float,
-                     step: float) -> SpectralState:
-    """Single-point RK4 oracle; independent of the closed-form path."""
-    xi = np.asarray(xi, dtype=float)
-    v, rho = solve_ode_oracle_batch(params, data, xi[None, :], t, step)
-    return SpectralState(v_hat=v[0], rho_hat=complex(rho[0]))
-
-
-def energy(state: SpectralState) -> float:
-    """Frequency-space energy (|rho_hat|^2 + |v_hat|^2) / 2."""
-    v = np.asarray(state.v_hat)
-    return 0.5 * (abs(state.rho_hat) ** 2 + float(np.sum(np.abs(v) ** 2)))
-
-
-def density_ode_residual(params: ModelParams, data: InitialData, xi: np.ndarray,
-                         t: float, dt: float) -> float:
-    """|finite-difference residual| of the second-order density equation.
-
-    The density transform satisfies rho_tt + b r^2 rho_t + a r^2 rho = 0;
-    this evaluates it with central differences on the closed-form solution,
-    so the result should be O(dt^2) against the term magnitudes.  Requires
-    gamma |xi| dt < 0.1 so the oscillation is resolved, and t > dt.
-    """
-    xi = np.asarray(xi, dtype=float)
-    r = float(np.linalg.norm(xi))
-    if params.gamma * r * dt >= 0.1:
-        raise ValueError("dt too large: gamma |xi| dt must stay below 0.1")
-    if t <= dt:
-        raise ValueError("need t > dt for the centered stencil")
-    rm = solve_exact(params, data, xi, t - dt).rho_hat
-    r0 = solve_exact(params, data, xi, t).rho_hat
-    rp = solve_exact(params, data, xi, t + dt).rho_hat
-    rho_tt = (rp - 2.0 * r0 + rm) / dt ** 2
-    rho_t = (rp - rm) / (2.0 * dt)
-    r2 = r * r
-    return abs(rho_tt + params.b * r2 * rho_t + params.a * r2 * r0)

@@ -1,7 +1,8 @@
-"""Test-only reference quadratures for closed forms of the runtime package.
+"""Test-only references for closed forms of the runtime package.
 
-Both integrate in radial coordinates with plain panel-wise Gauss-Legendre,
-independently of the package's own quadrature.
+The two quadratures integrate in radial coordinates with plain panel-wise
+Gauss-Legendre, independently of the package's own quadrature; the density
+residual checks the closed-form solution against its second-order ODE.
 """
 
 import math
@@ -9,8 +10,9 @@ import math
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from nsprofile.model import InitialData
+from nsprofile.model import InitialData, ModelParams
 from nsprofile.profiles import gaussian_moment_bound
+from nsprofile.spectral import solve_exact_batch
 
 
 def l11_norm_radial_quadrature(data: InitialData, panels: int = 64, order: int = 16,
@@ -62,3 +64,27 @@ def gaussian_moment_integral(n: int, k: int, rate: float, t: float, r_cut: float
             f"moment integral {value!r} exceeded its dominating constant {bound!r}"
         )
     return value
+
+
+def density_ode_residual(params: ModelParams, data: InitialData, xi: np.ndarray,
+                         t: float, dt: float) -> float:
+    """|finite-difference residual| of the second-order density equation.
+
+    The density transform satisfies rho_tt + b r^2 rho_t + a r^2 rho = 0;
+    this evaluates it with central differences on the closed-form solution at
+    the one frequency ``xi`` (an n-vector), so the result should be O(dt^2)
+    against the term magnitudes.  Requires gamma |xi| dt < 0.1 so the
+    oscillation is resolved, and t > dt.
+    """
+    xi = np.asarray(xi, dtype=float)
+    r = float(np.linalg.norm(xi))
+    if params.gamma * r * dt >= 0.1:
+        raise ValueError("dt too large: gamma |xi| dt must stay below 0.1")
+    if t <= dt:
+        raise ValueError("need t > dt for the centered stencil")
+    rm, r0, rp = (solve_exact_batch(params, data, xi[None, :], s)[1][0]
+                  for s in (t - dt, t, t + dt))
+    rho_tt = (rp - 2.0 * r0 + rm) / dt ** 2
+    rho_t = (rp - rm) / (2.0 * dt)
+    r2 = r * r
+    return abs(rho_tt + params.b * r2 * rho_t + params.a * r2 * r0)

@@ -14,13 +14,14 @@ from numpy.polynomial.legendre import leggauss
 
 from nsprofile.cli import main as cli_main
 from nsprofile.decay import (
+    check_moment_ratio,
     fit_loglog,
     density_remainder_series,
     highfreq_energy,
+    velocity_norm_series,
     velocity_remainder_series,
     verify_kernel_plateaus,
     verify_sandwich,
-    verify_velocity_rate,
 )
 from nsprofile.model import InitialData, ModelParams, ab_decomposition, moments
 from nsprofile.quadrature import cone_cap_area, sine_kernel_integral, sphere_area
@@ -88,7 +89,8 @@ def test_03_density_remainder_rate():
     (P3, InitialData(amplitude_v=(0.0, 0.0, 0.0), amplitude_rho=1.0, width=1.0), -0.75),
 ], ids=["n2", "n3"])
 def test_04_velocity_decay_rate(params, data, expected):
-    fit = verify_velocity_rate(params, data, np.geomspace(100.0, 1.0e4, 11))
+    check_moment_ratio(params, data)
+    fit = fit_loglog(velocity_norm_series(params, data, np.geomspace(100.0, 1.0e4, 11)))
     report(f"velocity decay rate n={params.n}",
            abs(fit.slope - expected) <= 0.05,
            f"slope {fit.slope:.4f} = {expected} +/- 0.05")
@@ -103,7 +105,7 @@ def test_05_velocity_sandwich():
     pure_q = InitialData(amplitude_v=(0.0, 0.0), amplitude_rho=1.0, width=1.0)
     rep0 = verify_sandwich(P2, pure_q, times)
     expected = math.sqrt(math.pi) / 2.0  # sqrt of the sine-kernel plateau pi/4
-    last = float(rep0.normalized_values[-1])
+    last = float(rep0.scaled_values[-1])
     ok_value = abs(last - expected) / expected <= 0.05
     report("velocity sandwich",
            ok_two_sided and ok_value,
@@ -192,21 +194,19 @@ def test_10_moment_remainder_bounds():
     worst = -math.inf
     for params, data in ((P2, DATA2), (P3, DATA3)):
         mom = moments(data)
-        rng = np.random.default_rng(7)
-        radii = np.geomspace(1e-3, 50.0, 250)
-        for r in radii:
-            for _ in range(4):
-                direction = rng.normal(size=params.n)
-                direction /= np.linalg.norm(direction)
-                xi = r * direction
-                dec = ab_decomposition(data, xi)
-                margin = max(
-                    float(np.max(np.abs(dec.A0) - versine_max * r * mom.l11_v)),
-                    abs(dec.A_rho) - versine_max * r * mom.l11_rho,
-                    float(np.max(np.abs(dec.B0) - sinc_max * r * mom.l11_v)),
-                    abs(dec.B_rho) - sinc_max * r * mom.l11_rho,
-                )
-                worst = max(worst, margin)
+        # 250 radii x 4 random directions, drawn in the same order as a
+        # per-point loop would draw them
+        r = np.repeat(np.geomspace(1e-3, 50.0, 250), 4)
+        direction = np.random.default_rng(7).normal(size=(r.size, params.n))
+        direction /= np.linalg.norm(direction, axis=1)[:, None]
+        dec = ab_decomposition(data, r[:, None] * direction)
+        worst = max(
+            worst,
+            float(np.max(np.abs(dec.A0) - versine_max * r[:, None] * mom.l11_v)),
+            float(np.max(np.abs(dec.A_rho) - versine_max * r * mom.l11_rho)),
+            float(np.max(np.abs(dec.B0) - sinc_max * r[:, None] * mom.l11_v)),
+            float(np.max(np.abs(dec.B_rho) - sinc_max * r * mom.l11_rho)),
+        )
     report("moment remainder bounds", worst <= 1e-9,
            f"worst violation {worst:.2e} <= 1e-9 over 2000 sampled points")
 

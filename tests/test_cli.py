@@ -47,6 +47,12 @@ def test_build_rejects_bad_types_and_invariants():
             build_run_config("rate", {"time_grid": {"t_max": bad}})
     with pytest.raises(ConfigError):
         build_run_config("rate", {"quadrature": {"angular_nodes": 0}})
+    for bad in ({"emit_svg": "false"}, {"emit_svg": 1}, {"output_dir": 3},
+                {"oracle": {"radii": 4.5}}, {"oracle": {"seed": True}},
+                {"oracle": {"step": "1e-4"}}, {"params": {"beta": 1e308}},
+                {"params": {"gamma": 1e200}}):
+        with pytest.raises(ConfigError):
+            build_run_config("oracle-check", bad)
 
 
 def test_highfreq_allows_small_t_min():
@@ -175,13 +181,23 @@ def test_cli_highfreq_n1_default_config_passes(tmp_path):
     {"params": {"n": True}},
     {"params": {"gamma": math.inf}},
     {"params": {"beta": math.nan}},
+    # finite coefficients whose squares overflow
+    {"params": {"beta": 1e308}},
+    {"params": {"gamma": 1e200}},
+    # bool("false") is True; int(4.5) would silently run 4 radii
+    {"emit_svg": "false"},
+    {"oracle": {"radii": 4.5}},
 ])
 def test_cli_bad_value_exits_2(tmp_path, capsys, payload):
     # json writes NaN/Infinity, which json.load reads back as floats
     path = write_config(tmp_path, payload)
-    assert main(["rate", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    out = tmp_path / "out"
+    assert main(["rate", "--config", path, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert json.loads(err)["error_type"] == "ConfigError"
+    diagnostic = json.loads(err)
+    assert diagnostic["error_type"] == "ConfigError"
+    assert "config_hash" not in diagnostic  # rejected before any runner started
+    assert not out.exists()
     assert "Traceback" not in err
 
 

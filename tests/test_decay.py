@@ -7,6 +7,7 @@ from nsprofile.model import InitialData, ModelParams, moments
 from nsprofile.decay import (
     DecayFit,
     DecaySeries,
+    check_moment_ratio,
     fit_loglog,
     fit_semilog,
     highfreq_energy,
@@ -15,7 +16,6 @@ from nsprofile.decay import (
     velocity_norm_series,
     verify_kernel_plateaus,
     verify_sandwich,
-    verify_velocity_rate,
 )
 from nsprofile.profiles import velocity_profile
 from nsprofile.quadrature import QuadratureSpec, zone_norm_sq
@@ -70,15 +70,19 @@ def test_rate_preconditions():
     t = np.geomspace(10, 100, 6)
     no_q = InitialData(amplitude_v=(0.0, 0.0), amplitude_rho=0.0, width=1.0)
     with pytest.raises(ValueError):
-        verify_velocity_rate(PARAMS, no_q, t)
+        check_moment_ratio(PARAMS, no_q)
     big_p = InitialData(amplitude_v=(1.0, 0.0), amplitude_rho=1.0, width=1.0)
     with pytest.raises(ValueError):
-        verify_velocity_rate(PARAMS, big_p, t)
+        check_moment_ratio(PARAMS, big_p)
+    for data in (no_q, big_p):
+        with pytest.raises(ValueError):
+            verify_sandwich(PARAMS, data, t)
 
 
 def test_rate_smoke_run():
     data = InitialData(amplitude_v=(0.0, 0.0), amplitude_rho=1.0, width=1.0)
-    fit = verify_velocity_rate(PARAMS, data, np.geomspace(100, 3000, 6))
+    check_moment_ratio(PARAMS, data)
+    fit = fit_loglog(velocity_norm_series(PARAMS, data, np.geomspace(100, 3000, 6)))
     assert fit.slope == pytest.approx(-0.5, abs=0.05)
     assert fit.r_squared > 0.999
 
@@ -88,8 +92,8 @@ def test_rate_scale_shift():
     t = np.geomspace(100, 2000, 5)
     d1 = InitialData(amplitude_v=(0.0, 0.0), amplitude_rho=1.0, width=1.0)
     d3 = InitialData(amplitude_v=(0.0, 0.0), amplitude_rho=3.0, width=1.0)
-    f1 = verify_velocity_rate(PARAMS, d1, t)
-    f3 = verify_velocity_rate(PARAMS, d3, t)
+    f1 = fit_loglog(velocity_norm_series(PARAMS, d1, t))
+    f3 = fit_loglog(velocity_norm_series(PARAMS, d3, t))
     assert f3.slope == pytest.approx(f1.slope, abs=1e-10)
     assert f3.intercept - f1.intercept == pytest.approx(math.log(3.0), abs=1e-9)
 
@@ -103,7 +107,7 @@ def test_sandwich_scale_equivariance():
     assert r2.plateau_min == pytest.approx(2 * r1.plateau_min, rel=1e-9)
     assert r2.plateau_max == pytest.approx(2 * r1.plateau_max, rel=1e-9)
     assert r2.ratio == pytest.approx(r1.ratio, rel=1e-9)
-    assert r1.passed() and r2.passed()
+    assert r1.passed(max_ratio=2.0) and r2.passed(max_ratio=2.0)
 
 
 def test_kernel_plateaus_smoke():

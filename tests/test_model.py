@@ -11,7 +11,6 @@ from nsprofile.model import (
     ModelParams,
     ParameterError,
     ab_decomposition,
-    fourier_data,
     fourier_data_batch,
     moment_bound_constants,
     moments,
@@ -42,6 +41,9 @@ def test_derived_params_direct_substitution():
         dict(alpha=1.0, beta=math.nan, gamma=1.0, n=2),
         dict(alpha=1.0, beta=math.inf, gamma=1.0, n=2),
         dict(alpha=1.0, beta=0.0, gamma=math.inf, n=2),
+        dict(alpha=1.0, beta=1e308, gamma=1.0, n=2),
+        dict(alpha=1e308, beta=1e308, gamma=1.0, n=2),
+        dict(alpha=1.0, beta=0.0, gamma=1e200, n=2),
     ],
 )
 def test_invalid_params_rejected(kwargs):
@@ -84,9 +86,9 @@ def test_l11_closed_form_matches_radial_quadrature(n, width):
 
 def test_fourier_data_at_zero_is_the_moment():
     data = InitialData(amplitude_v=(0.4, 0.9), amplitude_rho=-1.2, width=0.8)
-    v_hat, rho_hat = fourier_data(data, np.zeros(2))
-    assert v_hat.tolist() == [0.4 + 0j, 0.9 + 0j]
-    assert rho_hat == -1.2 + 0j
+    v_hat, rho_hat = fourier_data_batch(data, np.zeros((1, 2)))
+    assert v_hat[0].tolist() == [0.4 + 0j, 0.9 + 0j]
+    assert rho_hat[0] == -1.2 + 0j
 
 
 def test_fourier_data_gaussian_value_matches_quadrature_oracle():
@@ -99,26 +101,25 @@ def test_fourier_data_gaussian_value_matches_quadrature_oracle():
     rho0 = (1.0 / (2 * math.pi)) * np.exp(-r * r / 2)
     oracle = 2 * math.pi * float(np.sum(special.j0(r) * rho0 * r * w))
     assert oracle == pytest.approx(0.6065306597126334, abs=1e-10)
-    _, rho_hat = fourier_data(data, np.array([1.0, 0.0]))
-    assert rho_hat.real == pytest.approx(0.6065306597126334, rel=1e-12)
-    assert rho_hat.imag == 0.0
+    _, rho_hat = fourier_data_batch(data, np.array([[1.0, 0.0]]))
+    assert rho_hat[0].real == pytest.approx(0.6065306597126334, rel=1e-12)
+    assert rho_hat[0].imag == 0.0
 
 
 def test_fourier_data_imaginary_part_exactly_zero():
     data = InitialData(amplitude_v=(1.0, -2.0), amplitude_rho=0.5, width=1.1)
     rng = np.random.default_rng(7)
-    for xi in rng.normal(size=(20, 2)):
-        v_hat, rho_hat = fourier_data(data, xi)
-        assert np.all(v_hat.imag == 0.0)
-        assert rho_hat.imag == 0.0
+    v_hat, rho_hat = fourier_data_batch(data, rng.normal(size=(20, 2)))
+    assert np.all(v_hat.imag == 0.0)
+    assert np.all(rho_hat.imag == 0.0)
 
 
 def test_ab_decomposition_vanishes_at_zero():
     data = InitialData(amplitude_v=(1.0, 2.0), amplitude_rho=3.0, width=1.0)
-    dec = ab_decomposition(data, np.zeros(2))
-    assert dec == ABDecomposition(
-        A0=pytest.approx([0.0, 0.0]), B0=pytest.approx([0.0, 0.0]), A_rho=0.0, B_rho=0.0
-    )
+    dec = ab_decomposition(data, np.zeros((1, 2)))
+    assert isinstance(dec, ABDecomposition)
+    for part in dec:
+        assert np.all(part == 0.0)
 
 
 def test_ab_decomposition_value_matches_2d_quadrature_oracle():
@@ -134,22 +135,21 @@ def test_ab_decomposition_value_matches_2d_quadrature_oracle():
     assert oracle == pytest.approx(-0.3934693402873666, abs=1e-9)
 
     data = InitialData(amplitude_v=(1.0, 0.0), amplitude_rho=0.0, width=1.0)
-    dec = ab_decomposition(data, np.array([1.0, 0.0]))
-    assert dec.A0[0] == pytest.approx(-0.3934693402873666, rel=1e-12)
-    assert dec.A0[1] == 0.0
-    assert dec.B0.tolist() == [0.0, 0.0]
+    dec = ab_decomposition(data, np.array([[1.0, 0.0]]))
+    assert dec.A0[0, 0] == pytest.approx(-0.3934693402873666, rel=1e-12)
+    assert dec.A0[0, 1] == 0.0
+    assert dec.B0.tolist() == [[0.0, 0.0]]
 
 
 def test_decomposition_identity_on_grid():
     # v0_hat(xi) - P0 = A0(xi) - i B0(xi) to machine precision
     data = InitialData(amplitude_v=(0.6, -1.4, 0.2), amplitude_rho=0.9, width=0.7)
     m = moments(data)
-    rng = np.random.default_rng(3)
-    for xi in rng.normal(size=(50, 3)) * 2.0:
-        v_hat, rho_hat = fourier_data(data, xi)
-        dec = ab_decomposition(data, xi)
-        np.testing.assert_allclose(v_hat - m.P0, dec.A0 - 1j * dec.B0, atol=1e-15)
-        assert rho_hat - m.Q0 == pytest.approx(dec.A_rho - 1j * dec.B_rho, abs=1e-15)
+    xi = np.random.default_rng(3).normal(size=(50, 3)) * 2.0
+    v_hat, rho_hat = fourier_data_batch(data, xi)
+    dec = ab_decomposition(data, xi)
+    np.testing.assert_allclose(v_hat - m.P0, dec.A0 - 1j * dec.B0, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(rho_hat - m.Q0, dec.A_rho - 1j * dec.B_rho, rtol=0, atol=1e-15)
 
 
 def test_moment_bound_constants():
@@ -164,23 +164,22 @@ def test_moment_remainder_bounds_on_sampled_grid():
     data = InitialData(amplitude_v=(0.8, -0.3), amplitude_rho=1.5, width=1.2)
     m = moments(data)
     c = moment_bound_constants()
-    rng = np.random.default_rng(11)
-    radii = np.geomspace(1e-3, 30.0, 40)
-    for r in radii:
-        theta = rng.uniform(0, 2 * math.pi)
-        xi = r * np.array([math.cos(theta), math.sin(theta)])
-        dec = ab_decomposition(data, xi)
-        assert abs(dec.A_rho) <= c.versine_ratio * r * m.l11_rho + 1e-12
-        assert abs(dec.B_rho) <= c.sinc_ratio * r * m.l11_rho + 1e-12
-        assert np.all(np.abs(dec.A0) <= c.versine_ratio * r * m.l11_v + 1e-12)
-        assert np.all(np.abs(dec.B0) <= c.sinc_ratio * r * m.l11_v + 1e-12)
+    r = np.geomspace(1e-3, 30.0, 40)
+    theta = np.random.default_rng(11).uniform(0, 2 * math.pi, size=r.size)
+    xi = r[:, None] * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    dec = ab_decomposition(data, xi)
+    assert np.all(np.abs(dec.A_rho) <= c.versine_ratio * r * m.l11_rho + 1e-12)
+    assert np.all(np.abs(dec.B_rho) <= c.sinc_ratio * r * m.l11_rho + 1e-12)
+    assert np.all(np.abs(dec.A0) <= c.versine_ratio * r[:, None] * m.l11_v + 1e-12)
+    assert np.all(np.abs(dec.B0) <= c.sinc_ratio * r[:, None] * m.l11_v + 1e-12)
 
 
 def test_fourier_data_batch_agrees_with_scalar():
+    # a row of a batch does not depend on the other rows (one-row batches)
     data = InitialData(amplitude_v=(0.2, 0.5), amplitude_rho=-0.7, width=0.9)
     xi = np.array([[0.3, 0.1], [1.2, -0.4], [0.0, 2.0]])
     vb, rb = fourier_data_batch(data, xi)
     for i in range(3):
-        v, r = fourier_data(data, xi[i])
-        np.testing.assert_allclose(vb[i], v, rtol=0, atol=0)
-        assert rb[i] == r
+        v, r = fourier_data_batch(data, xi[i:i + 1])
+        np.testing.assert_array_equal(vb[i], v[0])
+        assert rb[i] == r[0]

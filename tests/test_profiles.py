@@ -6,7 +6,6 @@ import pytest
 from nsprofile.model import InitialData, ModelParams, moments
 from nsprofile.profiles import (
     RemainderBounds,
-    decompose_velocity,
     density_profile,
     gaussian_moment_bound,
     moment_defect_term,
@@ -16,7 +15,7 @@ from nsprofile.profiles import (
     velocity_profile,
 )
 from nsprofile.quadrature import QuadratureSpec, zone_norm_sq
-from nsprofile.spectral import solve_exact, solve_exact_batch
+from nsprofile.spectral import solve_exact_batch
 from oracles import gaussian_moment_integral
 
 PARAMS = ModelParams(alpha=1.0, beta=1.0, gamma=1.0, n=2)
@@ -29,14 +28,15 @@ def test_velocity_profile_without_velocity_moment():
     t = 5.0
     r = np.linalg.norm(xi)
     expected = -1j * xi * math.exp(-PARAMS.b * r**2 * t / 2) * math.sin(t * r) / r * 2.0
-    np.testing.assert_allclose(velocity_profile(PARAMS, mom, xi, t), expected, rtol=1e-14)
+    np.testing.assert_allclose(velocity_profile(PARAMS, mom, xi[None, :], t)[0], expected,
+                               rtol=1e-14)
 
 
 def test_velocity_profile_heat_terms_cancel_for_parallel_xi():
     mom = moments(InitialData(amplitude_v=(0.7, 0.0), amplitude_rho=0.0, width=1.0))
     xi = np.array([0.4, 0.0])  # parallel to P0
     t = 3.0
-    prof = velocity_profile(PARAMS, mom, xi, t)
+    prof = velocity_profile(PARAMS, mom, xi[None, :], t)[0]
     r = 0.4
     # only the damped cosine term survives
     expected = (mom.P0 * math.exp(-PARAMS.b * r**2 * t / 2) * math.cos(t * r))
@@ -63,13 +63,14 @@ def test_velocity_profile_independent_summation_oracle():
     ]
     assert abs(terms[0][0]) < 1e-16  # cosine term vanished
     oracle = terms[0] + terms[1] + terms[2] + terms[3]
-    np.testing.assert_allclose(velocity_profile(PARAMS, mom, xi, t), oracle, rtol=1e-13)
+    np.testing.assert_allclose(velocity_profile(PARAMS, mom, xi[None, :], t)[0], oracle,
+                               rtol=1e-13)
 
 
 def test_velocity_profile_linear_in_moments():
     mom = moments(DATA)
     scaled = moments(InitialData(amplitude_v=(0.3, 0.0), amplitude_rho=3.0, width=1.0))
-    xi = np.array([0.2, -0.5])
+    xi = np.array([[0.2, -0.5]])
     np.testing.assert_allclose(
         3.0 * velocity_profile(PARAMS, mom, xi, 7.0),
         velocity_profile(PARAMS, scaled, xi, 7.0),
@@ -82,18 +83,18 @@ def test_density_profile_examples():
     mom = moments(InitialData(amplitude_v=(0.0, 0.0), amplitude_rho=1.5, width=1.0))
     r = 0.25
     t = math.pi / r
-    xi = np.array([r, 0.0])
-    val = density_profile(PARAMS, mom, xi, t)
+    xi = np.array([[r, 0.0]])
+    val = density_profile(PARAMS, mom, xi, t)[0]
     assert val == pytest.approx(-1.5 * math.exp(-PARAMS.b * r**2 * t / 2), rel=1e-12)
 
     # Q0 = 0 and xi perpendicular to P0: identically zero
     mom2 = moments(InitialData(amplitude_v=(0.9, 0.0), amplitude_rho=0.0, width=1.0))
-    assert density_profile(PARAMS, mom2, np.array([0.0, 0.8]), 2.0) == 0.0
+    assert density_profile(PARAMS, mom2, np.array([[0.0, 0.8]]), 2.0)[0] == 0.0
 
 
 def test_moment_defect_equals_exact_minus_moment_flow():
     # the defining identity, at machine precision: linearity of the flow in
-    # the data decomposition forces defect = solve_exact - moment_flow
+    # the data decomposition forces defect = solve_exact_batch - moment_flow
     params = ModelParams(alpha=1.0, beta=1.0, gamma=1.0, n=2)
     data = InitialData(amplitude_v=(0.3, -0.2), amplitude_rho=0.7, width=1.0)
     mom = moments(data)
@@ -101,9 +102,9 @@ def test_moment_defect_equals_exact_minus_moment_flow():
     for _ in range(12):
         r = rng.uniform(0.05, params.delta0)
         theta = rng.uniform(0, 2 * math.pi)
-        xi = r * np.array([math.cos(theta), math.sin(theta)])
+        xi = r * np.array([[math.cos(theta), math.sin(theta)]])
         t = rng.uniform(0.0, 30.0)
-        exact = solve_exact(params, data, xi, t).v_hat
+        exact = solve_exact_batch(params, data, xi, t)[0]
         flow = moment_flow(params, mom, xi, t)
         defect = moment_defect_term(params, data, xi, t)
         scale = max(np.max(np.abs(exact)), np.max(np.abs(flow)), 1e-30)
@@ -130,9 +131,9 @@ def test_moment_defect_alternate_coefficient_fails_identity():
     wrong = (heat * a0.astype(complex)
              - 1j * PARAMS.gamma * phi[0] * a_rho * xi
              + (alt_psi - heat) * float(xi @ a0) / r2 * xi)
-    exact = solve_exact(PARAMS, data, xi, t).v_hat
-    flow = moment_flow(PARAMS, mom, xi, t)
-    right = moment_defect_term(PARAMS, data, xi, t)
+    exact = solve_exact_batch(PARAMS, data, xi[None, :], t)[0][0]
+    flow = moment_flow(PARAMS, mom, xi[None, :], t)[0]
+    right = moment_defect_term(PARAMS, data, xi[None, :], t)[0]
     assert np.max(np.abs(right - (exact - flow))) < 1e-16
     assert np.max(np.abs(wrong - (exact - flow))) > 1e-8 * np.max(np.abs(exact))
 
@@ -140,7 +141,7 @@ def test_moment_defect_alternate_coefficient_fails_identity():
 def test_moment_defect_vanishes_for_narrow_data():
     # s -> 0 sends every moment-remainder factor to zero
     data = InitialData(amplitude_v=(0.5, 0.1), amplitude_rho=1.0, width=1e-3)
-    xi = np.array([0.3, 0.1])
+    xi = np.array([[0.3, 0.1]])
     defect = moment_defect_term(PARAMS, data, xi, 4.0)
     assert np.max(np.abs(defect)) < 1e-6
 
@@ -149,7 +150,7 @@ def test_moment_defect_imaginary_structure_for_even_data():
     # with B = 0 the only imaginary contribution is the acoustic coupling term:
     # on the oscillatory branch Phi and Psi are real, so a datum without
     # density amplitude yields a purely real defect
-    xi = np.array([0.3, 0.2])
+    xi = np.array([[0.3, 0.2]])
     data = InitialData(amplitude_v=(0.4, 0.0), amplitude_rho=0.0, width=1.0)
     defect = moment_defect_term(PARAMS, data, xi, 2.0)
     assert np.max(np.abs(defect.imag)) < 1e-16
@@ -162,17 +163,17 @@ def test_moment_defect_imaginary_structure_for_even_data():
 
 def test_moment_defect_rejects_high_zone():
     with pytest.raises(ValueError):
-        moment_defect_term(PARAMS, DATA, np.array([1.5, 0.0]), 1.0)
+        moment_defect_term(PARAMS, DATA, np.array([[1.5, 0.0]]), 1.0)
 
 
 def test_sine_correction_examples():
     mom = moments(InitialData(amplitude_v=(0.8, 0.0), amplitude_rho=0.0, width=1.0))
     # perpendicular moment: zero
-    val = sine_correction_term(PARAMS, mom, np.array([0.0, 0.6]), 3.0)
-    np.testing.assert_array_equal(val, np.zeros(2, dtype=complex))
+    val = sine_correction_term(PARAMS, mom, np.array([[0.0, 0.6]]), 3.0)
+    np.testing.assert_array_equal(val, np.zeros((1, 2), dtype=complex))
     # gamma t r = pi: sine vanishes
     r = 0.5
-    val = sine_correction_term(PARAMS, mom, np.array([r, 0.0]), math.pi / r)
+    val = sine_correction_term(PARAMS, mom, np.array([[r, 0.0]]), math.pi / r)
     assert np.max(np.abs(val)) < 1e-15
 
 
@@ -187,15 +188,16 @@ def test_sine_correction_norm_below_closed_form_bound():
 
 
 def test_raw_remainder_construction():
-    xi = np.array([0.25, 0.15])
+    # exact minus leading, less the computable pieces, equals
+    # moment_flow - leading - sine term
+    xi = np.array([[0.25, 0.15]])
     t = 12.0
-    dec = decompose_velocity(PARAMS, DATA, xi, t)
-    exact = solve_exact(PARAMS, DATA, xi, t).v_hat
-    np.testing.assert_array_equal(dec.raw_remainder, exact - dec.leading)
-    # remainder minus computable pieces equals moment_flow - leading - sine term
     mom = moments(DATA)
-    residual = dec.raw_remainder - dec.moment_defect - dec.sine_correction
-    alt = moment_flow(PARAMS, mom, xi, t) - dec.leading - dec.sine_correction
+    leading = velocity_profile(PARAMS, mom, xi, t)
+    sine = sine_correction_term(PARAMS, mom, xi, t)
+    raw = solve_exact_batch(PARAMS, DATA, xi, t)[0] - leading
+    residual = raw - moment_defect_term(PARAMS, DATA, xi, t) - sine
+    alt = moment_flow(PARAMS, mom, xi, t) - leading - sine
     np.testing.assert_allclose(residual, alt, atol=1e-17)
 
 
@@ -272,7 +274,7 @@ def test_subtracting_computable_pieces_tightens_remainder():
 def test_remainder_evaluators_pointwise_linear_in_data():
     lam = 3.0
     scaled = InitialData(amplitude_v=(0.3, 0.0), amplitude_rho=3.0, width=1.0)
-    xi = np.array([0.3, 0.25])
+    xi = np.array([[0.3, 0.25]])
     t = 9.0
     np.testing.assert_allclose(
         moment_defect_term(PARAMS, scaled, xi, t),
@@ -281,8 +283,8 @@ def test_remainder_evaluators_pointwise_linear_in_data():
         sine_correction_term(PARAMS, moments(scaled), xi, t),
         lam * sine_correction_term(PARAMS, moments(DATA), xi, t), rtol=1e-13)
     np.testing.assert_allclose(
-        density_profile(PARAMS, moments(scaled), xi[None, :], t),
-        lam * density_profile(PARAMS, moments(DATA), xi[None, :], t), rtol=1e-13)
+        density_profile(PARAMS, moments(scaled), xi, t),
+        lam * density_profile(PARAMS, moments(DATA), xi, t), rtol=1e-13)
 
 
 def test_gaussian_moment_integral_examples():
@@ -313,8 +315,11 @@ def test_gaussian_moment_integral_rejects_bad_args():
 def test_profile_rejects_origin():
     mom = moments(DATA)
     with pytest.raises(ValueError):
-        velocity_profile(PARAMS, mom, np.zeros(2), 1.0)
+        velocity_profile(PARAMS, mom, np.zeros((1, 2)), 1.0)
     with pytest.raises(ValueError):
-        density_profile(PARAMS, mom, np.zeros(2), 1.0)
+        density_profile(PARAMS, mom, np.zeros((1, 2)), 1.0)
     with pytest.raises(ValueError):
-        sine_correction_term(PARAMS, mom, np.zeros(2), 1.0)
+        sine_correction_term(PARAMS, mom, np.zeros((1, 2)), 1.0)
+    # a single frequency is passed as a one-row batch, never as an n-vector
+    with pytest.raises(ValueError, match="shape"):
+        velocity_profile(PARAMS, mom, np.array([0.3, 0.1]), 1.0)

@@ -117,7 +117,7 @@ def test_unreachable_tolerance_is_reported_not_converged():
     with pytest.raises(QuadratureError, match="sine-kernel"):
         sine_kernel_integral(params, t, spec)
     with pytest.raises(QuadratureError, match="cone"):
-        cone_cosine_integral(params, np.array([1.0]), t, spec)
+        cone_cosine_integral(params, t, spec)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -183,13 +183,8 @@ def test_sine_kernel_value_against_brute_force():
 def test_cone_integral_plateau():
     # t * cone -> c(2)/(4 b) = pi/12 for b = 2, within 3% for t >= 1e3
     for t in (1e3, 1e4):
-        val = cone_cosine_integral(PARAMS2, np.array([1.0, 0.0]), t)
+        val = cone_cosine_integral(PARAMS2, t)
         assert t * val == pytest.approx(2 * math.pi / 3 / (4 * PARAMS2.b), rel=0.03)
-
-
-def test_cone_integral_rejects_zero_direction():
-    with pytest.raises(ValueError):
-        cone_cosine_integral(PARAMS2, np.zeros(2), 10.0)
 
 
 def test_profile_norm_equals_sine_kernel_times_moment():

@@ -5,54 +5,65 @@ import pytest
 
 from nsprofile.model import InitialData, ModelParams, fourier_data_batch
 from nsprofile.spectral import (
-    BRANCH_COMPLEX,
-    BRANCH_DOUBLE,
-    BRANCH_REAL,
-    SpectralState,
+    _eigenvalues_batch,
     _flow_matrix,
-    density_ode_residual,
-    eigenvalues,
-    energy,
-    solve_exact,
     solve_exact_batch,
-    solve_ode_oracle,
     solve_ode_oracle_batch,
 )
+from oracles import density_ode_residual
 
 PARAMS = ModelParams(alpha=1.0, beta=1.0, gamma=1.0, n=2)
 DATA = InitialData(amplitude_v=(0.1, 0.0), amplitude_rho=1.0, width=1.0)
 
 
+def state_at(params, data, xi, t, oracle_step=None):
+    """Stacked (v_hat, rho_hat) at the one frequency xi, as a one-row batch."""
+    if oracle_step is None:
+        v, rho = solve_exact_batch(params, data, np.asarray(xi)[None, :], t)
+    else:
+        v, rho = solve_ode_oracle_batch(params, data, np.asarray(xi)[None, :], t,
+                                        oracle_step)
+    return np.concatenate([v[0], rho])
+
+
+def energy(state):
+    """Frequency-space energy (|v_hat|^2 + |rho_hat|^2) / 2 of a stacked state."""
+    return 0.5 * float(np.sum(np.abs(state) ** 2))
+
+
+def roots(r):
+    s1, s2 = _eigenvalues_batch(PARAMS, np.array([r]))
+    return complex(s1[0]), complex(s2[0])
+
+
 def test_eigenvalues_oscillatory_branch():
     # roots of lambda^2 + 0.5 lambda + 0.25 (a=1, b=2, r=0.5)
-    pair = eigenvalues(PARAMS, 0.5)
-    assert pair.branch == BRANCH_COMPLEX
-    assert pair.sigma1 == pytest.approx(-0.25 + 0.43301270189221946j, abs=1e-15)
-    assert pair.sigma2 == pytest.approx(np.conj(pair.sigma1), abs=0)
+    s1, s2 = roots(0.5)
+    assert s1 == pytest.approx(-0.25 + 0.43301270189221946j, abs=1e-15)
+    assert s2 == pytest.approx(np.conj(s1), abs=0)
 
 
 def test_eigenvalues_double_root():
-    pair = eigenvalues(PARAMS, 1.0)  # r = delta0
-    assert pair.branch == BRANCH_DOUBLE
-    assert pair.sigma1 == pair.sigma2 == -1.0
+    s1, s2 = roots(1.0)  # r = delta0
+    assert s1 == s2 == -1.0
 
 
 def test_eigenvalues_overdamped_branch():
     # roots of lambda^2 + 8 lambda + 4; sigma1 is the small-magnitude root
-    pair = eigenvalues(PARAMS, 2.0)
-    assert pair.branch == BRANCH_REAL
-    assert pair.sigma1 == pytest.approx(-0.5358983848622456, rel=1e-14)
-    assert pair.sigma2 == pytest.approx(-7.464101615137754, rel=1e-14)
-    assert pair.sigma1 * pair.sigma2 == pytest.approx(4.0, rel=1e-13)
+    s1, s2 = roots(2.0)
+    assert s1.imag == s2.imag == 0.0
+    assert s1 == pytest.approx(-0.5358983848622456, rel=1e-14)
+    assert s2 == pytest.approx(-7.464101615137754, rel=1e-14)
+    assert s1 * s2 == pytest.approx(4.0, rel=1e-13)
 
 
 def test_root_identities_across_radii():
     a, b = PARAMS.a, PARAMS.b
-    for r in np.geomspace(1e-6, 1e3, 60):
-        pair = eigenvalues(PARAMS, float(r))
-        assert pair.sigma1 + pair.sigma2 == pytest.approx(-b * r * r, rel=1e-12)
-        assert pair.sigma1 * pair.sigma2 == pytest.approx(a * r * r, rel=1e-12)
-        assert pair.sigma1.real <= 0 and pair.sigma2.real <= 0
+    r = np.geomspace(1e-6, 1e3, 60)
+    s1, s2 = _eigenvalues_batch(PARAMS, r)
+    np.testing.assert_allclose(s1 + s2, -b * r * r, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(s1 * s2, a * r * r, rtol=1e-12, atol=0)
+    assert np.all(s1.real <= 0) and np.all(s2.real <= 0)
 
 
 @pytest.mark.parametrize("eps", [1e-4, 1e-6])
@@ -60,14 +71,12 @@ def test_branch_continuity_at_resonance(eps):
     t = 3.0
     delta0 = PARAMS.delta0
 
-    def state_at(r):
-        xi = np.array([r, 0.0])
-        s = solve_exact(PARAMS, DATA, xi, t)
-        return np.concatenate([s.v_hat, [s.rho_hat]])
+    def at(r):
+        return state_at(PARAMS, DATA, np.array([r, 0.0]), t)
 
-    mid = state_at(delta0)
-    lo = state_at(delta0 * (1 - eps))
-    hi = state_at(delta0 * (1 + eps))
+    mid = at(delta0)
+    lo = at(delta0 * (1 - eps))
+    hi = at(delta0 * (1 + eps))
     scale = np.max(np.abs(mid))
     assert np.max(np.abs(lo - mid)) < 50 * eps * scale
     assert np.max(np.abs(hi - mid)) < 50 * eps * scale
@@ -75,10 +84,10 @@ def test_branch_continuity_at_resonance(eps):
 
 def test_solve_exact_initial_condition():
     xi = np.array([0.3, -0.8])
-    s = solve_exact(PARAMS, DATA, xi, 0.0)
+    s = state_at(PARAMS, DATA, xi, 0.0)
     env = math.exp(-float(xi @ xi) / 2)
-    np.testing.assert_allclose(s.v_hat, np.array([0.1, 0.0]) * env, rtol=0, atol=1e-16)
-    assert s.rho_hat == pytest.approx(env, rel=1e-15)
+    np.testing.assert_allclose(s[:2], np.array([0.1, 0.0]) * env, rtol=0, atol=1e-16)
+    assert s[2] == pytest.approx(env, rel=1e-15)
 
 
 def test_solenoidal_data_follows_heat_flow():
@@ -86,21 +95,19 @@ def test_solenoidal_data_follows_heat_flow():
     data = InitialData(amplitude_v=(0.7, 0.0), amplitude_rho=0.0, width=1.0)
     xi = np.array([0.0, 0.9])
     t = 4.0
-    s = solve_exact(PARAMS, data, xi, t)
+    s = state_at(PARAMS, data, xi, t)
     env = math.exp(-data.width**2 * 0.81 / 2)
     expected = 0.7 * env * math.exp(-PARAMS.alpha * 0.81 * t)
-    assert s.v_hat[0] == pytest.approx(expected, rel=1e-14)
-    assert s.v_hat[1] == 0.0
-    assert s.rho_hat == 0.0
+    assert s[0] == pytest.approx(expected, rel=1e-14)
+    assert s[1] == 0.0
+    assert s[2] == 0.0
 
 
 def test_solve_exact_matches_rk4_oracle_at_generic_point():
     xi = np.array([0.3, 0.1])
     t = 5.0
-    exact = solve_exact(PARAMS, DATA, xi, t)
-    oracle = solve_ode_oracle(PARAMS, DATA, xi, t, step=1e-4)
-    ref = np.concatenate([exact.v_hat, [exact.rho_hat]])
-    got = np.concatenate([oracle.v_hat, [oracle.rho_hat]])
+    ref = state_at(PARAMS, DATA, xi, t)
+    got = state_at(PARAMS, DATA, xi, t, oracle_step=1e-4)
     rel = np.linalg.norm(ref - got) / np.linalg.norm(ref)
     assert rel < 1e-8
 
@@ -108,12 +115,10 @@ def test_solve_exact_matches_rk4_oracle_at_generic_point():
 def test_rk4_is_fourth_order():
     xi = np.array([0.8, 0.4])
     t = 2.0
-    exact = solve_exact(PARAMS, DATA, xi, t)
-    ref = np.concatenate([exact.v_hat, [exact.rho_hat]])
+    ref = state_at(PARAMS, DATA, xi, t)
 
     def err(step):
-        s = solve_ode_oracle(PARAMS, DATA, xi, t, step=step)
-        return np.linalg.norm(np.concatenate([s.v_hat, [s.rho_hat]]) - ref)
+        return np.linalg.norm(state_at(PARAMS, DATA, xi, t, oracle_step=step) - ref)
 
     # steps large enough that truncation dominates roundoff
     ratio = err(5e-2) / err(2.5e-2)
@@ -122,11 +127,11 @@ def test_rk4_is_fourth_order():
 
 def test_oracle_initial_condition_and_step_guard():
     xi = np.array([1.0, 1.0])
-    s = solve_ode_oracle(PARAMS, DATA, xi, 0.0, step=1e-3)
+    s = state_at(PARAMS, DATA, xi, 0.0, oracle_step=1e-3)
     env = math.exp(-1.0)
-    np.testing.assert_allclose(s.v_hat, np.array([0.1, 0.0]) * env, atol=1e-16)
+    np.testing.assert_allclose(s[:2], np.array([0.1, 0.0]) * env, atol=1e-16)
     with pytest.raises(ValueError):
-        solve_ode_oracle(PARAMS, DATA, np.array([10.0, 0.0]), 1.0, step=1e-2)
+        state_at(PARAMS, DATA, np.array([10.0, 0.0]), 1.0, oracle_step=1e-2)
 
 
 def test_transverse_component_is_exact_heat_flow():
@@ -136,35 +141,33 @@ def test_transverse_component_is_exact_heat_flow():
         xi = rng.normal(size=2) * rng.uniform(0.1, 3.0)
         t = rng.uniform(0.1, 10.0)
         r2 = float(xi @ xi)
-        s = solve_exact(PARAMS, data, xi, t)
+        s = state_at(PARAMS, data, xi, t)
         v0_hat = np.array(data.amplitude_v) * math.exp(-data.width**2 * r2 / 2)
         perp = lambda v: v - xi * (xi @ v) / r2
         np.testing.assert_allclose(
-            perp(s.v_hat),
+            perp(s[:2]),
             math.exp(-PARAMS.alpha * r2 * t) * perp(v0_hat.astype(complex)),
             rtol=1e-13, atol=1e-16,
         )
 
 
 def test_energy_values_and_monotonicity():
-    assert energy(SpectralState(v_hat=np.zeros(2, dtype=complex), rho_hat=0j)) == 0.0
-    assert energy(SpectralState(v_hat=np.array([1.0 + 0j, 0j]), rho_hat=1j)) == 1.0
     xi = np.array([0.6, 0.3])
-    e0 = energy(solve_exact(PARAMS, DATA, xi, 0.0))
+    e0 = energy(state_at(PARAMS, DATA, xi, 0.0))
+    # at t = 0 the state is the data transform: (|P0|^2 + Q0^2) e^{-s^2 |xi|^2} / 2
+    assert e0 == pytest.approx(0.5 * (0.1**2 + 1.0) * math.exp(-float(xi @ xi)), rel=1e-15)
     prev = e0
     for t in np.linspace(0.5, 20.0, 15):
-        e = energy(solve_exact(PARAMS, DATA, xi, float(t)))
+        e = energy(state_at(PARAMS, DATA, xi, float(t)))
         assert e <= prev * (1 + 1e-13)
         prev = e
     assert prev <= e0
 
 
 def test_energy_nonincreasing_along_oracle_trajectory():
-    xi = np.array([[1.2, -0.5]])
-    vals = []
-    for t in np.linspace(0.0, 3.0, 7):
-        v, rho = solve_ode_oracle_batch(PARAMS, DATA, xi, float(t), step=1e-3)
-        vals.append(energy(SpectralState(v_hat=v[0], rho_hat=complex(rho[0]))))
+    xi = np.array([1.2, -0.5])
+    vals = [energy(state_at(PARAMS, DATA, xi, float(t), oracle_step=1e-3))
+            for t in np.linspace(0.0, 3.0, 7)]
     assert all(b <= a * (1 + 1e-12) for a, b in zip(vals, vals[1:]))
 
 
@@ -183,7 +186,7 @@ def test_density_residual_second_order_and_small():
     assert 3.0 < coarse / fine < 5.0
 
     res = density_ode_residual(PARAMS, DATA, xi, t, dt=1e-4)
-    rho = abs(solve_exact(PARAMS, DATA, xi, t).rho_hat)
+    rho = abs(state_at(PARAMS, DATA, xi, t)[2])
     scale = max(PARAMS.a * 0.81 * rho, PARAMS.b * 0.81 * rho, rho)
     assert res / scale < 1e-6
 
@@ -197,16 +200,17 @@ def test_density_residual_guards():
 
 def test_xi_zero_rejected():
     with pytest.raises(ValueError):
-        solve_exact(PARAMS, DATA, np.zeros(2), 1.0)
+        solve_exact_batch(PARAMS, DATA, np.array([[0.3, 0.1], [0.0, 0.0]]), 1.0)
 
 
 def test_batch_matches_scalar_path():
+    # a row of a batch does not depend on the other rows: one frequency at a
+    # time (a one-row batch) gives the same bits
     xi = np.array([[0.2, 0.1], [1.5, -0.3], [3.0, 0.0]])
     v, rho = solve_exact_batch(PARAMS, DATA, xi, 2.5)
     for i in range(3):
-        s = solve_exact(PARAMS, DATA, xi[i], 2.5)
-        np.testing.assert_allclose(v[i], s.v_hat, rtol=0, atol=0)
-        assert rho[i] == s.rho_hat
+        np.testing.assert_array_equal(np.concatenate([v[i], [rho[i]]]),
+                                      state_at(PARAMS, DATA, xi[i], 2.5))
 
 
 def test_solve_exact_batch_rejects_negative_time():
