@@ -20,34 +20,26 @@ import os
 import sys
 import time
 import traceback
+from functools import partial
 
 import numpy as np
 
 from .config import ConfigError, RunConfig, load_config_file
 from .decay import (
     check_moment_ratio,
-    density_remainder_series,
     fit_loglog,
     highfreq_energy,
     ordered_map,
+    remainder_series,
     velocity_norm_series,
-    velocity_remainder_series,
     verify_kernel_plateaus,
     verify_sandwich,
 )
 from .model import moments
 from .profiles import measured_remainder_norms, remainder_bounds
 from .quadrature import QuadratureError
-from .reporting import AxesSpec, Series, emit_csv, emit_svg, read_csv
+from .reporting import AxesSpec, emit_csv, emit_svg, read_csv
 from .spectral import solve_exact_batch, solve_ode_oracle_batch
-
-SUBCOMMANDS = ("oracle-check", "profile-error", "density-profile-error", "rate",
-               "sandwich", "lemma31", "highfreq", "bounds", "plot")
-
-
-def _series_from_rows(rows, x: str, ys: list[str]) -> list[Series]:
-    return [Series(label=y, x=tuple(r[x] for r in rows), y=tuple(r[y] for r in rows))
-            for y in ys]
 
 
 def run_oracle_check(cfg: RunConfig, threads: int):
@@ -66,8 +58,7 @@ def run_oracle_check(cfg: RunConfig, threads: int):
     step = float(o["step"])
 
     start = time.perf_counter()
-    rows = []
-    worst = 0.0
+    columns = {"r": [], "t": [], "rel_err": []}
     for j, t in enumerate(times):
         dirs = np.zeros((n_r, cfg.params.n))
         dirs[:, 0] = np.cos(angles[j])
@@ -80,9 +71,10 @@ def run_oracle_check(cfg: RunConfig, threads: int):
         oracle = np.concatenate([v_o, rho_o[:, None]], axis=1)
         rel = (np.linalg.norm(exact - oracle, axis=1)
                / np.linalg.norm(exact, axis=1))
-        worst = max(worst, float(np.max(rel)))
-        rows.extend({"r": float(r), "t": float(t), "rel_err": float(e)}
-                    for r, e in zip(radii, rel))
+        columns["r"].extend(radii)
+        columns["t"].extend([t] * n_r)
+        columns["rel_err"].extend(rel)
+    worst = float(max(columns["rel_err"]))
     runtime = time.perf_counter() - start
 
     # measured seconds go to stdout only: verdict files must be byte-identical
@@ -95,27 +87,15 @@ def run_oracle_check(cfg: RunConfig, threads: int):
         "metrics": {"max_rel_err": worst, "runtime_within_budget": runtime <= budget,
                     "step": step, "grid": {"radii": n_r, "times": n_t}},
     }
-    return verdict, rows, None
+    return verdict, columns, None
 
 
-def run_profile_error(cfg: RunConfig, threads: int):
-    series = velocity_remainder_series(cfg.params, cfg.data, cfg.times,
-                                       cfg.quadrature, threads)
-    return _remainder_verdict(cfg, series)
-
-
-def run_density_profile_error(cfg: RunConfig, threads: int):
-    series = density_remainder_series(cfg.params, cfg.data, cfg.times,
-                                      cfg.quadrature, threads)
-    return _remainder_verdict(cfg, series)
-
-
-def _remainder_verdict(cfg: RunConfig, series):
+def run_remainder(component: str, cfg: RunConfig, threads: int):
+    series = remainder_series(cfg.params, cfg.data, cfg.times, component,
+                              cfg.quadrature, threads)
     fit = fit_loglog(series)
     expected = -(cfg.params.n / 2 + 1)
     threshold = expected + cfg.thresholds["remainder_slope_margin"]
-    rows = [{"t": float(t), "remainder_norm_sq": float(v)}
-            for t, v in zip(series.times, series.values)]
     verdict = {
         "pass": fit.slope <= threshold,
         "metrics": {"slope": fit.slope, "intercept": fit.intercept,
@@ -123,11 +103,11 @@ def _remainder_verdict(cfg: RunConfig, series):
                     "expected_slope": expected},
         "window": list(fit.window),
     }
-    svg = (_series_from_rows(rows, "t", ["remainder_norm_sq"]),
-           AxesSpec(y_label="squared low-zone remainder norm",
-                    title=f"{series.label}: slope {fit.slope:.3f}",
-                    guide_slope=expected))
-    return verdict, rows, svg
+    columns = {"t": series.times, "remainder_norm_sq": series.values}
+    plot = (["remainder_norm_sq"],
+            AxesSpec(y_label="squared low-zone remainder norm",
+                     title=f"{series.label}: slope {fit.slope:.3f}", guide_slope=expected))
+    return verdict, columns, plot
 
 
 def run_rate(cfg: RunConfig, threads: int):
@@ -136,26 +116,23 @@ def run_rate(cfg: RunConfig, threads: int):
     fit = fit_loglog(series)
     expected = -cfg.params.n / 4.0
     tol = cfg.thresholds["rate_slope_tol"]
-    rows = [{"t": float(t), "velocity_norm": float(v)}
-            for t, v in zip(series.times, series.values)]
     verdict = {
         "pass": abs(fit.slope - expected) <= tol,
         "metrics": {"slope": fit.slope, "expected_slope": expected, "tolerance": tol,
                     "intercept": fit.intercept, "r_squared": fit.r_squared},
         "window": list(fit.window),
     }
-    svg = (_series_from_rows(rows, "t", ["velocity_norm"]),
-           AxesSpec(y_label="velocity norm", title=f"decay rate: slope {fit.slope:.3f}",
-                    guide_slope=expected))
-    return verdict, rows, svg
+    columns = {"t": series.times, "velocity_norm": series.values}
+    plot = (["velocity_norm"],
+            AxesSpec(y_label="velocity norm", title=f"decay rate: slope {fit.slope:.3f}",
+                     guide_slope=expected))
+    return verdict, columns, plot
 
 
 def run_sandwich(cfg: RunConfig, threads: int):
     rep = verify_sandwich(cfg.params, cfg.data, cfg.times, cfg.quadrature, threads)
     max_ratio = cfg.thresholds["sandwich_max_ratio"]
     n4 = cfg.params.n / 4.0
-    rows = [{"t": float(t), "velocity_norm": float(v * t ** -n4), "normalized": float(v)}
-            for t, v in zip(rep.times, rep.scaled_values)]
     verdict = {
         "pass": rep.passed(max_ratio),
         "metrics": {"plateau_min": rep.plateau_min, "plateau_max": rep.plateau_max,
@@ -163,48 +140,42 @@ def run_sandwich(cfg: RunConfig, threads: int):
                     "normalized_last": float(rep.scaled_values[-1])},
         "window": list(rep.window),
     }
-    svg = (_series_from_rows(rows, "t", ["normalized"]),
-           AxesSpec(y_label="normalized velocity norm", y_log=False,
-                    title=f"sandwich plateau: ratio {rep.ratio:.4f}"))
-    return verdict, rows, svg
+    # element by element: numpy's array power can differ from the scalar one
+    # in the last bit, and the CSV keeps every bit
+    columns = {"t": rep.times,
+               "velocity_norm": [v * t ** -n4 for t, v in zip(rep.times, rep.scaled_values)],
+               "normalized": rep.scaled_values}
+    plot = (["normalized"],
+            AxesSpec(y_label="normalized velocity norm", y_log=False,
+                     title=f"sandwich plateau: ratio {rep.ratio:.4f}"))
+    return verdict, columns, plot
 
 
 def run_lemma31(cfg: RunConfig, threads: int):
     p0 = moments(cfg.data).P0
     rep = verify_kernel_plateaus(cfg.params, p0, cfg.times, cfg.quadrature, threads)
     max_ratio = cfg.thresholds["kernel_max_ratio"]
-    rows = [
-        {"t": float(t),
-         "heat_scaled": float(rep.heat_projection.scaled_values[i]),
-         "sine_scaled": float(rep.acoustic_sine.scaled_values[i]),
-         "cosine_scaled": float(rep.damped_cosine.scaled_values[i]),
-         "witness_scaled": float(rep.witness_scaled[i])}
-        for i, t in enumerate(cfg.times)
-    ]
-    items = {}
-    for item in (rep.heat_projection, rep.acoustic_sine, rep.damped_cosine):
-        items[item.label] = {"plateau_min": item.plateau_min,
-                             "plateau_max": item.plateau_max, "ratio": item.ratio,
-                             "pass": item.passed(max_ratio)}
+    items = {item.label: {"plateau_min": item.plateau_min, "plateau_max": item.plateau_max,
+                          "ratio": item.ratio, "pass": item.passed(max_ratio)}
+             for item in (rep.heat_projection, rep.acoustic_sine, rep.damped_cosine)}
     verdict = {
         "pass": rep.passed(max_ratio),
         "metrics": {"items": items, "sine_limit": rep.sine_limit,
                     "witness_ok": rep.witness_ok, "max_ratio": max_ratio},
         "window": list(rep.heat_projection.window),
     }
-    svg = (_series_from_rows(rows, "t",
-                             ["heat_scaled", "sine_scaled", "cosine_scaled",
-                              "witness_scaled"]),
-           AxesSpec(y_label="t^{n/2}-scaled integral", y_log=False,
-                    title="kernel plateaus"))
-    return verdict, rows, svg
+    columns = {"t": cfg.times,
+               "heat_scaled": rep.heat_projection.scaled_values,
+               "sine_scaled": rep.acoustic_sine.scaled_values,
+               "cosine_scaled": rep.damped_cosine.scaled_values,
+               "witness_scaled": rep.witness_scaled}
+    plot = (list(columns)[1:],
+            AxesSpec(y_label="t^{n/2}-scaled integral", y_log=False, title="kernel plateaus"))
+    return verdict, columns, plot
 
 
 def run_highfreq(cfg: RunConfig, threads: int):
     rep = highfreq_energy(cfg.params, cfg.data, cfg.times, cfg.quadrature, threads)
-    bound = rep.initial_energy * np.exp(1.0 - rep.series.times / rep.komornik_t0)
-    rows = [{"t": float(t), "energy": float(v), "exp_bound": float(b)}
-            for t, v, b in zip(rep.series.times, rep.series.values, bound)]
     verdict = {
         "pass": rep.passed(cfg.thresholds["highfreq_min_r_squared"]),
         "metrics": {"slope": rep.exp_fit.slope, "r_squared": rep.exp_fit.r_squared,
@@ -214,10 +185,12 @@ def run_highfreq(cfg: RunConfig, threads: int):
                     "conclusion_holds": rep.conclusion_holds},
         "window": list(rep.exp_fit.window),
     }
-    svg = (_series_from_rows(rows, "t", ["energy", "exp_bound"]),
-           AxesSpec(x_log=False, y_label="high-zone energy",
-                    title=f"high-frequency decay: rate {-rep.exp_fit.slope:.3f}"))
-    return verdict, rows, svg
+    bound = rep.initial_energy * np.exp(1.0 - rep.series.times / rep.komornik_t0)
+    columns = {"t": rep.series.times, "energy": rep.series.values, "exp_bound": bound}
+    plot = (["energy", "exp_bound"],
+            AxesSpec(x_log=False, y_label="high-zone energy",
+                     title=f"high-frequency decay: rate {-rep.exp_fit.slope:.3f}"))
+    return verdict, columns, plot
 
 
 def run_bounds(cfg: RunConfig, threads: int):
@@ -245,45 +218,42 @@ def run_bounds(cfg: RunConfig, threads: int):
         return row, ok
 
     results = ordered_map(row_at, [float(t) for t in cfg.times], threads)
-    rows = [row for row, _ in results]
-    ok = all(flag for _, flag in results)
-    verdict = {"pass": ok, "metrics": {"cushion": cushion, "points": len(rows)}}
-    svg = (_series_from_rows(rows, "t",
-                             ["meas_moment_defect", "bound_moment_defect",
-                              "meas_expansion", "bound_expansion"]),
-           AxesSpec(y_label="squared norm / bound", title="remainder bounds"))
-    return verdict, rows, svg
+    columns = {key: [row[key] for row, _ in results] for key in results[0][0]}
+    verdict = {"pass": all(ok for _, ok in results),
+               "metrics": {"cushion": cushion, "points": len(results)}}
+    plot = (["meas_moment_defect", "bound_moment_defect", "meas_expansion", "bound_expansion"],
+            AxesSpec(y_label="squared norm / bound", title="remainder bounds"))
+    return verdict, columns, plot
 
 
 def run_plot(cfg: RunConfig, threads: int):
     p = cfg.plot
     if not p["input_csv"]:
         raise ConfigError("plot.input_csv is required")
-    rows = read_csv(p["input_csv"])
+    columns = read_csv(p["input_csv"])
     x = p["x"]
-    if x not in rows[0]:
+    if x not in columns:
         raise ConfigError(f"plot.x column {x!r} not in CSV header")
-    ys = p["y"] or [c for c in rows[0] if c != x]
+    ys = p["y"] or [c for c in columns if c != x]
     for y in ys:
-        if y not in rows[0]:
+        if y not in columns:
             raise ConfigError(f"plot.y column {y!r} not in CSV header")
     axes_kind = p["axes"]
     if axes_kind not in ("loglog", "semilogy", "linear"):
         raise ConfigError(f"plot.axes must be loglog/semilogy/linear, got {axes_kind!r}")
-    axes = AxesSpec(x_label=x, y_label=",".join(ys), title=p.get("title", ""),
+    axes = AxesSpec(x_label=x, y_label=",".join(ys), title=p["title"],
                     x_log=axes_kind == "loglog", y_log=axes_kind != "linear")
-    series = _series_from_rows(rows, x, ys)
     verdict = {"pass": True, "metrics": {"input": p["input_csv"], "columns": ys,
-                                         "rows": len(rows)}}
-    return verdict, rows, (series, axes)
+                                         "rows": len(columns[x])}}
+    return verdict, columns, (ys, axes)
 
 
 _ANTICIPATED = (ConfigError, QuadratureError, ArithmeticError, ValueError, OSError)
 
 _RUNNERS = {
     "oracle-check": run_oracle_check,
-    "profile-error": run_profile_error,
-    "density-profile-error": run_density_profile_error,
+    "profile-error": partial(run_remainder, "velocity"),
+    "density-profile-error": partial(run_remainder, "density"),
     "rate": run_rate,
     "sandwich": run_sandwich,
     "lemma31": run_lemma31,
@@ -293,10 +263,12 @@ _RUNNERS = {
 }
 
 
-def _write_outputs(cfg: RunConfig, out_dir: str, verdict: dict, rows, svg) -> None:
+def _write_outputs(cfg: RunConfig, out_dir: str, verdict: dict, columns: dict, plot) -> None:
+    """Write the CSV of ``columns``, the verdict JSON and, given a ``plot`` (y
+    column names, axes), the SVG of those columns (see :func:`emit_svg`)."""
     os.makedirs(out_dir, exist_ok=True)
     name = cfg.subcommand
-    emit_csv(rows, os.path.join(out_dir, f"{name}.csv"))
+    emit_csv(columns, os.path.join(out_dir, f"{name}.csv"))
     payload = {
         "subcommand": name,
         "pass": bool(verdict["pass"]),
@@ -307,9 +279,8 @@ def _write_outputs(cfg: RunConfig, out_dir: str, verdict: dict, rows, svg) -> No
     with open(os.path.join(out_dir, f"{name}.json"), "w", newline="") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
-    if svg is not None and cfg.emit_svg:
-        series, axes = svg
-        emit_svg(series, axes, os.path.join(out_dir, f"{name}.svg"))
+    if plot is not None and cfg.emit_svg:
+        emit_svg(columns, *plot, os.path.join(out_dir, f"{name}.svg"))
 
 
 def _env_threads() -> int:
@@ -327,7 +298,7 @@ def main(argv: list[str] | None = None) -> int:
                     "compressible viscous flow model.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in SUBCOMMANDS:
+    for name in _RUNNERS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--out", default=None, help="output directory (default from config)")
@@ -343,8 +314,8 @@ def main(argv: list[str] | None = None) -> int:
 
     out_dir = args.out or cfg.output_dir
     try:
-        verdict, rows, svg = _RUNNERS[args.subcommand](cfg, threads)
-        _write_outputs(cfg, out_dir, verdict, rows, svg)
+        verdict, columns, plot = _RUNNERS[args.subcommand](cfg, threads)
+        _write_outputs(cfg, out_dir, verdict, columns, plot)
     except Exception as exc:
         diagnostic = {"subcommand": args.subcommand, "pass": False,
                       "config_hash": cfg.config_hash}

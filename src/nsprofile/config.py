@@ -63,15 +63,29 @@ def default_config(subcommand: str) -> dict[str, Any]:
     return cfg
 
 
-def _check_type(section: str, key: str, value, kinds) -> None:
+# keys whose default (None or an empty list) does not show the type a user
+# value must have, given as a value of that type
+_TYPE_EXAMPLES = {("data", "amplitude_v"): [0.0], ("quadrature", "r_max"): 0.0,
+                  ("plot", "y"): [""]}
+
+
+def _check_type(name: str, value, example) -> None:
+    """Reject ``value`` unless it has the type of ``example``: a float also
+    takes an int, and a list is checked item by item against its first item."""
+    kind = type(example)
+    kinds = (int, float) if kind is float else kind
     # JSON true/false is accepted only where a bool is expected: bool is a
     # subclass of int, but never a number here
-    if isinstance(value, bool) != (kinds is bool) or not isinstance(value, kinds):
-        raise ConfigError(f"{section}.{key}: expected {kinds}, got {type(value).__name__}")
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kinds):
+        raise ConfigError(f"{name}: expected {kind.__name__}, got {type(value).__name__}")
+    if kind is list:
+        for item in value:
+            _check_type(name, item, example[0])
 
 
 def merge_config(subcommand: str, user: dict[str, Any]) -> dict[str, Any]:
-    """Overlay a user config onto the defaults, rejecting unknown keys."""
+    """Overlay a user config onto the defaults, rejecting unknown keys and
+    values of another type than the default's."""
     if not isinstance(user, dict):
         raise ConfigError("config root must be a JSON object")
     cfg = default_config(subcommand)
@@ -84,8 +98,13 @@ def merge_config(subcommand: str, user: dict[str, Any]) -> dict[str, Any]:
             for key, item in value.items():
                 if key not in cfg[section]:
                     raise ConfigError(f"unknown key {section}.{key}")
+                default = cfg[section][key]
+                if item is not None or default is not None:
+                    example = _TYPE_EXAMPLES.get((section, key), default)
+                    _check_type(f"{section}.{key}", item, example)
                 cfg[section][key] = item
         else:
+            _check_type(section, value, cfg[section])
             cfg[section] = value
     return cfg
 
@@ -118,9 +137,6 @@ def build_run_config(subcommand: str, user: dict[str, Any]) -> RunConfig:
     cfg = merge_config(subcommand, user)
 
     p = cfg["params"]
-    for key in ("alpha", "beta", "gamma"):
-        _check_type("params", key, p[key], (int, float))
-    _check_type("params", "n", p["n"], int)
     try:
         params = ModelParams(alpha=float(p["alpha"]), beta=float(p["beta"]),
                              gamma=float(p["gamma"]), n=p["n"])
@@ -135,24 +151,16 @@ def build_run_config(subcommand: str, user: dict[str, Any]) -> RunConfig:
             d["amplitude_v"] = [1.0] + [0.0] * (params.n - 1)
         else:
             d["amplitude_v"] = [0.0] * params.n
-    _check_type("data", "amplitude_v", d["amplitude_v"], list)
-    for c in d["amplitude_v"]:
-        _check_type("data", "amplitude_v", c, (int, float))
-    _check_type("data", "amplitude_rho", d["amplitude_rho"], (int, float))
-    _check_type("data", "width", d["width"], (int, float))
     try:
         data = InitialData(amplitude_v=tuple(float(c) for c in d["amplitude_v"]),
                            amplitude_rho=float(d["amplitude_rho"]),
                            width=float(d["width"]), family=d["family"])
-    except (ParameterError, TypeError) as exc:
+    except ParameterError as exc:
         raise ConfigError(str(exc)) from exc
     if data.n != params.n:
         raise ConfigError(f"amplitude_v has {data.n} components but params.n = {params.n}")
 
     g = cfg["time_grid"]
-    for key in ("t_min", "t_max"):
-        _check_type("time_grid", key, g[key], (int, float))
-    _check_type("time_grid", "points", g["points"], int)
     if g["spacing"] != "geometric":
         raise ConfigError("time_grid.spacing: only 'geometric' is supported")
     if g["points"] < 8:
@@ -164,25 +172,12 @@ def build_run_config(subcommand: str, user: dict[str, Any]) -> RunConfig:
     times = np.geomspace(float(g["t_min"]), float(g["t_max"]), g["points"])
 
     q = cfg["quadrature"]
-    for key in ("base_panels", "osc_factor", "angular_nodes"):
-        _check_type("quadrature", key, q[key], int)
-    _check_type("quadrature", "rel_tol", q["rel_tol"], (int, float))
-    if q["r_max"] is not None:
-        _check_type("quadrature", "r_max", q["r_max"], (int, float))
     try:
         spec = QuadratureSpec(base_panels=q["base_panels"], osc_factor=q["osc_factor"],
                               angular_nodes=q["angular_nodes"], rel_tol=float(q["rel_tol"]),
                               r_max=None if q["r_max"] is None else float(q["r_max"]))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-    for key, value in cfg["thresholds"].items():
-        _check_type("thresholds", key, value, (int, float))
-    for key, value in cfg["oracle"].items():
-        kinds = int if key in ("radii", "times", "seed") else (int, float)
-        _check_type("oracle", key, value, kinds)
-    _check_type("config", "output_dir", cfg["output_dir"], str)
-    _check_type("config", "emit_svg", cfg["emit_svg"], bool)
 
     return RunConfig(
         subcommand=subcommand,

@@ -35,9 +35,9 @@ class ModelParams:
     """Coefficients of the linearized system plus the space dimension.
 
     Requires finite alpha > 0, beta >= 0, gamma > 0 and integer n >= 1, with
-    a = gamma^2 and b^2 = (alpha + beta)^2 finite, so the discriminant
-    4a - b^2 r^2 can be formed.  The main decay statements assume n >= 2;
-    n = 1 is accepted for the radial kernel plateau tests only.
+    a = gamma^2, b^2 = (alpha + beta)^2 and a (4 delta0)^2 finite, so the
+    discriminant 4a - b^2 r^2 can be formed.  The main decay statements assume
+    n >= 2; n = 1 is accepted for the radial kernel plateau tests only.
     """
 
     alpha: float
@@ -52,9 +52,11 @@ class ModelParams:
             raise ParameterError(f"beta must be nonnegative and finite, got {self.beta}")
         if not 0 < self.gamma < math.inf:
             raise ParameterError(f"gamma must be positive and finite, got {self.gamma}")
-        if not math.isfinite(self.gamma * self.gamma) or not math.isfinite(self.b * self.b):
-            raise ParameterError(f"gamma^2 and (alpha + beta)^2 overflow: gamma={self.gamma}, "
-                                 f"alpha + beta={self.b}")
+        # the kernels form a r^2 out to the default full-zone radius r = 4 delta0
+        r = 4.0 * self.delta0
+        if not all(map(math.isfinite, (self.b * self.b, self.gamma * self.gamma * (r * r)))):
+            raise ParameterError(f"(alpha + beta)^2 or gamma^2 (4 delta0)^2 overflows: "
+                                 f"gamma={self.gamma}, alpha + beta={self.b}")
         if int(self.n) != self.n or self.n < 1:
             raise ParameterError(f"n must be an integer >= 1, got {self.n}")
 

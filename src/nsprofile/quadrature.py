@@ -331,22 +331,23 @@ def zone_norm_sq(f: Callable[[np.ndarray], np.ndarray], params: ModelParams, t: 
     return ZoneNorm(zone, *_refine(evaluate, tail, spec))
 
 
-def _radial_osc_integral(g: Callable[[np.ndarray], np.ndarray], params: ModelParams,
-                         t: float, spec: QuadratureSpec, power: int, label: str) -> float:
-    """Integral of g(r) r^power over (0, inf) for g with e^{-b t r^2} envelope;
+def _damped_square_integral(wave: Callable[[np.ndarray], np.ndarray], params: ModelParams,
+                            t: float, spec: QuadratureSpec | None, label: str) -> float:
+    """int_0^inf r^{n-1} e^{-b t r^2} wave(gamma t r)^2 dr for a wave bounded by 1;
     :class:`QuadratureError` naming ``label`` if it does not converge."""
     if t <= 0:
         raise ValueError("t must be positive")
-    n = power + 1
-    r_hi = math.sqrt(_DECAY_EXPONENT / (params.b * t))
+    spec = spec or QuadratureSpec()
+    n, b = params.n, params.b
+    r_hi = math.sqrt(_DECAY_EXPONENT / (b * t))
     gamma_t = params.gamma * t
-    # |g| <= e^{-b t r^2}, so the truncated mass is bounded analytically
-    tail = math.exp(-_DECAY_EXPONENT) * _gaussian_tail_bound(r_hi, params.b * t, n)
+    # |wave| <= 1, so the truncated mass is bounded analytically
+    tail = math.exp(-_DECAY_EXPONENT) * _gaussian_tail_bound(r_hi, b * t, n)
 
     def evaluate(refine: int) -> float:
         panels = _osc_panels(gamma_t, r_hi, spec) * 2 ** refine
         r, w = _panel_nodes(0.0, r_hi, panels)
-        return float(np.dot(g(r) * r ** power, w))
+        return float(np.dot(np.exp(-b * t * r * r) * wave(gamma_t * r) ** 2 * r ** (n - 1), w))
 
     value, _, converged = _refine(evaluate, tail, spec)
     if not converged:
@@ -364,11 +365,8 @@ def sine_kernel_integral(params: ModelParams, t: float,
     For large t this behaves like (S0/2) omega_{n-1} b^{-n/2} t^{-n/2} with
     S0 = Gamma(n/2)/2.
     """
-    spec = spec or QuadratureSpec()
-    b, g = params.b, params.gamma
-    fn = lambda r: np.exp(-b * t * r * r) * np.sin(g * t * r) ** 2
-    return sphere_area(params.n) * _radial_osc_integral(fn, params, t, spec, params.n - 1,
-                                                        "sine-kernel")
+    return sphere_area(params.n) * _damped_square_integral(np.sin, params, t, spec,
+                                                           "sine-kernel")
 
 
 def cone_cosine_integral(params: ModelParams, t: float,
@@ -382,8 +380,4 @@ def cone_cosine_integral(params: ModelParams, t: float,
     where c(n) is the spherical cap measure (2*pi/3 in 2-d, pi in 3-d); the
     value is rotation invariant, so it does not depend on p.
     """
-    spec = spec or QuadratureSpec()
-    b, g = params.b, params.gamma
-    fn = lambda r: np.exp(-b * t * r * r) * np.cos(g * t * r) ** 2
-    return cone_cap_area(params.n) * _radial_osc_integral(fn, params, t, spec,
-                                                          params.n - 1, "cone")
+    return cone_cap_area(params.n) * _damped_square_integral(np.cos, params, t, spec, "cone")

@@ -16,10 +16,9 @@ from nsprofile.cli import main as cli_main
 from nsprofile.decay import (
     check_moment_ratio,
     fit_loglog,
-    density_remainder_series,
     highfreq_energy,
+    remainder_series,
     velocity_norm_series,
-    velocity_remainder_series,
     verify_kernel_plateaus,
     verify_sandwich,
 )
@@ -69,7 +68,7 @@ def test_01_oracle_equivalence():
 ], ids=["n2", "n3"])
 def test_02_velocity_remainder_rate(params, data, threshold):
     start = time.perf_counter()
-    series = velocity_remainder_series(params, data, REMAINDER_TIMES)
+    series = remainder_series(params, data, REMAINDER_TIMES, "velocity")
     fit = fit_loglog(series)
     elapsed = time.perf_counter() - start
     report(f"velocity remainder rate n={params.n}",
@@ -78,7 +77,7 @@ def test_02_velocity_remainder_rate(params, data, threshold):
 
 
 def test_03_density_remainder_rate():
-    series = density_remainder_series(P2, DATA2, REMAINDER_TIMES)
+    series = remainder_series(P2, DATA2, REMAINDER_TIMES, "density")
     fit = fit_loglog(series)
     report("density remainder rate n=2", fit.slope <= -1.9,
            f"slope {fit.slope:.4f} <= -1.9")

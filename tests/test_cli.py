@@ -1,5 +1,7 @@
 import json
 import math
+import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -53,6 +55,15 @@ def test_build_rejects_bad_types_and_invariants():
                 {"params": {"gamma": 1e200}}):
         with pytest.raises(ConfigError):
             build_run_config("oracle-check", bad)
+
+
+def test_build_accepts_ints_and_null_where_typed():
+    # a float default takes an int; null only where the default is null
+    cfg = build_run_config("rate", {"params": {"alpha": 2}, "data": {"amplitude_v": [0, 0]},
+                                    "quadrature": {"r_max": None}, "plot": {"y": ["v"]}})
+    assert cfg.params.alpha == 2.0 and cfg.data.amplitude_v == (0.0, 0.0)
+    with pytest.raises(ConfigError):
+        build_run_config("rate", {"params": {"alpha": None}})
 
 
 def test_highfreq_allows_small_t_min():
@@ -177,6 +188,18 @@ def test_cli_highfreq_n1_default_config_passes(tmp_path):
     assert main(["highfreq", "--config", path, "--out", str(tmp_path / "out")]) == 0
 
 
+def assert_rejected_by_config(tmp_path, capsys, subcommand, payload):
+    path = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    diagnostic = json.loads(err)
+    assert diagnostic["error_type"] == "ConfigError"
+    assert "config_hash" not in diagnostic  # rejected before any runner started
+    assert not out.exists()
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("payload", [
     {"params": {"n": True}},
     {"params": {"gamma": math.inf}},
@@ -187,18 +210,55 @@ def test_cli_highfreq_n1_default_config_passes(tmp_path):
     # bool("false") is True; int(4.5) would silently run 4 radii
     {"emit_svg": "false"},
     {"oracle": {"radii": 4.5}},
+    # a (4 delta0)^2 overflows in the kernels although gamma^2 is finite
+    {"params": {"gamma": 1e150}},
 ])
 def test_cli_bad_value_exits_2(tmp_path, capsys, payload):
     # json writes NaN/Infinity, which json.load reads back as floats
-    path = write_config(tmp_path, payload)
+    assert_rejected_by_config(tmp_path, capsys, "rate", payload)
+
+
+@pytest.mark.parametrize("plot", [
+    # an int or a bool would be opened as an inherited file descriptor
+    {"input_csv": 3},
+    {"input_csv": True},
+    # a string would be iterated one character at a time
+    {"y": "t"},
+])
+def test_cli_plot_bad_value_exits_2(tmp_path, capsys, plot):
+    csv = tmp_path / "in.csv"
+    csv.write_text("t,v\n1,2\n2,1\n")
+    assert_rejected_by_config(tmp_path, capsys, "plot",
+                              {"plot": {"input_csv": str(csv), **plot}})
+
+
+def test_cli_plot_escapes_svg_text(tmp_path):
+    # title, axis labels and legend labels carry XML markup characters
+    csv = tmp_path / "in.csv"
+    csv.write_text("t&u,v<w\n1,2\n2,1\n")
+    path = write_config(tmp_path, {"plot": {"input_csv": str(csv), "x": "t&u",
+                                            "title": "a<b & c"}})
     out = tmp_path / "out"
-    assert main(["rate", "--config", path, "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    diagnostic = json.loads(err)
-    assert diagnostic["error_type"] == "ConfigError"
-    assert "config_hash" not in diagnostic  # rejected before any runner started
-    assert not out.exists()
-    assert "Traceback" not in err
+    assert main(["plot", "--config", path, "--out", str(out)]) == 0
+    texts = [el.text for el in ET.parse(out / "plot.svg").iter()
+             if el.tag.endswith("text")]
+    assert {"a<b & c", "t&u", "v<w"} <= set(texts)
+
+
+REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference" / "verdicts-n2"
+COMPUTE_SUBCOMMANDS = ["oracle-check", "profile-error", "density-profile-error", "rate",
+                       "sandwich", "lemma31", "highfreq", "bounds"]
+
+
+@pytest.mark.parametrize("subcommand", COMPUTE_SUBCOMMANDS)
+def test_cli_csv_header_matches_bench_reference(tmp_path, subcommand):
+    # the benchmark gate compares every column of these reference files
+    # (read here, never written), so a renamed or reordered column fails here
+    path = write_config(tmp_path, {"time_grid": {"points": 8}})
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", path, "--out", str(out)]) == 0
+    header = (out / f"{subcommand}.csv").read_text().split("\n", 1)[0]
+    assert header == (REFERENCE / f"{subcommand}.csv").read_text().split("\n", 1)[0]
 
 
 def test_cli_unexpected_runner_error_exits_2(tmp_path, monkeypatch, capsys):

@@ -44,6 +44,7 @@ def test_derived_params_direct_substitution():
         dict(alpha=1.0, beta=1e308, gamma=1.0, n=2),
         dict(alpha=1e308, beta=1e308, gamma=1.0, n=2),
         dict(alpha=1.0, beta=0.0, gamma=1e200, n=2),
+        dict(alpha=1.0, beta=0.0, gamma=1e150, n=2),
     ],
 )
 def test_invalid_params_rejected(kwargs):
