@@ -2,6 +2,7 @@
 compressible viscous flow model.  Frequencies are passed as (m, n) batches."""
 
 from .model import (
+    VERSINE_RATIO,
     ABDecomposition,
     InitialData,
     ModelParams,
@@ -9,7 +10,6 @@ from .model import (
     ParameterError,
     ab_decomposition,
     fourier_data_batch,
-    moment_bound_constants,
     moments,
 )
 from .spectral import solve_exact_batch, solve_ode_oracle_batch

@@ -27,8 +27,8 @@ class ConfigError(ValueError):
 
 _BASE_DEFAULTS: dict[str, Any] = {
     "params": {"alpha": 1.0, "beta": 1.0, "gamma": 1.0, "n": 2},
-    "data": {"amplitude_v": None, "amplitude_rho": 1.0, "width": 1.0, "family": "gaussian"},
-    "time_grid": {"t_min": 100.0, "t_max": 1.0e4, "points": 11, "spacing": "geometric"},
+    "data": {"amplitude_v": None, "amplitude_rho": 1.0, "width": 1.0},
+    "time_grid": {"t_min": 100.0, "t_max": 1.0e4, "points": 11},
     "quadrature": {"base_panels": 12, "osc_factor": 2, "angular_nodes": 3,
                    "rel_tol": 1.0e-6, "r_max": None},
     "thresholds": {"rate_slope_tol": 0.05, "remainder_slope_margin": 0.1,
@@ -45,9 +45,9 @@ _BASE_DEFAULTS: dict[str, Any] = {
 # per-subcommand time grids: remainder runs start earlier, the exponential
 # high-frequency run needs a short-time window
 _GRID_OVERRIDES = {
-    "profile-error": {"t_min": 16.0, "t_max": 16384.0, "points": 11},
-    "density-profile-error": {"t_min": 16.0, "t_max": 16384.0, "points": 11},
-    "bounds": {"t_min": 16.0, "t_max": 16384.0, "points": 11},
+    "profile-error": {"t_min": 16.0, "t_max": 16384.0},
+    "density-profile-error": {"t_min": 16.0, "t_max": 16384.0},
+    "bounds": {"t_min": 16.0, "t_max": 16384.0},
     "sandwich": {"points": 12},
     "lemma31": {"points": 12},
     "highfreq": {"t_min": 2.0, "t_max": 40.0, "points": 12},
@@ -154,15 +154,13 @@ def build_run_config(subcommand: str, user: dict[str, Any]) -> RunConfig:
     try:
         data = InitialData(amplitude_v=tuple(float(c) for c in d["amplitude_v"]),
                            amplitude_rho=float(d["amplitude_rho"]),
-                           width=float(d["width"]), family=d["family"])
+                           width=float(d["width"]))
     except ParameterError as exc:
         raise ConfigError(str(exc)) from exc
     if data.n != params.n:
         raise ConfigError(f"amplitude_v has {data.n} components but params.n = {params.n}")
 
     g = cfg["time_grid"]
-    if g["spacing"] != "geometric":
-        raise ConfigError("time_grid.spacing: only 'geometric' is supported")
     if g["points"] < 8:
         raise ConfigError("time_grid.points must be >= 8")
     if not 0 < g["t_min"] < g["t_max"] < math.inf:

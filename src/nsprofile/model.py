@@ -1,4 +1,4 @@
-"""Model coefficients, the Gaussian test-data family, and its moment machinery.
+"""Model coefficients, the Gaussian test data, and its moment machinery.
 
 The linearized system couples a scalar density and an n-vector velocity through
 three constant coefficients: two viscosities (``alpha > 0``, ``beta >= 0``) and
@@ -7,8 +7,8 @@ derived symbols ``a = gamma**2``, ``b = alpha + beta`` and the resonance radius
 ``delta0 = 2*gamma/b`` that splits frequency space into an oscillatory low zone
 and an overdamped high zone.
 
-Initial data live in a parametric family of Gaussian bumps whose Fourier
-transforms, weighted L^{1,1} norms and moment decompositions are all closed
+Initial data are even, real Gaussian bumps whose Fourier transforms, weighted
+L^{1,1} norms, moment decompositions and moment-bound constant are all closed
 form.  The Fourier convention is the unnormalized one,
 ``phi_hat(xi) = int e^{-i x.xi} phi(x) dx``, so that the transform at xi = 0
 equals the plain integral of the data.
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -86,14 +85,12 @@ class InitialData:
     ``v0_j(x) = amplitude_v[j] * (2 pi s^2)^{-n/2} exp(-|x|^2 / (2 s^2))`` and
     the same radial profile times ``amplitude_rho`` for the density, so the
     zeroth moments equal the amplitudes exactly and all transforms are closed
-    form.  ``family`` is a tag for future non-Gaussian profiles; only
-    "gaussian" is implemented.
+    form.
     """
 
     amplitude_v: tuple[float, ...]
     amplitude_rho: float
     width: float
-    family: str = "gaussian"
 
     def __post_init__(self):
         object.__setattr__(self, "amplitude_v", tuple(float(c) for c in self.amplitude_v))
@@ -101,8 +98,6 @@ class InitialData:
             raise ParameterError("amplitudes and width must be finite")
         if not self.width > 0:
             raise ParameterError(f"width must be positive, got {self.width}")
-        if self.family != "gaussian":
-            raise ParameterError(f"unsupported data family {self.family!r}")
         if len(self.amplitude_v) < 1:
             raise ParameterError("amplitude_v must have at least one component")
 
@@ -146,76 +141,36 @@ def moments(data: InitialData) -> Moments:
 
 
 def fourier_data_batch(data: InitialData, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Transform of the data over xi of shape (m, n): (v0_hat, rho0_hat).
-
-    For the Gaussian family both are real multiples of exp(-s^2 |xi|^2 / 2);
-    they are returned as complex values to match the solver's state type.
-    """
+    """Transform of the data over xi of shape (m, n): (v0_hat, rho0_hat), real
+    multiples of exp(-s^2 |xi|^2 / 2) that the solvers promote to complex."""
     xi = np.asarray(xi, dtype=float)
     envelope = np.exp(-data.width ** 2 * np.sum(xi * xi, axis=1) / 2.0)
-    v0_hat = np.asarray(data.amplitude_v, dtype=complex)[None, :] * envelope[:, None]
-    return v0_hat, data.amplitude_rho * envelope.astype(complex)
+    v0_hat = np.asarray(data.amplitude_v, dtype=float)[None, :] * envelope[:, None]
+    return v0_hat, data.amplitude_rho * envelope
 
 
 class ABDecomposition(NamedTuple):
-    """Split of the data transform into moment-remainder pieces over xi (m, n).
+    """Moment-remainder split of the data transform over xi (m, n).
 
-    v0_hat(xi) = A0(xi) - i*B0(xi) + P0 componentwise, where A collects the
-    (cos(x.xi) - 1) integral and B the sin(x.xi) integral; likewise for the
-    density with (A_rho, B_rho, Q0).  A0 and B0 have shape (m, n), A_rho and
-    B_rho shape (m,).  Even real data have B identically zero.
+    The paper writes v0_hat(xi) = A(xi) - i*B(xi) + P0 componentwise, with A
+    the (cos(x.xi) - 1) integral and B the sin(x.xi) integral, and likewise
+    with Q0 for the density.  The data here are even, so B is identically
+    zero and only the A parts, A0 (m, n) and A_rho (m,), are kept.
     """
 
     A0: np.ndarray
-    B0: np.ndarray
     A_rho: np.ndarray
-    B_rho: np.ndarray
 
 
 def ab_decomposition(data: InitialData, xi: np.ndarray) -> ABDecomposition:
-    """Moment remainder of the Gaussian family: A = (e^{-s^2 |xi|^2/2} - 1)
-    times the moments, B = 0."""
+    """Moment remainder of the Gaussian data: A = (e^{-s^2 |xi|^2/2} - 1)
+    times the moments."""
     xi = np.asarray(xi, dtype=float)
     defect = np.exp(-data.width ** 2 * np.sum(xi * xi, axis=1) / 2.0) - 1.0
     a0 = defect[:, None] * np.asarray(data.amplitude_v, dtype=float)[None, :]
-    return ABDecomposition(A0=a0, B0=np.zeros_like(a0), A_rho=defect * data.amplitude_rho,
-                           B_rho=np.zeros_like(defect))
+    return ABDecomposition(A0=a0, A_rho=defect * data.amplitude_rho)
 
 
-class MomentBoundConstants(NamedTuple):
-    """Suprema of (1 - cos t)/t and |sin t|/t over t != 0.
-
-    These bound |A(xi)| and |B(xi)| by const * |xi| * (weighted L^{1,1} norm).
-    The sinc supremum is exactly 1 (attained at 0+); the versine-ratio
-    supremum is < 1.
-    """
-
-    versine_ratio: float
-    sinc_ratio: float
-
-
-def _golden_maximize(f, lo: float, hi: float, tol: float = 1e-13) -> float:
-    """Argmax of a unimodal f on [lo, hi] by golden-section search."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while hi - lo > tol:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = f(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = f(x1)
-    return 0.5 * (lo + hi)
-
-
-@lru_cache(maxsize=1)
-def moment_bound_constants() -> MomentBoundConstants:
-    # (1-cos t)/t is unimodal on (0, 2pi]: it rises to a single interior
-    # critical point (tan(t/2) = t) and falls back to 0.
-    g = lambda t: (1.0 - math.cos(t)) / t
-    t_star = _golden_maximize(g, 1e-9, 2.0 * math.pi)
-    return MomentBoundConstants(versine_ratio=g(t_star), sinc_ratio=1.0)
+# sup over t > 0 of (1 - cos t)/t, attained where tan(t/2) = t; it bounds
+# |A(xi)| by VERSINE_RATIO |xi| times the weighted L^{1,1} norm
+VERSINE_RATIO = 0.7246113537767084

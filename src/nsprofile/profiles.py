@@ -16,7 +16,7 @@ that splits into
 
 The exact flow, the pure-moment flow and the moment defect are one closed-form
 kernel (``spectral._flow``) applied to three data pairs: the data transform,
-the zeroth moments (P0, Q0), and the moment remainder A - iB of
+the zeroth moments (P0, Q0), and the moment remainder A of
 ``model.ab_decomposition``.  Because that kernel is linear in the data, the
 moment defect equals ``solve_exact_batch`` minus the pure-moment flow
 identically; tests use that identity at machine precision.  Every function
@@ -30,23 +30,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (InitialData, ModelParams, Moments, ab_decomposition,
-                    moment_bound_constants, moments)
+from .model import (VERSINE_RATIO, InitialData, ModelParams, Moments, ab_decomposition,
+                    moments)
 from .quadrature import sphere_area
-from .spectral import _flow
+from .spectral import _as_batch, _flow
 # no function here calls it: bench/spans.py wraps this attribute as a trace site
 from .spectral import solve_exact_batch  # noqa: F401
-
-
-def _as_batch(xi: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(xi as an (m, n) float array, |xi|^2), rejecting other shapes and xi = 0."""
-    xi = np.asarray(xi, dtype=float)
-    if xi.ndim != 2 or xi.shape[1] != n:
-        raise ValueError(f"xi must have shape (m, {n}), got {xi.shape}")
-    r2 = np.sum(xi * xi, axis=1)
-    if np.any(r2 == 0.0):
-        raise ValueError("xi = 0 is excluded from profile evaluation")
-    return xi, r2
 
 
 def velocity_profile(params: ModelParams, mom: Moments, xi: np.ndarray, t: float) -> np.ndarray:
@@ -87,15 +76,15 @@ def moment_defect_term(params: ModelParams, data: InitialData, xi: np.ndarray,
                        t: float) -> np.ndarray:
     """Remainder driven by the data transform minus its moments (low zone).
 
-    This is the exact velocity flow of the moment remainder A - iB of the
-    data (:func:`~nsprofile.model.ab_decomposition`).  Restricted to
+    This is the exact velocity flow of the moment remainder A of the even data
+    (:func:`~nsprofile.model.ab_decomposition`, B = 0).  Restricted to
     |xi| <= delta0, where the divided differences are oscillatory.
     """
     xi, r2 = _as_batch(xi, params.n)
     if np.any(np.sqrt(r2) > params.delta0 * (1 + 1e-12)):
         raise ValueError("moment defect is evaluated on |xi| <= delta0 only")
     dec = ab_decomposition(data, xi)
-    return _flow(params, xi, r2, t, dec.A0 - 1j * dec.B0, dec.A_rho - 1j * dec.B_rho)[0]
+    return _flow(params, xi, r2, t, dec.A0, dec.A_rho)[0]
 
 
 def sine_correction_term(params: ModelParams, mom: Moments, xi: np.ndarray,
@@ -176,8 +165,8 @@ def remainder_bounds(params: ModelParams, data: InitialData, t: float) -> Remain
 
     Every entry is an explicit coefficient times a dominated Gaussian moment;
     the mean-value amplitude factors use 4a - b^2 theta^2 r^2 >= 2a on the low
-    zone, and the data-dependent entries use the trigonometric moment bounds
-    with the weighted L^{1,1} norms.
+    zone, and the data-dependent entries use the paper's moment bounds
+    |A| <= VERSINE_RATIO |xi| L^{1,1} and |B| <= |xi| L^{1,1} (the 1.0 in lm).
     """
     if t <= 0:
         raise ValueError("t must be positive")
@@ -187,8 +176,7 @@ def remainder_bounds(params: ModelParams, data: InitialData, t: float) -> Remain
     q0_sq = mom.Q0 ** 2
     sv = float(np.sum(mom.l11_v ** 2))
     sr = mom.l11_rho ** 2
-    const = moment_bound_constants()
-    lm = const.versine_ratio ** 2 + const.sinc_ratio ** 2
+    lm = VERSINE_RATIO ** 2 + 1.0
 
     gm = lambda k, rate: gaussian_moment_bound(n, k, rate, t)
 

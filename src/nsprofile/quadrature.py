@@ -18,7 +18,7 @@ panels where the integrand has already underflowed.  One refinement loop
 (:func:`_refine`) serves both the zone norms and the 1-d oscillatory kernel
 integrals: the layout starts coarse and doubles until two successive levels
 agree to ``rel_tol``; every result carries that difference as its error
-estimate, plus an analytic Gaussian bound for the truncated tail.
+estimate, plus an estimate of the truncated tail (see :func:`zone_norm_sq`).
 """
 
 from __future__ import annotations
@@ -291,7 +291,10 @@ def zone_norm_sq(f: Callable[[np.ndarray], np.ndarray], params: ModelParams, t: 
     (spot-checked), with |f|^2 resolved by the angular rule in u (certified
     on the probe; :class:`QuadratureError` otherwise).  Zones: "low" =
     {|xi| <= delta0/sqrt(2)}, "high" = the complement truncated at r_max,
-    "full" = both.
+    "full" = both.  A truncated zone adds the tail estimate: the largest |f|^2
+    at r_max over the k angular nodes, not over the sphere (a u^2 term at
+    n = 2, k = 3 shows 3/4 of its sphere maximum there), times a radial
+    Gaussian bound; only the radial factor is a bound.
     """
     spec = spec or QuadratureSpec()
     n = params.n

@@ -46,6 +46,9 @@ def read_csv(path: str) -> dict[str, list[float]]:
     if len(lines) < 2:
         raise ValueError("no data rows")
     names = lines[0].split(",")
+    repeated = [name for name in names if names.count(name) > 1]
+    if repeated:
+        raise ValueError(f"header repeats column {repeated[0]!r}")
     rows = [ln.split(",") for ln in lines[1:]]
     for k, row in enumerate(rows, start=1):
         if len(row) != len(names):

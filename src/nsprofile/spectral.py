@@ -81,6 +81,17 @@ def _phi_psi(s1: np.ndarray, s2: np.ndarray, t: float) -> tuple[np.ndarray, np.n
     return phi, psi
 
 
+def _as_batch(xi: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(xi as an (m, n) float array, |xi|^2), rejecting other shapes and xi = 0."""
+    xi = np.asarray(xi, dtype=float)
+    if xi.ndim != 2 or xi.shape[1] != n:
+        raise ValueError(f"xi must have shape (m, {n}), got {xi.shape}")
+    r2 = np.sum(xi * xi, axis=1)
+    if np.any(r2 == 0.0):
+        raise ValueError("xi = 0 is excluded from pointwise evaluation")
+    return xi, r2
+
+
 def _flow(params: ModelParams, xi: np.ndarray, r2: np.ndarray, t: float,
           v0: np.ndarray, rho0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form flow of the transformed data (v0, rho0) over xi of shape (m, n).
@@ -113,10 +124,7 @@ def solve_exact_batch(params: ModelParams, data: InitialData, xi: np.ndarray,
         raise ValueError(f"data dimension {data.n} != params dimension {params.n}")
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
-    xi = np.asarray(xi, dtype=float)
-    r2 = np.sum(xi * xi, axis=1)
-    if np.any(r2 == 0.0):
-        raise ValueError("xi = 0 is excluded from pointwise evaluation")
+    xi, r2 = _as_batch(xi, params.n)
     v0, rho0 = fourier_data_batch(data, xi)
     return _flow(params, xi, r2, t, v0, rho0)
 
@@ -152,7 +160,7 @@ def solve_ode_oracle_batch(params: ModelParams, data: InitialData, xi: np.ndarra
     if np.max(params.b * r2) * step >= 0.5:
         raise ValueError("step too large: b |xi|^2 step must stay below 0.5")
     v0, rho0 = fourier_data_batch(data, xi)
-    y = np.concatenate([v0, rho0[:, None]], axis=1)
+    y = np.concatenate([v0, rho0[:, None]], axis=1, dtype=complex)
     if t > 0:
         nsteps = max(1, int(np.ceil(t / step)))
         h = t / nsteps

@@ -52,7 +52,9 @@ def test_build_rejects_bad_types_and_invariants():
     for bad in ({"emit_svg": "false"}, {"emit_svg": 1}, {"output_dir": 3},
                 {"oracle": {"radii": 4.5}}, {"oracle": {"seed": True}},
                 {"oracle": {"step": "1e-4"}}, {"params": {"beta": 1e308}},
-                {"params": {"gamma": 1e200}}):
+                {"params": {"gamma": 1e200}},
+                # the data are always Gaussian and the time grid geometric
+                {"data": {"family": "gaussian"}}, {"time_grid": {"spacing": "geometric"}}):
         with pytest.raises(ConfigError):
             build_run_config("oracle-check", bad)
 
@@ -94,6 +96,14 @@ def test_cli_plot_empty_csv_exits_2(tmp_path, capsys):
     path = write_config(tmp_path, {"plot": {"input_csv": str(csv)}})
     assert main(["plot", "--config", path, "--out", str(tmp_path / "out")]) == 2
     assert "no data rows" in capsys.readouterr().err
+
+
+def test_cli_plot_repeated_column_exits_2(tmp_path, capsys):
+    csv = tmp_path / "dup.csv"
+    csv.write_text("t,v,v\n1,2,3\n2,3,4\n")
+    path = write_config(tmp_path, {"plot": {"input_csv": str(csv)}})
+    assert main(["plot", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert "repeats column 'v'" in capsys.readouterr().err
 
 
 def test_cli_rate_coarse_run(tmp_path):

@@ -3,16 +3,16 @@ import math
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
-from scipy import special
+from scipy import optimize, special
 
 from nsprofile.model import (
+    VERSINE_RATIO,
     ABDecomposition,
     InitialData,
     ModelParams,
     ParameterError,
     ab_decomposition,
     fourier_data_batch,
-    moment_bound_constants,
     moments,
 )
 from oracles import l11_norm_radial_quadrature
@@ -55,8 +55,6 @@ def test_invalid_params_rejected(kwargs):
 def test_initial_data_validation():
     with pytest.raises(ParameterError):
         InitialData(amplitude_v=(1.0,), amplitude_rho=1.0, width=0.0)
-    with pytest.raises(ParameterError):
-        InitialData(amplitude_v=(1.0,), amplitude_rho=1.0, width=1.0, family="box")
     for bad in (math.nan, math.inf):
         with pytest.raises(ParameterError):
             InitialData(amplitude_v=(1.0, bad), amplitude_rho=1.0, width=1.0)
@@ -111,6 +109,7 @@ def test_fourier_data_imaginary_part_exactly_zero():
     data = InitialData(amplitude_v=(1.0, -2.0), amplitude_rho=0.5, width=1.1)
     rng = np.random.default_rng(7)
     v_hat, rho_hat = fourier_data_batch(data, rng.normal(size=(20, 2)))
+    assert v_hat.dtype == rho_hat.dtype == np.float64
     assert np.all(v_hat.imag == 0.0)
     assert np.all(rho_hat.imag == 0.0)
 
@@ -134,45 +133,45 @@ def test_ab_decomposition_value_matches_2d_quadrature_oracle():
     v01 = (1.0 / (2 * math.pi)) * np.exp(-(X**2 + Y**2) / 2)
     oracle = float(np.sum((np.cos(X) - 1.0) * v01 * W))
     assert oracle == pytest.approx(-0.3934693402873666, abs=1e-9)
+    # B, the sin(x.xi) integral, vanishes for even data
+    assert abs(float(np.sum(np.sin(X) * v01 * W))) <= 1e-12
 
     data = InitialData(amplitude_v=(1.0, 0.0), amplitude_rho=0.0, width=1.0)
     dec = ab_decomposition(data, np.array([[1.0, 0.0]]))
     assert dec.A0[0, 0] == pytest.approx(-0.3934693402873666, rel=1e-12)
     assert dec.A0[0, 1] == 0.0
-    assert dec.B0.tolist() == [[0.0, 0.0]]
 
 
 def test_decomposition_identity_on_grid():
-    # v0_hat(xi) - P0 = A0(xi) - i B0(xi) to machine precision
+    # v0_hat(xi) - P0 = A0(xi) to machine precision (B = 0 for even data)
     data = InitialData(amplitude_v=(0.6, -1.4, 0.2), amplitude_rho=0.9, width=0.7)
     m = moments(data)
     xi = np.random.default_rng(3).normal(size=(50, 3)) * 2.0
     v_hat, rho_hat = fourier_data_batch(data, xi)
     dec = ab_decomposition(data, xi)
-    np.testing.assert_allclose(v_hat - m.P0, dec.A0 - 1j * dec.B0, rtol=0, atol=1e-15)
-    np.testing.assert_allclose(rho_hat - m.Q0, dec.A_rho - 1j * dec.B_rho, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(v_hat - m.P0, dec.A0, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(rho_hat - m.Q0, dec.A_rho, rtol=0, atol=1e-15)
 
 
 def test_moment_bound_constants():
-    c = moment_bound_constants()
-    assert c.sinc_ratio == 1.0
-    assert c.versine_ratio == pytest.approx(0.724611, abs=5e-7)
-    assert c.versine_ratio < 1.0
+    # the maximum of (1 - cos t)/t sits at the root of tan(t/2) = t
+    t_star = optimize.brentq(lambda t: math.tan(t / 2) - t, 2.0, 3.0, xtol=1e-15)
+    peak = (1.0 - math.cos(t_star)) / t_star
+    assert abs(VERSINE_RATIO - peak) <= 2 * math.ulp(peak)
+    t = np.linspace(0.0, 2 * math.pi, 200_001)[1:]
+    assert np.all((1.0 - np.cos(t)) / t <= VERSINE_RATIO * (1 + 1e-15))
 
 
 def test_moment_remainder_bounds_on_sampled_grid():
-    # |A| <= versine_ratio |xi| l11 and |B| <= sinc_ratio |xi| l11
+    # |A| <= VERSINE_RATIO |xi| l11
     data = InitialData(amplitude_v=(0.8, -0.3), amplitude_rho=1.5, width=1.2)
     m = moments(data)
-    c = moment_bound_constants()
     r = np.geomspace(1e-3, 30.0, 40)
     theta = np.random.default_rng(11).uniform(0, 2 * math.pi, size=r.size)
     xi = r[:, None] * np.stack([np.cos(theta), np.sin(theta)], axis=1)
     dec = ab_decomposition(data, xi)
-    assert np.all(np.abs(dec.A_rho) <= c.versine_ratio * r * m.l11_rho + 1e-12)
-    assert np.all(np.abs(dec.B_rho) <= c.sinc_ratio * r * m.l11_rho + 1e-12)
-    assert np.all(np.abs(dec.A0) <= c.versine_ratio * r[:, None] * m.l11_v + 1e-12)
-    assert np.all(np.abs(dec.B0) <= c.sinc_ratio * r[:, None] * m.l11_v + 1e-12)
+    assert np.all(np.abs(dec.A_rho) <= VERSINE_RATIO * r * m.l11_rho + 1e-12)
+    assert np.all(np.abs(dec.A0) <= VERSINE_RATIO * r[:, None] * m.l11_v + 1e-12)
 
 
 def test_fourier_data_batch_agrees_with_scalar():

@@ -52,6 +52,14 @@ def test_read_csv_rejects_ragged_rows(tmp_path):
             read_csv(str(path))
 
 
+def test_read_csv_rejects_repeated_column(tmp_path):
+    # a dict of columns would keep only the last "v"
+    path = tmp_path / "dup.csv"
+    path.write_text("t,v,v\n1,2,3\n2,3,4\n")
+    with pytest.raises(ValueError, match="'v'"):
+        read_csv(str(path))
+
+
 def _polyline_points(svg_text: str) -> list[list[tuple[float, float]]]:
     out = []
     for m in re.finditer(r'<polyline[^>]*points="([^"]+)"', svg_text):
