@@ -24,8 +24,8 @@ from .profiles import (
     velocity_profile,
 )
 from .quadrature import (
+    DEFAULT_REL_TOL,
     QuadratureError,
-    QuadratureSpec,
     ZoneNorm,
     cone_cap_area,
     cone_cosine_integral,

@@ -92,7 +92,7 @@ def run_oracle_check(cfg: RunConfig, threads: int):
 
 def run_remainder(component: str, cfg: RunConfig, threads: int):
     series = remainder_series(cfg.params, cfg.data, cfg.times, component,
-                              cfg.quadrature, threads)
+                              cfg.rel_tol, threads)
     fit = fit_loglog(series)
     expected = -(cfg.params.n / 2 + 1)
     threshold = expected + cfg.thresholds["remainder_slope_margin"]
@@ -112,7 +112,7 @@ def run_remainder(component: str, cfg: RunConfig, threads: int):
 
 def run_rate(cfg: RunConfig, threads: int):
     check_moment_ratio(cfg.params, cfg.data)
-    series = velocity_norm_series(cfg.params, cfg.data, cfg.times, cfg.quadrature, threads)
+    series = velocity_norm_series(cfg.params, cfg.data, cfg.times, cfg.rel_tol, threads)
     fit = fit_loglog(series)
     expected = -cfg.params.n / 4.0
     tol = cfg.thresholds["rate_slope_tol"]
@@ -130,7 +130,7 @@ def run_rate(cfg: RunConfig, threads: int):
 
 
 def run_sandwich(cfg: RunConfig, threads: int):
-    rep = verify_sandwich(cfg.params, cfg.data, cfg.times, cfg.quadrature, threads)
+    rep = verify_sandwich(cfg.params, cfg.data, cfg.times, cfg.rel_tol, threads)
     max_ratio = cfg.thresholds["sandwich_max_ratio"]
     n4 = cfg.params.n / 4.0
     verdict = {
@@ -153,7 +153,7 @@ def run_sandwich(cfg: RunConfig, threads: int):
 
 def run_lemma31(cfg: RunConfig, threads: int):
     p0 = moments(cfg.data).P0
-    rep = verify_kernel_plateaus(cfg.params, p0, cfg.times, cfg.quadrature, threads)
+    rep = verify_kernel_plateaus(cfg.params, p0, cfg.times, cfg.rel_tol, threads)
     max_ratio = cfg.thresholds["kernel_max_ratio"]
     items = {item.label: {"plateau_min": item.plateau_min, "plateau_max": item.plateau_max,
                           "ratio": item.ratio, "pass": item.passed(max_ratio)}
@@ -175,7 +175,7 @@ def run_lemma31(cfg: RunConfig, threads: int):
 
 
 def run_highfreq(cfg: RunConfig, threads: int):
-    rep = highfreq_energy(cfg.params, cfg.data, cfg.times, cfg.quadrature, threads)
+    rep = highfreq_energy(cfg.params, cfg.data, cfg.times, cfg.rel_tol, threads)
     verdict = {
         "pass": rep.passed(cfg.thresholds["highfreq_min_r_squared"]),
         "metrics": {"slope": rep.exp_fit.slope, "r_squared": rep.exp_fit.r_squared,
@@ -197,7 +197,7 @@ def run_bounds(cfg: RunConfig, threads: int):
     cushion = cfg.thresholds["bounds_cushion"]
 
     def row_at(t: float):
-        measured = measured_remainder_norms(cfg.params, cfg.data, t, cfg.quadrature)
+        measured = measured_remainder_norms(cfg.params, cfg.data, t, cfg.rel_tol)
         rb = remainder_bounds(cfg.params, cfg.data, t)
         triangle = sum(math.sqrt(e) for e in rb.expansion) ** 2
         row = {
@@ -283,14 +283,6 @@ def _write_outputs(cfg: RunConfig, out_dir: str, verdict: dict, columns: dict, p
         emit_svg(columns, *plot, os.path.join(out_dir, f"{name}.svg"))
 
 
-def _env_threads() -> int:
-    raw = os.environ.get("NSPROFILE_THREADS", "1")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"NSPROFILE_THREADS must be an integer, got {raw!r}") from None
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="nsprofile",
@@ -301,25 +293,22 @@ def main(argv: list[str] | None = None) -> int:
     for name in _RUNNERS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON run configuration")
-        p.add_argument("--out", default=None, help="output directory (default from config)")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default NSPROFILE_THREADS or 1)")
+        p.add_argument("--out", default="out", help="output directory (default: out)")
+        p.add_argument("--threads", type=int, default=1, help="worker threads (default: 1)")
     args = parser.parse_args(argv)
 
     try:
-        threads = max(1, args.threads if args.threads is not None else _env_threads())
         cfg = load_config_file(args.subcommand, args.config)
     except Exception as exc:  # every failure exits 2; exit 1 means a verdict failed
         return _fail({"subcommand": args.subcommand}, exc)
 
-    out_dir = args.out or cfg.output_dir
     try:
-        verdict, columns, plot = _RUNNERS[args.subcommand](cfg, threads)
-        _write_outputs(cfg, out_dir, verdict, columns, plot)
+        verdict, columns, plot = _RUNNERS[args.subcommand](cfg, max(1, args.threads))
+        _write_outputs(cfg, args.out, verdict, columns, plot)
     except Exception as exc:
         diagnostic = {"subcommand": args.subcommand, "pass": False,
                       "config_hash": cfg.config_hash}
-        return _fail(diagnostic, exc, os.path.join(out_dir, f"{args.subcommand}.json"))
+        return _fail(diagnostic, exc, os.path.join(args.out, f"{args.subcommand}.json"))
     return 0 if verdict["pass"] else 1
 
 

@@ -18,7 +18,7 @@ from typing import Any
 import numpy as np
 
 from .model import InitialData, ModelParams, ParameterError
-from .quadrature import QuadratureSpec
+from .quadrature import DEFAULT_REL_TOL
 
 
 class ConfigError(ValueError):
@@ -29,8 +29,7 @@ _BASE_DEFAULTS: dict[str, Any] = {
     "params": {"alpha": 1.0, "beta": 1.0, "gamma": 1.0, "n": 2},
     "data": {"amplitude_v": None, "amplitude_rho": 1.0, "width": 1.0},
     "time_grid": {"t_min": 100.0, "t_max": 1.0e4, "points": 11},
-    "quadrature": {"base_panels": 12, "osc_factor": 2, "angular_nodes": 3,
-                   "rel_tol": 1.0e-6, "r_max": None},
+    "quadrature": {"rel_tol": DEFAULT_REL_TOL},
     "thresholds": {"rate_slope_tol": 0.05, "remainder_slope_margin": 0.1,
                    "sandwich_max_ratio": 2.0, "kernel_max_ratio": 4.0,
                    "oracle_max_rel_err": 1.0e-8, "oracle_runtime_budget_s": 30.0,
@@ -38,7 +37,6 @@ _BASE_DEFAULTS: dict[str, Any] = {
     "oracle": {"r_min": 0.05, "r_max": 5.0, "radii": 10, "times": 10,
                "t_min": 0.1, "t_max": 20.0, "step": 1.0e-4, "seed": 0},
     "plot": {"input_csv": "", "x": "t", "y": [], "axes": "loglog", "title": ""},
-    "output_dir": "out",
     "emit_svg": True,
 }
 
@@ -65,8 +63,7 @@ def default_config(subcommand: str) -> dict[str, Any]:
 
 # keys whose default (None or an empty list) does not show the type a user
 # value must have, given as a value of that type
-_TYPE_EXAMPLES = {("data", "amplitude_v"): [0.0], ("quadrature", "r_max"): 0.0,
-                  ("plot", "y"): [""]}
+_TYPE_EXAMPLES = {("data", "amplitude_v"): [0.0], ("plot", "y"): [""]}
 
 
 def _check_type(name: str, value, example) -> None:
@@ -115,11 +112,10 @@ class RunConfig:
     params: ModelParams
     data: InitialData
     times: np.ndarray
-    quadrature: QuadratureSpec
+    rel_tol: float
     thresholds: dict[str, float]
     oracle: dict[str, float]
     plot: dict[str, Any]
-    output_dir: str
     emit_svg: bool
     raw: dict[str, Any]
 
@@ -169,24 +165,19 @@ def build_run_config(subcommand: str, user: dict[str, Any]) -> RunConfig:
         raise ConfigError(f"{subcommand} is an asymptotic run and needs t_min >= 1")
     times = np.geomspace(float(g["t_min"]), float(g["t_max"]), g["points"])
 
-    q = cfg["quadrature"]
-    try:
-        spec = QuadratureSpec(base_panels=q["base_panels"], osc_factor=q["osc_factor"],
-                              angular_nodes=q["angular_nodes"], rel_tol=float(q["rel_tol"]),
-                              r_max=None if q["r_max"] is None else float(q["r_max"]))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    rel_tol = float(cfg["quadrature"]["rel_tol"])
+    if not 0 < rel_tol < math.inf:
+        raise ConfigError(f"quadrature.rel_tol must be finite and positive, got {rel_tol}")
 
     return RunConfig(
         subcommand=subcommand,
         params=params,
         data=data,
         times=times,
-        quadrature=spec,
+        rel_tol=rel_tol,
         thresholds={k: float(v) for k, v in cfg["thresholds"].items()},
         oracle=cfg["oracle"],
         plot=cfg["plot"],
-        output_dir=cfg["output_dir"],
         emit_svg=cfg["emit_svg"],
         raw=cfg,
     )

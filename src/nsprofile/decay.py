@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .model import InitialData, ModelParams, moments
 from .profiles import density_profile, velocity_profile
 from .quadrature import (
-    QuadratureSpec,
+    DEFAULT_REL_TOL,
     sine_kernel_integral,
     cone_cosine_integral,
     sphere_area,
@@ -94,28 +94,28 @@ def fit_semilog(series: DecaySeries, window: tuple[int, int] | None = None) -> D
 
 
 def zone_series(field_at, params: ModelParams, times: np.ndarray, zone: str,
-                spec: QuadratureSpec, threads: int) -> np.ndarray:
+                rel_tol: float, threads: int) -> np.ndarray:
     """Converged :func:`zone_norm_sq` of the integrand ``field_at(t)`` at each
     time, mapped in order over ``threads`` workers."""
     def at(t: float) -> float:
-        return zone_norm_sq(field_at(t), params, t, zone, spec).require_converged().value
+        return zone_norm_sq(field_at(t), params, t, zone, rel_tol).require_converged().value
 
     return np.array(ordered_map(at, [float(t) for t in times], threads))
 
 
 def velocity_norm_series(params: ModelParams, data: InitialData, times: np.ndarray,
-                         spec: QuadratureSpec | None = None, threads: int = 1,
+                         rel_tol: float = DEFAULT_REL_TOL, threads: int = 1,
                          zone: str = "full") -> DecaySeries:
     """L^2 norms ||v_hat(t, .)|| of the exact solution on a time grid."""
     def field_at(t: float):
         return lambda xi: solve_exact_batch(params, data, xi, t)[0]
 
-    values = zone_series(field_at, params, times, zone, spec or QuadratureSpec(), threads)
+    values = zone_series(field_at, params, times, zone, rel_tol, threads)
     return DecaySeries(np.asarray(times, float), np.sqrt(values), label="velocity-norm")
 
 
 def remainder_series(params: ModelParams, data: InitialData, times: np.ndarray,
-                     component: str, spec: QuadratureSpec | None = None,
+                     component: str, rel_tol: float = DEFAULT_REL_TOL,
                      threads: int = 1) -> DecaySeries:
     """Squared low-zone L^2 norms of (exact solution - leading profile) for the
     ``component`` "velocity" or "density"."""
@@ -128,7 +128,7 @@ def remainder_series(params: ModelParams, data: InitialData, times: np.ndarray,
         return lambda xi: (solve_exact_batch(params, data, xi, t)[index]
                            - profile(params, mom, xi, t))
 
-    values = zone_series(field_at, params, times, "low", spec or QuadratureSpec(), threads)
+    values = zone_series(field_at, params, times, "low", rel_tol, threads)
     return DecaySeries(np.asarray(times, float), values, label=f"{component}-remainder-sq")
 
 
@@ -170,10 +170,10 @@ def _plateau(label: str, times: np.ndarray, scaled: np.ndarray) -> PlateauReport
 
 
 def verify_sandwich(params: ModelParams, data: InitialData, times: np.ndarray,
-                    spec: QuadratureSpec | None = None, threads: int = 1) -> PlateauReport:
+                    rel_tol: float = DEFAULT_REL_TOL, threads: int = 1) -> PlateauReport:
     """Two-sided optimality check: ||v(t)|| t^{n/4} must plateau on the tail."""
     check_moment_ratio(params, data)
-    series = velocity_norm_series(params, data, times, spec, threads)
+    series = velocity_norm_series(params, data, times, rel_tol, threads)
     return _plateau("sandwich", series.times, series.values * series.times ** (params.n / 4))
 
 
@@ -202,13 +202,12 @@ class KernelPlateauReport:
 
 
 def verify_kernel_plateaus(params: ModelParams, p0: np.ndarray, times: np.ndarray,
-                           spec: QuadratureSpec | None = None,
+                           rel_tol: float = DEFAULT_REL_TOL,
                            threads: int = 1) -> KernelPlateauReport:
     """Two-sided t^{-n/2} behavior of the three profile-term integrals.
 
     Needs a nonzero moment direction p0 for the projection items.
     """
-    spec = spec or QuadratureSpec()
     p0 = np.asarray(p0, dtype=float)
     if p0.shape != (params.n,):
         raise ValueError(f"p0 must have shape ({params.n},)")
@@ -232,12 +231,12 @@ def verify_kernel_plateaus(params: ModelParams, p0: np.ndarray, times: np.ndarra
             return coef[:, None] * xi
         return f
 
-    heat_vals = zone_series(heat_field, params, times, "full", spec, threads)
-    cos_vals = zone_series(cosine_field, params, times, "full", spec, threads)
-    sine_vals = np.array(ordered_map(lambda t: sine_kernel_integral(params, t, spec),
+    heat_vals = zone_series(heat_field, params, times, "full", rel_tol, threads)
+    cos_vals = zone_series(cosine_field, params, times, "full", rel_tol, threads)
+    sine_vals = np.array(ordered_map(lambda t: sine_kernel_integral(params, t, rel_tol),
                                      times, threads))
     witness = np.array(ordered_map(
-        lambda t: 0.25 * float(p0 @ p0) * cone_cosine_integral(params, t, spec),
+        lambda t: 0.25 * float(p0 @ p0) * cone_cosine_integral(params, t, rel_tol),
         times, threads))
 
     s0 = math.gamma(n / 2) / 2.0
@@ -287,20 +286,19 @@ def _energy_field(params: ModelParams, data: InitialData, t: float):
 
 
 def highfreq_energy(params: ModelParams, data: InitialData, times: np.ndarray,
-                    spec: QuadratureSpec | None = None, threads: int = 1) -> HighFreqReport:
+                    rel_tol: float = DEFAULT_REL_TOL, threads: int = 1) -> HighFreqReport:
     """High-zone energy E_h(t) with exponential-decay and averaged-energy checks."""
-    spec = spec or QuadratureSpec()
     times = np.asarray(times, dtype=float)
     values = zone_series(lambda t: _energy_field(params, data, t), params, times, "high",
-                         spec, threads)
+                         rel_tol, threads)
     series = DecaySeries(times, values, label="highfreq-energy")
     fit = fit_semilog(series)
 
     # E_h(0): the data energy carries no time decay, so size the truncation
     # radius by the data width instead of the default t-dependent formula
-    spec0 = replace(spec, r_max=max(4.0 * params.delta0, 12.0 / data.width))
-    e_h0 = zone_norm_sq(_energy_field(params, data, 0.0), params, 0.0, "high",
-                        spec0).require_converged().value
+    r_max = max(4.0 * params.delta0, 12.0 / data.width)
+    e_h0 = zone_norm_sq(_energy_field(params, data, 0.0), params, 0.0, "high", rel_tol,
+                        r_max=r_max).require_converged().value
 
     remaining = np.array([float(np.trapezoid(values[i:], times[i:]))
                           for i in range(times.size - 1)])

@@ -32,7 +32,7 @@ import numpy as np
 
 from .model import (VERSINE_RATIO, InitialData, ModelParams, Moments, ab_decomposition,
                     moments)
-from .quadrature import sphere_area
+from .quadrature import DEFAULT_REL_TOL, sphere_area
 from .spectral import _as_batch, _flow
 # no function here calls it: bench/spans.py wraps this attribute as a trace site
 from .spectral import solve_exact_batch  # noqa: F401
@@ -131,7 +131,7 @@ class RemainderBounds:
 
 
 def measured_remainder_norms(params: ModelParams, data: InitialData, t: float,
-                             spec=None) -> dict[str, float]:
+                             rel_tol: float = DEFAULT_REL_TOL) -> dict[str, float]:
     """Quadrature values of the computable remainder masses on the low zone.
 
     Returns the squared norms of the moment defect, the longitudinal sine
@@ -156,7 +156,7 @@ def measured_remainder_norms(params: ModelParams, data: InitialData, t: float,
     out = {}
     for name, f in (("moment_defect", defect), ("sine_correction", sine),
                     ("expansion", expansion)):
-        out[name] = zone_norm_sq(f, params, t, "low", spec).require_converged().value
+        out[name] = zone_norm_sq(f, params, t, "low", rel_tol).require_converged().value
     return out
 
 

@@ -19,6 +19,10 @@ panels where the integrand has already underflowed.  One refinement loop
 integrals: the layout starts coarse and doubles until two successive levels
 agree to ``rel_tol``; every result carries that difference as its error
 estimate, plus an estimate of the truncated tail (see :func:`zone_norm_sq`).
+The layout is fixed by the constants below, so ``rel_tol`` is the only
+accuracy setting, and a level that would need more than ``_MAX_RADIAL_NODES``
+radial nodes on one interval raises :class:`QuadratureError` instead of
+allocating them, so every call has a bounded cost.
 """
 
 from __future__ import annotations
@@ -38,6 +42,20 @@ _PROBE_POINTS = 97
 _PROBE_FLOOR = 1e-26
 _DECAY_EXPONENT = 80.0  # e^-80 ~ 1.8e-35, below any tolerance after polynomial factors
 
+# Radial layout of refinement level 0: at least _BASE_PANELS panels, and at
+# least _OSC_FACTOR panels per oscillation period 2*pi/(gamma*t) on the
+# radially active sub-interval; each further level doubles them, up to
+# _MAX_REFINEMENTS times.  The start is coarse because doubling stops as soon
+# as two levels agree to ``rel_tol``.  _ANGULAR_NODES is the number k of Gauss
+# nodes in u = cos(phi), exact to degree 2k - 1; the (k+1)-node certificate
+# rejects integrands that k nodes do not resolve.
+_BASE_PANELS = 12
+_OSC_FACTOR = 2
+_ANGULAR_NODES = 3
+_MAX_REFINEMENTS = 6
+_MAX_RADIAL_NODES = 1 << 21  # ~400x the largest layout of a default run (5,264)
+DEFAULT_REL_TOL = 1e-6
+
 
 class QuadratureError(RuntimeError):
     """Raised when a norm evaluation cannot meet its tolerance."""
@@ -45,35 +63,6 @@ class QuadratureError(RuntimeError):
 
 class SymmetryError(ValueError):
     """Raised when the integrand fails the axial-symmetry spot check."""
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Panel layout and tolerance knobs.
-
-    Refinement level 0 lays out at least ``base_panels`` radial panels, and
-    at least ``osc_factor`` panels per oscillation period 2*pi/(gamma*t) on
-    the radially active sub-interval; each further level doubles them, up to
-    ``max_refinements`` times.  The defaults start coarse, because doubling
-    stops as soon as two levels agree to ``rel_tol``.  ``angular_nodes`` is
-    the number k of Gauss nodes in u = cos(phi), exact to degree 2k - 1; the
-    (k+1)-node certificate rejects integrands that k nodes do not resolve.
-    ``r_max`` overrides the default high-zone truncation
-    max(4*delta0, 8/sqrt(alpha*t)).
-    """
-
-    base_panels: int = 12
-    osc_factor: int = 2
-    angular_nodes: int = 3
-    rel_tol: float = 1e-6
-    r_max: float | None = None
-    max_refinements: int = 6
-
-    def __post_init__(self):
-        if not min(self.base_panels, self.osc_factor, self.angular_nodes) >= 1:
-            raise ValueError(f"panel and node counts must be >= 1: {self}")
-        if not 0 < self.rel_tol < math.inf:
-            raise ValueError(f"rel_tol must be finite and positive, got {self.rel_tol}")
 
 
 @dataclass(frozen=True)
@@ -119,6 +108,11 @@ def cone_cap_area(n: int) -> float:
 
 
 def _panel_nodes(lo: float, hi: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
+    if panels * _GL_ORDER > _MAX_RADIAL_NODES:
+        raise QuadratureError(
+            f"radial layout needs {panels * _GL_ORDER} nodes on [{lo:.4g}, {hi:.4g}], "
+            f"more than the cap of {_MAX_RADIAL_NODES}"
+        )
     edges = np.linspace(lo, hi, panels + 1)
     width = (hi - lo) / panels
     mids = 0.5 * (edges[:-1] + edges[1:])
@@ -204,16 +198,16 @@ def _radial_profile(f, radii: np.ndarray, n: int, dirs: np.ndarray,
 
 
 def _check_angular_rule(f, radii: np.ndarray, probe: np.ndarray, n: int,
-                        spec: QuadratureSpec) -> None:
+                        rel_tol: float = DEFAULT_REL_TOL) -> None:
     """Raise unless k + 1 angular nodes reproduce the k-node probe mass."""
     if n == 1:
         return
-    finer = _radial_profile(f, radii, n, *_angular_frame(n, spec.angular_nodes + 1))
+    finer = _radial_profile(f, radii, n, *_angular_frame(n, _ANGULAR_NODES + 1))
     gap = float(np.sum(np.abs(finer - probe)))
     mass = float(np.sum(finer))
-    if not gap <= spec.rel_tol * mass:
+    if not gap <= rel_tol * mass:
         raise QuadratureError(
-            f"{spec.angular_nodes} angular nodes do not resolve the integrand: "
+            f"{_ANGULAR_NODES} angular nodes do not resolve the integrand: "
             f"probe mass {mass:.6g} moves by {gap:.3g} with one node more"
         )
 
@@ -243,47 +237,48 @@ def _gaussian_tail_bound(r_from: float, lam: float, n: int) -> float:
     return 0.5 * scale * (r_from ** (n - 2) / lam + math.gamma(n / 2) / lam ** (n / 2))
 
 
-def _osc_panels(gamma_t: float, span: float, spec: QuadratureSpec) -> int:
-    required = spec.osc_factor * gamma_t * span / (2.0 * math.pi)
-    return max(spec.base_panels, int(math.ceil(required)))
+def _osc_panels(gamma_t: float, span: float) -> int:
+    required = _OSC_FACTOR * gamma_t * span / (2.0 * math.pi)
+    return max(_BASE_PANELS, int(math.ceil(required)))
 
 
 def _radial_layout(r_lo: float, r_hi: float, split: float, gamma_t: float,
-                   spec: QuadratureSpec, refine: int) -> tuple[np.ndarray, np.ndarray]:
+                   refine: int) -> tuple[np.ndarray, np.ndarray]:
     mult = 2 ** refine
     if split >= r_hi:
-        panels = _osc_panels(gamma_t, r_hi - r_lo, spec) * mult
+        panels = _osc_panels(gamma_t, r_hi - r_lo) * mult
         return _panel_nodes(r_lo, r_hi, panels)
-    n1 = _osc_panels(gamma_t, split - r_lo, spec) * mult
+    n1 = _osc_panels(gamma_t, split - r_lo) * mult
     r1, w1 = _panel_nodes(r_lo, split, n1)
-    r2, w2 = _panel_nodes(split, r_hi, spec.base_panels * mult)
+    r2, w2 = _panel_nodes(split, r_hi, _BASE_PANELS * mult)
     return np.concatenate([r1, r2]), np.concatenate([w1, w2])
 
 
 def default_r_max(params: ModelParams, t: float) -> float:
     if t <= 0:
-        raise ValueError("default truncation radius needs t > 0; pass spec.r_max")
+        raise ValueError("default truncation radius needs t > 0; pass r_max")
     return max(4.0 * params.delta0, 8.0 / math.sqrt(params.alpha * t))
 
 
 def _refine(evaluate: Callable[[int], float], tail: float,
-            spec: QuadratureSpec) -> tuple[float, float, bool]:
+            rel_tol: float = DEFAULT_REL_TOL) -> tuple[float, float, bool]:
     """Evaluate levels 0, 1, ... until two successive ones agree to ``rel_tol``;
     returns (value, est_error, converged), est_error = level gap + ``tail``."""
     coarse = evaluate(0)
     diff = math.inf
-    for refine in range(1, spec.max_refinements + 1):
+    for refine in range(1, _MAX_REFINEMENTS + 1):
         fine = evaluate(refine)
         diff = abs(fine - coarse)
         scale = max(abs(fine), 1e-300)
-        if diff + tail <= spec.rel_tol * scale or (fine == 0.0 and diff == 0.0):
+        if diff + tail <= rel_tol * scale or (fine == 0.0 and diff == 0.0):
             return fine, diff + tail, True
         coarse = fine
     return coarse, diff + tail, False
 
 
 def zone_norm_sq(f: Callable[[np.ndarray], np.ndarray], params: ModelParams, t: float,
-                 zone: str, spec: QuadratureSpec | None = None) -> ZoneNorm:
+                 zone: str, rel_tol: float = DEFAULT_REL_TOL, *,
+                 r_max: float | None = None) -> ZoneNorm:
     """Integral of |f(xi)|^2 over a frequency zone.
 
     ``f`` maps a batch of frequencies (m, n) to complex scalars (m,) or
@@ -294,34 +289,34 @@ def zone_norm_sq(f: Callable[[np.ndarray], np.ndarray], params: ModelParams, t: 
     "full" = both.  A truncated zone adds the tail estimate: the largest |f|^2
     at r_max over the k angular nodes, not over the sphere (a u^2 term at
     n = 2, k = 3 shows 3/4 of its sphere maximum there), times a radial
-    Gaussian bound; only the radial factor is a bound.
+    Gaussian bound; only the radial factor is a bound.  ``r_max`` overrides
+    the truncation radius :func:`default_r_max`.
     """
-    spec = spec or QuadratureSpec()
     n = params.n
     if zone == "low":
         r_lo, r_hi = 0.0, params.r_low
         truncated = False
     elif zone == "high":
-        r_lo, r_hi = params.r_low, spec.r_max or default_r_max(params, t)
+        r_lo, r_hi = params.r_low, r_max or default_r_max(params, t)
         truncated = True
     elif zone == "full":
-        r_lo, r_hi = 0.0, spec.r_max or default_r_max(params, t)
+        r_lo, r_hi = 0.0, r_max or default_r_max(params, t)
         truncated = True
     else:
         raise ValueError(f"unknown zone {zone!r}")
     if r_hi <= r_lo:
         raise ValueError(f"truncation radius {r_hi} does not exceed the zone start {r_lo}")
 
-    dirs, ang_w = _angular_frame(n, spec.angular_nodes)
+    dirs, ang_w = _angular_frame(n, _ANGULAR_NODES)
     _check_axial_symmetry(f, np.array([0.25, 0.55, 0.85]) * (r_hi - r_lo) + r_lo, n)
     radii = r_lo + (np.arange(_PROBE_POINTS) + 0.5) * ((r_hi - r_lo) / _PROBE_POINTS)
     probe = _radial_profile(f, radii, n, dirs, ang_w)
-    _check_angular_rule(f, radii, probe, n, spec)
+    _check_angular_rule(f, radii, probe, n, rel_tol)
     split = _active_end(radii, probe, r_lo, r_hi)
     gamma_t = params.gamma * max(t, 0.0)
 
     def evaluate(refine: int) -> float:
-        r, wr = _radial_layout(r_lo, r_hi, split, gamma_t, spec, refine)
+        r, wr = _radial_layout(r_lo, r_hi, split, gamma_t, refine)
         return float(np.dot(_radial_profile(f, r, n, dirs, ang_w), wr))
 
     tail = 0.0
@@ -331,16 +326,15 @@ def zone_norm_sq(f: Callable[[np.ndarray], np.ndarray], params: ModelParams, t: 
         lam = min(2.0 * params.alpha, params.b) * max(t, 0.0)
         tail = edge * sphere_area(n) * _gaussian_tail_bound(r_hi, lam, n) if lam > 0 else 0.0
 
-    return ZoneNorm(zone, *_refine(evaluate, tail, spec))
+    return ZoneNorm(zone, *_refine(evaluate, tail, rel_tol))
 
 
 def _damped_square_integral(wave: Callable[[np.ndarray], np.ndarray], params: ModelParams,
-                            t: float, spec: QuadratureSpec | None, label: str) -> float:
+                            t: float, rel_tol: float, label: str) -> float:
     """int_0^inf r^{n-1} e^{-b t r^2} wave(gamma t r)^2 dr for a wave bounded by 1;
     :class:`QuadratureError` naming ``label`` if it does not converge."""
     if t <= 0:
         raise ValueError("t must be positive")
-    spec = spec or QuadratureSpec()
     n, b = params.n, params.b
     r_hi = math.sqrt(_DECAY_EXPONENT / (b * t))
     gamma_t = params.gamma * t
@@ -348,18 +342,18 @@ def _damped_square_integral(wave: Callable[[np.ndarray], np.ndarray], params: Mo
     tail = math.exp(-_DECAY_EXPONENT) * _gaussian_tail_bound(r_hi, b * t, n)
 
     def evaluate(refine: int) -> float:
-        panels = _osc_panels(gamma_t, r_hi, spec) * 2 ** refine
+        panels = _osc_panels(gamma_t, r_hi) * 2 ** refine
         r, w = _panel_nodes(0.0, r_hi, panels)
         return float(np.dot(np.exp(-b * t * r * r) * wave(gamma_t * r) ** 2 * r ** (n - 1), w))
 
-    value, _, converged = _refine(evaluate, tail, spec)
+    value, _, converged = _refine(evaluate, tail, rel_tol)
     if not converged:
         raise QuadratureError(f"{label} integral did not converge at t={t}")
     return value
 
 
 def sine_kernel_integral(params: ModelParams, t: float,
-                         spec: QuadratureSpec | None = None) -> float:
+                         rel_tol: float = DEFAULT_REL_TOL) -> float:
     """The squared L^2 norm of the acoustic sine kernel,
 
         int |i xi e^{-b |xi|^2 t / 2} sin(gamma t |xi|)/|xi||^2 dxi
@@ -368,12 +362,12 @@ def sine_kernel_integral(params: ModelParams, t: float,
     For large t this behaves like (S0/2) omega_{n-1} b^{-n/2} t^{-n/2} with
     S0 = Gamma(n/2)/2.
     """
-    return sphere_area(params.n) * _damped_square_integral(np.sin, params, t, spec,
+    return sphere_area(params.n) * _damped_square_integral(np.sin, params, t, rel_tol,
                                                            "sine-kernel")
 
 
 def cone_cosine_integral(params: ModelParams, t: float,
-                         spec: QuadratureSpec | None = None) -> float:
+                         rel_tol: float = DEFAULT_REL_TOL) -> float:
     """Damped-cosine mass on a cone {xi : (xi.p)/(|xi||p|) >= 1/2} around any
     direction p,
 
@@ -383,4 +377,4 @@ def cone_cosine_integral(params: ModelParams, t: float,
     where c(n) is the spherical cap measure (2*pi/3 in 2-d, pi in 3-d); the
     value is rotation invariant, so it does not depend on p.
     """
-    return cone_cap_area(params.n) * _damped_square_integral(np.cos, params, t, spec, "cone")
+    return cone_cap_area(params.n) * _damped_square_integral(np.cos, params, t, rel_tol, "cone")

@@ -47,6 +47,7 @@ def test_build_rejects_bad_types_and_invariants():
             build_run_config("rate", {"quadrature": {"rel_tol": bad}})
         with pytest.raises(ConfigError):
             build_run_config("rate", {"time_grid": {"t_max": bad}})
+    # the layout settings and the output directory are not config keys
     with pytest.raises(ConfigError):
         build_run_config("rate", {"quadrature": {"angular_nodes": 0}})
     for bad in ({"emit_svg": "false"}, {"emit_svg": 1}, {"output_dir": 3},
@@ -62,8 +63,10 @@ def test_build_rejects_bad_types_and_invariants():
 def test_build_accepts_ints_and_null_where_typed():
     # a float default takes an int; null only where the default is null
     cfg = build_run_config("rate", {"params": {"alpha": 2}, "data": {"amplitude_v": [0, 0]},
-                                    "quadrature": {"r_max": None}, "plot": {"y": ["v"]}})
+                                    "plot": {"y": ["v"]}})
     assert cfg.params.alpha == 2.0 and cfg.data.amplitude_v == (0.0, 0.0)
+    cfg = build_run_config("rate", {"data": {"amplitude_v": None}})
+    assert cfg.data.amplitude_v == (0.0, 0.0)
     with pytest.raises(ConfigError):
         build_run_config("rate", {"params": {"alpha": None}})
 
@@ -170,27 +173,28 @@ def test_cli_plot_from_produced_csv(tmp_path):
     assert (out / "plot.svg").exists()
 
 
-def test_cli_env_thread_fallback_and_json_thread_independence(tmp_path, monkeypatch):
+def test_cli_env_thread_fallback_and_json_thread_independence(tmp_path):
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
     path = write_config(tmp_path, {
         "time_grid": {"t_min": 100.0, "t_max": 2000.0, "points": 8},
     })
-    monkeypatch.setenv("NSPROFILE_THREADS", "2")
-    assert main(["rate", "--config", path, "--out", str(out1)]) == 0
-    monkeypatch.setenv("NSPROFILE_THREADS", "1")
-    assert main(["rate", "--config", path, "--out", str(out2)]) == 0
+    assert main(["rate", "--config", path, "--out", str(out1), "--threads", "2"]) == 0
+    assert main(["rate", "--config", path, "--out", str(out2), "--threads", "1"]) == 0
     # verdict files are byte-identical regardless of parallelism
     assert (out1 / "rate.json").read_bytes() == (out2 / "rate.json").read_bytes()
     assert (out1 / "rate.csv").read_bytes() == (out2 / "rate.csv").read_bytes()
 
 
-def test_cli_bad_thread_env_exits_2(tmp_path, monkeypatch, capsys):
-    path = write_config(tmp_path, {})
-    monkeypatch.setenv("NSPROFILE_THREADS", "abc")
-    assert main(["rate", "--config", path, "--out", str(tmp_path / "out")]) == 2
+def test_cli_oversized_quadrature_exits_2(tmp_path, monkeypatch, capsys):
+    # at alpha 1e-12 the first radial layout needs millions of nodes: the run
+    # stops before allocating them, and the default --out is ./out
+    path = write_config(tmp_path, {"params": {"alpha": 1e-12}})
+    monkeypatch.chdir(tmp_path)
+    assert main(["rate", "--config", path]) == 2
     diagnostic = json.loads(capsys.readouterr().err)
-    assert diagnostic["subcommand"] == "rate"
-    assert "NSPROFILE_THREADS" in diagnostic["error"]
+    assert diagnostic["error_type"] == "QuadratureError"
+    assert "nodes" in diagnostic["error"]
+    assert json.loads((tmp_path / "out" / "rate.json").read_text()) == diagnostic
 
 
 def test_cli_highfreq_n1_default_config_passes(tmp_path):

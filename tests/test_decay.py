@@ -18,7 +18,7 @@ from nsprofile.decay import (
     verify_sandwich,
 )
 from nsprofile.profiles import velocity_profile
-from nsprofile.quadrature import QuadratureSpec, zone_norm_sq
+from nsprofile.quadrature import zone_norm_sq
 from nsprofile.spectral import solve_exact_batch
 
 PARAMS = ModelParams(alpha=1.0, beta=1.0, gamma=1.0, n=2)
@@ -162,9 +162,10 @@ def test_remainder_decays_faster_than_solution():
 def test_highfreq_rate_stable_under_quadrature_doubling():
     data = InitialData(amplitude_v=(0.1, 0.0), amplitude_rho=1.0, width=1.0)
     times = np.geomspace(2.0, 30.0, 10)
-    base = highfreq_energy(PARAMS, data, times, QuadratureSpec())
-    fine = highfreq_energy(PARAMS, data, times,
-                           QuadratureSpec(base_panels=96, angular_nodes=32))
+    # 1e-7, not tighter: the tail estimate at the default truncation radius
+    # is up to ~6e-8 of the high-zone energy on this grid
+    base = highfreq_energy(PARAMS, data, times)
+    fine = highfreq_energy(PARAMS, data, times, rel_tol=1e-7)
     assert base.exp_fit.slope < 0 and fine.exp_fit.slope < 0
     assert abs(fine.exp_fit.slope - base.exp_fit.slope) <= 0.1 * abs(base.exp_fit.slope)
 

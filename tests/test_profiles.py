@@ -14,7 +14,7 @@ from nsprofile.profiles import (
     sine_correction_term,
     velocity_profile,
 )
-from nsprofile.quadrature import QuadratureSpec, zone_norm_sq
+from nsprofile.quadrature import zone_norm_sq
 from nsprofile.spectral import solve_exact_batch
 from oracles import gaussian_moment_integral
 

@@ -3,14 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from nsprofile.config import ConfigError, build_run_config
 from nsprofile.model import InitialData, ModelParams
 from nsprofile.quadrature import (
+    _BASE_PANELS,
+    _MAX_RADIAL_NODES,
+    _OSC_FACTOR,
     QuadratureError,
-    QuadratureSpec,
     SymmetryError,
     _angular_frame,
     _gauss_u,
     _gaussian_tail_bound,
+    _panel_nodes,
     cone_cap_area,
     cone_cosine_integral,
     sine_kernel_integral,
@@ -59,14 +63,15 @@ def test_full_zone_gaussian_closed_form(params, t):
 def test_zone_additivity():
     t = 2.0
     f = lambda xi: np.exp(-0.7 * np.sum(xi * xi, axis=1) * t).astype(complex)
-    spec = QuadratureSpec(rel_tol=1e-8)
-    low = zone_norm_sq(f, PARAMS2, t, "low", spec)
-    high = zone_norm_sq(f, PARAMS2, t, "high", spec)
-    full = zone_norm_sq(f, PARAMS2, t, "full", spec)
+    low = zone_norm_sq(f, PARAMS2, t, "low", 1e-8)
+    high = zone_norm_sq(f, PARAMS2, t, "high", 1e-8)
+    full = zone_norm_sq(f, PARAMS2, t, "full", 1e-8)
     assert low.value + high.value == pytest.approx(full.value, rel=2e-8)
 
 
 def test_refinement_convergence_under_panel_doubling():
+    # the default result agrees with one refined to rel_tol 1e-12, which
+    # needs one panel doubling more (a smaller error estimate)
     t = 50.0
     g = PARAMS2.gamma
 
@@ -74,23 +79,24 @@ def test_refinement_convergence_under_panel_doubling():
         r = np.sqrt(np.sum(xi * xi, axis=1))
         return (np.exp(-r * r * t) * np.sin(g * t * r)).astype(complex)
 
-    a = zone_norm_sq(f, PARAMS2, t, "low", QuadratureSpec(base_panels=48))
-    b = zone_norm_sq(f, PARAMS2, t, "low", QuadratureSpec(base_panels=96))
-    assert a.converged and b.converged
+    a = zone_norm_sq(f, PARAMS2, t, "low")
+    b = zone_norm_sq(f, PARAMS2, t, "low", 1e-12)
+    assert a.converged and b.converged and b.est_error < a.est_error
     assert abs(a.value - b.value) <= 1e-6 * b.value
 
 
 def test_oscillation_factor_aliasing_guard():
-    # results with osc_factor 8 and 16 agree to rel_tol at large gamma*t
+    # the default panels per period do not alias at large gamma*t: the result
+    # agrees with one refined to rel_tol 1e-12
     t = 1000.0
 
     def f(xi):
         r = np.sqrt(np.sum(xi * xi, axis=1))
         return (np.exp(-r * r * t) * np.sin(PARAMS2.gamma * t * r)).astype(complex)
 
-    a = zone_norm_sq(f, PARAMS2, t, "low", QuadratureSpec(osc_factor=8))
-    b = zone_norm_sq(f, PARAMS2, t, "low", QuadratureSpec(osc_factor=16))
-    assert a.converged and b.converged
+    a = zone_norm_sq(f, PARAMS2, t, "low")
+    b = zone_norm_sq(f, PARAMS2, t, "low", 1e-12)
+    assert a.converged and b.converged and b.est_error < a.est_error
     assert a.value == pytest.approx(b.value, rel=1e-6)
 
 
@@ -106,18 +112,17 @@ def test_symmetry_check_rejects_non_axisymmetric_field(params):
 def test_unreachable_tolerance_is_reported_not_converged():
     # n = 1 has no angular certificate, so only the refinement loop can fail
     params = ModelParams(alpha=1.0, beta=1.0, gamma=1.0, n=1)
-    spec = QuadratureSpec(rel_tol=1e-300)
     t = 10.0
     f = lambda xi: np.exp(-params.alpha * xi[:, 0] ** 2 * t).astype(complex)
-    res = zone_norm_sq(f, params, t, "full", spec)
+    res = zone_norm_sq(f, params, t, "full", 1e-300)
     assert not res.converged
     assert res.value > 0 and res.est_error > 0
     with pytest.raises(QuadratureError):
         res.require_converged()
     with pytest.raises(QuadratureError, match="sine-kernel"):
-        sine_kernel_integral(params, t, spec)
+        sine_kernel_integral(params, t, 1e-300)
     with pytest.raises(QuadratureError, match="cone"):
-        cone_cosine_integral(params, t, spec)
+        cone_cosine_integral(params, t, 1e-300)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -125,8 +130,10 @@ def test_unreachable_tolerance_is_reported_not_converged():
     dict(rel_tol=0.0), dict(rel_tol=-1e-6), dict(rel_tol=math.nan), dict(rel_tol=math.inf),
 ])
 def test_spec_rejects_degenerate_settings(kwargs):
-    with pytest.raises(ValueError):
-        QuadratureSpec(**kwargs)
+    # rel_tol is the one quadrature setting; the layout is fixed, so a layout
+    # key is an unknown key
+    with pytest.raises(ConfigError):
+        build_run_config("rate", {"quadrature": kwargs})
 
 
 def test_one_dimensional_reduction():
@@ -138,19 +145,32 @@ def test_one_dimensional_reduction():
 
 
 def test_oscillation_panel_rule():
-    # the radial layout must allocate at least osc_factor panels per
+    # the radial layout must allocate at least _OSC_FACTOR panels per
     # oscillation period 2*pi/(gamma*t) on the active interval
     from nsprofile.quadrature import _osc_panels, _radial_layout
 
-    spec = QuadratureSpec(base_panels=48, osc_factor=8)
     gamma_t = 500.0
     span = 0.4
-    required = spec.osc_factor * gamma_t * span / (2 * math.pi)
-    assert _osc_panels(gamma_t, span, spec) >= max(spec.base_panels, required)
+    required = _OSC_FACTOR * gamma_t * span / (2 * math.pi)
+    assert required > _BASE_PANELS
+    assert _osc_panels(gamma_t, span) >= required
 
-    nodes, _ = _radial_layout(0.0, 1.0, split=span, gamma_t=gamma_t, spec=spec, refine=0)
+    nodes, _ = _radial_layout(0.0, 1.0, split=span, gamma_t=gamma_t, refine=0)
     in_active = np.count_nonzero(nodes <= span)
     assert in_active / 8 >= required  # 8 Gauss nodes per panel
+
+
+def test_panel_nodes_cap():
+    # one panel more than the cap allows raises, naming the requested count
+    panels = _MAX_RADIAL_NODES // 8
+    with pytest.raises(QuadratureError, match=f"needs {8 * (panels + 1)} nodes"):
+        _panel_nodes(0.0, 1.0, panels + 1)
+    # a count no machine could allocate raises the same way, before allocating
+    with pytest.raises(QuadratureError, match=f"needs {8 * 10**15} nodes"):
+        _panel_nodes(0.0, 1.0, 10**15)
+    nodes, weights = _panel_nodes(0.0, 1.0, panels)
+    assert nodes.size == _MAX_RADIAL_NODES
+    assert float(np.sum(weights)) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_sine_kernel_large_time_limit_2d():
@@ -198,7 +218,7 @@ def test_profile_norm_equals_sine_kernel_times_moment():
         coef = -1j * q0 * np.exp(-PARAMS2.b * r * r * t / 2) * np.sin(PARAMS2.gamma * t * r) / r
         return coef[:, None] * xi
 
-    res = zone_norm_sq(f, PARAMS2, t, "full", QuadratureSpec(rel_tol=1e-8))
+    res = zone_norm_sq(f, PARAMS2, t, "full", 1e-8)
     assert res.converged
     assert res.value == pytest.approx(q0**2 * sine_kernel_integral(PARAMS2, t), rel=1e-6)
 
@@ -240,11 +260,15 @@ def test_angular_certificate_rejects_non_polynomial_integrand(params):
 
 
 def test_angular_certificate_accepts_enough_nodes():
-    # int_{R^2} e^{6 cos(theta) - 2 r^2} r dr dtheta = 2 pi I0(6) / 4
-    res = zone_norm_sq(_exp_cosine_field, PARAMS2, 1.0, "full",
-                       QuadratureSpec(angular_nodes=12))
+    # |f|^2 = u^4 e^{-2 r^2} has degree 4 in u, so 3 and 4 nodes are both
+    # exact: int_{R^2} cos^4(theta) e^{-2 r^2} r dr dtheta = (3 pi / 4) / 4
+    def f(xi):
+        r2 = np.sum(xi * xi, axis=1)
+        return (xi[:, 0] ** 2 / r2 * np.exp(-r2)).astype(complex)
+
+    res = zone_norm_sq(f, PARAMS2, 1.0, "full")
     assert res.converged
-    assert res.value == pytest.approx(2 * math.pi * float(np.i0(6.0)) / 4, rel=1e-6)
+    assert res.value == pytest.approx(3 * math.pi / 16, rel=1e-6)
 
 
 def test_gaussian_tail_bound_dominates_for_low_dimensions():

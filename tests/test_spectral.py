@@ -5,6 +5,7 @@ import pytest
 
 from nsprofile.model import InitialData, ModelParams, fourier_data_batch
 from nsprofile.spectral import (
+    _CONFLUENT_CUTOFF,
     _eigenvalues_batch,
     _flow_matrix,
     solve_exact_batch,
@@ -238,3 +239,57 @@ def test_oracle_matrix_power_matches_step_loop():
         got = np.concatenate([v, rho[:, None]], axis=1)
         rel = np.linalg.norm(got - y, axis=1) / np.linalg.norm(y, axis=1)
         assert float(np.max(rel)) <= 1e-12
+
+
+def test_seeded_property_sweep():
+    # coefficients log-uniform over six decades, every dimension 1..4, radii
+    # at delta0, at delta0 (1 -+ 1e-3) and at delta0 (1 -+ eps); the data
+    # width 1/delta0 keeps the data transform of order one at these radii
+    rng = np.random.default_rng(20261018)
+    for _ in range(24):
+        alpha, beta, gamma = 10.0 ** rng.uniform(-3.0, 3.0, 3)
+        n = int(rng.integers(1, 5))
+        params = ModelParams(alpha=alpha, beta=beta, gamma=gamma, n=n)
+        d0 = params.delta0
+        eps = 10.0 ** rng.uniform(-7.0, -2.0)
+        radii = d0 * np.array([1.0, 1 - 1e-3, 1 + 1e-3, 1 - eps, 1 + eps])
+        dirs = rng.normal(size=(radii.size, n))
+        xi = radii[:, None] * dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+        # |s1 - s2| t at half and at twice _CONFLUENT_CUTOFF for the radii at
+        # delta0 (1 -+ eps), so both Phi/Psi branches are evaluated there, and
+        # times over the decay scale 1/(b delta0^2)
+        s1, s2 = _eigenvalues_batch(params, radii[3:])
+        switch = _CONFLUENT_CUTOFF / np.abs(s1 - s2)
+        scale = 1.0 / (params.b * d0 * d0)
+        times = np.sort(np.concatenate([[0.0], 0.5 * switch, 2.0 * switch,
+                                        scale * 10.0 ** rng.uniform(-3.0, 2.0, 4)]))
+        amp_a, amp_b = rng.normal(size=(2, n + 1))
+        c_a, c_b = rng.normal(size=2)
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)))  # orthogonal
+
+        def data_of(amp):
+            return InitialData(tuple(amp[:n]), amp[n], 1.0 / d0)
+
+        def state(amp, points, t):
+            v, rho = solve_exact_batch(params, data_of(amp), points, t)
+            return np.concatenate([v, rho[:, None]], axis=1)
+
+        # the oracle where its step count stays small: b |xi|^2 step <= 1e-3
+        step = 1e-3 / (params.b * float(np.max(radii)) ** 2)
+        energy = np.inf
+        for t in times.tolist():
+            sa, sb = state(amp_a, xi, t), state(amp_b, xi, t)
+            assert np.all(np.isfinite(sa))
+            size_a = np.linalg.norm(sa, axis=1)
+            assert np.all(size_a ** 2 <= energy * (1 + 1e-12))
+            energy = size_a ** 2
+            lin = state(c_a * amp_a + c_b * amp_b, xi, t) - (c_a * sa + c_b * sb)
+            bound = 1e-13 * (abs(c_a) * size_a + abs(c_b) * np.linalg.norm(sb, axis=1))
+            assert np.all(np.linalg.norm(lin, axis=1) <= bound)
+            rot = state(np.append(q @ amp_a[:n], amp_a[n]), xi @ q.T, t)
+            moved = np.concatenate([sa[:, :n] @ q.T, sa[:, n:]], axis=1)
+            assert np.all(np.linalg.norm(rot - moved, axis=1) <= 1e-12 * size_a)
+            if 0 < t <= 1e5 * step:
+                v, rho = solve_ode_oracle_batch(params, data_of(amp_a), xi, t, step)
+                got = np.concatenate([v, rho[:, None]], axis=1)
+                assert np.all(np.linalg.norm(got - sa, axis=1) <= 1e-8 * size_a)
