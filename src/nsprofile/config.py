@@ -30,12 +30,7 @@ _BASE_DEFAULTS: dict[str, Any] = {
     "data": {"amplitude_v": None, "amplitude_rho": 1.0, "width": 1.0},
     "time_grid": {"t_min": 100.0, "t_max": 1.0e4, "points": 11},
     "quadrature": {"rel_tol": DEFAULT_REL_TOL},
-    "thresholds": {"rate_slope_tol": 0.05, "remainder_slope_margin": 0.1,
-                   "sandwich_max_ratio": 2.0, "kernel_max_ratio": 4.0,
-                   "oracle_max_rel_err": 1.0e-8, "oracle_runtime_budget_s": 30.0,
-                   "bounds_cushion": 1.05, "highfreq_min_r_squared": 0.99},
-    "oracle": {"r_min": 0.05, "r_max": 5.0, "radii": 10, "times": 10,
-               "t_min": 0.1, "t_max": 20.0, "step": 1.0e-4, "seed": 0},
+    "oracle": {"step": 1.0e-4, "seed": 0},
     "plot": {"input_csv": "", "x": "t", "y": [], "axes": "loglog", "title": ""},
     "emit_svg": True,
 }
@@ -113,8 +108,7 @@ class RunConfig:
     data: InitialData
     times: np.ndarray
     rel_tol: float
-    thresholds: dict[str, float]
-    oracle: dict[str, float]
+    oracle: dict[str, Any]
     plot: dict[str, Any]
     emit_svg: bool
     raw: dict[str, Any]
@@ -168,6 +162,11 @@ def build_run_config(subcommand: str, user: dict[str, Any]) -> RunConfig:
     rel_tol = float(cfg["quadrature"]["rel_tol"])
     if not 0 < rel_tol < math.inf:
         raise ConfigError(f"quadrature.rel_tol must be finite and positive, got {rel_tol}")
+    o = cfg["oracle"]
+    if not 0 < o["step"] < math.inf:
+        raise ConfigError(f"oracle.step must be finite and positive, got {o['step']}")
+    if o["seed"] < 0:
+        raise ConfigError(f"oracle.seed must be >= 0, got {o['seed']}")
 
     return RunConfig(
         subcommand=subcommand,
@@ -175,8 +174,7 @@ def build_run_config(subcommand: str, user: dict[str, Any]) -> RunConfig:
         data=data,
         times=times,
         rel_tol=rel_tol,
-        thresholds={k: float(v) for k, v in cfg["thresholds"].items()},
-        oracle=cfg["oracle"],
+        oracle=o,
         plot=cfg["plot"],
         emit_svg=cfg["emit_svg"],
         raw=cfg,

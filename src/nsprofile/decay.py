@@ -95,10 +95,10 @@ def fit_semilog(series: DecaySeries, window: tuple[int, int] | None = None) -> D
 
 def zone_series(field_at, params: ModelParams, times: np.ndarray, zone: str,
                 rel_tol: float, threads: int) -> np.ndarray:
-    """Converged :func:`zone_norm_sq` of the integrand ``field_at(t)`` at each
-    time, mapped in order over ``threads`` workers."""
+    """:func:`zone_norm_sq` of the integrand ``field_at(t)`` at each time,
+    mapped in order over ``threads`` workers."""
     def at(t: float) -> float:
-        return zone_norm_sq(field_at(t), params, t, zone, rel_tol).require_converged().value
+        return zone_norm_sq(field_at(t), params, t, zone, rel_tol).value
 
     return np.array(ordered_map(at, [float(t) for t in times], threads))
 
@@ -298,7 +298,7 @@ def highfreq_energy(params: ModelParams, data: InitialData, times: np.ndarray,
     # radius by the data width instead of the default t-dependent formula
     r_max = max(4.0 * params.delta0, 12.0 / data.width)
     e_h0 = zone_norm_sq(_energy_field(params, data, 0.0), params, 0.0, "high", rel_tol,
-                        r_max=r_max).require_converged().value
+                        r_max=r_max).value
 
     remaining = np.array([float(np.trapezoid(values[i:], times[i:]))
                           for i in range(times.size - 1)])

@@ -18,7 +18,8 @@ panels where the integrand has already underflowed.  One refinement loop
 (:func:`_refine`) serves both the zone norms and the 1-d oscillatory kernel
 integrals: the layout starts coarse and doubles until two successive levels
 agree to ``rel_tol``; every result carries that difference as its error
-estimate, plus an estimate of the truncated tail (see :func:`zone_norm_sq`).
+estimate, plus an estimate of the truncated tail (see :func:`zone_norm_sq`),
+and a call whose levels never agree raises :class:`QuadratureError`.
 The layout is fixed by the constants below, so ``rel_tol`` is the only
 accuracy setting, and a level that would need more than ``_MAX_RADIAL_NODES``
 radial nodes on one interval raises :class:`QuadratureError` instead of
@@ -70,15 +71,6 @@ class ZoneNorm:
     zone: str
     value: float
     est_error: float
-    converged: bool
-
-    def require_converged(self) -> "ZoneNorm":
-        if not self.converged:
-            raise QuadratureError(
-                f"{self.zone}-zone norm did not converge: value={self.value:.6g}, "
-                f"est_error={self.est_error:.3g}"
-            )
-        return self
 
 
 def sphere_area(n: int) -> float:
@@ -260,10 +252,11 @@ def default_r_max(params: ModelParams, t: float) -> float:
     return max(4.0 * params.delta0, 8.0 / math.sqrt(params.alpha * t))
 
 
-def _refine(evaluate: Callable[[int], float], tail: float,
-            rel_tol: float = DEFAULT_REL_TOL) -> tuple[float, float, bool]:
+def _refine(evaluate: Callable[[int], float], tail: float, rel_tol: float,
+            label: str) -> tuple[float, float]:
     """Evaluate levels 0, 1, ... until two successive ones agree to ``rel_tol``;
-    returns (value, est_error, converged), est_error = level gap + ``tail``."""
+    returns (value, est_error), est_error = level gap + ``tail``, or raises
+    :class:`QuadratureError` naming ``label`` if no level does."""
     coarse = evaluate(0)
     diff = math.inf
     for refine in range(1, _MAX_REFINEMENTS + 1):
@@ -271,9 +264,10 @@ def _refine(evaluate: Callable[[int], float], tail: float,
         diff = abs(fine - coarse)
         scale = max(abs(fine), 1e-300)
         if diff + tail <= rel_tol * scale or (fine == 0.0 and diff == 0.0):
-            return fine, diff + tail, True
+            return fine, diff + tail
         coarse = fine
-    return coarse, diff + tail, False
+    raise QuadratureError(f"{label} did not converge: value={coarse:.6g}, "
+                          f"est_error={diff + tail:.3g}")
 
 
 def zone_norm_sq(f: Callable[[np.ndarray], np.ndarray], params: ModelParams, t: float,
@@ -288,9 +282,13 @@ def zone_norm_sq(f: Callable[[np.ndarray], np.ndarray], params: ModelParams, t: 
     {|xi| <= delta0/sqrt(2)}, "high" = the complement truncated at r_max,
     "full" = both.  A truncated zone adds the tail estimate: the largest |f|^2
     at r_max over the k angular nodes, not over the sphere (a u^2 term at
-    n = 2, k = 3 shows 3/4 of its sphere maximum there), times a radial
-    Gaussian bound; only the radial factor is a bound.  ``r_max`` overrides
-    the truncation radius :func:`default_r_max`.
+    n = 2, k = 3 shows 3/4 of its sphere maximum there), times the radial
+    integral of e^(-min(2 alpha, b) t (r^2 - r_max^2)).  That is no bound
+    either: it assumes |f|^2 decays like this Gaussian past r_max, but the slow
+    overdamped root tends to -a/b, so the energy field decays in r only
+    through the data envelope and the tail can exceed the estimate.
+    ``r_max`` overrides the truncation radius :func:`default_r_max`.  An
+    unconverged norm raises :class:`QuadratureError`.
     """
     n = params.n
     if zone == "low":
@@ -326,7 +324,7 @@ def zone_norm_sq(f: Callable[[np.ndarray], np.ndarray], params: ModelParams, t: 
         lam = min(2.0 * params.alpha, params.b) * max(t, 0.0)
         tail = edge * sphere_area(n) * _gaussian_tail_bound(r_hi, lam, n) if lam > 0 else 0.0
 
-    return ZoneNorm(zone, *_refine(evaluate, tail, rel_tol))
+    return ZoneNorm(zone, *_refine(evaluate, tail, rel_tol, f"{zone}-zone norm"))
 
 
 def _damped_square_integral(wave: Callable[[np.ndarray], np.ndarray], params: ModelParams,
@@ -342,14 +340,10 @@ def _damped_square_integral(wave: Callable[[np.ndarray], np.ndarray], params: Mo
     tail = math.exp(-_DECAY_EXPONENT) * _gaussian_tail_bound(r_hi, b * t, n)
 
     def evaluate(refine: int) -> float:
-        panels = _osc_panels(gamma_t, r_hi) * 2 ** refine
-        r, w = _panel_nodes(0.0, r_hi, panels)
+        r, w = _radial_layout(0.0, r_hi, r_hi, gamma_t, refine)
         return float(np.dot(np.exp(-b * t * r * r) * wave(gamma_t * r) ** 2 * r ** (n - 1), w))
 
-    value, _, converged = _refine(evaluate, tail, rel_tol)
-    if not converged:
-        raise QuadratureError(f"{label} integral did not converge at t={t}")
-    return value
+    return _refine(evaluate, tail, rel_tol, f"{label} integral at t={t}")[0]
 
 
 def sine_kernel_integral(params: ModelParams, t: float,

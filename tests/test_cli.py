@@ -7,7 +7,13 @@ import pytest
 
 from nsprofile import cli
 from nsprofile.cli import main
-from nsprofile.config import ConfigError, build_run_config, config_hash, merge_config
+from nsprofile.config import (
+    ConfigError,
+    build_run_config,
+    config_hash,
+    default_config,
+    merge_config,
+)
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -71,6 +77,20 @@ def test_build_accepts_ints_and_null_where_typed():
         build_run_config("rate", {"params": {"alpha": None}})
 
 
+def test_readme_config_block_matches_defaults():
+    # the README's config block is valid and shows every section and key
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Configuration", 1)[1]
+    block = json.loads(section.split("```json", 1)[1].split("```", 1)[0])
+    merge_config("rate", block)
+
+    def keys(cfg):
+        return {name: sorted(value) if isinstance(value, dict) else None
+                for name, value in cfg.items()}
+
+    assert keys(block) == keys(default_config("rate"))
+
+
 def test_highfreq_allows_small_t_min():
     cfg = build_run_config("highfreq", {})
     assert cfg.times[0] == pytest.approx(2.0)
@@ -124,15 +144,15 @@ def test_cli_rate_coarse_run(tmp_path):
 
 
 def test_cli_verdict_failure_exit_1(tmp_path):
-    # an impossible tolerance turns the same passing run into a verdict failure
+    # on the pre-asymptotic grid t in [1, 4] the fitted slope is far from -n/4
     out = tmp_path / "out"
     path = write_config(tmp_path, {
-        "time_grid": {"t_min": 100.0, "t_max": 2000.0, "points": 8},
-        "thresholds": {"rate_slope_tol": 1e-9},
+        "time_grid": {"t_min": 1.0, "t_max": 4.0, "points": 8},
     })
     assert main(["rate", "--config", path, "--out", str(out)]) == 1
     verdict = json.loads((out / "rate.json").read_text())
     assert verdict["pass"] is False
+    assert verdict["metrics"]["slope"] > -0.5 + verdict["thresholds"]["rate_slope_tol"]
 
 
 def test_cli_threads_do_not_change_bytes(tmp_path):
@@ -221,11 +241,18 @@ def assert_rejected_by_config(tmp_path, capsys, subcommand, payload):
     # finite coefficients whose squares overflow
     {"params": {"beta": 1e308}},
     {"params": {"gamma": 1e200}},
-    # bool("false") is True; int(4.5) would silently run 4 radii
+    # bool("false") is True
     {"emit_svg": "false"},
-    {"oracle": {"radii": 4.5}},
+    # the oracle grid is fixed: its old keys are unknown, even at their old values
+    {"oracle": {"radii": 10}},
     # a (4 delta0)^2 overflows in the kernels although gamma^2 is finite
     {"params": {"gamma": 1e150}},
+    {"oracle": {"times": 10}}, {"oracle": {"r_min": 0.05}}, {"oracle": {"r_max": 5.0}},
+    {"oracle": {"t_min": 0.1}}, {"oracle": {"t_max": 20.0}},
+    {"oracle": {"step": math.nan}}, {"oracle": {"step": 0.0}}, {"oracle": {"step": -1.0}},
+    {"oracle": {"step": math.inf}}, {"oracle": {"seed": -1}},
+    # a config names the run, not its pass mark
+    {"thresholds": {"rate_slope_tol": math.inf}},
 ])
 def test_cli_bad_value_exits_2(tmp_path, capsys, payload):
     # json writes NaN/Infinity, which json.load reads back as floats

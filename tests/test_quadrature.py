@@ -46,7 +46,7 @@ def test_cone_cap_area_values():
 def test_low_zone_disk_area():
     res = zone_norm_sq(lambda xi: np.ones(xi.shape[0], dtype=complex),
                        PARAMS2, t=1.0, zone="low")
-    assert res.converged
+    assert res.est_error <= 1e-6 * res.value
     assert res.value == pytest.approx(math.pi / 2, rel=1e-12)
 
 
@@ -55,7 +55,7 @@ def test_full_zone_gaussian_closed_form(params, t):
     # int e^{-2 alpha |xi|^2 t} dxi = (pi/(2 alpha t))^{n/2}
     f = lambda xi: np.exp(-params.alpha * np.sum(xi * xi, axis=1) * t).astype(complex)
     res = zone_norm_sq(f, params, t=t, zone="full")
-    assert res.converged
+    assert res.est_error <= 1e-6 * res.value
     assert res.value == pytest.approx((math.pi / (2 * params.alpha * t)) ** (params.n / 2),
                                       rel=1e-8)
 
@@ -81,7 +81,7 @@ def test_refinement_convergence_under_panel_doubling():
 
     a = zone_norm_sq(f, PARAMS2, t, "low")
     b = zone_norm_sq(f, PARAMS2, t, "low", 1e-12)
-    assert a.converged and b.converged and b.est_error < a.est_error
+    assert b.est_error < a.est_error <= 1e-6 * a.value
     assert abs(a.value - b.value) <= 1e-6 * b.value
 
 
@@ -96,7 +96,7 @@ def test_oscillation_factor_aliasing_guard():
 
     a = zone_norm_sq(f, PARAMS2, t, "low")
     b = zone_norm_sq(f, PARAMS2, t, "low", 1e-12)
-    assert a.converged and b.converged and b.est_error < a.est_error
+    assert b.est_error < a.est_error <= 1e-6 * a.value
     assert a.value == pytest.approx(b.value, rel=1e-6)
 
 
@@ -114,14 +114,12 @@ def test_unreachable_tolerance_is_reported_not_converged():
     params = ModelParams(alpha=1.0, beta=1.0, gamma=1.0, n=1)
     t = 10.0
     f = lambda xi: np.exp(-params.alpha * xi[:, 0] ** 2 * t).astype(complex)
-    res = zone_norm_sq(f, params, t, "full", 1e-300)
-    assert not res.converged
-    assert res.value > 0 and res.est_error > 0
-    with pytest.raises(QuadratureError):
-        res.require_converged()
-    with pytest.raises(QuadratureError, match="sine-kernel"):
+    with pytest.raises(QuadratureError,
+                       match=r"full-zone norm did not converge: value=\S+, est_error=\S+"):
+        zone_norm_sq(f, params, t, "full", 1e-300)
+    with pytest.raises(QuadratureError, match="sine-kernel integral at t=10.0 did not converge"):
         sine_kernel_integral(params, t, 1e-300)
-    with pytest.raises(QuadratureError, match="cone"):
+    with pytest.raises(QuadratureError, match="cone integral at t=10.0 did not converge"):
         cone_cosine_integral(params, t, 1e-300)
 
 
@@ -219,7 +217,7 @@ def test_profile_norm_equals_sine_kernel_times_moment():
         return coef[:, None] * xi
 
     res = zone_norm_sq(f, PARAMS2, t, "full", 1e-8)
-    assert res.converged
+    assert res.est_error <= 1e-8 * res.value
     assert res.value == pytest.approx(q0**2 * sine_kernel_integral(PARAMS2, t), rel=1e-6)
 
 
@@ -267,7 +265,7 @@ def test_angular_certificate_accepts_enough_nodes():
         return (xi[:, 0] ** 2 / r2 * np.exp(-r2)).astype(complex)
 
     res = zone_norm_sq(f, PARAMS2, 1.0, "full")
-    assert res.converged
+    assert res.est_error <= 1e-6 * res.value
     assert res.value == pytest.approx(3 * math.pi / 16, rel=1e-6)
 
 
