@@ -73,7 +73,8 @@ def run_oracle_check(cfg: RunConfig, threads: int):
         v_o, rho_o = solve_ode_oracle_batch(cfg.params, cfg.data, xi, float(t), step)
         exact = np.concatenate([v_e, rho_e[:, None]], axis=1)
         oracle = np.concatenate([v_o, rho_o[:, None]], axis=1)
-        rel = np.linalg.norm(exact - oracle, axis=1) / np.linalg.norm(exact, axis=1)
+        rel = (np.linalg.norm(exact - oracle, axis=1)
+               / np.linalg.norm(exact, axis=1))
         columns["r"].extend(radii)
         columns["t"].extend([t] * n_r)
         columns["rel_err"].extend(rel)

@@ -57,7 +57,8 @@ def test_build_rejects_bad_types_and_invariants():
     with pytest.raises(ConfigError):
         build_run_config("rate", {"quadrature": {"angular_nodes": 0}})
     for bad in ({"emit_svg": "false"}, {"emit_svg": 1}, {"output_dir": 3},
-                {"oracle": {"radii": 4.5}}, {"oracle": {"seed": True}},
+                {"oracle": {"radii": 4.5}}, {"oracle": {"seed": 4.5}},
+                {"time_grid": {"points": 8.5}}, {"oracle": {"seed": True}},
                 {"oracle": {"step": "1e-4"}}, {"params": {"beta": 1e308}},
                 {"params": {"gamma": 1e200}},
                 # the data are always Gaussian and the time grid geometric
@@ -241,8 +242,9 @@ def assert_rejected_by_config(tmp_path, capsys, subcommand, payload):
     # finite coefficients whose squares overflow
     {"params": {"beta": 1e308}},
     {"params": {"gamma": 1e200}},
-    # bool("false") is True
+    # bool("false") is True; a fraction is rejected where an integer is expected
     {"emit_svg": "false"},
+    {"oracle": {"seed": 4.5}}, {"time_grid": {"points": 8.5}},
     # the oracle grid is fixed: its old keys are unknown, even at their old values
     {"oracle": {"radii": 10}},
     # a (4 delta0)^2 overflows in the kernels although gamma^2 is finite
