@@ -30,7 +30,7 @@ _BASE_DEFAULTS: dict[str, Any] = {
     "data": {"amplitude_v": None, "amplitude_rho": 1.0, "width": 1.0},
     "time_grid": {"t_min": 100.0, "t_max": 1.0e4, "points": 11},
     "quadrature": {"rel_tol": DEFAULT_REL_TOL},
-    "oracle": {"step": 1.0e-4, "seed": 0},
+    "oracle": {"seed": 0},
     "plot": {"input_csv": "", "x": "t", "y": [], "axes": "loglog", "title": ""},
     "emit_svg": True,
 }
@@ -163,8 +163,6 @@ def build_run_config(subcommand: str, user: dict[str, Any]) -> RunConfig:
     if not 0 < rel_tol < math.inf:
         raise ConfigError(f"quadrature.rel_tol must be finite and positive, got {rel_tol}")
     o = cfg["oracle"]
-    if not 0 < o["step"] < math.inf:
-        raise ConfigError(f"oracle.step must be finite and positive, got {o['step']}")
     if o["seed"] < 0:
         raise ConfigError(f"oracle.seed must be >= 0, got {o['seed']}")
 

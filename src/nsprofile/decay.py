@@ -104,13 +104,12 @@ def zone_series(field_at, params: ModelParams, times: np.ndarray, zone: str,
 
 
 def velocity_norm_series(params: ModelParams, data: InitialData, times: np.ndarray,
-                         rel_tol: float = DEFAULT_REL_TOL, threads: int = 1,
-                         zone: str = "full") -> DecaySeries:
+                         rel_tol: float = DEFAULT_REL_TOL, threads: int = 1) -> DecaySeries:
     """L^2 norms ||v_hat(t, .)|| of the exact solution on a time grid."""
     def field_at(t: float):
         return lambda xi: solve_exact_batch(params, data, xi, t)[0]
 
-    values = zone_series(field_at, params, times, zone, rel_tol, threads)
+    values = zone_series(field_at, params, times, "full", rel_tol, threads)
     return DecaySeries(np.asarray(times, float), np.sqrt(values), label="velocity-norm")
 
 

@@ -83,17 +83,13 @@ def sphere_area(n: int) -> float:
 def cone_cap_area(n: int) -> float:
     """Measure of the unit-sphere cap {w : w.e >= 1/2} in R^n.
 
-    Closed form 2*pi/3 for n = 2 and pi for n = 3; other dimensions use the
-    polar-angle integral of sin^{n-2} over [0, pi/3].
+    For n >= 2 the polar-angle integral of sin^{n-2} over [0, pi/3] times the
+    area of S^{n-2}: 2*pi/3 for n = 2 and pi for n = 3.
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
     if n == 1:
         return 1.0
-    if n == 2:
-        return 2.0 * math.pi / 3.0
-    if n == 3:
-        return math.pi
     nodes = 0.5 * (_GL_NODES + 1.0) * (math.pi / 3.0)
     weights = 0.5 * (math.pi / 3.0) * _GL_WEIGHTS
     return sphere_area(n - 1) * float(np.sum(np.sin(nodes) ** (n - 2) * weights))
@@ -116,15 +112,13 @@ def _panel_nodes(lo: float, hi: float, panels: int) -> tuple[np.ndarray, np.ndar
 def _gauss_u(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """k-node Gauss rule on [-1, 1] for the weight (1-u^2)^((n-3)/2), n >= 2.
 
-    n = 2 is Gauss-Chebyshev in closed form and n = 3 Gauss-Legendre.  For
-    n >= 4 (Gauss-Gegenbauer) the nodes are the eigenvalues of the symmetric
+    n = 2 is Gauss-Chebyshev in closed form.  For n >= 3 (Gauss-Gegenbauer,
+    Gauss-Legendre at n = 3) the nodes are the eigenvalues of the symmetric
     Jacobi matrix of the weight and the weights are its total mass times the
     squared first components of the eigenvectors (Golub & Welsch 1969).
     """
     if n == 2:
         return np.cos((2 * np.arange(k) + 1) * math.pi / (2 * k)), np.full(k, math.pi / k)
-    if n == 3:
-        return leggauss(k)
     a = (n - 3) / 2
     j = np.arange(1, k)
     off = np.sqrt(j * (j + 2 * a) / ((2 * j + 2 * a - 1) * (2 * j + 2 * a + 1)))

@@ -8,9 +8,12 @@ system
 
 The transverse part of v follows a pure heat flow; the longitudinal pair
 (rho, xi.v) evolves by a 2x2 flow whose eigenvalues are the roots of
-lambda^2 + b |xi|^2 lambda + a |xi|^2.  The closed form is evaluated with a
-confluent (double-root) branch and a series-stabilized divided difference so
-it is smooth across the resonance radius delta0.
+lambda^2 + b |xi|^2 lambda + a |xi|^2: a conjugate pair below the resonance
+radius delta0, real above it.  The flow needs only their divided differences
+Phi and Psi, which are real on every branch: damped cos/sin below delta0, the
+real root difference above it, and a series near the double root, so the
+closed form is smooth across delta0 and complex numbers enter only through
+the -i gamma coupling.
 
 The solution is linear in the data: one batched kernel (:func:`_flow`) maps
 the data transform, the zeroth moments or the moment remainder to their flow.
@@ -30,54 +33,42 @@ from .model import InitialData, ModelParams, fourier_data_batch
 _CONFLUENT_CUTOFF = 1e-6
 
 
-def _eigenvalues_batch(params: ModelParams, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Roots (sigma1, sigma2) of lambda^2 + b r^2 lambda + a r^2 at radii r >= 0.
-
-    On the real branch sigma1 is the small-magnitude root (computed
-    cancellation-free as a r^2 / sigma2) and sigma2 the large-magnitude one.
+def _phi_psi(params: ModelParams, r2: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Real divided differences Phi = (e^{s1 t}-e^{s2 t})/(s1-s2) and
+    Psi = (s1 e^{s1 t}-s2 e^{s2 t})/(s1-s2) at |xi|^2 = r2, where s1, s2 are the
+    roots of lambda^2 + b r^2 lambda + a r^2: a conjugate pair m -+ i w below
+    delta0, real above it, a double root at delta0.
     """
     a, b = params.a, params.b
-    r = np.asarray(r, dtype=float)
-    r2 = r * r
-    disc = 4.0 * a - b * b * r2  # > 0 oscillatory, 0 at r = delta0, < 0 overdamped
-    s1 = np.empty(r.shape, dtype=complex)
-    s2 = np.empty(r.shape, dtype=complex)
-    osc = disc > 0.0
-    re = -0.5 * b * r2[osc]
-    im = 0.5 * r[osc] * np.sqrt(disc[osc])
-    s1[osc] = re + 1j * im
-    s2[osc] = re - 1j * im
-    dbl = disc == 0.0
-    s1[dbl] = s2[dbl] = -0.5 * b * r2[dbl]
-    over = disc < 0.0
-    big = -0.5 * (b * r2[over] + r[over] * np.sqrt(-disc[over]))
-    s1[over] = (a * r2[over]) / big
-    s2[over] = big
-    return s1, s2
-
-
-def _phi_psi(s1: np.ndarray, s2: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Divided differences Phi = (e^{s1 t}-e^{s2 t})/(s1-s2) and
-    Psi = (s1 e^{s1 t}-s2 e^{s2 t})/(s1-s2), stable through the double root."""
-    s1 = np.asarray(s1, dtype=complex)
-    s2 = np.asarray(s2, dtype=complex)
-    diff = s1 - s2
-    phi = np.empty(s1.shape, dtype=complex)
-    psi = np.empty(s1.shape, dtype=complex)
-    near = np.abs(diff) * t < _CONFLUENT_CUTOFF
-    far = ~near
-    e1 = np.exp(s1[far] * t)
-    e2 = np.exp(s2[far] * t)
-    phi[far] = (e1 - e2) / diff[far]
-    psi[far] = (s1[far] * e1 - s2[far] * e2) / diff[far]
-    # Near-confluent: Phi = t e^{mt} sinhc(dt), Psi = e^{mt}(m t sinhc(dt) + cosh(dt))
-    m = 0.5 * (s1[near] + s2[near])
-    d = 0.5 * diff[near]
-    z = d * t
-    sinhc = 1.0 + z * z / 6.0 * (1.0 + z * z / 20.0)
-    emt = np.exp(m * t)
+    r = np.sqrt(r2)
+    rr = r * r  # not r2: r2 one ulp apart (xi and a rotated xi) often share r, so disc
+    disc = 4.0 * a - b * b * rr  # > 0 oscillatory, 0 at r = delta0, < 0 overdamped
+    gap = r * np.sqrt(np.abs(disc))  # |s1 - s2|
+    m = -0.5 * b * rr  # (s1 + s2) / 2
+    phi = np.empty(r.shape)
+    psi = np.empty(r.shape)
+    near = gap * t < _CONFLUENT_CUTOFF
+    osc = ~near & (disc > 0.0)
+    emt = np.exp(m[osc] * t)
+    w = 0.5 * gap[osc]
+    sin_w = np.sin(w * t) / w
+    phi[osc] = emt * sin_w
+    psi[osc] = emt * (np.cos(w * t) + m[osc] * sin_w)
+    # real roots: s2 the large one, s1 = a r^2 / s2 free of cancellation
+    over = ~near & (disc < 0.0)
+    s2 = m[over] - 0.5 * gap[over]
+    s1 = a * rr[over] / s2
+    e1, e2 = np.exp(s1 * t), np.exp(s2 * t)
+    phi[over] = (e1 - e2) / (s1 - s2)
+    psi[over] = (s1 * e1 - s2 * e2) / (s1 - s2)
+    # near-confluent: Phi = t e^{mt} sinhc(z), Psi = e^{mt}(m t sinhc(z) + cosh(z))
+    # in z^2 = (s1-s2)^2 t^2 / 4, negative when oscillatory; |z| < 5e-7 leaves
+    # the z^4 terms below 1e-26
+    z2 = -0.25 * disc[near] * rr[near] * t * t
+    sinhc = 1.0 + z2 / 6.0
+    emt = np.exp(m[near] * t)
     phi[near] = t * emt * sinhc
-    psi[near] = emt * (m * t * sinhc + np.cosh(z))
+    psi[near] = emt * (m[near] * t * sinhc + 1.0 + z2 / 2.0)
     return phi, psi
 
 
@@ -105,10 +96,9 @@ def _flow(params: ModelParams, xi: np.ndarray, r2: np.ndarray, t: float,
                   + (Psi - e^{-alpha r^2 t}) xi (xi.v0)/r^2,
         rho_hat = (Psi + b r^2 Phi) rho0 - i gamma Phi (xi.v0).
     """
-    s1, s2 = _eigenvalues_batch(params, np.sqrt(r2))
-    phi, psi = _phi_psi(s1, s2, t)
+    phi, psi = _phi_psi(params, r2, t)
     heat = np.exp(-params.alpha * r2 * t)
-    w0 = np.einsum("ij,ij->i", xi.astype(complex), v0)
+    w0 = np.einsum("ij,ij->i", xi, v0)
     v_hat = (heat[:, None] * v0
              - 1j * params.gamma * phi[:, None] * xi * rho0[:, None]
              + ((psi - heat) * w0 / r2)[:, None] * xi)

@@ -2,7 +2,9 @@
 
 The two quadratures integrate in radial coordinates with plain panel-wise
 Gauss-Legendre, independently of the package's own quadrature; the density
-residual checks the closed-form solution against its second-order ODE.
+residual checks the closed-form solution against its second-order ODE; the
+complex roots and their divided differences are the reference for the
+package's real Phi and Psi.
 """
 
 import math
@@ -88,3 +90,43 @@ def density_ode_residual(params: ModelParams, data: InitialData, xi: np.ndarray,
     rho_t = (rp - rm) / (2.0 * dt)
     r2 = r * r
     return abs(rho_tt + params.b * r2 * rho_t + params.a * r2 * r0)
+
+
+def complex_roots(params: ModelParams, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Roots (sigma1, sigma2) of lambda^2 + b r^2 lambda + a r^2 at radii r >= 0,
+    as complex arrays.
+
+    On the real branch sigma1 is the small-magnitude root (computed
+    cancellation-free as a r^2 / sigma2) and sigma2 the large-magnitude one.
+    """
+    a, b = params.a, params.b
+    r = np.asarray(r, dtype=float)
+    r2 = r * r
+    disc = 4.0 * a - b * b * r2  # > 0 oscillatory, 0 at r = delta0, < 0 overdamped
+    s1 = np.empty(r.shape, dtype=complex)
+    s2 = np.empty(r.shape, dtype=complex)
+    osc = disc > 0.0
+    re = -0.5 * b * r2[osc]
+    im = 0.5 * r[osc] * np.sqrt(disc[osc])
+    s1[osc] = re + 1j * im
+    s2[osc] = re - 1j * im
+    dbl = disc == 0.0
+    s1[dbl] = s2[dbl] = -0.5 * b * r2[dbl]
+    over = disc < 0.0
+    big = -0.5 * (b * r2[over] + r[over] * np.sqrt(-disc[over]))
+    s1[over] = (a * r2[over]) / big
+    s2[over] = big
+    return s1, s2
+
+
+def complex_phi_psi(s1: np.ndarray, s2: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Divided differences Phi = (e^{s1 t}-e^{s2 t})/(s1-s2) and
+    Psi = (s1 e^{s1 t}-s2 e^{s2 t})/(s1-s2) in complex arithmetic, the double
+    root s1 = s2 giving Phi = t e^{s1 t} and Psi = (1 + s1 t) e^{s1 t}."""
+    s1 = np.asarray(s1, dtype=complex)
+    s2 = np.asarray(s2, dtype=complex)
+    e1, e2 = np.exp(s1 * t), np.exp(s2 * t)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        phi = np.where(s1 == s2, t * e1, (e1 - e2) / (s1 - s2))
+        psi = np.where(s1 == s2, (1.0 + s1 * t) * e1, (s1 * e1 - s2 * e2) / (s1 - s2))
+    return phi, psi

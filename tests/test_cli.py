@@ -178,6 +178,7 @@ def test_cli_oracle_check_default_grid(tmp_path):
     assert verdict["pass"] is True
     assert verdict["metrics"]["max_rel_err"] <= 1e-8
     assert verdict["metrics"]["runtime_within_budget"] is True
+    assert verdict["metrics"]["step"] == 1e-4
 
 
 def test_cli_plot_from_produced_csv(tmp_path):
@@ -251,6 +252,8 @@ def assert_rejected_by_config(tmp_path, capsys, subcommand, payload):
     {"params": {"gamma": 1e150}},
     {"oracle": {"times": 10}}, {"oracle": {"r_min": 0.05}}, {"oracle": {"r_max": 5.0}},
     {"oracle": {"t_min": 0.1}}, {"oracle": {"t_max": 20.0}},
+    # so is the RK4 step: its old key is unknown at any value
+    {"oracle": {"step": 1e-4}},
     {"oracle": {"step": math.nan}}, {"oracle": {"step": 0.0}}, {"oracle": {"step": -1.0}},
     {"oracle": {"step": math.inf}}, {"oracle": {"seed": -1}},
     # a config names the run, not its pass mark

@@ -114,15 +114,14 @@ def test_moment_defect_equals_exact_minus_moment_flow():
 def test_moment_defect_alternate_coefficient_fails_identity():
     # swapping the divided-difference coefficient to (s1 e^{s2 t} - s2 e^{s1 t})
     # breaks the identity, confirming the implemented branch
-    from nsprofile.spectral import _eigenvalues_batch, _phi_psi
+    from nsprofile.spectral import _phi_psi
 
     data = InitialData(amplitude_v=(0.3, -0.2), amplitude_rho=0.7, width=1.0)
     mom = moments(data)
     xi = np.array([0.2, 0.35])
     t = 7.0
     r2 = float(xi @ xi)
-    s1, s2 = _eigenvalues_batch(PARAMS, np.sqrt([r2]))
-    phi, psi = _phi_psi(s1, s2, t)
+    phi, psi = _phi_psi(PARAMS, np.array([r2]), t)
     alt_psi = psi[0] + PARAMS.b * r2 * phi[0]  # equals (s1 e^{s2 t}-s2 e^{s1 t})/(s1-s2)
     heat = math.exp(-PARAMS.alpha * r2 * t)
     env = math.exp(-r2 / 2) - 1.0

@@ -6,12 +6,12 @@ import pytest
 from nsprofile.model import InitialData, ModelParams, fourier_data_batch
 from nsprofile.spectral import (
     _CONFLUENT_CUTOFF,
-    _eigenvalues_batch,
     _flow_matrix,
+    _phi_psi,
     solve_exact_batch,
     solve_ode_oracle_batch,
 )
-from oracles import density_ode_residual
+from oracles import complex_phi_psi, complex_roots, density_ode_residual
 
 PARAMS = ModelParams(alpha=1.0, beta=1.0, gamma=1.0, n=2)
 DATA = InitialData(amplitude_v=(0.1, 0.0), amplitude_rho=1.0, width=1.0)
@@ -33,7 +33,7 @@ def energy(state):
 
 
 def roots(r):
-    s1, s2 = _eigenvalues_batch(PARAMS, np.array([r]))
+    s1, s2 = complex_roots(PARAMS, np.array([r]))
     return complex(s1[0]), complex(s2[0])
 
 
@@ -61,10 +61,40 @@ def test_eigenvalues_overdamped_branch():
 def test_root_identities_across_radii():
     a, b = PARAMS.a, PARAMS.b
     r = np.geomspace(1e-6, 1e3, 60)
-    s1, s2 = _eigenvalues_batch(PARAMS, r)
+    s1, s2 = complex_roots(PARAMS, r)
     np.testing.assert_allclose(s1 + s2, -b * r * r, rtol=1e-12, atol=0)
     np.testing.assert_allclose(s1 * s2, a * r * r, rtol=1e-12, atol=0)
     assert np.all(s1.real <= 0) and np.all(s2.real <= 0)
+
+
+def assert_phi_psi_match_reference(params, r, t):
+    """Real Phi, Psi of the kernel against the complex reference at radii r, t > 0.
+
+    The reference forms e^{s1 t} - e^{s2 t} directly. Each e^{s t} is off by
+    about eps (1 + |s| t) of itself, so the quotient by s1 - s2 is off by
+    eps sum (1 + |s| t) |e^{s t}| / |s1 - s2|: near the double root that is
+    eps / (|s1 - s2| t) of the size t e^{mt} of Phi, the reference's own
+    cancellation. At a double root the reference takes the limit t e^{s t},
+    and t replaces 1 / |s1 - s2|. Psi weighs each term by |s| + 1/t more.
+    """
+    s1, s2 = complex_roots(params, r)
+    ref_phi, ref_psi = complex_phi_psi(s1, s2, t)
+    phi, psi = _phi_psi(params, r * r, t)
+    assert phi.dtype == psi.dtype == np.float64
+    gap = np.abs(s1 - s2)
+    lever = np.divide(1.0, gap, out=np.full(gap.shape, t), where=gap > 0)
+    c1, c2 = ((1.0 + np.abs(s) * t) * np.abs(np.exp(s * t)) for s in (s1, s2))
+    tol = 4.0 * np.finfo(float).eps * lever
+    assert np.all(np.abs(phi - ref_phi) <= tol * (c1 + c2))
+    psi_size = c1 * (np.abs(s1) + 1.0 / t) + c2 * (np.abs(s2) + 1.0 / t)
+    assert np.all(np.abs(psi - ref_psi) <= tol * psi_size)
+
+
+@pytest.mark.parametrize("t", [1e-3, 0.1, 1.0, 3.0, 10.0, 100.0])
+def test_phi_psi_real_and_match_complex_reference(t):
+    # oscillatory, double root (disc = 0 exactly at r = delta0 = 1), overdamped,
+    # and far overdamped, where a r^2 / s2 keeps the small root accurate
+    assert_phi_psi_match_reference(PARAMS, np.array([0.5, PARAMS.delta0, 2.0, 10.0]), t)
 
 
 @pytest.mark.parametrize("eps", [1e-4, 1e-6])
@@ -255,11 +285,11 @@ def test_seeded_property_sweep():
         radii = d0 * np.array([1.0, 1 - 1e-3, 1 + 1e-3, 1 - eps, 1 + eps])
         dirs = rng.normal(size=(radii.size, n))
         xi = radii[:, None] * dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
-        # |s1 - s2| t at half and at twice _CONFLUENT_CUTOFF for the radii at
-        # delta0 (1 -+ eps), so both Phi/Psi branches are evaluated there, and
-        # times over the decay scale 1/(b delta0^2)
-        s1, s2 = _eigenvalues_batch(params, radii[3:])
-        switch = _CONFLUENT_CUTOFF / np.abs(s1 - s2)
+        # |s1 - s2| t = r sqrt|disc| t at half and at twice _CONFLUENT_CUTOFF
+        # for the radii at delta0 (1 -+ eps), so both Phi/Psi branches are
+        # evaluated there, and times over the decay scale 1/(b delta0^2)
+        r = radii[3:]
+        switch = _CONFLUENT_CUTOFF / (r * np.sqrt(np.abs(4.0 * params.a - (params.b * r) ** 2)))
         scale = 1.0 / (params.b * d0 * d0)
         times = np.sort(np.concatenate([[0.0], 0.5 * switch, 2.0 * switch,
                                         scale * 10.0 ** rng.uniform(-3.0, 2.0, 4)]))
@@ -278,6 +308,8 @@ def test_seeded_property_sweep():
         step = 1e-3 / (params.b * float(np.max(radii)) ** 2)
         energy = np.inf
         for t in times.tolist():
+            if t > 0:
+                assert_phi_psi_match_reference(params, radii, t)
             sa, sb = state(amp_a, xi, t), state(amp_b, xi, t)
             assert np.all(np.isfinite(sa))
             size_a = np.linalg.norm(sa, axis=1)
