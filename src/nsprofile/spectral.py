@@ -10,10 +10,11 @@ The transverse part of v follows a pure heat flow; the longitudinal pair
 (rho, xi.v) evolves by a 2x2 flow whose eigenvalues are the roots of
 lambda^2 + b |xi|^2 lambda + a |xi|^2: a conjugate pair below the resonance
 radius delta0, real above it.  The flow needs only their divided differences
-Phi and Psi, which are real on every branch: damped cos/sin below delta0, the
-real root difference above it, and a series near the double root, so the
-closed form is smooth across delta0 and complex numbers enter only through
-the -i gamma coupling.
+Phi and Psi, which are real on every branch: damped cos/sin below delta0,
+damped cosh/sinh above it while the roots are close and the real root
+difference beyond, and a series near the double root, so the closed form is
+smooth across delta0 and complex numbers enter only through the -i gamma
+coupling.
 
 The solution is linear in the data: one batched kernel (:func:`_flow`) maps
 the data transform, the zeroth moments or the moment remainder to their flow.
@@ -54,8 +55,18 @@ def _phi_psi(params: ModelParams, r2: np.ndarray, t: float) -> tuple[np.ndarray,
     sin_w = np.sin(w * t) / w
     phi[osc] = emt * sin_w
     psi[osc] = emt * (np.cos(w * t) + m[osc] * sin_w)
-    # real roots: s2 the large one, s1 = a r^2 / s2 free of cancellation
-    over = ~near & (disc < 0.0)
+    # real roots m -+ d: below d t = 1 the damped sinh/cosh, which do not
+    # cancel there as e^{s1 t} - e^{s2 t} does
+    real = ~near & (disc < 0.0)
+    short = real & (gap * t < 2.0)
+    emt = np.exp(m[short] * t)
+    d = 0.5 * gap[short]
+    sinh_d = np.sinh(d * t) / d
+    phi[short] = emt * sinh_d
+    psi[short] = emt * (np.cosh(d * t) + m[short] * sinh_d)
+    # from d t = 1 on the root difference: s2 the large root, s1 = a r^2 / s2
+    # free of cancellation
+    over = real & ~short
     s2 = m[over] - 0.5 * gap[over]
     s1 = a * rr[over] / s2
     e1, e2 = np.exp(s1 * t), np.exp(s2 * t)

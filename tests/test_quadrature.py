@@ -2,16 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
 from nsprofile.config import ConfigError, build_run_config
 from nsprofile.model import InitialData, ModelParams
 from nsprofile.quadrature import (
     _BASE_PANELS,
+    _G7_WEIGHTS,
+    _K15_NODES,
+    _K15_WEIGHTS,
     _MAX_RADIAL_NODES,
     _OSC_FACTOR,
+    _PANEL_ORDER,
     QuadratureError,
     SymmetryError,
     _angular_frame,
+    _damped_square_integral,
     _gauss_u,
     _gaussian_tail_bound,
     _panel_nodes,
@@ -142,6 +148,70 @@ def test_one_dimensional_reduction():
     assert res.value == pytest.approx(math.sqrt(math.pi / (2 * params.alpha * t)), rel=1e-9)
 
 
+def _monomial_integral(d):
+    return 0.0 if d % 2 else 2.0 / (d + 1)
+
+
+def test_kronrod_rule_exact_to_degree_22():
+    assert np.all(np.diff(_K15_NODES) > 0) and _K15_NODES[7] == 0.0
+    np.testing.assert_array_equal(_K15_NODES, -_K15_NODES[::-1])
+    for d in range(23):
+        assert float(np.dot(_K15_WEIGHTS, _K15_NODES ** d)) == pytest.approx(
+            _monomial_integral(d), rel=2e-15, abs=1e-16)
+
+
+def test_embedded_gauss_rule_is_leggauss_7_exact_to_degree_13():
+    nodes, weights = leggauss(7)
+    np.testing.assert_allclose(_K15_NODES[1::2], nodes, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(_G7_WEIGHTS[1::2], weights, rtol=1e-14)
+    assert not np.any(_G7_WEIGHTS[::2])
+    for d in range(14):
+        assert float(np.dot(_G7_WEIGHTS, _K15_NODES ** d)) == pytest.approx(
+            _monomial_integral(d), rel=2e-15, abs=1e-16)
+
+
+def test_error_estimate_bounds_the_true_error():
+    # the Gaussian of test_one_dimensional_reduction, against its closed form
+    params = ModelParams(alpha=0.8, beta=0.0, gamma=1.0, n=1)
+    t = 4.0
+    f = lambda xi: np.exp(-params.alpha * xi[:, 0] ** 2 * t).astype(complex)
+    res = zone_norm_sq(f, params, t, "full")
+    exact = math.sqrt(math.pi / (2 * params.alpha * t))
+    assert abs(res.value - exact) <= res.est_error <= 1e-6 * exact
+    # the sine kernel, against its value at rel_tol 1e-12
+    for t in (1.0, 37.0, 1e3, 1e4):
+        value, est = _damped_square_integral(np.sin, PARAMS2, t, 1e-6, "sine-kernel")
+        ref, ref_est = _damped_square_integral(np.sin, PARAMS2, t, 1e-12, "sine-kernel")
+        assert ref_est <= 1e-12 * ref
+        assert abs(value - ref) <= est <= 1e-6 * value
+
+
+def test_unresolved_level_zero_refines_and_converges():
+    # at gamma t = 1000 level 0 meets rel_tol 1e-6 but not 1e-12; the low zone
+    # holds all of the mass, 2 pi int_0^inf r e^{-2 t r^2} sin^2(t r) dr, which
+    # is pi q D(q / (2 sqrt(c))) / (2 c sqrt(c)) with c = q = 2 t and D
+    # Dawson's integral
+    dawsn = pytest.importorskip("scipy.special").dawsn
+    t = 1000.0
+    sizes = []
+
+    def f(xi):
+        sizes.append(xi.shape[0])
+        r = np.sqrt(np.sum(xi * xi, axis=1))
+        return (np.exp(-r * r * t) * np.sin(PARAMS2.gamma * t * r)).astype(complex)
+
+    c = q = 2.0 * t
+    exact = math.pi * q * dawsn(q / (2.0 * math.sqrt(c))) / (2.0 * c * math.sqrt(c))
+    coarse = zone_norm_sq(f, PARAMS2, t, "low")
+    assert len(sizes) == 2  # the per-call checks, then level 0
+    sizes.clear()
+    fine = zone_norm_sq(f, PARAMS2, t, "low", 1e-12)
+    assert len(sizes) > 2 and sizes[2] == 2 * sizes[1]
+    assert fine.est_error <= 1e-12 * fine.value
+    for res in (coarse, fine):
+        assert abs(res.value - exact) <= res.est_error
+
+
 def test_oscillation_panel_rule():
     # the radial layout must allocate at least _OSC_FACTOR panels per
     # oscillation period 2*pi/(gamma*t) on the active interval
@@ -155,19 +225,20 @@ def test_oscillation_panel_rule():
 
     nodes, _ = _radial_layout(0.0, 1.0, split=span, gamma_t=gamma_t, refine=0)
     in_active = np.count_nonzero(nodes <= span)
-    assert in_active / 8 >= required  # 8 Gauss nodes per panel
+    assert in_active / _PANEL_ORDER >= required  # _PANEL_ORDER nodes per panel
 
 
 def test_panel_nodes_cap():
     # one panel more than the cap allows raises, naming the requested count
-    panels = _MAX_RADIAL_NODES // 8
-    with pytest.raises(QuadratureError, match=f"needs {8 * (panels + 1)} nodes"):
+    panels = _MAX_RADIAL_NODES // _PANEL_ORDER
+    with pytest.raises(QuadratureError, match=f"needs {_PANEL_ORDER * (panels + 1)} nodes"):
         _panel_nodes(0.0, 1.0, panels + 1)
     # a count no machine could allocate raises the same way, before allocating
-    with pytest.raises(QuadratureError, match=f"needs {8 * 10**15} nodes"):
+    with pytest.raises(QuadratureError, match=f"needs {_PANEL_ORDER * 10**15} nodes"):
         _panel_nodes(0.0, 1.0, 10**15)
+    # the largest allowed layout allocates
     nodes, weights = _panel_nodes(0.0, 1.0, panels)
-    assert nodes.size == _MAX_RADIAL_NODES
+    assert nodes.size == _PANEL_ORDER * panels > _MAX_RADIAL_NODES - _PANEL_ORDER
     assert float(np.sum(weights)) == pytest.approx(1.0, rel=1e-12)
 
 

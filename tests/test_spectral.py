@@ -97,6 +97,25 @@ def test_phi_psi_real_and_match_complex_reference(t):
     assert_phi_psi_match_reference(PARAMS, np.array([0.5, PARAMS.delta0, 2.0, 10.0]), t)
 
 
+def test_phi_psi_just_past_confluent_cutoff_against_long_double():
+    # r = delta0 (1 + 1e-14), t = 4.58: |s1 - s2| t = 1.3e-6, just past the
+    # series cutoff, where e^{s1 t} - e^{s2 t} would lose 5e-10 to cancellation;
+    # the reference is e^{mt} sinh(dt)/d and e^{mt}(cosh(dt) + m sinh(dt)/d) in
+    # long double on the same r^2
+    r2 = np.array([(PARAMS.delta0 * (1 + 1e-14)) ** 2])
+    t = 4.58
+    phi, psi = _phi_psi(PARAMS, r2, t)
+    ld = np.longdouble
+    rr = ld(r2[0])
+    m = -ld(PARAMS.b) * rr / 2
+    d = np.sqrt(rr * (ld(PARAMS.b) ** 2 * rr - 4 * ld(PARAMS.a))) / 2
+    assert d * ld(t) * 2 > _CONFLUENT_CUTOFF
+    ref_phi = np.exp(m * ld(t)) * np.sinh(d * ld(t)) / d
+    ref_psi = np.exp(m * ld(t)) * (np.cosh(d * ld(t)) + m * np.sinh(d * ld(t)) / d)
+    assert abs(float((ld(phi[0]) - ref_phi) / ref_phi)) <= 1e-14
+    assert abs(float((ld(psi[0]) - ref_psi) / ref_psi)) <= 1e-14
+
+
 @pytest.mark.parametrize("eps", [1e-4, 1e-6])
 def test_branch_continuity_at_resonance(eps):
     t = 3.0
