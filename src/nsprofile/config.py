@@ -46,6 +46,9 @@ _GRID_OVERRIDES = {
     "highfreq": {"t_min": 2.0, "t_max": 40.0, "points": 12},
 }
 
+# every time point costs one zone norm per series, so the grid size is capped
+_MAX_TIME_POINTS = 1024
+
 _ASYMPTOTIC_SUBCOMMANDS = {"profile-error", "density-profile-error", "rate",
                            "sandwich", "lemma31", "bounds"}
 
@@ -151,8 +154,9 @@ def build_run_config(subcommand: str, user: dict[str, Any]) -> RunConfig:
         raise ConfigError(f"amplitude_v has {data.n} components but params.n = {params.n}")
 
     g = cfg["time_grid"]
-    if g["points"] < 8:
-        raise ConfigError("time_grid.points must be >= 8")
+    if not 8 <= g["points"] <= _MAX_TIME_POINTS:
+        raise ConfigError(f"time_grid.points must be in [8, {_MAX_TIME_POINTS}], "
+                          f"got {g['points']}")
     if not 0 < g["t_min"] < g["t_max"] < math.inf:
         raise ConfigError("need 0 < t_min < t_max < inf")
     if subcommand in _ASYMPTOTIC_SUBCOMMANDS and g["t_min"] < 1.0:

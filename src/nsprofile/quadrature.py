@@ -4,12 +4,12 @@ All acceptance integrands are axially symmetric about the initial-velocity
 moment direction, so an n-dimensional integral reduces to a 2-d one in the
 radius r and u = cos(phi), the cosine of the angle to the e1 axis, with weight
 ``omega_{n-2} r^{n-1} (1-u^2)^((n-3)/2)`` (n = 1 degenerates to the two
-half-lines).  The angular rule is Gauss in u for that weight: Gauss-Chebyshev
-in closed form for n = 2, Gauss-Legendre for n = 3 and Golub-Welsch (1969)
-for n >= 4; k nodes integrate polynomials in u of degree 2k - 1 exactly, and
-the integrands here are quadratic in u.  Every call certifies this on the
-radial probe: k and k + 1 angular nodes must give the same probe mass to
-within ``rel_tol``, otherwise the call raises :class:`QuadratureError`.
+half-lines).  The angular rule is Gauss in u for that weight, in closed form
+for every n: 2 nodes u = -+1/sqrt(n) with equal weights, exact through degree
+3, and the integrands here are quadratic in u.  Every call certifies this on
+the radial probe: the 3-node rule u = 0, -+sqrt(3/(n+2)), exact through
+degree 5, must give the same probe mass to within ``rel_tol``, otherwise the
+call raises :class:`QuadratureError`.
 
 Radial panels carry the 15-point Gauss-Kronrod rule with its embedded 7-point
 Gauss rule (QUADPACK qk15; Piessens et al. 1983), laid out densely enough to
@@ -71,7 +71,7 @@ _DECAY_EXPONENT = 80.0  # e^-80 ~ 1.8e-35, below any tolerance after polynomial 
 # (k+1)-node certificate rejects integrands that k nodes do not resolve.
 _BASE_PANELS = 12
 _OSC_FACTOR = 2
-_ANGULAR_NODES = 3
+_ANGULAR_NODES = 2
 _MAX_REFINEMENTS = 6
 _MAX_RADIAL_NODES = 1 << 21  # ~400x the largest layout of a default run (4,935)
 DEFAULT_REL_TOL = 1e-6
@@ -128,34 +128,27 @@ def _panel_nodes(lo: float, hi: float, panels: int) -> tuple[np.ndarray, np.ndar
     return nodes, weights
 
 
-def _gauss_u(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """k-node Gauss rule on [-1, 1] for the weight (1-u^2)^((n-3)/2), n >= 2.
+def _angular_frame(n: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unit directions (u, sqrt(1-u^2), 0, ...) and weights of the Gauss rule
+    in u = cos(phi) with ``nodes`` = 2 or 3 nodes for the measure of S^(n-1).
 
-    n = 2 is Gauss-Chebyshev in closed form.  For n >= 3 (Gauss-Gegenbauer,
-    Gauss-Legendre at n = 3) the nodes are the eigenvalues of the symmetric
-    Jacobi matrix of the weight and the weights are its total mass times the
-    squared first components of the eigenvectors (Golub & Welsch 1969).
+    Over the sphere the mean of u^2 is 1/n and that of u^4 is 3/(n(n+2)).
+    2 nodes: u = -+1/sqrt(n), each weighted |S^(n-1)|/2, exact through degree 3
+    (the two points -+e1 at n = 1).  3 nodes: u = -+sqrt(3/(n+2)) weighted
+    |S^(n-1)| (n+2)/(6n) and u = 0 the rest, exact through degree 5.
     """
-    if n == 2:
-        return np.cos((2 * np.arange(k) + 1) * math.pi / (2 * k)), np.full(k, math.pi / k)
-    a = (n - 3) / 2
-    j = np.arange(1, k)
-    off = np.sqrt(j * (j + 2 * a) / ((2 * j + 2 * a - 1) * (2 * j + 2 * a + 1)))
-    u, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
-    mass = math.sqrt(math.pi) * math.gamma(a + 1) / math.gamma(a + 1.5)
-    return u, mass * vecs[0] ** 2
-
-
-def _angular_frame(n: int, angular_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unit directions (u, sqrt(1-u^2), 0, ...) and their angular weights."""
-    if n == 1:
-        return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
-    u, w = _gauss_u(n, angular_nodes)
-    dirs = np.zeros((angular_nodes, n))
+    area = sphere_area(n)
+    if nodes == 2:
+        u = np.array([-1.0, 1.0]) / math.sqrt(n)
+        w = np.full(2, area / 2)
+    else:
+        u = np.array([-1.0, 0.0, 1.0]) * math.sqrt(3.0 / (n + 2))
+        outer = area * (n + 2) / (6.0 * n)
+        w = np.array([outer, area - 2.0 * outer, outer])
+    dirs = np.zeros((nodes, n))
     dirs[:, 0] = u
-    dirs[:, 1] = np.sqrt(1.0 - u * u)
-    # omega_{n-2}: area of S^{n-2} (equals 2 for n = 2, the two half-planes)
-    return dirs, sphere_area(n - 1) * w
+    dirs[:, 1:2] = np.sqrt(1.0 - u * u)[:, None]  # no second axis at n = 1
+    return dirs, w
 
 
 def _abs_sq(values: np.ndarray) -> np.ndarray:
@@ -304,9 +297,9 @@ def zone_norm_sq(f: Callable[[np.ndarray], np.ndarray], params: ModelParams, t: 
     on the probe; :class:`QuadratureError` otherwise).  Zones: "low" =
     {|xi| <= delta0/sqrt(2)}, "high" = the complement truncated at r_max,
     "full" = both.  A truncated zone adds the tail estimate: the largest |f|^2
-    at r_max over the k angular nodes, not over the sphere (a u^2 term at
-    n = 2, k = 3 shows 3/4 of its sphere maximum there), times the radial
-    integral of e^(-min(2 alpha, b) t (r^2 - r_max^2)).  That is no bound
+    at r_max over the 3 certificate nodes (the 2 nodes at n = 1), not over the
+    sphere (a u^2 term at n = 2 shows 3/4 of its sphere maximum there), times
+    the radial integral of e^(-min(2 alpha, b) t (r^2 - r_max^2)).  That is no bound
     either: it assumes |f|^2 decays like this Gaussian past r_max, but the slow
     overdamped root tends to -a/b, so the energy field decays in r only
     through the data envelope and the tail can exceed the estimate.
@@ -337,13 +330,14 @@ def zone_norm_sq(f: Callable[[np.ndarray], np.ndarray], params: ModelParams, t: 
     spots = np.array([0.25, 0.55, 0.85]) * (r_hi - r_lo) + r_lo
     radii = r_lo + (np.arange(_PROBE_POINTS) + 0.5) * ((r_hi - r_lo) / _PROBE_POINTS)
     # one integrand call for every per-call check: the symmetry spot check, the
-    # k-node probe, the (k+1)-node certificate and the edge value; n = 1 has no
-    # angle, so neither the spot check nor the certificate
+    # k-node probe, the (k+1)-node certificate and the edge value on the
+    # certificate's directions; n = 1 has no angle, so neither the spot check
+    # nor the certificate
     angular = n > 1
     none = np.zeros((0, n))
     blocks = [_symmetry_points(spots, n) if angular else none, _on_frame(radii, dirs),
               _on_frame(radii, finer_dirs) if angular else none,
-              r_hi * dirs if truncated else none]
+              r_hi * (finer_dirs if angular else dirs) if truncated else none]
     at_spots, at_probe, at_finer, at_edge = np.split(
         _eval_abs_sq(f, np.concatenate(blocks)), np.cumsum([len(x) for x in blocks[:-1]]))
     probe = _radial_profile(at_probe, radii, n, ang_w)

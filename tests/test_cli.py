@@ -34,6 +34,10 @@ def test_build_rejects_bad_types_and_invariants():
         build_run_config("rate", {"params": {"alpha": "one"}})
     with pytest.raises(ConfigError):
         build_run_config("rate", {"time_grid": {"points": 4}})
+    # each time point costs zone norms, so the grid size is capped
+    with pytest.raises(ConfigError, match=r"time_grid.points must be in \[8, 1024\]"):
+        build_run_config("rate", {"time_grid": {"points": 10**7}})
+    assert build_run_config("rate", {"time_grid": {"points": 1024}}).times.size == 1024
     with pytest.raises(ConfigError):
         build_run_config("rate", {"time_grid": {"t_min": 0.5}})
     with pytest.raises(ConfigError):
@@ -258,6 +262,8 @@ def assert_rejected_by_config(tmp_path, capsys, subcommand, payload):
     {"oracle": {"step": math.inf}}, {"oracle": {"seed": -1}},
     # a config names the run, not its pass mark
     {"thresholds": {"rate_slope_tol": math.inf}},
+    # a time grid this large would run 10^7 zone norms
+    {"time_grid": {"points": 10**7}},
 ])
 def test_cli_bad_value_exits_2(tmp_path, capsys, payload):
     # json writes NaN/Infinity, which json.load reads back as floats

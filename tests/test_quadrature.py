@@ -18,7 +18,6 @@ from nsprofile.quadrature import (
     SymmetryError,
     _angular_frame,
     _damped_square_integral,
-    _gauss_u,
     _gaussian_tail_bound,
     _panel_nodes,
     cone_cap_area,
@@ -292,28 +291,43 @@ def test_profile_norm_equals_sine_kernel_times_moment():
     assert res.value == pytest.approx(q0**2 * sine_kernel_integral(PARAMS2, t), rel=1e-6)
 
 
-@pytest.mark.parametrize("k", range(2, 6))
-@pytest.mark.parametrize("n", range(2, 7))
-def test_gauss_u_exact_to_degree_2k_minus_1(n, k):
-    # int_{-1}^{1} u^d (1-u^2)^a du = B((d+1)/2, a+1) for even d, 0 for odd d
-    u, w = _gauss_u(n, k)
-    a = (n - 3) / 2
+def _sphere_moment(n, d):
+    # mean of u^d over S^(n-1): (d-1)!! / (n (n+2) ... (n+d-2)) for even d, 0 for odd d
+    if d % 2:
+        return 0.0
+    return math.prod(range(1, d, 2)) / math.prod(range(n, n + d - 1, 2))
+
+
+ANGULAR_RULES = [(n, k) for n in range(1, 7) for k in (2, 3) if n > 1 or k == 2]
+
+
+@pytest.mark.parametrize("n,k", ANGULAR_RULES, ids=[f"{n}-{k}" for n, k in ANGULAR_RULES])
+def test_angular_rule_exact_to_degree_2k_minus_1(n, k):
+    # k nodes are exact through degree 2k - 1 and, for n >= 2, off at degree 2k
+    dirs, ang_w = _angular_frame(n, k)
+    u, area = dirs[:, 0], sphere_area(n)
     for d in range(2 * k):
-        exact = 0.0 if d % 2 else (math.gamma((d + 1) / 2) * math.gamma(a + 1)
-                                   / math.gamma(d / 2 + a + 1.5))
-        assert float(np.dot(w, u ** d)) == pytest.approx(exact, rel=1e-13, abs=1e-14)
+        assert float(np.dot(ang_w, u ** d)) == pytest.approx(
+            area * _sphere_moment(n, d), rel=1e-14, abs=1e-15)
+    if n > 1:
+        assert float(np.dot(ang_w, u ** (2 * k))) != pytest.approx(
+            area * _sphere_moment(n, 2 * k), rel=1e-3)
 
 
-@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("n", range(1, 7))
 def test_angular_frame_integrates_sphere_moments(n):
-    # over S^{n-1}: int 1 = |S^{n-1}|, int w_1^2 = |S^{n-1}|/n, int w_1^4 = 3|S^{n-1}|/(n(n+2))
-    dirs, ang_w = _angular_frame(n, 3)
-    np.testing.assert_allclose(np.linalg.norm(dirs, axis=1), 1.0, rtol=1e-15)
+    # over S^{n-1}: int 1 = |S^{n-1}|, int w_1^2 = |S^{n-1}|/n, int w_1^4 = 3|S^{n-1}|/(n(n+2));
+    # the 2-node rule gets the first two, the 3-node rule all three (n = 1 has 2 nodes)
     area = sphere_area(n)
-    assert float(np.sum(ang_w)) == pytest.approx(area, rel=1e-14)
-    assert float(np.dot(ang_w, dirs[:, 0] ** 2)) == pytest.approx(area / n, rel=1e-14)
-    assert float(np.dot(ang_w, dirs[:, 0] ** 4)) == pytest.approx(
-        3 * area / (n * (n + 2)), rel=1e-14)
+    for k in (2, 3) if n > 1 else (2,):
+        dirs, ang_w = _angular_frame(n, k)
+        assert dirs.shape == (k, n)
+        np.testing.assert_allclose(np.linalg.norm(dirs, axis=1), 1.0, rtol=1e-15)
+        assert float(np.sum(ang_w)) == pytest.approx(area, rel=1e-14)
+        assert float(np.dot(ang_w, dirs[:, 0] ** 2)) == pytest.approx(area / n, rel=1e-14)
+        if k == 3:
+            assert float(np.dot(ang_w, dirs[:, 0] ** 4)) == pytest.approx(
+                3 * area / (n * (n + 2)), rel=1e-14)
 
 
 def _exp_cosine_field(xi):
@@ -329,20 +343,42 @@ def test_angular_certificate_rejects_non_polynomial_integrand(params):
 
 
 def test_angular_certificate_accepts_enough_nodes():
-    # |f|^2 = u^4 e^{-2 r^2} has degree 4 in u, so 3 and 4 nodes are both
-    # exact: int_{R^2} cos^4(theta) e^{-2 r^2} r dr dtheta = (3 pi / 4) / 4
-    def f(xi):
+    # |f|^2 = u^2 e^{-2 r^2} has degree 2 in u, so 2 and 3 nodes are both
+    # exact: int_{R^n} u^2 e^{-2 r^2} dxi = |S^{n-1}|/n int r^{n-1} e^{-2 r^2} dr;
+    # |f|^2 = u^4 e^{-2 r^2} has degree 4, which 2 nodes do not integrate, so
+    # the 3-node certificate rejects it instead of returning a wrong norm
+    def quadratic(xi):
+        r2 = np.sum(xi * xi, axis=1)
+        return (xi[:, 0] / np.sqrt(r2) * np.exp(-r2)).astype(complex)
+
+    def quartic(xi):
         r2 = np.sum(xi * xi, axis=1)
         return (xi[:, 0] ** 2 / r2 * np.exp(-r2)).astype(complex)
 
-    res = zone_norm_sq(f, PARAMS2, 1.0, "full")
-    assert res.est_error <= 1e-6 * res.value
-    assert res.value == pytest.approx(3 * math.pi / 16, rel=1e-6)
+    for params, exact in [(PARAMS2, math.pi / 4), (PARAMS3, (math.pi / 2) ** 1.5 / 3)]:
+        res = zone_norm_sq(quadratic, params, 1.0, "full")
+        assert res.est_error <= 1e-6 * res.value
+        assert res.value == pytest.approx(exact, rel=1e-6)
+        with pytest.raises(QuadratureError, match="angular nodes"):
+            zone_norm_sq(quartic, params, 1.0, "full")
+
+
+def test_tail_estimate_takes_the_edge_on_the_certificate_directions():
+    # |f|^2 = (1 - u^2) e^{-2 r^2} at n = 2 is largest at u = 0, a 3-node
+    # direction: the tail estimate at r_max = 3 is e^{-18} 2 pi / (2 lam) with
+    # lam = min(2 alpha, b) t = 2, twice the true tail (pi/4) e^{-18}
+    def f(xi):
+        r2 = np.sum(xi * xi, axis=1)
+        return (np.sqrt(1.0 - xi[:, 0] ** 2 / r2) * np.exp(-r2)).astype(complex)
+
+    res = zone_norm_sq(f, PARAMS2, 1.0, "full", r_max=3.0)
+    assert res.est_error == pytest.approx(math.pi / 2 * math.exp(-18.0), rel=1e-6)
+    assert abs(res.value - math.pi / 4) <= res.est_error
 
 
 def test_gaussian_tail_bound_dominates_for_low_dimensions():
     integrate = pytest.importorskip("scipy.integrate")
-    for n in (1, 2):
+    for n in (1, 2, 3, 4, 5):
         for r_from, lam in [(0.1, 100.0), (0.5, 0.3), (2.0, 1.0), (5.66, 4.0), (8.0, 40.0)]:
             ref, _ = integrate.quad(
                 lambda r: r ** (n - 1) * math.exp(-lam * (r * r - r_from * r_from)),
