@@ -49,6 +49,9 @@ _GRID_OVERRIDES = {
 # every time point costs one zone norm per series, so the grid size is capped
 _MAX_TIME_POINTS = 1024
 
+# the oracle's step matrices are (n + 1)-square, so the dimension is capped
+_MAX_DIMENSION = 16
+
 _ASYMPTOTIC_SUBCOMMANDS = {"profile-error", "density-profile-error", "rate",
                            "sandwich", "lemma31", "bounds"}
 
@@ -135,6 +138,8 @@ def build_run_config(subcommand: str, user: dict[str, Any]) -> RunConfig:
                              gamma=float(p["gamma"]), n=p["n"])
     except ParameterError as exc:
         raise ConfigError(str(exc)) from exc
+    if params.n > _MAX_DIMENSION:
+        raise ConfigError(f"params.n must be at most {_MAX_DIMENSION}, got {params.n}")
 
     d = cfg["data"]
     if d["amplitude_v"] is None:

@@ -10,11 +10,11 @@ The transverse part of v follows a pure heat flow; the longitudinal pair
 (rho, xi.v) evolves by a 2x2 flow whose eigenvalues are the roots of
 lambda^2 + b |xi|^2 lambda + a |xi|^2: a conjugate pair below the resonance
 radius delta0, real above it.  The flow needs only their divided differences
-Phi and Psi, which are real on every branch: damped cos/sin below delta0,
-damped cosh/sinh above it while the roots are close and the real root
-difference beyond, and a series near the double root, so the closed form is
-smooth across delta0 and complex numbers enter only through the -i gamma
-coupling.
+Phi and Psi, which are real for every root type: damped cos/sin below
+delta0, the real roots through expm1 above it and the double-root limit at
+it.  No formula subtracts nearby exponentials, so the closed form is smooth
+across delta0 with no cutoff, and complex numbers enter only through the
+-i gamma coupling.
 
 The solution is linear in the data: one batched kernel (:func:`_flow`) maps
 the data transform, the zeroth moments or the moment remainder to their flow.
@@ -30,15 +30,20 @@ import numpy as np
 
 from .model import InitialData, ModelParams, fourier_data_batch
 
-# Switch Phi/Psi to the sinhc series once |(s1-s2)*t| drops below this.
-_CONFLUENT_CUTOFF = 1e-6
-
 
 def _phi_psi(params: ModelParams, r2: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
     """Real divided differences Phi = (e^{s1 t}-e^{s2 t})/(s1-s2) and
     Psi = (s1 e^{s1 t}-s2 e^{s2 t})/(s1-s2) at |xi|^2 = r2, where s1, s2 are the
-    roots of lambda^2 + b r^2 lambda + a r^2: a conjugate pair m -+ i w below
-    delta0, real above it, a double root at delta0.
+    roots of lambda^2 + b r^2 lambda + a r^2, by one formula per root type:
+
+    - conjugate pair m -+ i w (below delta0): Phi = e^{mt} sin(wt)/w,
+      Psi = e^{mt} cos(wt) + m Phi;
+    - real roots (above delta0), s2 the large one and s1 = a r^2 / s2:
+      Phi = e^{s1 t} (-expm1(-(s1-s2) t)) / (s1-s2), Psi = s1 Phi + e^{s2 t};
+    - double root m (at delta0): Phi = t e^{mt}, Psi = e^{mt} + m Phi.
+
+    None of them forms a difference of nearby exponentials, so each holds for
+    every (s1-s2) t, and every one gives Phi = 0, Psi = 1 at t = 0.
     """
     a, b = params.a, params.b
     r = np.sqrt(r2)
@@ -48,38 +53,22 @@ def _phi_psi(params: ModelParams, r2: np.ndarray, t: float) -> tuple[np.ndarray,
     m = -0.5 * b * rr  # (s1 + s2) / 2
     phi = np.empty(r.shape)
     psi = np.empty(r.shape)
-    near = gap * t < _CONFLUENT_CUTOFF
-    osc = ~near & (disc > 0.0)
+    osc = disc > 0.0
     emt = np.exp(m[osc] * t)
     w = 0.5 * gap[osc]
-    sin_w = np.sin(w * t) / w
-    phi[osc] = emt * sin_w
-    psi[osc] = emt * (np.cos(w * t) + m[osc] * sin_w)
-    # real roots m -+ d: below d t = 1 the damped sinh/cosh, which do not
-    # cancel there as e^{s1 t} - e^{s2 t} does
-    real = ~near & (disc < 0.0)
-    short = real & (gap * t < 2.0)
-    emt = np.exp(m[short] * t)
-    d = 0.5 * gap[short]
-    sinh_d = np.sinh(d * t) / d
-    phi[short] = emt * sinh_d
-    psi[short] = emt * (np.cosh(d * t) + m[short] * sinh_d)
-    # from d t = 1 on the root difference: s2 the large root, s1 = a r^2 / s2
-    # free of cancellation
-    over = real & ~short
-    s2 = m[over] - 0.5 * gap[over]
-    s1 = a * rr[over] / s2
-    e1, e2 = np.exp(s1 * t), np.exp(s2 * t)
-    phi[over] = (e1 - e2) / (s1 - s2)
-    psi[over] = (s1 * e1 - s2 * e2) / (s1 - s2)
-    # near-confluent: Phi = t e^{mt} sinhc(z), Psi = e^{mt}(m t sinhc(z) + cosh(z))
-    # in z^2 = (s1-s2)^2 t^2 / 4, negative when oscillatory; |z| < 5e-7 leaves
-    # the z^4 terms below 1e-26
-    z2 = -0.25 * disc[near] * rr[near] * t * t
-    sinhc = 1.0 + z2 / 6.0
-    emt = np.exp(m[near] * t)
-    phi[near] = t * emt * sinhc
-    psi[near] = emt * (m[near] * t * sinhc + 1.0 + z2 / 2.0)
+    phi_osc = emt * np.sin(w * t) / w
+    phi[osc] = phi_osc
+    psi[osc] = emt * np.cos(w * t) + m[osc] * phi_osc
+    real = disc < 0.0
+    s2 = m[real] - 0.5 * gap[real]
+    s1 = a * rr[real] / s2  # free of the cancellation in m + gap / 2
+    phi_real = np.exp(s1 * t) * -np.expm1(-gap[real] * t) / gap[real]
+    phi[real] = phi_real
+    psi[real] = s1 * phi_real + np.exp(s2 * t)
+    double = disc == 0.0
+    emt = np.exp(m[double] * t)
+    phi[double] = t * emt
+    psi[double] = emt + m[double] * t * emt
     return phi, psi
 
 

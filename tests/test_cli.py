@@ -38,6 +38,10 @@ def test_build_rejects_bad_types_and_invariants():
     with pytest.raises(ConfigError, match=r"time_grid.points must be in \[8, 1024\]"):
         build_run_config("rate", {"time_grid": {"points": 10**7}})
     assert build_run_config("rate", {"time_grid": {"points": 1024}}).times.size == 1024
+    # so is the dimension: the oracle's step matrices are (n + 1) x (n + 1)
+    with pytest.raises(ConfigError, match=r"params.n must be at most 16"):
+        build_run_config("oracle-check", {"params": {"n": 10**6}})
+    assert build_run_config("oracle-check", {"params": {"n": 16}}).params.n == 16
     with pytest.raises(ConfigError):
         build_run_config("rate", {"time_grid": {"t_min": 0.5}})
     with pytest.raises(ConfigError):
@@ -264,6 +268,8 @@ def assert_rejected_by_config(tmp_path, capsys, subcommand, payload):
     {"thresholds": {"rate_slope_tol": math.inf}},
     # a time grid this large would run 10^7 zone norms
     {"time_grid": {"points": 10**7}},
+    # so is the dimension: oracle-check would form (10^6 + 1)-square step matrices
+    {"params": {"n": 10**6}},
 ])
 def test_cli_bad_value_exits_2(tmp_path, capsys, payload):
     # json writes NaN/Infinity, which json.load reads back as floats

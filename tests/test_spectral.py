@@ -5,7 +5,6 @@ import pytest
 
 from nsprofile.model import InitialData, ModelParams, fourier_data_batch
 from nsprofile.spectral import (
-    _CONFLUENT_CUTOFF,
     _flow_matrix,
     _phi_psi,
     solve_exact_batch,
@@ -97,23 +96,49 @@ def test_phi_psi_real_and_match_complex_reference(t):
     assert_phi_psi_match_reference(PARAMS, np.array([0.5, PARAMS.delta0, 2.0, 10.0]), t)
 
 
-def test_phi_psi_just_past_confluent_cutoff_against_long_double():
-    # r = delta0 (1 + 1e-14), t = 4.58: |s1 - s2| t = 1.3e-6, just past the
-    # series cutoff, where e^{s1 t} - e^{s2 t} would lose 5e-10 to cancellation;
-    # the reference is e^{mt} sinh(dt)/d and e^{mt}(cosh(dt) + m sinh(dt)/d) in
-    # long double on the same r^2
-    r2 = np.array([(PARAMS.delta0 * (1 + 1e-14)) ** 2])
-    t = 4.58
-    phi, psi = _phi_psi(PARAMS, r2, t)
+@pytest.mark.parametrize("coeffs", [(1.0, 1.0, 1.0), (0.01, 3.0, 0.7), (20.0, 0.0, 5.0)],
+                         ids=["1-1-1", "0.01-3-0.7", "20-0-5"])
+def test_phi_psi_against_long_double(coeffs):
+    # radii from delta0 (1 -+ 1e-14) to 1000 delta0 and |s1 - s2| t from 1e-12
+    # to 100, where e^{s1 t} - e^{s2 t} would lose up to 1e-4 to cancellation;
+    # the reference is e^{mt} sin(dt)/d, e^{mt}(cos(dt) + m sin(dt)/d) or its
+    # sinh/cosh twin in long double on the same float64 r r and discriminant.
+    # Far above delta0 the rounded discriminant moves the reference's small
+    # root m + d by up to eps b^2 r^2 / (4a) of itself, which the kernel's
+    # a r^2 / s2 avoids: that, not the kernel, sets Psi's bound (9.4e-13 at
+    # r = 100 delta0, where the kernel is within 3e-15 of the exact value)
+    alpha, beta, gamma = coeffs
+    params = ModelParams(alpha=alpha, beta=beta, gamma=gamma, n=2)
+    a, b = params.a, params.b
+    eps = np.array([1e-14, 1e-11, 1e-8, 1e-5, 1e-3, 0.1])
+    r = params.delta0 * np.concatenate([1 - eps, 1 + eps, 1 + np.array([1.0, 9.0, 99.0, 999.0])])
+    r2 = r * r
+    rr = np.sqrt(r2) ** 2
+    disc = 4.0 * a - b * b * rr
+    assert np.all(disc != 0.0)
+    gap = np.sqrt(rr) * np.sqrt(np.abs(disc))
     ld = np.longdouble
-    rr = ld(r2[0])
-    m = -ld(PARAMS.b) * rr / 2
-    d = np.sqrt(rr * (ld(PARAMS.b) ** 2 * rr - 4 * ld(PARAMS.a))) / 2
-    assert d * ld(t) * 2 > _CONFLUENT_CUTOFF
-    ref_phi = np.exp(m * ld(t)) * np.sinh(d * ld(t)) / d
-    ref_psi = np.exp(m * ld(t)) * (np.cosh(d * ld(t)) + m * np.sinh(d * ld(t)) / d)
-    assert abs(float((ld(phi[0]) - ref_phi) / ref_phi)) <= 1e-14
-    assert abs(float((ld(psi[0]) - ref_psi) / ref_psi)) <= 1e-14
+    m = -ld(b) * rr.astype(ld) / 2
+    d = np.sqrt(rr.astype(ld) * np.abs(disc.astype(ld))) / 2
+    osc = disc > 0.0
+    for gap_t in (1e-12, 1e-9, 5e-7, 2e-6, 1e-3, 0.5, 1.9, 2.1, 10.0, 100.0):
+        for i in range(r.size):
+            t = gap_t / gap[i]
+            phi, psi = _phi_psi(params, r2[i:i + 1], t)
+            dt, emt = d[i] * ld(t), np.exp(m[i] * ld(t))
+            if osc[i]:
+                sin_d, cos_d, size = np.sin(dt) / d[i], np.cos(dt), emt
+            else:
+                sin_d, cos_d, size = np.sinh(dt) / d[i], np.cosh(dt), emt * np.cosh(dt)
+            ref_phi = emt * sin_d
+            ref_psi = emt * (cos_d + m[i] * sin_d)
+            if abs(ref_phi) < 1e-290:
+                continue
+            where = f"r = {r[i]:.17g}, t = {t:.17g}"
+            assert abs(float((ld(phi[0]) - ref_phi) / ref_phi)) <= 1e-13, where
+            # Psi's own zeros cancel in every form; skip their neighbourhood
+            if abs(ref_psi) >= 1e-6 * size:
+                assert abs(float((ld(psi[0]) - ref_psi) / ref_psi)) <= 1e-12, where
 
 
 @pytest.mark.parametrize("eps", [1e-4, 1e-6])
@@ -133,11 +158,16 @@ def test_branch_continuity_at_resonance(eps):
 
 
 def test_solve_exact_initial_condition():
-    xi = np.array([0.3, -0.8])
-    s = state_at(PARAMS, DATA, xi, 0.0)
-    env = math.exp(-float(xi @ xi) / 2)
-    np.testing.assert_allclose(s[:2], np.array([0.1, 0.0]) * env, rtol=0, atol=1e-16)
-    assert s[2] == pytest.approx(env, rel=1e-15)
+    # oscillatory, overdamped and r = delta0 exactly, where disc == 0: the
+    # t = 0 norms (highfreq's E_h(0)) need Phi = 0 and Psi = 1 for every root type
+    xi = np.array([[0.3, -0.8], [1.2, -1.6], [PARAMS.delta0, 0.0]])
+    assert 4.0 * PARAMS.a - PARAMS.b ** 2 * PARAMS.delta0 ** 2 == 0.0
+    phi, psi = _phi_psi(PARAMS, np.sum(xi * xi, axis=1), 0.0)
+    assert np.all(phi == 0.0) and np.all(psi == 1.0)
+    v, rho = solve_exact_batch(PARAMS, DATA, xi, 0.0)
+    env = np.exp(-np.sum(xi * xi, axis=1) / 2)
+    np.testing.assert_allclose(v, np.array([[0.1, 0.0]]) * env[:, None], rtol=0, atol=1e-16)
+    np.testing.assert_allclose(rho, env, rtol=1e-15, atol=0)
 
 
 def test_solenoidal_data_follows_heat_flow():
@@ -304,11 +334,11 @@ def test_seeded_property_sweep():
         radii = d0 * np.array([1.0, 1 - 1e-3, 1 + 1e-3, 1 - eps, 1 + eps])
         dirs = rng.normal(size=(radii.size, n))
         xi = radii[:, None] * dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
-        # |s1 - s2| t = r sqrt|disc| t at half and at twice _CONFLUENT_CUTOFF
-        # for the radii at delta0 (1 -+ eps), so both Phi/Psi branches are
-        # evaluated there, and times over the decay scale 1/(b delta0^2)
+        # |s1 - s2| t = r sqrt|disc| t at 5e-7 and 2e-6 for the radii at
+        # delta0 (1 -+ eps), where the roots nearly coincide, and times over
+        # the decay scale 1/(b delta0^2)
         r = radii[3:]
-        switch = _CONFLUENT_CUTOFF / (r * np.sqrt(np.abs(4.0 * params.a - (params.b * r) ** 2)))
+        switch = 1e-6 / (r * np.sqrt(np.abs(4.0 * params.a - (params.b * r) ** 2)))
         scale = 1.0 / (params.b * d0 * d0)
         times = np.sort(np.concatenate([[0.0], 0.5 * switch, 2.0 * switch,
                                         scale * 10.0 ** rng.uniform(-3.0, 2.0, 4)]))
