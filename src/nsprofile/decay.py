@@ -13,11 +13,12 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .model import InitialData, ModelParams, moments
-from .profiles import density_profile, velocity_profile
+from .profiles import profile_field
 from .quadrature import (
     DEFAULT_REL_TOL,
     sine_kernel_integral,
@@ -25,7 +26,10 @@ from .quadrature import (
     sphere_area,
     zone_norm_sq,
 )
-from .spectral import solve_exact_batch
+from .spectral import Field, exact_field
+# no function here calls them: bench/spans.py wraps these attributes as trace sites
+from .profiles import density_profile, velocity_profile  # noqa: F401
+from .spectral import solve_exact_batch  # noqa: F401
 
 
 def ordered_map(fn, items, threads: int = 1) -> list:
@@ -95,21 +99,52 @@ def fit_semilog(series: DecaySeries, window: tuple[int, int] | None = None) -> D
 
 def zone_series(field_at, params: ModelParams, times: np.ndarray, zone: str,
                 rel_tol: float, threads: int) -> np.ndarray:
-    """:func:`zone_norm_sq` of the integrand ``field_at(t)`` at each time,
-    mapped in order over ``threads`` workers."""
+    """:func:`zone_norm_sq` of the field ``field_at(t)`` (radii to a
+    ``spectral.Field``) at each time, mapped in order over ``threads`` workers."""
     def at(t: float) -> float:
-        return zone_norm_sq(field_at(t), params, t, zone, rel_tol).value
+        field = field_at(t)
+        return zone_norm_sq(lambda r: field(r).abs_sq(), params, t, zone, rel_tol).value
 
     return np.array(ordered_map(at, [float(t) for t in times], threads))
+
+
+def velocity_field(params: ModelParams, data: InitialData, t: float):
+    """Radii to the exact velocity transform."""
+    return lambda r: exact_field(params, data, r, t).vector()
+
+
+def remainder_field(params: ModelParams, data: InitialData, t: float, component: str):
+    """Radii to the exact solution minus its leading profile, the ``component``
+    "velocity" or "density"."""
+    mom = moments(data)
+    part = {"velocity": Field.vector, "density": Field.scalar}[component]
+    return lambda r: part(exact_field(params, data, r, t) - profile_field(params, mom, r, t))
+
+
+def energy_field(params: ModelParams, data: InitialData, t: float):
+    """Radii to (v_hat, rho_hat) / sqrt(2), whose |.|^2 is the energy density."""
+    return lambda r: Field(*(c / math.sqrt(2.0) for c in exact_field(params, data, r, t)))
+
+
+def projection_field(params: ModelParams, p0: np.ndarray, t: float, kind: str):
+    """Radii to xi (xi.p0)/|xi|^2 times e^{-alpha |xi|^2 t} (``kind`` "heat")
+    or e^{-b |xi|^2 t/2} cos(gamma t |xi|) ("cosine")."""
+    p = float(np.linalg.norm(p0))
+
+    def field(r):
+        rr = r * r
+        if kind == "heat":
+            return Field(b1=p * np.exp(-params.alpha * rr * t))
+        return Field(b1=p * np.exp(-params.b * rr * t / 2) * np.cos(params.gamma * t * r))
+
+    return field
 
 
 def velocity_norm_series(params: ModelParams, data: InitialData, times: np.ndarray,
                          rel_tol: float = DEFAULT_REL_TOL, threads: int = 1) -> DecaySeries:
     """L^2 norms ||v_hat(t, .)|| of the exact solution on a time grid."""
-    def field_at(t: float):
-        return lambda xi: solve_exact_batch(params, data, xi, t)[0]
-
-    values = zone_series(field_at, params, times, "full", rel_tol, threads)
+    values = zone_series(partial(velocity_field, params, data), params, times, "full",
+                         rel_tol, threads)
     return DecaySeries(np.asarray(times, float), np.sqrt(values), label="velocity-norm")
 
 
@@ -118,16 +153,8 @@ def remainder_series(params: ModelParams, data: InitialData, times: np.ndarray,
                      threads: int = 1) -> DecaySeries:
     """Squared low-zone L^2 norms of (exact solution - leading profile) for the
     ``component`` "velocity" or "density"."""
-    mom = moments(data)
-    # the profiles are looked up per call, so the bench tracer sees them
-    index, profile = {"velocity": (0, velocity_profile),
-                      "density": (1, density_profile)}[component]
-
-    def field_at(t: float):
-        return lambda xi: (solve_exact_batch(params, data, xi, t)[index]
-                           - profile(params, mom, xi, t))
-
-    values = zone_series(field_at, params, times, "low", rel_tol, threads)
+    values = zone_series(lambda t: remainder_field(params, data, t, component), params,
+                         times, "low", rel_tol, threads)
     return DecaySeries(np.asarray(times, float), values, label=f"{component}-remainder-sq")
 
 
@@ -216,22 +243,10 @@ def verify_kernel_plateaus(params: ModelParams, p0: np.ndarray, times: np.ndarra
     n = params.n
     scale = times ** (n / 2)
 
-    def heat_field(t):
-        def f(xi):
-            r2 = np.sum(xi * xi, axis=1)
-            return ((xi @ p0) / r2 * np.exp(-params.alpha * r2 * t))[:, None] * xi
-        return f
-
-    def cosine_field(t):
-        def f(xi):
-            r2 = np.sum(xi * xi, axis=1)
-            r = np.sqrt(r2)
-            coef = (xi @ p0) / r2 * np.exp(-params.b * r2 * t / 2) * np.cos(params.gamma * t * r)
-            return coef[:, None] * xi
-        return f
-
-    heat_vals = zone_series(heat_field, params, times, "full", rel_tol, threads)
-    cos_vals = zone_series(cosine_field, params, times, "full", rel_tol, threads)
+    heat_vals = zone_series(lambda t: projection_field(params, p0, t, "heat"), params, times,
+                            "full", rel_tol, threads)
+    cos_vals = zone_series(lambda t: projection_field(params, p0, t, "cosine"), params, times,
+                           "full", rel_tol, threads)
     sine_vals = np.array(ordered_map(lambda t: sine_kernel_integral(params, t, rel_tol),
                                      times, threads))
     witness = np.array(ordered_map(
@@ -276,19 +291,11 @@ class HighFreqReport:
                 and self.komornik_holds and self.conclusion_holds)
 
 
-def _energy_field(params: ModelParams, data: InitialData, t: float):
-    def f(xi):
-        v, rho = solve_exact_batch(params, data, xi, t)
-        state = np.concatenate([v, rho[:, None]], axis=1)
-        return state / math.sqrt(2.0)  # |state|^2 / 2 is the energy density
-    return f
-
-
 def highfreq_energy(params: ModelParams, data: InitialData, times: np.ndarray,
                     rel_tol: float = DEFAULT_REL_TOL, threads: int = 1) -> HighFreqReport:
     """High-zone energy E_h(t) with exponential-decay and averaged-energy checks."""
     times = np.asarray(times, dtype=float)
-    values = zone_series(lambda t: _energy_field(params, data, t), params, times, "high",
+    values = zone_series(partial(energy_field, params, data), params, times, "high",
                          rel_tol, threads)
     series = DecaySeries(times, values, label="highfreq-energy")
     fit = fit_semilog(series)
@@ -296,7 +303,8 @@ def highfreq_energy(params: ModelParams, data: InitialData, times: np.ndarray,
     # E_h(0): the data energy carries no time decay, so size the truncation
     # radius by the data width instead of the default t-dependent formula
     r_max = max(4.0 * params.delta0, 12.0 / data.width)
-    e_h0 = zone_norm_sq(_energy_field(params, data, 0.0), params, 0.0, "high", rel_tol,
+    energy_0 = energy_field(params, data, 0.0)
+    e_h0 = zone_norm_sq(lambda r: energy_0(r).abs_sq(), params, 0.0, "high", rel_tol,
                         r_max=r_max).value
 
     remaining = np.array([float(np.trapezoid(values[i:], times[i:]))

@@ -14,13 +14,15 @@ that splits into
   their closed-form upper bounds are evaluated;
 * one *longitudinal sine correction* — computable pointwise.
 
-The exact flow, the pure-moment flow and the moment defect are one closed-form
-kernel (``spectral._flow``) applied to three data pairs: the data transform,
-the zeroth moments (P0, Q0), and the moment remainder A of
-``model.ab_decomposition``.  Because that kernel is linear in the data, the
-moment defect equals ``solve_exact_batch`` minus the pure-moment flow
-identically; tests use that identity at machine precision.  Every function
-takes frequencies as an (m, n) batch.
+Every piece is a ``spectral.Field``: coefficients at a batch of radii, which
+the zone norms integrate and the ``*_profile`` and ``*_term`` functions
+assemble at an (m, n) batch of frequencies.  The exact flow, the pure-moment
+flow and the moment defect are one closed-form kernel (``spectral.flow``)
+applied to three data pairs: the data transform, the zeroth moments (P0, Q0),
+and the moment remainder A of ``model.ab_decomposition``.  Because that kernel
+is linear in the data, the moment defect equals ``solve_exact_batch`` minus
+the pure-moment flow identically; tests use that identity at machine
+precision.
 """
 
 from __future__ import annotations
@@ -30,73 +32,87 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (VERSINE_RATIO, InitialData, ModelParams, Moments, ab_decomposition,
-                    moments)
+from .model import VERSINE_RATIO, InitialData, ModelParams, Moments, moments
 from .quadrature import DEFAULT_REL_TOL, sphere_area
-from .spectral import _as_batch, _flow
+from .spectral import Field, flow, pointwise
 # no function here calls it: bench/spans.py wraps this attribute as a trace site
 from .spectral import solve_exact_batch  # noqa: F401
 
 
+def profile_field(params: ModelParams, mom: Moments, r: np.ndarray, t: float) -> Field:
+    """Leading profiles at radii r: the velocity is heat flow of P0 less its
+    longitudinal part, plus the acoustic sine of Q0 and the damped cosine on
+    the longitudinal part; the density is the matching sine/cosine pair."""
+    p = np.linalg.norm(mom.P0)
+    heat = np.exp(-params.alpha * (r * r) * t)
+    wave = np.exp(-params.b * (r * r) * t / 2.0)
+    sine = wave * np.sin(params.gamma * t * r)
+    cosine = wave * np.cos(params.gamma * t * r)
+    return Field(heat * p, -1j * sine * mom.Q0, (cosine - heat) * p,
+                 mom.Q0 * cosine, -1j * p * sine)
+
+
+def moment_defect_field(params: ModelParams, data: InitialData, r: np.ndarray,
+                        t: float) -> Field:
+    """Remainder driven by the data transform minus its moments (low zone).
+
+    This is the exact velocity flow of the moment remainder A of the even data
+    (:func:`~nsprofile.model.ab_decomposition`, B = 0), (e^{-s^2 r^2/2} - 1)
+    times the moments.  Restricted to r <= delta0, where the divided
+    differences are oscillatory.
+    """
+    if np.any(r > params.delta0 * (1 + 1e-12)):
+        raise ValueError("moment defect is evaluated on |xi| <= delta0 only")
+    defect = np.exp(-data.width ** 2 * (r * r) / 2.0) - 1.0
+    return flow(params, r, t, np.linalg.norm(data.amplitude_v) * defect,
+                data.amplitude_rho * defect).vector()
+
+
+def sine_correction_field(params: ModelParams, mom: Moments, r: np.ndarray,
+                          t: float) -> Field:
+    """Longitudinal damped-sine correction,
+    -(b/2) xi (xi.P0) e^{-b r^2 t/2} sin(gamma t r) / (gamma r)."""
+    wave = np.exp(-params.b * (r * r) * t / 2.0)
+    return Field(b1=(-0.5 * params.b * np.linalg.norm(mom.P0) * r * wave
+                     * np.sin(params.gamma * t * r) / params.gamma))
+
+
+def expansion_field(params: ModelParams, mom: Moments, r: np.ndarray, t: float) -> Field:
+    """The five expansion corrections together: the exact moment flow minus
+    the leading velocity profile minus the sine correction."""
+    return (flow(params, r, t, np.linalg.norm(mom.P0), mom.Q0) - profile_field(params, mom, r, t)
+            - sine_correction_field(params, mom, r, t)).vector()
+
+
 def velocity_profile(params: ModelParams, mom: Moments, xi: np.ndarray, t: float) -> np.ndarray:
     """Four-term leading profile of the velocity transform at (t, xi != 0)."""
-    xi, r2 = _as_batch(xi, params.n)
-    r = np.sqrt(r2)
-    b, g = params.b, params.gamma
-    p0 = np.asarray(mom.P0, dtype=float)
-    heat = np.exp(-params.alpha * r2 * t)
-    wave = np.exp(-b * r2 * t / 2.0)
-    xi_p0 = xi @ p0
-    long_proj = (xi_p0 / r2)[:, None] * xi  # xi (xi.P0)/|xi|^2
-    return (heat[:, None] * p0[None, :]
-            - heat[:, None] * long_proj
-            - 1j * (wave * np.sin(g * t * r) / r * mom.Q0)[:, None] * xi
-            + (wave * np.cos(g * t * r))[:, None] * long_proj)
+    return pointwise(lambda r: profile_field(params, mom, r, t), xi, params.n, mom.P0)[0]
 
 
 def density_profile(params: ModelParams, mom: Moments, xi: np.ndarray, t: float):
     """Two-term leading profile of the density transform at (t, xi != 0)."""
-    xi, r2 = _as_batch(xi, params.n)
-    r = np.sqrt(r2)
-    wave = np.exp(-params.b * r2 * t / 2.0)
-    xi_p0 = xi @ np.asarray(mom.P0, dtype=float)
-    return (-1j * xi_p0 * wave * np.sin(params.gamma * t * r) / r
-            + mom.Q0 * wave * np.cos(params.gamma * t * r))
+    return pointwise(lambda r: profile_field(params, mom, r, t), xi, params.n, mom.P0)[1]
 
 
 def moment_flow(params: ModelParams, mom: Moments, xi: np.ndarray, t: float) -> np.ndarray:
     """Exact velocity flow of the pure moments (P0, Q0) with the true
     divided-difference coefficients; the moment defect is solve_exact_batch minus this."""
-    xi, r2 = _as_batch(xi, params.n)
-    p0 = np.asarray(mom.P0, dtype=float)[None, :]
-    return _flow(params, xi, r2, t, p0, np.array([mom.Q0], dtype=float))[0]
+    return pointwise(lambda r: flow(params, r, t, np.linalg.norm(mom.P0), mom.Q0),
+                     xi, params.n, mom.P0)[0]
 
 
 def moment_defect_term(params: ModelParams, data: InitialData, xi: np.ndarray,
                        t: float) -> np.ndarray:
-    """Remainder driven by the data transform minus its moments (low zone).
-
-    This is the exact velocity flow of the moment remainder A of the even data
-    (:func:`~nsprofile.model.ab_decomposition`, B = 0).  Restricted to
-    |xi| <= delta0, where the divided differences are oscillatory.
-    """
-    xi, r2 = _as_batch(xi, params.n)
-    if np.any(np.sqrt(r2) > params.delta0 * (1 + 1e-12)):
-        raise ValueError("moment defect is evaluated on |xi| <= delta0 only")
-    dec = ab_decomposition(data, xi)
-    return _flow(params, xi, r2, t, dec.A0, dec.A_rho)[0]
+    """:func:`moment_defect_field` at xi of shape (m, n)."""
+    return pointwise(lambda r: moment_defect_field(params, data, r, t), xi, params.n,
+                     data.amplitude_v)[0]
 
 
 def sine_correction_term(params: ModelParams, mom: Moments, xi: np.ndarray,
                          t: float) -> np.ndarray:
-    """Longitudinal damped-sine correction,
-    -(b/2) xi (xi.P0) e^{-b r^2 t/2} sin(gamma t r) / (gamma r)."""
-    xi, r2 = _as_batch(xi, params.n)
-    r = np.sqrt(r2)
-    xi_p0 = xi @ np.asarray(mom.P0, dtype=float)
-    coef = (-0.5 * params.b * xi_p0 * np.exp(-params.b * r2 * t / 2.0)
-            * np.sin(params.gamma * t * r) / (params.gamma * r))
-    return (coef[:, None] * xi).astype(complex)
+    """:func:`sine_correction_field` at xi of shape (m, n)."""
+    return pointwise(lambda r: sine_correction_field(params, mom, r, t), xi, params.n,
+                     mom.P0)[0].astype(complex)
 
 
 def gaussian_moment_bound(n: int, k: int, rate: float, t: float) -> float:
@@ -141,23 +157,11 @@ def measured_remainder_norms(params: ModelParams, data: InitialData, t: float,
     from .quadrature import zone_norm_sq
 
     mom = moments(data)
-
-    def defect(xi):
-        return moment_defect_term(params, data, xi, t)
-
-    def sine(xi):
-        return sine_correction_term(params, mom, xi, t)
-
-    def expansion(xi):
-        return (moment_flow(params, mom, xi, t)
-                - velocity_profile(params, mom, xi, t)
-                - sine_correction_term(params, mom, xi, t))
-
-    out = {}
-    for name, f in (("moment_defect", defect), ("sine_correction", sine),
-                    ("expansion", expansion)):
-        out[name] = zone_norm_sq(f, params, t, "low", rel_tol).value
-    return out
+    fields = {"moment_defect": lambda r: moment_defect_field(params, data, r, t),
+              "sine_correction": lambda r: sine_correction_field(params, mom, r, t),
+              "expansion": lambda r: expansion_field(params, mom, r, t)}
+    return {name: zone_norm_sq(lambda r: field(r).abs_sq(), params, t, "low", rel_tol).value
+            for name, field in fields.items()}
 
 
 def remainder_bounds(params: ModelParams, data: InitialData, t: float) -> RemainderBounds:

@@ -1,15 +1,12 @@
-"""L^2 norms over frequency zones by radial-angular reduction.
+"""L^2 norms over frequency zones by radial quadrature of exact angular means.
 
-All acceptance integrands are axially symmetric about the initial-velocity
-moment direction, so an n-dimensional integral reduces to a 2-d one in the
-radius r and u = cos(phi), the cosine of the angle to the e1 axis, with weight
-``omega_{n-2} r^{n-1} (1-u^2)^((n-3)/2)`` (n = 1 degenerates to the two
-half-lines).  The angular rule is Gauss in u for that weight, in closed form
-for every n: 2 nodes u = -+1/sqrt(n) with equal weights, exact through degree
-3, and the integrands here are quadratic in u.  Every call certifies this on
-the radial probe: the 3-node rule u = 0, -+sqrt(3/(n+2)), exact through
-degree 5, must give the same probe mass to within ``rel_tol``, otherwise the
-call raises :class:`QuadratureError`.
+Every field whose norm is taken here depends on the direction of xi only
+through u = xi_hat . p_hat, the cosine of the angle to the velocity-moment
+direction, and |field|^2 is a quadratic q0 + q1 u + q2 u^2 in it (see
+``spectral.Field``).  Over the unit sphere S^(n-1) the mean of u is 0 and that
+of u^2 is 1/n (also at n = 1, where the sphere is the two points -+1), so an
+n-dimensional zone norm is the radial integral of |S^(n-1)| r^(n-1)
+(q0 + q2/n): one real evaluation per radius and no angular rule.
 
 Radial panels carry the 15-point Gauss-Kronrod rule with its embedded 7-point
 Gauss rule (QUADPACK qk15; Piessens et al. 1983), laid out densely enough to
@@ -66,12 +63,9 @@ _DECAY_EXPONENT = 80.0  # e^-80 ~ 1.8e-35, below any tolerance after polynomial 
 # least _OSC_FACTOR panels per oscillation period 2*pi/(gamma*t) on the
 # radially active sub-interval; each further level doubles them, up to
 # _MAX_REFINEMENTS times.  The start is coarse because doubling stops at the
-# first level whose K15/G7 estimate meets ``rel_tol``.  _ANGULAR_NODES is the
-# number k of Gauss nodes in u = cos(phi), exact to degree 2k - 1; the
-# (k+1)-node certificate rejects integrands that k nodes do not resolve.
+# first level whose K15/G7 estimate meets ``rel_tol``.
 _BASE_PANELS = 12
 _OSC_FACTOR = 2
-_ANGULAR_NODES = 2
 _MAX_REFINEMENTS = 6
 _MAX_RADIAL_NODES = 1 << 21  # ~400x the largest layout of a default run (4,935)
 DEFAULT_REL_TOL = 1e-6
@@ -81,15 +75,16 @@ class QuadratureError(RuntimeError):
     """Raised when a norm evaluation cannot meet its tolerance."""
 
 
-class SymmetryError(ValueError):
-    """Raised when the integrand fails the axial-symmetry spot check."""
-
-
 @dataclass(frozen=True)
 class ZoneNorm:
+    """A zone norm, its error estimate, the radii its integrand was evaluated
+    at (probe included) and its accepted refinement level."""
+
     zone: str
     value: float
     est_error: float
+    points: int
+    level: int
 
 
 def sphere_area(n: int) -> float:
@@ -126,95 +121,6 @@ def _panel_nodes(lo: float, hi: float, panels: int) -> tuple[np.ndarray, np.ndar
     nodes = (mids[:, None] + 0.5 * width * _K15_NODES[None, :]).ravel()
     weights = np.broadcast_to(0.5 * width * _K15_WEIGHTS, (panels, _PANEL_ORDER)).ravel()
     return nodes, weights
-
-
-def _angular_frame(n: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unit directions (u, sqrt(1-u^2), 0, ...) and weights of the Gauss rule
-    in u = cos(phi) with ``nodes`` = 2 or 3 nodes for the measure of S^(n-1).
-
-    Over the sphere the mean of u^2 is 1/n and that of u^4 is 3/(n(n+2)).
-    2 nodes: u = -+1/sqrt(n), each weighted |S^(n-1)|/2, exact through degree 3
-    (the two points -+e1 at n = 1).  3 nodes: u = -+sqrt(3/(n+2)) weighted
-    |S^(n-1)| (n+2)/(6n) and u = 0 the rest, exact through degree 5.
-    """
-    area = sphere_area(n)
-    if nodes == 2:
-        u = np.array([-1.0, 1.0]) / math.sqrt(n)
-        w = np.full(2, area / 2)
-    else:
-        u = np.array([-1.0, 0.0, 1.0]) * math.sqrt(3.0 / (n + 2))
-        outer = area * (n + 2) / (6.0 * n)
-        w = np.array([outer, area - 2.0 * outer, outer])
-    dirs = np.zeros((nodes, n))
-    dirs[:, 0] = u
-    dirs[:, 1:2] = np.sqrt(1.0 - u * u)[:, None]  # no second axis at n = 1
-    return dirs, w
-
-
-def _abs_sq(values: np.ndarray) -> np.ndarray:
-    v = np.asarray(values)
-    if v.ndim == 1:
-        return np.abs(v) ** 2
-    # one float row per point: the real and imaginary parts of every component
-    flat = np.ascontiguousarray(v, dtype=complex if np.iscomplexobj(v) else float)
-    flat = flat.view(float).reshape(v.shape[0], -1)
-    return np.einsum("ij,ij->i", flat, flat)
-
-
-def _eval_abs_sq(f: Callable[[np.ndarray], np.ndarray], xi: np.ndarray,
-                 chunk: int = 1 << 19) -> np.ndarray:
-    out = np.empty(xi.shape[0])
-    for start in range(0, xi.shape[0], chunk):
-        out[start:start + chunk] = _abs_sq(f(xi[start:start + chunk]))
-    return out
-
-
-def _on_frame(radii: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """The points r * d for every radius r and direction d, radius-major."""
-    return (radii[:, None, None] * dirs[None, :, :]).reshape(-1, dirs.shape[1])
-
-
-def _symmetry_points(radii: np.ndarray, n: int) -> np.ndarray:
-    """Two directions at the same angle to e1 at each radius: tilted into e2
-    and reflected (n = 2), or tilted into e2 and into e3."""
-    phi = 1.03
-    xi = np.zeros((2, radii.size, n))
-    xi[:, :, 0] = radii * math.cos(phi)
-    xi[0, :, 1] = radii * math.sin(phi)
-    if n == 2:
-        xi[1, :, 1] = -radii * math.sin(phi)
-    else:
-        xi[1, :, 2] = radii * math.sin(phi)
-    return xi.reshape(-1, n)
-
-
-def _check_axial_symmetry(radii: np.ndarray, abs_sq: np.ndarray) -> None:
-    """Compare |f|^2 on the two directions of :func:`_symmetry_points`."""
-    fa, fb = abs_sq.reshape(2, radii.size)
-    for r, a, b in zip(radii, fa.tolist(), fb.tolist()):
-        if abs(a - b) > 1e-8 * max(a, b) + 1e-280:
-            raise SymmetryError(
-                f"integrand is not axially symmetric at r={r:.4g}: {a!r} vs {b!r}"
-            )
-
-
-def _radial_profile(abs_sq: np.ndarray, radii: np.ndarray, n: int,
-                    ang_w: np.ndarray) -> np.ndarray:
-    """r^(n-1) times the angular integral of |f|^2 at each radius, from |f|^2
-    on the :func:`_on_frame` points of the directions that ``ang_w`` weighs."""
-    vals = (abs_sq.reshape(radii.size, -1) * ang_w[None, :]).sum(axis=1)
-    return vals * radii ** (n - 1)
-
-
-def _check_angular_rule(finer: np.ndarray, probe: np.ndarray, rel_tol: float) -> None:
-    """Raise unless the (k+1)-node radial profile reproduces the k-node probe mass."""
-    gap = float(np.sum(np.abs(finer - probe)))
-    mass = float(np.sum(finer))
-    if not gap <= rel_tol * mass:
-        raise QuadratureError(
-            f"{_ANGULAR_NODES} angular nodes do not resolve the integrand: "
-            f"probe mass {mass:.6g} moves by {gap:.3g} with one node more"
-        )
 
 
 def _kronrod(values: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
@@ -273,42 +179,47 @@ def default_r_max(params: ModelParams, t: float) -> float:
 
 
 def _refine(evaluate: Callable[[int], tuple[float, float]], tail: float, rel_tol: float,
-            label: str) -> tuple[float, float]:
+            label: str) -> tuple[float, float, int]:
     """Evaluate levels 0, 1, ... as (K15 value, K15/G7 estimate) until one's
     estimate plus ``tail`` is within ``rel_tol`` of its value; returns
-    (value, est_error), est_error = estimate + ``tail``, or raises
+    (value, est_error, level), est_error = estimate + ``tail``, or raises
     :class:`QuadratureError` naming ``label`` if no level is."""
     for refine in range(_MAX_REFINEMENTS + 1):
         value, est = evaluate(refine)
         if est + tail <= rel_tol * max(abs(value), 1e-300) or (value == 0.0 and est == 0.0):
-            return value, est + tail
+            return value, est + tail, refine
     raise QuadratureError(f"{label} did not converge: value={value:.6g}, "
                           f"est_error={est + tail:.3g}")
 
 
-def zone_norm_sq(f: Callable[[np.ndarray], np.ndarray], params: ModelParams, t: float,
-                 zone: str, rel_tol: float = DEFAULT_REL_TOL, *,
-                 r_max: float | None = None) -> ZoneNorm:
-    """Integral of |f(xi)|^2 over a frequency zone.
+def _max_on_unit_interval(q0: float, q1: float, q2: float) -> float:
+    """Maximum of q0 + q1 u + q2 u^2 over u in [-1, 1]."""
+    if q2 < 0.0 and abs(q1) < -2.0 * q2:
+        return q0 - q1 * q1 / (4.0 * q2)
+    return q0 + abs(q1) + q2
 
-    ``f`` maps a batch of frequencies (m, n) to complex scalars (m,) or
-    complex vectors (m, n) and must be axially symmetric about the e1 axis
-    (spot-checked), with |f|^2 resolved by the angular rule in u (certified
-    on the probe; :class:`QuadratureError` otherwise).  Zones: "low" =
-    {|xi| <= delta0/sqrt(2)}, "high" = the complement truncated at r_max,
-    "full" = both.  A truncated zone adds the tail estimate: the largest |f|^2
-    at r_max over the 3 certificate nodes (the 2 nodes at n = 1), not over the
-    sphere (a u^2 term at n = 2 shows 3/4 of its sphere maximum there), times
-    the radial integral of e^(-min(2 alpha, b) t (r^2 - r_max^2)).  That is no bound
-    either: it assumes |f|^2 decays like this Gaussian past r_max, but the slow
-    overdamped root tends to -a/b, so the energy field decays in r only
+
+def zone_norm_sq(f: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]],
+                 params: ModelParams, t: float, zone: str, rel_tol: float = DEFAULT_REL_TOL,
+                 *, r_max: float | None = None) -> ZoneNorm:
+    """Integral of |field(xi)|^2 over a frequency zone.
+
+    ``f`` maps radii (m,) to the coefficients (q0, q1, q2), arrays (m,), of
+    |field|^2 = q0 + q1 u + q2 u^2 at those radii (``spectral.Field.abs_sq``),
+    so the radial integrand is |S^(n-1)| r^(n-1) times the exact sphere mean
+    q0 + q2/n.  Zones: "low" = {|xi| <= delta0/sqrt(2)}, "high" = the
+    complement truncated at r_max, "full" = both.  A truncated zone adds the
+    tail estimate: the maximum of |field|^2 over u in [-1, 1] at r_max times
+    the radial integral of e^(-min(2 alpha, b) t (r^2 - r_max^2)).  That is no
+    bound: it assumes |field|^2 decays like this Gaussian past r_max, but the
+    slow overdamped root tends to -a/b, so the energy field decays in r only
     through the data envelope and the tail can exceed the estimate.
     ``r_max`` overrides the truncation radius :func:`default_r_max`.  The
     value is the K15 sum of the first level whose error estimate (the sum over
     its panels of |K15 - G7|) plus the tail estimate is within ``rel_tol`` of
     it, and ``est_error`` is those two estimates together.  An unconverged
-    norm raises :class:`QuadratureError`.  The spot check, the probe, the
-    certificate and the edge value take one integrand call; each level one more.
+    norm raises :class:`QuadratureError`.  The probe and the edge radius r_max
+    take one integrand call; each level one more.
     """
     n = params.n
     if zone == "low":
@@ -325,39 +236,33 @@ def zone_norm_sq(f: Callable[[np.ndarray], np.ndarray], params: ModelParams, t: 
     if r_hi <= r_lo:
         raise ValueError(f"truncation radius {r_hi} does not exceed the zone start {r_lo}")
 
-    dirs, ang_w = _angular_frame(n, _ANGULAR_NODES)
-    finer_dirs, finer_w = _angular_frame(n, _ANGULAR_NODES + 1)
-    spots = np.array([0.25, 0.55, 0.85]) * (r_hi - r_lo) + r_lo
-    radii = r_lo + (np.arange(_PROBE_POINTS) + 0.5) * ((r_hi - r_lo) / _PROBE_POINTS)
-    # one integrand call for every per-call check: the symmetry spot check, the
-    # k-node probe, the (k+1)-node certificate and the edge value on the
-    # certificate's directions; n = 1 has no angle, so neither the spot check
-    # nor the certificate
-    angular = n > 1
-    none = np.zeros((0, n))
-    blocks = [_symmetry_points(spots, n) if angular else none, _on_frame(radii, dirs),
-              _on_frame(radii, finer_dirs) if angular else none,
-              r_hi * (finer_dirs if angular else dirs) if truncated else none]
-    at_spots, at_probe, at_finer, at_edge = np.split(
-        _eval_abs_sq(f, np.concatenate(blocks)), np.cumsum([len(x) for x in blocks[:-1]]))
-    probe = _radial_profile(at_probe, radii, n, ang_w)
-    if angular:
-        _check_axial_symmetry(spots, at_spots)
-        _check_angular_rule(_radial_profile(at_finer, radii, n, finer_w), probe, rel_tol)
-    split = _active_end(radii, probe, r_lo, r_hi)
+    area = sphere_area(n)
+
+    def profile(r: np.ndarray, q) -> np.ndarray:
+        """|S^(n-1)| r^(n-1) times the sphere mean q0 + q2/n of |field|^2."""
+        return area * (q[0] + q[2] / n) * r ** (n - 1)
+
+    # the probe radii and, last, the edge radius r_hi take one integrand call
+    radii = np.append(r_lo + (np.arange(_PROBE_POINTS) + 0.5) * ((r_hi - r_lo) / _PROBE_POINTS),
+                      r_hi)
+    q = f(radii)
+    split = _active_end(radii[:-1], profile(radii, q)[:-1], r_lo, r_hi)
     gamma_t = params.gamma * max(t, 0.0)
+    points = [radii.size]
 
     def evaluate(refine: int) -> tuple[float, float]:
         r, wr = _radial_layout(r_lo, r_hi, split, gamma_t, refine)
-        return _kronrod(_radial_profile(_eval_abs_sq(f, _on_frame(r, dirs)), r, n, ang_w), wr)
+        points.append(r.size)
+        return _kronrod(profile(r, f(r)), wr)
 
     tail = 0.0
-    if truncated:
-        edge = float(np.max(at_edge))
-        lam = min(2.0 * params.alpha, params.b) * max(t, 0.0)
-        tail = edge * sphere_area(n) * _gaussian_tail_bound(r_hi, lam, n) if lam > 0 else 0.0
+    lam = min(2.0 * params.alpha, params.b) * max(t, 0.0)
+    if truncated and lam > 0:
+        edge = _max_on_unit_interval(*(float(c[-1]) for c in q))
+        tail = edge * area * _gaussian_tail_bound(r_hi, lam, n)
 
-    return ZoneNorm(zone, *_refine(evaluate, tail, rel_tol, f"{zone}-zone norm"))
+    value, est_error, level = _refine(evaluate, tail, rel_tol, f"{zone}-zone norm")
+    return ZoneNorm(zone, value, est_error, sum(points), level)
 
 
 def _damped_square_integral(wave: Callable[[np.ndarray], np.ndarray], params: ModelParams,
@@ -377,7 +282,7 @@ def _damped_square_integral(wave: Callable[[np.ndarray], np.ndarray], params: Mo
         r, w = _radial_layout(0.0, r_hi, r_hi, gamma_t, refine)
         return _kronrod(np.exp(-b * t * r * r) * wave(gamma_t * r) ** 2 * r ** (n - 1), w)
 
-    return _refine(evaluate, tail, rel_tol, f"{label} integral at t={t}")
+    return _refine(evaluate, tail, rel_tol, f"{label} integral at t={t}")[:2]
 
 
 def sine_kernel_integral(params: ModelParams, t: float,

@@ -16,15 +16,20 @@ it.  No formula subtracts nearby exponentials, so the closed form is smooth
 across delta0 with no cutoff, and complex numbers enter only through the
 -i gamma coupling.
 
-The solution is linear in the data: one batched kernel (:func:`_flow`) maps
-the data transform, the zeroth moments or the moment remainder to their flow.
-Every entry point takes frequencies as an (m, n) batch.
+The data are isotropic envelopes times the moments, so the solution depends
+on the direction of xi only through u = xi_hat . p_hat, p_hat the direction
+of the velocity moment: it is a :class:`Field` of coefficients in r = |xi|.
+One kernel (:func:`flow`) maps the data transform, the zeroth moments or the
+moment remainder to those coefficients at a batch of radii, and
+:func:`pointwise` assembles any such field at an (m, n) batch of frequencies.
 
 The classical fixed-step RK4 integrator is kept deliberately independent of
 the closed form and serves as the verification oracle.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,51 +77,98 @@ def _phi_psi(params: ModelParams, r2: np.ndarray, t: float) -> tuple[np.ndarray,
     return phi, psi
 
 
-def _as_batch(xi: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(xi as an (m, n) float array, |xi|^2), rejecting other shapes and xi = 0."""
+def _re_dot(x, y):
+    """Re(x conj(y)) for real or complex arrays or scalars."""
+    return np.real(x) * np.real(y) + np.imag(x) * np.imag(y)
+
+
+class Field(NamedTuple):
+    """A field that depends on the direction of xi only through u = xi_hat . p_hat,
+    with p_hat the unit velocity moment (e1 if the moment is 0): the vector
+    a p_hat + (b0 + b1 u) xi_hat and the scalar c0 + c1 u.  Each coefficient is
+    an array over the radii r = |xi| or 0."""
+
+    a: np.ndarray | float = 0.0
+    b0: np.ndarray | float = 0.0
+    b1: np.ndarray | float = 0.0
+    c0: np.ndarray | float = 0.0
+    c1: np.ndarray | float = 0.0
+
+    def __sub__(self, other: "Field") -> "Field":
+        return Field(*(x - y for x, y in zip(self, other)))
+
+    def vector(self) -> "Field":
+        return self._replace(c0=0.0, c1=0.0)
+
+    def scalar(self) -> "Field":
+        return Field(c0=self.c0, c1=self.c1)
+
+    def abs_sq(self) -> list[np.ndarray]:
+        """Coefficients (q0, q1, q2), as arrays over the radii, of
+        |vector|^2 + |scalar|^2 = q0 + q1 u + q2 u^2."""
+        a, b0, b1, c0, c1 = self
+        return np.broadcast_arrays(
+            _re_dot(a, a) + _re_dot(b0, b0) + _re_dot(c0, c0),
+            2.0 * (_re_dot(a, b0) + _re_dot(b0, b1) + _re_dot(c0, c1)),
+            2.0 * _re_dot(a, b1) + _re_dot(b1, b1) + _re_dot(c1, c1))
+
+
+def pointwise(field_at, xi: np.ndarray, n: int,
+              p0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(vector (m, n), scalar (m,)) at xi of shape (m, n) of the :class:`Field`
+    that ``field_at`` gives at the radii |xi|, for the velocity moment ``p0``;
+    rejects other shapes and xi = 0."""
     xi = np.asarray(xi, dtype=float)
     if xi.ndim != 2 or xi.shape[1] != n:
         raise ValueError(f"xi must have shape (m, {n}), got {xi.shape}")
-    r2 = np.sum(xi * xi, axis=1)
-    if np.any(r2 == 0.0):
+    r = np.sqrt(np.sum(xi * xi, axis=1))
+    if np.any(r == 0.0):
         raise ValueError("xi = 0 is excluded from pointwise evaluation")
-    return xi, r2
+    p0 = np.asarray(p0, dtype=float)
+    norm = np.linalg.norm(p0)
+    p_hat = p0 / norm if norm > 0 else np.eye(n)[0]
+    f = field_at(r)
+    xi_hat = xi / r[:, None]
+    u = xi_hat @ p_hat
+    return (np.multiply.outer(f.a, p_hat) + (f.b0 + f.b1 * u)[:, None] * xi_hat,
+            f.c0 + f.c1 * u)
 
 
-def _flow(params: ModelParams, xi: np.ndarray, r2: np.ndarray, t: float,
-          v0: np.ndarray, rho0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form flow of the transformed data (v0, rho0) over xi of shape (m, n).
+def flow(params: ModelParams, r: np.ndarray, t: float, p, q) -> Field:
+    """Closed-form flow at radii r of the transformed data p p_hat (velocity)
+    and q (density), p and q scalars or arrays over r.  The velocity is heat
+    flow on the transverse part plus the longitudinal 2x2 flow; the density
+    uses the same flow applied to (q, xi . v0 = r u p):
 
-    ``r2`` is |xi|^2 (nonzero); ``v0`` and ``rho0`` broadcast against (m, n)
-    and (m,), so constant data may be passed as (1, n) and (1,) arrays.  The
-    velocity is heat flow on the transverse part plus the longitudinal 2x2
-    flow; the density uses the same flow applied to (rho0, xi.v0):
+        v_hat   = heat p p_hat + (-i gamma r Phi q + (Psi - heat) p u) xi_hat,
+        rho_hat = (Psi + b r^2 Phi) q - i gamma r Phi p u,
 
-        v_hat   = e^{-alpha r^2 t} v0 - i gamma xi Phi rho0
-                  + (Psi - e^{-alpha r^2 t}) xi (xi.v0)/r^2,
-        rho_hat = (Psi + b r^2 Phi) rho0 - i gamma Phi (xi.v0).
-    """
-    phi, psi = _phi_psi(params, r2, t)
-    heat = np.exp(-params.alpha * r2 * t)
-    w0 = np.einsum("ij,ij->i", xi, v0)
-    v_hat = (heat[:, None] * v0
-             - 1j * params.gamma * phi[:, None] * xi * rho0[:, None]
-             + ((psi - heat) * w0 / r2)[:, None] * xi)
-    rho_hat = (psi + params.b * r2 * phi) * rho0 - 1j * params.gamma * phi * w0
-    return v_hat, rho_hat
+    heat = e^{-alpha r^2 t}."""
+    rr = r * r
+    phi, psi = _phi_psi(params, rr, t)
+    heat = np.exp(-params.alpha * rr * t)
+    acoustic = -1j * params.gamma * r * phi
+    return Field(heat * p, acoustic * q, (psi - heat) * p,
+                 (psi + params.b * rr * phi) * q, acoustic * p)
+
+
+def exact_field(params: ModelParams, data: InitialData, r: np.ndarray, t: float) -> Field:
+    """:func:`flow` of the data transform, whose envelope is e^{-s^2 r^2 / 2}."""
+    envelope = np.exp(-data.width ** 2 * (r * r) / 2.0)
+    return flow(params, r, t, np.linalg.norm(data.amplitude_v) * envelope,
+                data.amplitude_rho * envelope)
 
 
 def solve_exact_batch(params: ModelParams, data: InitialData, xi: np.ndarray,
                       t: float) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized closed form over xi of shape (m, n); returns (v_hat, rho_hat),
-    the :func:`_flow` of the data transform."""
+    the :func:`exact_field` at those points."""
     if data.n != params.n:
         raise ValueError(f"data dimension {data.n} != params dimension {params.n}")
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
-    xi, r2 = _as_batch(xi, params.n)
-    v0, rho0 = fourier_data_batch(data, xi)
-    return _flow(params, xi, r2, t, v0, rho0)
+    return pointwise(lambda r: exact_field(params, data, r, t), xi, params.n,
+                     data.amplitude_v)
 
 
 def _flow_matrix(params: ModelParams, xi: np.ndarray) -> np.ndarray:

@@ -4,7 +4,11 @@ The two quadratures integrate in radial coordinates with plain panel-wise
 Gauss-Legendre, independently of the package's own quadrature; the density
 residual checks the closed-form solution against its second-order ODE; the
 complex roots and their divided differences are the reference for the
-package's real Phi and Psi.
+package's real Phi and Psi.  :func:`black_box_norm_sq` integrates a field
+given only pointwise, f(xi), by Gauss rules in u = cos(phi), with the
+axial-symmetry and angular-resolution checks such a field needs;
+:func:`pointwise_fields` holds the pointwise formulas of the fields that the
+package integrates through their radial coefficients.
 """
 
 import math
@@ -12,9 +16,10 @@ import math
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from nsprofile.model import InitialData, ModelParams
+from nsprofile.model import InitialData, ModelParams, ab_decomposition, fourier_data_batch
 from nsprofile.profiles import gaussian_moment_bound
-from nsprofile.spectral import solve_exact_batch
+from nsprofile.quadrature import DEFAULT_REL_TOL, QuadratureError, sphere_area, zone_norm_sq
+from nsprofile.spectral import _phi_psi, solve_exact_batch
 
 
 def l11_norm_radial_quadrature(data: InitialData, panels: int = 64, order: int = 16,
@@ -130,3 +135,198 @@ def complex_phi_psi(s1: np.ndarray, s2: np.ndarray, t: float) -> tuple[np.ndarra
         phi = np.where(s1 == s2, t * e1, (e1 - e2) / (s1 - s2))
         psi = np.where(s1 == s2, (1.0 + s1 * t) * e1, (s1 * e1 - s2 * e2) / (s1 - s2))
     return phi, psi
+
+
+class SymmetryError(ValueError):
+    """Raised when the integrand fails the axial-symmetry spot check."""
+
+
+def _angular_frame(n: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unit directions (u, sqrt(1-u^2), 0, ...) and weights of the Gauss rule
+    in u = cos(phi) with ``nodes`` = 2 or 3 nodes for the measure of S^(n-1).
+
+    Over the sphere the mean of u^2 is 1/n and that of u^4 is 3/(n(n+2)).
+    2 nodes: u = -+1/sqrt(n), each weighted |S^(n-1)|/2, exact through degree 3
+    (the two points -+e1 at n = 1).  3 nodes: u = -+sqrt(3/(n+2)) weighted
+    |S^(n-1)| (n+2)/(6n) and u = 0 the rest, exact through degree 5.
+    """
+    area = sphere_area(n)
+    if nodes == 2:
+        u = np.array([-1.0, 1.0]) / math.sqrt(n)
+        w = np.full(2, area / 2)
+    else:
+        u = np.array([-1.0, 0.0, 1.0]) * math.sqrt(3.0 / (n + 2))
+        outer = area * (n + 2) / (6.0 * n)
+        w = np.array([outer, area - 2.0 * outer, outer])
+    dirs = np.zeros((nodes, n))
+    dirs[:, 0] = u
+    dirs[:, 1:2] = np.sqrt(1.0 - u * u)[:, None]  # no second axis at n = 1
+    return dirs, w
+
+
+def _abs_sq(values: np.ndarray) -> np.ndarray:
+    v = np.asarray(values)
+    if v.ndim == 1:
+        return np.abs(v) ** 2
+    # one float row per point: the real and imaginary parts of every component
+    flat = np.ascontiguousarray(v, dtype=complex if np.iscomplexobj(v) else float)
+    flat = flat.view(float).reshape(v.shape[0], -1)
+    return np.einsum("ij,ij->i", flat, flat)
+
+
+def _eval_abs_sq(f, xi: np.ndarray, chunk: int = 1 << 19) -> np.ndarray:
+    out = np.empty(xi.shape[0])
+    for start in range(0, xi.shape[0], chunk):
+        out[start:start + chunk] = _abs_sq(f(xi[start:start + chunk]))
+    return out
+
+
+def _on_frame(radii: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """The points r * d for every radius r and direction d, radius-major."""
+    return (radii[:, None, None] * dirs[None, :, :]).reshape(-1, dirs.shape[1])
+
+
+def _symmetry_points(radii: np.ndarray, n: int) -> np.ndarray:
+    """Two directions at the same angle to e1 at each radius: tilted into e2
+    and reflected (n = 2), or tilted into e2 and into e3."""
+    phi = 1.03
+    xi = np.zeros((2, radii.size, n))
+    xi[:, :, 0] = radii * math.cos(phi)
+    xi[0, :, 1] = radii * math.sin(phi)
+    if n == 2:
+        xi[1, :, 1] = -radii * math.sin(phi)
+    else:
+        xi[1, :, 2] = radii * math.sin(phi)
+    return xi.reshape(-1, n)
+
+
+def _check_axial_symmetry(radii: np.ndarray, abs_sq: np.ndarray) -> None:
+    """Compare |f|^2 on the two directions of :func:`_symmetry_points`."""
+    fa, fb = abs_sq.reshape(2, radii.size)
+    for r, a, b in zip(radii, fa.tolist(), fb.tolist()):
+        if abs(a - b) > 1e-8 * max(a, b) + 1e-280:
+            raise SymmetryError(
+                f"integrand is not axially symmetric at r={r:.4g}: {a!r} vs {b!r}"
+            )
+
+
+def _radial_profile(abs_sq: np.ndarray, radii: np.ndarray, n: int,
+                    ang_w: np.ndarray) -> np.ndarray:
+    """r^(n-1) times the angular integral of |f|^2 at each radius, from |f|^2
+    on the :func:`_on_frame` points of the directions that ``ang_w`` weighs."""
+    vals = (abs_sq.reshape(radii.size, -1) * ang_w[None, :]).sum(axis=1)
+    return vals * radii ** (n - 1)
+
+
+def _check_angular_rule(finer: np.ndarray, probe: np.ndarray, rel_tol: float) -> None:
+    """Raise unless the 3-node radial profile reproduces the 2-node mass."""
+    gap = float(np.sum(np.abs(finer - probe)))
+    mass = float(np.sum(finer))
+    if not gap <= rel_tol * mass:
+        raise QuadratureError(
+            f"2 angular nodes do not resolve the integrand: "
+            f"probe mass {mass:.6g} moves by {gap:.3g} with one node more"
+        )
+
+
+def black_box_norm_sq(f, params: ModelParams, t: float, zone: str,
+                      rel_tol: float = DEFAULT_REL_TOL, *, r_max: float | None = None):
+    """``zone_norm_sq`` of a field given pointwise: f maps frequencies (m, n)
+    to complex scalars (m,) or vectors (m, n), axially symmetric about e1.
+
+    At each batch of radii the sphere mean of |f|^2 is the 2-node Gauss rule
+    u = -+1/sqrt(n) in u = cos(phi), not the 1/n of ``zone_norm_sq``; three of
+    the radii are spot-checked for axial symmetry (:class:`SymmetryError`),
+    and the 3-node rule u = 0, -+sqrt(3/(n+2)) must give the same mass
+    (:class:`QuadratureError` "angular nodes" otherwise).  That mean goes to
+    ``zone_norm_sq`` as q0 = mean, q1 = (largest |f|^2 on the 3 directions) -
+    mean and q2 = 0, so its edge value is that largest |f|^2.  n = 1 has
+    only the directions -+e1.
+    """
+    n = params.n
+    dirs, ang_w = _angular_frame(n, 2)
+    finer_dirs, finer_w = _angular_frame(n, 3) if n > 1 else (dirs, ang_w)
+    area = sphere_area(n)
+
+    def coefficients(r):
+        spots = r[[r.size // 4, r.size // 2, 3 * r.size // 4]]
+        blocks = [_symmetry_points(spots, n) if n > 1 else np.zeros((0, n)),
+                  _on_frame(r, dirs), _on_frame(r, finer_dirs)]
+        at_spots, at_probe, at_finer = np.split(
+            _eval_abs_sq(f, np.concatenate(blocks)), np.cumsum([len(x) for x in blocks[:-1]]))
+        if n > 1:
+            _check_axial_symmetry(spots, at_spots)
+        probe = _radial_profile(at_probe, r, n, ang_w)
+        _check_angular_rule(_radial_profile(at_finer, r, n, finer_w), probe, rel_tol)
+        mean = probe / (area * r ** (n - 1))
+        edge = at_finer.reshape(r.size, -1).max(axis=1)
+        return mean, edge - mean, np.zeros(r.size)
+
+    return zone_norm_sq(coefficients, params, t, zone, rel_tol, r_max=r_max)
+
+
+def pointwise_fields(params: ModelParams, data: InitialData, t: float) -> dict:
+    """Pointwise formulas f(xi), xi (m, n), of the fields whose zone norms the
+    package takes, and of the pure-moment flow, written out in the Cartesian
+    components of xi."""
+    n = params.n
+    p0 = np.asarray(data.amplitude_v, dtype=float)
+    q0 = data.amplitude_rho
+    a, b, g = params.alpha, params.b, params.gamma
+
+    def flow(xi, v0, rho0):
+        r2 = np.sum(xi * xi, axis=1)
+        phi, psi = _phi_psi(params, r2, t)
+        heat = np.exp(-a * r2 * t)
+        w0 = np.einsum("ij,ij->i", xi, v0)
+        v_hat = (heat[:, None] * v0 - 1j * g * phi[:, None] * xi * rho0[:, None]
+                 + ((psi - heat) * w0 / r2)[:, None] * xi)
+        return v_hat, (psi + b * r2 * phi) * rho0 - 1j * g * phi * w0
+
+    def exact(xi):
+        return flow(xi, *fourier_data_batch(data, xi))
+
+    def moment_flow(xi):
+        return flow(xi, p0[None, :], np.array([q0]))[0]
+
+    def waves(xi):
+        r2 = np.sum(xi * xi, axis=1)
+        r = np.sqrt(r2)
+        wave = np.exp(-b * r2 * t / 2.0)
+        return r2, r, wave * np.sin(g * t * r), wave * np.cos(g * t * r)
+
+    def profile(xi):
+        r2, r, sine, cosine = waves(xi)
+        heat = np.exp(-a * r2 * t)
+        long_proj = ((xi @ p0) / r2)[:, None] * xi
+        velocity = (heat[:, None] * p0[None, :] - heat[:, None] * long_proj
+                    - 1j * (sine / r * q0)[:, None] * xi + cosine[:, None] * long_proj)
+        return velocity, -1j * (xi @ p0) * sine / r + q0 * cosine
+
+    def defect(xi):
+        dec = ab_decomposition(data, xi)
+        return flow(xi, dec.A0, dec.A_rho)[0]
+
+    def sine_correction(xi):
+        _, r, sine, _ = waves(xi)
+        return (-0.5 * b * (xi @ p0) * sine / (g * r))[:, None] * xi
+
+    def projection(radial):
+        def f(xi):
+            r2 = np.sum(xi * xi, axis=1)
+            return ((xi @ p0) / r2 * radial(r2, np.sqrt(r2)))[:, None] * xi
+        return f
+
+    return {
+        "velocity": lambda xi: exact(xi)[0],
+        "energy": lambda xi: np.concatenate([exact(xi)[0], exact(xi)[1][:, None]], axis=1)
+        / math.sqrt(2.0),
+        "velocity_remainder": lambda xi: exact(xi)[0] - profile(xi)[0],
+        "density_remainder": lambda xi: exact(xi)[1] - profile(xi)[1],
+        "moment_defect": defect,
+        "sine_correction": sine_correction,
+        "expansion": lambda xi: moment_flow(xi) - profile(xi)[0] - sine_correction(xi),
+        "moment_flow": moment_flow,
+        "heat_projection": projection(lambda r2, r: np.exp(-a * r2 * t)),
+        "damped_cosine": projection(lambda r2, r: np.exp(-b * r2 * t / 2) * np.cos(g * t * r)),
+    }

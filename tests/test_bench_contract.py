@@ -3,7 +3,8 @@
 ``bench/spans.py`` (``run_bench.py --trace 1``) replaces module attributes
 of the package with span wrappers whose hooks read call arguments by name.
 A deleted or renamed attribute, or a renamed parameter, would break tracing
-without failing any other test.  The tracer module is only read here.
+without failing any other test.  One test installs the tracer in process
+and restores the wrapped attributes afterwards.
 """
 
 import importlib
@@ -47,7 +48,17 @@ def test_wrap_site_has_the_bound_parameters(name, module, attr):
     assert not missing, f"{module}.{attr} lacks {sorted(missing)}"
 
 
-def test_integrand_chunk_has_a_default():
-    # the tracer splits a refinement level into integrand calls of this size
-    chunk = spans._integrand_chunk()
-    assert isinstance(chunk, int) and chunk > 0
+def test_traced_rate_run_counts_its_zone_norms(tmp_path, monkeypatch):
+    # the tracer installed in process sees every zone norm of a default rate
+    # run: one per time of its 11-point grid
+    for _, module, attr in SITES:  # restored when the test ends
+        mod = importlib.import_module(module)
+        monkeypatch.setattr(mod, attr, getattr(mod, attr))
+    tracer = spans.Tracer()
+    tracer.install()
+    config = tmp_path / "rate.json"
+    config.write_text("{}")
+    from nsprofile.cli import main
+
+    assert main(["rate", "--config", str(config), "--out", str(tmp_path)]) == 0
+    assert tracer.metrics(0.0)["quadrature.zone_norm_sq.calls"] == 11

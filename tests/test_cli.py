@@ -334,3 +334,25 @@ def test_cli_unexpected_runner_error_exits_2(tmp_path, monkeypatch, capsys):
     assert diagnostic["traceback"]
     assert json.loads((out / "rate.json").read_text()) == diagnostic
     assert "Traceback" not in err
+
+
+def test_cli_moment_off_the_first_axis_matches_its_rotation(tmp_path):
+    # the fields depend on the velocity moment only through |P0| and the
+    # cosine u of its angle to xi, so a moment off e1 gives the verdicts of
+    # the same moment rotated onto e1
+    from nsprofile.reporting import read_csv
+
+    columns = {}
+    for label, moment in (("diagonal", [0.05, 0.05]), ("axis", [0.05 * math.sqrt(2), 0.0])):
+        path = write_config(tmp_path, {"params": {"n": 2}, "data": {"amplitude_v": moment}},
+                            name=f"{label}.json")
+        for sub in COMPUTE_SUBCOMMANDS[1:]:
+            out = tmp_path / label
+            assert main([sub, "--config", path, "--out", str(out)]) != 2
+            columns[label, sub] = read_csv(str(out / f"{sub}.csv"))
+    for sub in COMPUTE_SUBCOMMANDS[1:]:
+        diagonal, axis = columns["diagonal", sub], columns["axis", sub]
+        assert diagonal.keys() == axis.keys()
+        for name in axis:
+            for got, want in zip(diagonal[name], axis[name]):
+                assert abs(got - want) <= 1e-12 * abs(want), (sub, name, got, want)

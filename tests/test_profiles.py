@@ -14,9 +14,8 @@ from nsprofile.profiles import (
     sine_correction_term,
     velocity_profile,
 )
-from nsprofile.quadrature import zone_norm_sq
 from nsprofile.spectral import solve_exact_batch
-from oracles import gaussian_moment_integral
+from oracles import black_box_norm_sq, gaussian_moment_integral
 
 PARAMS = ModelParams(alpha=1.0, beta=1.0, gamma=1.0, n=2)
 DATA = InitialData(amplitude_v=(0.1, 0.0), amplitude_rho=1.0, width=1.0)
@@ -181,7 +180,7 @@ def test_sine_correction_norm_below_closed_form_bound():
     mom = moments(data)
     for t in (16.0, 64.0, 256.0):
         f = lambda xi: sine_correction_term(PARAMS, mom, xi, t)
-        measured = zone_norm_sq(f, PARAMS, t, "low").value
+        measured = black_box_norm_sq(f, PARAMS, t, "low").value
         bound = remainder_bounds(PARAMS, data, t).sine_correction
         assert measured <= bound * 1.05
 
@@ -228,7 +227,7 @@ def test_remainder_bounds_doubling_time():
 def test_measured_defect_below_bound():
     for t in (16.0, 128.0):
         f = lambda xi: moment_defect_term(PARAMS, DATA, xi, t)
-        measured = zone_norm_sq(f, PARAMS, t, "low").value
+        measured = black_box_norm_sq(f, PARAMS, t, "low").value
         assert measured <= remainder_bounds(PARAMS, DATA, t).moment_defect * 1.05
 
 
@@ -241,7 +240,7 @@ def test_expansion_sum_below_triangle_bound():
             return (moment_flow(PARAMS, mom, xi, t)
                     - velocity_profile(PARAMS, mom, xi, t)
                     - sine_correction_term(PARAMS, mom, xi, t))
-        measured = zone_norm_sq(f, PARAMS, t, "low").value
+        measured = black_box_norm_sq(f, PARAMS, t, "low").value
         rb = remainder_bounds(PARAMS, DATA, t)
         triangle = sum(math.sqrt(e) for e in rb.expansion) ** 2
         assert measured <= triangle * 1.05
@@ -265,8 +264,8 @@ def test_subtracting_computable_pieces_tightens_remainder():
                     - moment_defect_term(PARAMS, data, xi, t)
                     - sine_correction_term(PARAMS, mom, xi, t))
 
-        full = zone_norm_sq(raw, PARAMS, t, "low").value
-        rest = zone_norm_sq(tightened, PARAMS, t, "low").value
+        full = black_box_norm_sq(raw, PARAMS, t, "low").value
+        rest = black_box_norm_sq(tightened, PARAMS, t, "low").value
         assert rest <= full
 
 

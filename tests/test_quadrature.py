@@ -14,9 +14,8 @@ from nsprofile.quadrature import (
     _MAX_RADIAL_NODES,
     _OSC_FACTOR,
     _PANEL_ORDER,
+    _PROBE_POINTS,
     QuadratureError,
-    SymmetryError,
-    _angular_frame,
     _damped_square_integral,
     _gaussian_tail_bound,
     _panel_nodes,
@@ -26,10 +25,16 @@ from nsprofile.quadrature import (
     sphere_area,
     zone_norm_sq,
 )
+from oracles import SymmetryError, _angular_frame, black_box_norm_sq
 
 PARAMS2 = ModelParams(alpha=1.0, beta=1.0, gamma=1.0, n=2)
 PARAMS3 = ModelParams(alpha=1.0, beta=1.0, gamma=1.0, n=3)
 PARAMS4 = ModelParams(alpha=1.0, beta=1.0, gamma=1.0, n=4)
+
+
+def isotropic(abs_sq):
+    """The integrand of zone_norm_sq for a field with |f|^2 = abs_sq(r) at every u."""
+    return lambda r: (abs_sq(r), np.zeros(r.size), np.zeros(r.size))
 
 
 def test_sphere_area_values():
@@ -49,8 +54,7 @@ def test_cone_cap_area_values():
 
 
 def test_low_zone_disk_area():
-    res = zone_norm_sq(lambda xi: np.ones(xi.shape[0], dtype=complex),
-                       PARAMS2, t=1.0, zone="low")
+    res = zone_norm_sq(isotropic(np.ones_like), PARAMS2, t=1.0, zone="low")
     assert res.est_error <= 1e-6 * res.value
     assert res.value == pytest.approx(math.pi / 2, rel=1e-12)
 
@@ -58,7 +62,7 @@ def test_low_zone_disk_area():
 @pytest.mark.parametrize("params,t", [(PARAMS2, 3.0), (PARAMS3, 3.0), (PARAMS2, 40.0)])
 def test_full_zone_gaussian_closed_form(params, t):
     # int e^{-2 alpha |xi|^2 t} dxi = (pi/(2 alpha t))^{n/2}
-    f = lambda xi: np.exp(-params.alpha * np.sum(xi * xi, axis=1) * t).astype(complex)
+    f = isotropic(lambda r: np.exp(-2.0 * params.alpha * r * r * t))
     res = zone_norm_sq(f, params, t=t, zone="full")
     assert res.est_error <= 1e-6 * res.value
     assert res.value == pytest.approx((math.pi / (2 * params.alpha * t)) ** (params.n / 2),
@@ -67,7 +71,7 @@ def test_full_zone_gaussian_closed_form(params, t):
 
 def test_zone_additivity():
     t = 2.0
-    f = lambda xi: np.exp(-0.7 * np.sum(xi * xi, axis=1) * t).astype(complex)
+    f = isotropic(lambda r: np.exp(-1.4 * r * r * t))
     low = zone_norm_sq(f, PARAMS2, t, "low", 1e-8)
     high = zone_norm_sq(f, PARAMS2, t, "high", 1e-8)
     full = zone_norm_sq(f, PARAMS2, t, "full", 1e-8)
@@ -80,10 +84,7 @@ def test_refinement_convergence_under_panel_doubling():
     t = 50.0
     g = PARAMS2.gamma
 
-    def f(xi):
-        r = np.sqrt(np.sum(xi * xi, axis=1))
-        return (np.exp(-r * r * t) * np.sin(g * t * r)).astype(complex)
-
+    f = isotropic(lambda r: (np.exp(-r * r * t) * np.sin(g * t * r)) ** 2)
     a = zone_norm_sq(f, PARAMS2, t, "low")
     b = zone_norm_sq(f, PARAMS2, t, "low", 1e-12)
     assert b.est_error < a.est_error <= 1e-6 * a.value
@@ -95,10 +96,7 @@ def test_oscillation_factor_aliasing_guard():
     # agrees with one refined to rel_tol 1e-12
     t = 1000.0
 
-    def f(xi):
-        r = np.sqrt(np.sum(xi * xi, axis=1))
-        return (np.exp(-r * r * t) * np.sin(PARAMS2.gamma * t * r)).astype(complex)
-
+    f = isotropic(lambda r: (np.exp(-r * r * t) * np.sin(PARAMS2.gamma * t * r)) ** 2)
     a = zone_norm_sq(f, PARAMS2, t, "low")
     b = zone_norm_sq(f, PARAMS2, t, "low", 1e-12)
     assert b.est_error < a.est_error <= 1e-6 * a.value
@@ -111,14 +109,13 @@ def test_symmetry_check_rejects_non_axisymmetric_field(params):
         return (xi[:, 1] + 0.1).astype(complex)  # odd in the transverse coordinate
 
     with pytest.raises(SymmetryError):
-        zone_norm_sq(f, params, t=1.0, zone="low")
+        black_box_norm_sq(f, params, t=1.0, zone="low")
 
 
 def test_unreachable_tolerance_is_reported_not_converged():
-    # n = 1 has no angular certificate, so only the refinement loop can fail
     params = ModelParams(alpha=1.0, beta=1.0, gamma=1.0, n=1)
     t = 10.0
-    f = lambda xi: np.exp(-params.alpha * xi[:, 0] ** 2 * t).astype(complex)
+    f = isotropic(lambda r: np.exp(-2.0 * params.alpha * r * r * t))
     with pytest.raises(QuadratureError,
                        match=r"full-zone norm did not converge: value=\S+, est_error=\S+"):
         zone_norm_sq(f, params, t, "full", 1e-300)
@@ -142,7 +139,7 @@ def test_spec_rejects_degenerate_settings(kwargs):
 def test_one_dimensional_reduction():
     params = ModelParams(alpha=0.8, beta=0.0, gamma=1.0, n=1)
     t = 4.0
-    f = lambda xi: np.exp(-params.alpha * xi[:, 0] ** 2 * t).astype(complex)
+    f = isotropic(lambda r: np.exp(-2.0 * params.alpha * r * r * t))
     res = zone_norm_sq(f, params, t, "full")
     assert res.value == pytest.approx(math.sqrt(math.pi / (2 * params.alpha * t)), rel=1e-9)
 
@@ -173,7 +170,7 @@ def test_error_estimate_bounds_the_true_error():
     # the Gaussian of test_one_dimensional_reduction, against its closed form
     params = ModelParams(alpha=0.8, beta=0.0, gamma=1.0, n=1)
     t = 4.0
-    f = lambda xi: np.exp(-params.alpha * xi[:, 0] ** 2 * t).astype(complex)
+    f = isotropic(lambda r: np.exp(-2.0 * params.alpha * r * r * t))
     res = zone_norm_sq(f, params, t, "full")
     exact = math.sqrt(math.pi / (2 * params.alpha * t))
     assert abs(res.value - exact) <= res.est_error <= 1e-6 * exact
@@ -194,18 +191,19 @@ def test_unresolved_level_zero_refines_and_converges():
     t = 1000.0
     sizes = []
 
-    def f(xi):
-        sizes.append(xi.shape[0])
-        r = np.sqrt(np.sum(xi * xi, axis=1))
-        return (np.exp(-r * r * t) * np.sin(PARAMS2.gamma * t * r)).astype(complex)
+    def f(r):
+        sizes.append(r.size)
+        return isotropic(lambda r: (np.exp(-r * r * t) * np.sin(PARAMS2.gamma * t * r)) ** 2)(r)
 
     c = q = 2.0 * t
     exact = math.pi * q * dawsn(q / (2.0 * math.sqrt(c))) / (2.0 * c * math.sqrt(c))
     coarse = zone_norm_sq(f, PARAMS2, t, "low")
-    assert len(sizes) == 2  # the per-call checks, then level 0
+    assert len(sizes) == 2  # the probe, then level 0
+    assert (coarse.level, coarse.points) == (0, sum(sizes))
     sizes.clear()
     fine = zone_norm_sq(f, PARAMS2, t, "low", 1e-12)
     assert len(sizes) > 2 and sizes[2] == 2 * sizes[1]
+    assert (fine.level, fine.points) == (len(sizes) - 2, sum(sizes))
     assert fine.est_error <= 1e-12 * fine.value
     for res in (coarse, fine):
         assert abs(res.value - exact) <= res.est_error
@@ -286,7 +284,7 @@ def test_profile_norm_equals_sine_kernel_times_moment():
         coef = -1j * q0 * np.exp(-PARAMS2.b * r * r * t / 2) * np.sin(PARAMS2.gamma * t * r) / r
         return coef[:, None] * xi
 
-    res = zone_norm_sq(f, PARAMS2, t, "full", 1e-8)
+    res = black_box_norm_sq(f, PARAMS2, t, "full", 1e-8)
     assert res.est_error <= 1e-8 * res.value
     assert res.value == pytest.approx(q0**2 * sine_kernel_integral(PARAMS2, t), rel=1e-6)
 
@@ -339,7 +337,7 @@ def _exp_cosine_field(xi):
 @pytest.mark.parametrize("params", [PARAMS2, PARAMS3, PARAMS4], ids=["n2", "n3", "n4"])
 def test_angular_certificate_rejects_non_polynomial_integrand(params):
     with pytest.raises(QuadratureError, match="angular nodes"):
-        zone_norm_sq(_exp_cosine_field, params, 1.0, "full")
+        black_box_norm_sq(_exp_cosine_field, params, 1.0, "full")
 
 
 def test_angular_certificate_accepts_enough_nodes():
@@ -356,24 +354,65 @@ def test_angular_certificate_accepts_enough_nodes():
         return (xi[:, 0] ** 2 / r2 * np.exp(-r2)).astype(complex)
 
     for params, exact in [(PARAMS2, math.pi / 4), (PARAMS3, (math.pi / 2) ** 1.5 / 3)]:
-        res = zone_norm_sq(quadratic, params, 1.0, "full")
+        res = black_box_norm_sq(quadratic, params, 1.0, "full")
         assert res.est_error <= 1e-6 * res.value
         assert res.value == pytest.approx(exact, rel=1e-6)
         with pytest.raises(QuadratureError, match="angular nodes"):
-            zone_norm_sq(quartic, params, 1.0, "full")
+            black_box_norm_sq(quartic, params, 1.0, "full")
 
 
 def test_tail_estimate_takes_the_edge_on_the_certificate_directions():
-    # |f|^2 = (1 - u^2) e^{-2 r^2} at n = 2 is largest at u = 0, a 3-node
-    # direction: the tail estimate at r_max = 3 is e^{-18} 2 pi / (2 lam) with
-    # lam = min(2 alpha, b) t = 2, twice the true tail (pi/4) e^{-18}
-    def f(xi):
-        r2 = np.sum(xi * xi, axis=1)
-        return (np.sqrt(1.0 - xi[:, 0] ** 2 / r2) * np.exp(-r2)).astype(complex)
+    # |f|^2 = (1 - u^2) e^{-2 r^2} at n = 2 is largest at u = 0, the middle
+    # direction of the 3-node rule: the tail estimate at r_max = 3 is
+    # e^{-18} 2 pi / (2 lam) with lam = min(2 alpha, b) t = 2, twice the true
+    # tail (pi/4) e^{-18}
+    def f(r):
+        g = np.exp(-2.0 * r * r)
+        return g, np.zeros(r.size), -g
 
     res = zone_norm_sq(f, PARAMS2, 1.0, "full", r_max=3.0)
     assert res.est_error == pytest.approx(math.pi / 2 * math.exp(-18.0), rel=1e-6)
     assert abs(res.value - math.pi / 4) <= res.est_error
+
+
+@pytest.mark.parametrize("params", [PARAMS2, PARAMS3], ids=["n2", "n3"])
+def test_tail_estimate_takes_the_sphere_maximum_of_the_edge(params):
+    # |f|^2 = u^2 e^{-2 r^2} is largest at u = -+1, off every Gauss direction in
+    # u: the edge value at r_max = 3 is e^{-18}, not the 3/(n+2) e^{-18} that
+    # the largest of the 3-node directions u = -+sqrt(3/(n+2)) sees
+    def f(r):
+        return np.zeros(r.size), np.zeros(r.size), np.exp(-2.0 * r * r)
+
+    n = params.n
+    res = zone_norm_sq(f, params, 1.0, "full", r_max=3.0)
+    tail = sphere_area(n) * _gaussian_tail_bound(3.0, 2.0, n)
+    assert res.est_error == pytest.approx(math.exp(-18.0) * tail, rel=1e-6)
+    assert res.est_error > 3.0 / (n + 2) * math.exp(-18.0) * tail
+    # the sphere mean of u^2 is 1/n: |S^{n-1}|/n int r^{n-1} e^{-2 r^2} dr
+    exact = sphere_area(n) / n * math.gamma(n / 2) / (2.0 * 2.0 ** (n / 2))
+    assert abs(res.value - exact) <= res.est_error
+
+
+def test_zone_norm_counts_its_points_and_level():
+    # a default rate call: one call for the probe and the edge radius, one for
+    # level 0, and points = that layout + the probe
+    from nsprofile.config import build_run_config
+    from nsprofile.decay import velocity_field
+
+    cfg = build_run_config("rate", {})
+    for t in cfg.times:
+        sizes = []
+        field = velocity_field(cfg.params, cfg.data, float(t))
+
+        def f(r):
+            sizes.append(r.size)
+            return field(r).abs_sq()
+
+        res = zone_norm_sq(f, cfg.params, float(t), "full", cfg.rel_tol)
+        assert res.level == 0
+        assert sizes[0] == _PROBE_POINTS + 1 and len(sizes) == 2
+        assert sizes[1] % _PANEL_ORDER == 0 and sizes[1] >= _PANEL_ORDER * _BASE_PANELS
+        assert res.points == _PROBE_POINTS + 1 + sizes[1]
 
 
 def test_gaussian_tail_bound_dominates_for_low_dimensions():
