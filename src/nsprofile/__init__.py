@@ -3,12 +3,10 @@ compressible viscous flow model.  Frequencies are passed as (m, n) batches."""
 
 from .model import (
     VERSINE_RATIO,
-    ABDecomposition,
     InitialData,
     ModelParams,
     Moments,
     ParameterError,
-    ab_decomposition,
     fourier_data_batch,
     moments,
 )
@@ -28,8 +26,6 @@ from .quadrature import (
     QuadratureError,
     ZoneNorm,
     cone_cap_area,
-    cone_cosine_integral,
-    sine_kernel_integral,
     sphere_area,
     zone_norm_sq,
 )
@@ -39,9 +35,11 @@ from .decay import (
     HighFreqReport,
     KernelPlateauReport,
     PlateauReport,
+    cone_cosine_integral,
     fit_loglog,
     fit_semilog,
     highfreq_energy,
+    sine_kernel_integral,
     velocity_norm_series,
     verify_kernel_plateaus,
     verify_sandwich,

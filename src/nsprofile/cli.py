@@ -29,6 +29,7 @@ from .decay import (
     check_moment_ratio,
     fit_loglog,
     highfreq_energy,
+    measured_remainder_norms,
     ordered_map,
     remainder_series,
     velocity_norm_series,
@@ -36,7 +37,7 @@ from .decay import (
     verify_sandwich,
 )
 from .model import moments
-from .profiles import measured_remainder_norms, remainder_bounds
+from .profiles import remainder_bounds
 from .quadrature import QuadratureError
 from .reporting import AxesSpec, emit_csv, emit_svg, read_csv
 from .spectral import solve_exact_batch, solve_ode_oracle_batch

@@ -1,11 +1,13 @@
 """Decay-rate fits, two-sided plateau checks, and high-frequency energy decay.
 
-Time series of frequency-space norms are turned into verdicts: log-log slopes
-for polynomial rates, normalized tail plateaus for two-sided (sandwich)
-optimality, and semi-log fits plus an averaged-energy inequality for the
-exponential high-frequency regime.  Tail windows are the last half of the
-geometric time grid with at least six points; every report records the window
-it used.
+Every norm a verdict reports is taken here, each by one ``zone_norm_sq`` call:
+the velocity, energy, remainder and kernel-projection fields, the isotropic
+sine and cone kernels, and the measured remainder masses.  Time series of
+these norms are turned into verdicts: log-log slopes for polynomial rates,
+normalized tail plateaus for two-sided (sandwich) optimality, and semi-log
+fits plus an averaged-energy inequality for the exponential high-frequency
+regime.  Tail windows are the last half of the geometric time grid with at
+least six points; every report records the window it used.
 """
 
 from __future__ import annotations
@@ -18,18 +20,20 @@ from functools import partial
 import numpy as np
 
 from .model import InitialData, ModelParams, moments
-from .profiles import profile_field
-from .quadrature import (
-    DEFAULT_REL_TOL,
-    sine_kernel_integral,
-    cone_cosine_integral,
-    sphere_area,
-    zone_norm_sq,
+from .profiles import (
+    expansion_field,
+    moment_defect_field,
+    profile_field,
+    sine_correction_field,
 )
+from .quadrature import DEFAULT_REL_TOL, cone_cap_area, sphere_area, zone_norm_sq
 from .spectral import Field, exact_field
 # no function here calls them: bench/spans.py wraps these attributes as trace sites
 from .profiles import density_profile, velocity_profile  # noqa: F401
 from .spectral import solve_exact_batch  # noqa: F401
+
+_TAIL_MIN_POINTS = 6
+_MAX_MOMENT_RATIO = 0.1  # |P0|/|Q0| above which the sandwich statement is not made
 
 
 def ordered_map(fn, items, threads: int = 1) -> list:
@@ -67,9 +71,9 @@ class DecayFit:
     window: tuple[int, int]
 
 
-def tail_window(length: int, min_points: int = 6) -> tuple[int, int]:
-    """Last half of the grid, widened to at least ``min_points`` entries."""
-    start = max(0, min(length // 2, length - min_points))
+def tail_window(length: int) -> tuple[int, int]:
+    """Last half of the grid, widened to at least ``_TAIL_MIN_POINTS`` entries."""
+    start = max(0, min(length // 2, length - _TAIL_MIN_POINTS))
     return start, length
 
 
@@ -91,10 +95,10 @@ def fit_loglog(series: DecaySeries, window: tuple[int, int] | None = None) -> De
     return _linear_fit(np.log(series.times), np.log(series.values), window)
 
 
-def fit_semilog(series: DecaySeries, window: tuple[int, int] | None = None) -> DecayFit:
-    """Least-squares line through (t, log value); slope is minus the rate."""
-    window = window or (0, series.times.size)
-    return _linear_fit(series.times, np.log(series.values), window)
+def fit_semilog(series: DecaySeries) -> DecayFit:
+    """Least-squares line through (t, log value) over the whole series; slope
+    is minus the rate."""
+    return _linear_fit(series.times, np.log(series.values), (0, series.times.size))
 
 
 def zone_series(field_at, params: ModelParams, times: np.ndarray, zone: str,
@@ -140,6 +144,59 @@ def projection_field(params: ModelParams, p0: np.ndarray, t: float, kind: str):
     return field
 
 
+def _damped_square_norm(params: ModelParams, t: float, wave, rel_tol: float) -> float:
+    """Full-zone norm of the isotropic |kernel|^2 = e^{-b t |xi|^2} wave(gamma t |xi|)^2."""
+    def f(r):
+        zero = np.zeros_like(r)
+        return np.exp(-params.b * t * r * r) * wave(params.gamma * t * r) ** 2, zero, zero
+
+    return zone_norm_sq(f, params, t, "full", rel_tol).value
+
+
+def sine_kernel_integral(params: ModelParams, t: float,
+                         rel_tol: float = DEFAULT_REL_TOL) -> float:
+    """The squared L^2 norm of the acoustic sine kernel,
+
+        int |i xi e^{-b |xi|^2 t / 2} sin(gamma t |xi|)/|xi||^2 dxi
+        = omega_{n-1} int_0^inf r^{n-1} e^{-b t r^2} sin^2(gamma t r) dr.
+
+    For large t this behaves like (S0/2) omega_{n-1} b^{-n/2} t^{-n/2} with
+    S0 = Gamma(n/2)/2.
+    """
+    return _damped_square_norm(params, t, np.sin, rel_tol)
+
+
+def cone_cosine_integral(params: ModelParams, t: float,
+                         rel_tol: float = DEFAULT_REL_TOL) -> float:
+    """Damped-cosine mass on a cone {xi : (xi.p)/(|xi||p|) >= 1/2} around any
+    direction p,
+
+        int_K e^{-b t |xi|^2} cos^2(gamma t |xi|) dxi
+        = c(n) int_0^inf r^{n-1} e^{-b t r^2} cos^2(gamma t r) dr,
+
+    where c(n) is the spherical cap measure (2*pi/3 in 2-d, pi in 3-d); the
+    value is rotation invariant, so it does not depend on p.
+    """
+    n = params.n
+    return cone_cap_area(n) / sphere_area(n) * _damped_square_norm(params, t, np.cos, rel_tol)
+
+
+def measured_remainder_norms(params: ModelParams, data: InitialData, t: float,
+                             rel_tol: float = DEFAULT_REL_TOL) -> dict[str, float]:
+    """Quadrature values of the computable remainder masses on the low zone.
+
+    Returns the squared norms of the moment defect, the longitudinal sine
+    correction, and the lumped five expansion corrections (obtained as the
+    exact moment flow minus leading profile minus sine correction).
+    """
+    mom = moments(data)
+    fields = {"moment_defect": lambda r: moment_defect_field(params, data, r, t),
+              "sine_correction": lambda r: sine_correction_field(params, mom, r, t),
+              "expansion": lambda r: expansion_field(params, mom, r, t)}
+    return {name: zone_norm_sq(lambda r: field(r).abs_sq(), params, t, "low", rel_tol).value
+            for name, field in fields.items()}
+
+
 def velocity_norm_series(params: ModelParams, data: InitialData, times: np.ndarray,
                          rel_tol: float = DEFAULT_REL_TOL, threads: int = 1) -> DecaySeries:
     """L^2 norms ||v_hat(t, .)|| of the exact solution on a time grid."""
@@ -158,15 +215,14 @@ def remainder_series(params: ModelParams, data: InitialData, times: np.ndarray,
     return DecaySeries(np.asarray(times, float), values, label=f"{component}-remainder-sq")
 
 
-def check_moment_ratio(params: ModelParams, data: InitialData, max_ratio: float = 0.1):
+def check_moment_ratio(params: ModelParams, data: InitialData):
     mom = moments(data)
     p0_norm = float(np.linalg.norm(mom.P0))
     if mom.Q0 == 0:
         raise ValueError("the optimality statement needs a nonzero density moment")
-    if p0_norm / abs(mom.Q0) > max_ratio:
-        raise ValueError(
-            f"|P0|/|Q0| = {p0_norm / abs(mom.Q0):.3g} exceeds the admissible ratio {max_ratio}"
-        )
+    if p0_norm / abs(mom.Q0) > _MAX_MOMENT_RATIO:
+        raise ValueError(f"|P0|/|Q0| = {p0_norm / abs(mom.Q0):.3g} exceeds the admissible "
+                         f"ratio {_MAX_MOMENT_RATIO}")
 
 
 @dataclass(frozen=True)

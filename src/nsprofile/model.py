@@ -8,8 +8,8 @@ derived symbols ``a = gamma**2``, ``b = alpha + beta`` and the resonance radius
 and an overdamped high zone.
 
 Initial data are even, real Gaussian bumps whose Fourier transforms, weighted
-L^{1,1} norms, moment decompositions and moment-bound constant are all closed
-form.  The Fourier convention is the unnormalized one,
+L^{1,1} norms and moment-bound constant are all closed form.  The Fourier
+convention is the unnormalized one,
 ``phi_hat(xi) = int e^{-i x.xi} phi(x) dx``, so that the transform at xi = 0
 equals the plain integral of the data.
 """
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -147,28 +146,6 @@ def fourier_data_batch(data: InitialData, xi: np.ndarray) -> tuple[np.ndarray, n
     envelope = np.exp(-data.width ** 2 * np.sum(xi * xi, axis=1) / 2.0)
     v0_hat = np.asarray(data.amplitude_v, dtype=float)[None, :] * envelope[:, None]
     return v0_hat, data.amplitude_rho * envelope
-
-
-class ABDecomposition(NamedTuple):
-    """Moment-remainder split of the data transform over xi (m, n).
-
-    The paper writes v0_hat(xi) = A(xi) - i*B(xi) + P0 componentwise, with A
-    the (cos(x.xi) - 1) integral and B the sin(x.xi) integral, and likewise
-    with Q0 for the density.  The data here are even, so B is identically
-    zero and only the A parts, A0 (m, n) and A_rho (m,), are kept.
-    """
-
-    A0: np.ndarray
-    A_rho: np.ndarray
-
-
-def ab_decomposition(data: InitialData, xi: np.ndarray) -> ABDecomposition:
-    """Moment remainder of the Gaussian data: A = (e^{-s^2 |xi|^2/2} - 1)
-    times the moments."""
-    xi = np.asarray(xi, dtype=float)
-    defect = np.exp(-data.width ** 2 * np.sum(xi * xi, axis=1) / 2.0) - 1.0
-    a0 = defect[:, None] * np.asarray(data.amplitude_v, dtype=float)[None, :]
-    return ABDecomposition(A0=a0, A_rho=defect * data.amplitude_rho)
 
 
 # sup over t > 0 of (1 - cos t)/t, attained where tan(t/2) = t; it bounds

@@ -19,10 +19,10 @@ the zone norms integrate and the ``*_profile`` and ``*_term`` functions
 assemble at an (m, n) batch of frequencies.  The exact flow, the pure-moment
 flow and the moment defect are one closed-form kernel (``spectral.flow``)
 applied to three data pairs: the data transform, the zeroth moments (P0, Q0),
-and the moment remainder A of ``model.ab_decomposition``.  Because that kernel
-is linear in the data, the moment defect equals ``solve_exact_batch`` minus
-the pure-moment flow identically; tests use that identity at machine
-precision.
+and the moment remainder A (``ab_decomposition`` in ``tests/oracles.py``).
+Because that kernel is linear in the data, the moment defect equals
+``solve_exact_batch`` minus the pure-moment flow identically; tests use that
+identity at machine precision.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import VERSINE_RATIO, InitialData, ModelParams, Moments, moments
-from .quadrature import DEFAULT_REL_TOL, sphere_area
+from .quadrature import sphere_area
 from .spectral import Field, flow, pointwise
 # no function here calls it: bench/spans.py wraps this attribute as a trace site
 from .spectral import solve_exact_batch  # noqa: F401
@@ -57,7 +57,7 @@ def moment_defect_field(params: ModelParams, data: InitialData, r: np.ndarray,
     """Remainder driven by the data transform minus its moments (low zone).
 
     This is the exact velocity flow of the moment remainder A of the even data
-    (:func:`~nsprofile.model.ab_decomposition`, B = 0), (e^{-s^2 r^2/2} - 1)
+    (``ab_decomposition`` in ``tests/oracles.py``, B = 0), (e^{-s^2 r^2/2} - 1)
     times the moments.  Restricted to r <= delta0, where the divided
     differences are oscillatory.
     """
@@ -144,24 +144,6 @@ class RemainderBounds:
     @property
     def total(self) -> float:
         return self.moment_defect + sum(self.expansion) + self.sine_correction
-
-
-def measured_remainder_norms(params: ModelParams, data: InitialData, t: float,
-                             rel_tol: float = DEFAULT_REL_TOL) -> dict[str, float]:
-    """Quadrature values of the computable remainder masses on the low zone.
-
-    Returns the squared norms of the moment defect, the longitudinal sine
-    correction, and the lumped five expansion corrections (obtained as the
-    exact moment flow minus leading profile minus sine correction).
-    """
-    from .quadrature import zone_norm_sq
-
-    mom = moments(data)
-    fields = {"moment_defect": lambda r: moment_defect_field(params, data, r, t),
-              "sine_correction": lambda r: sine_correction_field(params, mom, r, t),
-              "expansion": lambda r: expansion_field(params, mom, r, t)}
-    return {name: zone_norm_sq(lambda r: field(r).abs_sq(), params, t, "low", rel_tol).value
-            for name, field in fields.items()}
 
 
 def remainder_bounds(params: ModelParams, data: InitialData, t: float) -> RemainderBounds:

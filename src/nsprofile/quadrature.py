@@ -12,13 +12,13 @@ Radial panels carry the 15-point Gauss-Kronrod rule with its embedded 7-point
 Gauss rule (QUADPACK qk15; Piessens et al. 1983), laid out densely enough to
 resolve the sin/cos(gamma t r) oscillation; a cheap deterministic probe
 locates the radially active sub-interval so that huge times do not pay for
-panels where the integrand has already underflowed.  One refinement loop
-(:func:`_refine`) serves both the zone norms and the 1-d oscillatory kernel
-integrals: a level's value is its K15 sum and its error estimate the sum over
-panels of |K15 - G7|; the layout starts coarse and doubles its panels until a
-level's estimate, plus an estimate of the truncated tail (see
-:func:`zone_norm_sq`), is within ``rel_tol`` of its value, and a call whose
-levels never get there raises :class:`QuadratureError`.
+panels where the integrand has already underflowed.  :func:`zone_norm_sq` is
+the only integrator: a level's value is its K15 sum and its error estimate the
+sum over panels of |K15 - G7|; the layout starts coarse and doubles its panels
+until a level's estimate, plus an estimate of the truncated tail, is within
+``rel_tol`` of its value, and a norm whose levels never get there raises
+:class:`QuadratureError`.  The module holds geometry and integration only; the
+fields and kernels whose norms are taken live in ``decay``.
 The layout is fixed by the constants below, so ``rel_tol`` is the only
 accuracy setting, and a level that would need more than ``_MAX_RADIAL_NODES``
 radial nodes on one interval raises :class:`QuadratureError` instead of
@@ -57,7 +57,6 @@ _G7_WEIGHTS[1::2] = _WG + _WG[-2::-1]
 _GAUSS_GAP = 1.0 - _G7_WEIGHTS / _K15_WEIGHTS
 _PROBE_POINTS = 97
 _PROBE_FLOOR = 1e-26
-_DECAY_EXPONENT = 80.0  # e^-80 ~ 1.8e-35, below any tolerance after polynomial factors
 
 # Radial layout of refinement level 0: at least _BASE_PANELS panels, and at
 # least _OSC_FACTOR panels per oscillation period 2*pi/(gamma*t) on the
@@ -178,20 +177,6 @@ def default_r_max(params: ModelParams, t: float) -> float:
     return max(4.0 * params.delta0, 8.0 / math.sqrt(params.alpha * t))
 
 
-def _refine(evaluate: Callable[[int], tuple[float, float]], tail: float, rel_tol: float,
-            label: str) -> tuple[float, float, int]:
-    """Evaluate levels 0, 1, ... as (K15 value, K15/G7 estimate) until one's
-    estimate plus ``tail`` is within ``rel_tol`` of its value; returns
-    (value, est_error, level), est_error = estimate + ``tail``, or raises
-    :class:`QuadratureError` naming ``label`` if no level is."""
-    for refine in range(_MAX_REFINEMENTS + 1):
-        value, est = evaluate(refine)
-        if est + tail <= rel_tol * max(abs(value), 1e-300) or (value == 0.0 and est == 0.0):
-            return value, est + tail, refine
-    raise QuadratureError(f"{label} did not converge: value={value:.6g}, "
-                          f"est_error={est + tail:.3g}")
-
-
 def _max_on_unit_interval(q0: float, q1: float, q2: float) -> float:
     """Maximum of q0 + q1 u + q2 u^2 over u in [-1, 1]."""
     if q2 < 0.0 and abs(q1) < -2.0 * q2:
@@ -218,8 +203,8 @@ def zone_norm_sq(f: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndar
     value is the K15 sum of the first level whose error estimate (the sum over
     its panels of |K15 - G7|) plus the tail estimate is within ``rel_tol`` of
     it, and ``est_error`` is those two estimates together.  An unconverged
-    norm raises :class:`QuadratureError`.  The probe and the edge radius r_max
-    take one integrand call; each level one more.
+    norm raises :class:`QuadratureError` naming its zone and t.  The probe
+    and the edge radius r_max take one integrand call; each level one more.
     """
     n = params.n
     if zone == "low":
@@ -248,66 +233,18 @@ def zone_norm_sq(f: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndar
     q = f(radii)
     split = _active_end(radii[:-1], profile(radii, q)[:-1], r_lo, r_hi)
     gamma_t = params.gamma * max(t, 0.0)
-    points = [radii.size]
-
-    def evaluate(refine: int) -> tuple[float, float]:
-        r, wr = _radial_layout(r_lo, r_hi, split, gamma_t, refine)
-        points.append(r.size)
-        return _kronrod(profile(r, f(r)), wr)
-
     tail = 0.0
     lam = min(2.0 * params.alpha, params.b) * max(t, 0.0)
     if truncated and lam > 0:
         edge = _max_on_unit_interval(*(float(c[-1]) for c in q))
         tail = edge * area * _gaussian_tail_bound(r_hi, lam, n)
 
-    value, est_error, level = _refine(evaluate, tail, rel_tol, f"{zone}-zone norm")
-    return ZoneNorm(zone, value, est_error, sum(points), level)
-
-
-def _damped_square_integral(wave: Callable[[np.ndarray], np.ndarray], params: ModelParams,
-                            t: float, rel_tol: float, label: str) -> tuple[float, float]:
-    """(value, est_error) of int_0^inf r^{n-1} e^{-b t r^2} wave(gamma t r)^2 dr
-    for a wave bounded by 1; :class:`QuadratureError` naming ``label`` if it
-    does not converge."""
-    if t <= 0:
-        raise ValueError("t must be positive")
-    n, b = params.n, params.b
-    r_hi = math.sqrt(_DECAY_EXPONENT / (b * t))
-    gamma_t = params.gamma * t
-    # |wave| <= 1, so the truncated mass is bounded analytically
-    tail = math.exp(-_DECAY_EXPONENT) * _gaussian_tail_bound(r_hi, b * t, n)
-
-    def evaluate(refine: int) -> tuple[float, float]:
-        r, w = _radial_layout(0.0, r_hi, r_hi, gamma_t, refine)
-        return _kronrod(np.exp(-b * t * r * r) * wave(gamma_t * r) ** 2 * r ** (n - 1), w)
-
-    return _refine(evaluate, tail, rel_tol, f"{label} integral at t={t}")[:2]
-
-
-def sine_kernel_integral(params: ModelParams, t: float,
-                         rel_tol: float = DEFAULT_REL_TOL) -> float:
-    """The squared L^2 norm of the acoustic sine kernel,
-
-        int |i xi e^{-b |xi|^2 t / 2} sin(gamma t |xi|)/|xi||^2 dxi
-        = omega_{n-1} int_0^inf r^{n-1} e^{-b t r^2} sin^2(gamma t r) dr.
-
-    For large t this behaves like (S0/2) omega_{n-1} b^{-n/2} t^{-n/2} with
-    S0 = Gamma(n/2)/2.
-    """
-    return sphere_area(params.n) * _damped_square_integral(np.sin, params, t, rel_tol,
-                                                           "sine-kernel")[0]
-
-
-def cone_cosine_integral(params: ModelParams, t: float,
-                         rel_tol: float = DEFAULT_REL_TOL) -> float:
-    """Damped-cosine mass on a cone {xi : (xi.p)/(|xi||p|) >= 1/2} around any
-    direction p,
-
-        int_K e^{-b t |xi|^2} cos^2(gamma t |xi|) dxi
-        = c(n) int_0^inf r^{n-1} e^{-b t r^2} cos^2(gamma t r) dr,
-
-    where c(n) is the spherical cap measure (2*pi/3 in 2-d, pi in 3-d); the
-    value is rotation invariant, so it does not depend on p.
-    """
-    return cone_cap_area(params.n) * _damped_square_integral(np.cos, params, t, rel_tol, "cone")[0]
+    points = radii.size
+    for level in range(_MAX_REFINEMENTS + 1):
+        r, wr = _radial_layout(r_lo, r_hi, split, gamma_t, level)
+        points += r.size
+        value, est = _kronrod(profile(r, f(r)), wr)
+        if est + tail <= rel_tol * max(abs(value), 1e-300) or (value == 0.0 and est == 0.0):
+            return ZoneNorm(zone, value, est + tail, points, level)
+    raise QuadratureError(f"{zone}-zone norm at t={t:g} did not converge: value={value:.6g}, "
+                          f"est_error={est + tail:.3g}")

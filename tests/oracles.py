@@ -1,7 +1,9 @@
 """Test-only references for closed forms of the runtime package.
 
 The two quadratures integrate in radial coordinates with plain panel-wise
-Gauss-Legendre, independently of the package's own quadrature; the density
+Gauss-Legendre, independently of the package's own quadrature;
+:func:`ab_decomposition` is the paper's moment-remainder split of the data
+transform, which the package uses only through its closed form; the density
 residual checks the closed-form solution against its second-order ODE; the
 complex roots and their divided differences are the reference for the
 package's real Phi and Psi.  :func:`black_box_norm_sq` integrates a field
@@ -12,14 +14,39 @@ package integrates through their radial coefficients.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from nsprofile.model import InitialData, ModelParams, ab_decomposition, fourier_data_batch
+from nsprofile.model import InitialData, ModelParams, fourier_data_batch
 from nsprofile.profiles import gaussian_moment_bound
 from nsprofile.quadrature import DEFAULT_REL_TOL, QuadratureError, sphere_area, zone_norm_sq
 from nsprofile.spectral import _phi_psi, solve_exact_batch
+
+
+class ABDecomposition(NamedTuple):
+    """Moment-remainder split of the data transform over xi (m, n).
+
+    The paper writes v0_hat(xi) = A(xi) - i*B(xi) + P0 componentwise, with A
+    the (cos(x.xi) - 1) integral and B the sin(x.xi) integral, and likewise
+    with Q0 for the density.  The data here are even, so B is identically
+    zero and only the A parts, A0 (m, n) and A_rho (m,), are kept.
+    """
+
+    A0: np.ndarray
+    A_rho: np.ndarray
+
+
+def ab_decomposition(data: InitialData, xi: np.ndarray) -> ABDecomposition:
+    """Moment remainder of the Gaussian data: A = (e^{-s^2 |xi|^2/2} - 1)
+    times the moments."""
+    xi = np.asarray(xi, dtype=float)
+    defect = np.exp(-data.width ** 2 * np.sum(xi * xi, axis=1) / 2.0) - 1.0
+    a0 = defect[:, None] * np.asarray(data.amplitude_v, dtype=float)[None, :]
+    return ABDecomposition(A0=a0, A_rho=defect * data.amplitude_rho)
+
+
 
 
 def l11_norm_radial_quadrature(data: InitialData, panels: int = 64, order: int = 16,

@@ -18,13 +18,15 @@ from nsprofile.decay import (
     fit_loglog,
     highfreq_energy,
     remainder_series,
+    sine_kernel_integral,
     velocity_norm_series,
     verify_kernel_plateaus,
     verify_sandwich,
 )
-from nsprofile.model import InitialData, ModelParams, ab_decomposition, moments
-from nsprofile.quadrature import cone_cap_area, sine_kernel_integral, sphere_area
+from nsprofile.model import InitialData, ModelParams, moments
+from nsprofile.quadrature import cone_cap_area, sphere_area
 from nsprofile.spectral import solve_exact_batch, solve_ode_oracle_batch
+from oracles import ab_decomposition
 
 P2 = ModelParams(alpha=1.0, beta=1.0, gamma=1.0, n=2)
 P3 = ModelParams(alpha=1.0, beta=1.0, gamma=1.0, n=3)

@@ -7,15 +7,13 @@ from scipy import optimize, special
 
 from nsprofile.model import (
     VERSINE_RATIO,
-    ABDecomposition,
     InitialData,
     ModelParams,
     ParameterError,
-    ab_decomposition,
     fourier_data_batch,
     moments,
 )
-from oracles import l11_norm_radial_quadrature
+from oracles import ABDecomposition, ab_decomposition, l11_norm_radial_quadrature
 
 
 def test_derived_params_direct_substitution():

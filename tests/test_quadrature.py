@@ -5,6 +5,7 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 
 from nsprofile.config import ConfigError, build_run_config
+from nsprofile.decay import cone_cosine_integral, sine_kernel_integral
 from nsprofile.model import InitialData, ModelParams
 from nsprofile.quadrature import (
     _BASE_PANELS,
@@ -16,12 +17,9 @@ from nsprofile.quadrature import (
     _PANEL_ORDER,
     _PROBE_POINTS,
     QuadratureError,
-    _damped_square_integral,
     _gaussian_tail_bound,
     _panel_nodes,
     cone_cap_area,
-    cone_cosine_integral,
-    sine_kernel_integral,
     sphere_area,
     zone_norm_sq,
 )
@@ -35,6 +33,11 @@ PARAMS4 = ModelParams(alpha=1.0, beta=1.0, gamma=1.0, n=4)
 def isotropic(abs_sq):
     """The integrand of zone_norm_sq for a field with |f|^2 = abs_sq(r) at every u."""
     return lambda r: (abs_sq(r), np.zeros(r.size), np.zeros(r.size))
+
+
+def sine_kernel_sq(params, t):
+    """|acoustic sine kernel|^2 = e^{-b t r^2} sin^2(gamma t r), isotropic."""
+    return isotropic(lambda r: np.exp(-params.b * t * r * r) * np.sin(params.gamma * t * r) ** 2)
 
 
 def test_sphere_area_values():
@@ -116,12 +119,12 @@ def test_unreachable_tolerance_is_reported_not_converged():
     params = ModelParams(alpha=1.0, beta=1.0, gamma=1.0, n=1)
     t = 10.0
     f = isotropic(lambda r: np.exp(-2.0 * params.alpha * r * r * t))
-    with pytest.raises(QuadratureError,
-                       match=r"full-zone norm did not converge: value=\S+, est_error=\S+"):
+    message = r"full-zone norm at t=10 did not converge: value=\S+, est_error=\S+"
+    with pytest.raises(QuadratureError, match=message):
         zone_norm_sq(f, params, t, "full", 1e-300)
-    with pytest.raises(QuadratureError, match="sine-kernel integral at t=10.0 did not converge"):
+    with pytest.raises(QuadratureError, match=message):
         sine_kernel_integral(params, t, 1e-300)
-    with pytest.raises(QuadratureError, match="cone integral at t=10.0 did not converge"):
+    with pytest.raises(QuadratureError, match=message):
         cone_cosine_integral(params, t, 1e-300)
 
 
@@ -176,10 +179,11 @@ def test_error_estimate_bounds_the_true_error():
     assert abs(res.value - exact) <= res.est_error <= 1e-6 * exact
     # the sine kernel, against its value at rel_tol 1e-12
     for t in (1.0, 37.0, 1e3, 1e4):
-        value, est = _damped_square_integral(np.sin, PARAMS2, t, 1e-6, "sine-kernel")
-        ref, ref_est = _damped_square_integral(np.sin, PARAMS2, t, 1e-12, "sine-kernel")
-        assert ref_est <= 1e-12 * ref
-        assert abs(value - ref) <= est <= 1e-6 * value
+        f = sine_kernel_sq(PARAMS2, t)
+        res = zone_norm_sq(f, PARAMS2, t, "full", 1e-6)
+        ref = zone_norm_sq(f, PARAMS2, t, "full", 1e-12)
+        assert ref.est_error <= 1e-12 * ref.value
+        assert abs(res.value - ref.value) <= res.est_error <= 1e-6 * res.value
 
 
 def test_unresolved_level_zero_refines_and_converges():
@@ -237,6 +241,19 @@ def test_panel_nodes_cap():
     nodes, weights = _panel_nodes(0.0, 1.0, panels)
     assert nodes.size == _PANEL_ORDER * panels > _MAX_RADIAL_NODES - _PANEL_ORDER
     assert float(np.sum(weights)) == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha,beta,gamma", [(1.0, 1.0, 1.0), (0.5, 2.0, 3.0)])
+def test_sine_kernel_matches_dawson_closed_form_2d(alpha, beta, gamma):
+    # at n = 2, 2 pi int_0^inf r e^{-c r^2} sin^2(q r / 2) dr
+    # = pi q D(q / (2 sqrt(c))) / (2 c^{3/2}) with c = b t, q = 2 gamma t and
+    # D Dawson's integral
+    dawsn = pytest.importorskip("scipy.special").dawsn
+    params = ModelParams(alpha=alpha, beta=beta, gamma=gamma, n=2)
+    for t in (1.0, 37.0, 1e3, 1e4):
+        c, q = params.b * t, 2.0 * params.gamma * t
+        exact = math.pi * q * dawsn(q / (2.0 * math.sqrt(c))) / (2.0 * c ** 1.5)
+        assert sine_kernel_integral(params, t) == pytest.approx(exact, rel=1e-12)
 
 
 def test_sine_kernel_large_time_limit_2d():
