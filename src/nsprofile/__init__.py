@@ -32,17 +32,13 @@ from .quadrature import (
 from .decay import (
     DecayFit,
     DecaySeries,
-    HighFreqReport,
-    KernelPlateauReport,
-    PlateauReport,
     cone_cosine_integral,
     fit_loglog,
     fit_semilog,
-    highfreq_energy,
+    highfreq_energy_series,
+    kernel_series,
     sine_kernel_integral,
     velocity_norm_series,
-    verify_kernel_plateaus,
-    verify_sandwich,
 )
 
 __version__ = "0.1.0"

@@ -157,6 +157,9 @@ def build_run_config(subcommand: str, user: dict[str, Any]) -> RunConfig:
         raise ConfigError(str(exc)) from exc
     if data.n != params.n:
         raise ConfigError(f"amplitude_v has {data.n} components but params.n = {params.n}")
+    if data.amplitude_rho == 0 and not any(data.amplitude_v):
+        raise ConfigError("initial data are zero: amplitude_rho and every amplitude_v "
+                          "entry are 0, so every norm vanishes")
 
     g = cfg["time_grid"]
     if not 8 <= g["points"] <= _MAX_TIME_POINTS:

@@ -1,13 +1,12 @@
-"""Decay-rate fits, two-sided plateau checks, and high-frequency energy decay.
+"""Every norm a verdict reports, decay series, and their least-squares fits.
 
-Every norm a verdict reports is taken here, each by one ``zone_norm_sq`` call:
-the velocity, energy, remainder and kernel-projection fields, the isotropic
-sine and cone kernels, and the measured remainder masses.  Time series of
-these norms are turned into verdicts: log-log slopes for polynomial rates,
-normalized tail plateaus for two-sided (sandwich) optimality, and semi-log
-fits plus an averaged-energy inequality for the exponential high-frequency
-regime.  Tail windows are the last half of the geometric time grid with at
-least six points; every report records the window it used.
+Each norm is one ``zone_norm_sq`` call: the velocity, energy, remainder and
+kernel-projection fields, the isotropic sine and cone kernels, and the
+measured remainder masses.  Norms at the times of a grid are mapped in order
+over a thread pool, so the thread count never changes a value.  Time series
+are fitted by log-log lines for polynomial rates and semi-log lines for the
+exponential high-frequency regime.  The verdicts themselves, with their pass
+marks, are judged by the CLI runners.
 """
 
 from __future__ import annotations
@@ -77,28 +76,23 @@ def tail_window(length: int) -> tuple[int, int]:
     return start, length
 
 
-def _linear_fit(x: np.ndarray, y: np.ndarray, window: tuple[int, int]) -> DecayFit:
-    lo, hi = window
-    if hi - lo < 4:
-        raise ValueError("fit window must contain at least 4 points")
-    xs, ys = x[lo:hi], y[lo:hi]
-    slope, intercept = np.polyfit(xs, ys, 1)
-    resid = ys - (slope * xs + intercept)
-    ss_tot = float(np.sum((ys - np.mean(ys)) ** 2))
+def _linear_fit(x: np.ndarray, y: np.ndarray) -> DecayFit:
+    slope, intercept = np.polyfit(x, y, 1)
+    resid = y - (slope * x + intercept)
+    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - float(np.sum(resid**2)) / ss_tot
-    return DecayFit(float(slope), float(intercept), r2, (int(lo), int(hi)))
+    return DecayFit(float(slope), float(intercept), r2, (0, int(x.size)))
 
 
-def fit_loglog(series: DecaySeries, window: tuple[int, int] | None = None) -> DecayFit:
-    """Least-squares line through (log t, log value)."""
-    window = window or (0, series.times.size)
-    return _linear_fit(np.log(series.times), np.log(series.values), window)
+def fit_loglog(series: DecaySeries) -> DecayFit:
+    """Least-squares line through (log t, log value) over the whole series."""
+    return _linear_fit(np.log(series.times), np.log(series.values))
 
 
 def fit_semilog(series: DecaySeries) -> DecayFit:
     """Least-squares line through (t, log value) over the whole series; slope
     is minus the rate."""
-    return _linear_fit(series.times, np.log(series.values), (0, series.times.size))
+    return _linear_fit(series.times, np.log(series.values))
 
 
 def zone_series(field_at, params: ModelParams, times: np.ndarray, zone: str,
@@ -225,159 +219,40 @@ def check_moment_ratio(params: ModelParams, data: InitialData):
                          f"ratio {_MAX_MOMENT_RATIO}")
 
 
-@dataclass(frozen=True)
-class PlateauReport:
-    """Values scaled by a power of t and their extremes on the tail window."""
-
-    label: str
-    times: np.ndarray
-    scaled_values: np.ndarray
-    window: tuple[int, int]
-    plateau_min: float
-    plateau_max: float
-
-    @property
-    def ratio(self) -> float:
-        return self.plateau_max / self.plateau_min if self.plateau_min > 0 else math.inf
-
-    def passed(self, max_ratio: float) -> bool:
-        return self.plateau_min > 0 and self.ratio <= max_ratio
-
-
-def _plateau(label: str, times: np.ndarray, scaled: np.ndarray) -> PlateauReport:
-    lo, hi = tail_window(times.size)
-    tail = scaled[lo:hi]
-    return PlateauReport(label, times, scaled, (lo, hi),
-                         float(np.min(tail)), float(np.max(tail)))
-
-
-def verify_sandwich(params: ModelParams, data: InitialData, times: np.ndarray,
-                    rel_tol: float = DEFAULT_REL_TOL, threads: int = 1) -> PlateauReport:
-    """Two-sided optimality check: ||v(t)|| t^{n/4} must plateau on the tail."""
-    check_moment_ratio(params, data)
-    series = velocity_norm_series(params, data, times, rel_tol, threads)
-    return _plateau("sandwich", series.times, series.values * series.times ** (params.n / 4))
-
-
-@dataclass(frozen=True)
-class KernelPlateauReport:
-    """Two-sided plateau reports for the three profile building blocks.
-
-    Each series is the integral scaled by t^{n/2}; all three must stay inside
-    a positive interval on the tail window.  The damped-cosine item carries a
-    lower-bound witness: a quarter of the conical-region mass never exceeds
-    the full integral.
-    """
-
-    heat_projection: PlateauReport
-    acoustic_sine: PlateauReport
-    damped_cosine: PlateauReport
-    sine_limit: float
-    witness_scaled: np.ndarray
-    witness_ok: bool
-
-    def passed(self, max_ratio: float) -> bool:
-        return (self.heat_projection.passed(max_ratio)
-                and self.acoustic_sine.passed(max_ratio)
-                and self.damped_cosine.passed(max_ratio)
-                and self.witness_ok)
-
-
-def verify_kernel_plateaus(params: ModelParams, p0: np.ndarray, times: np.ndarray,
-                           rel_tol: float = DEFAULT_REL_TOL,
-                           threads: int = 1) -> KernelPlateauReport:
-    """Two-sided t^{-n/2} behavior of the three profile-term integrals.
+def kernel_series(params: ModelParams, p0: np.ndarray, times: np.ndarray,
+                  rel_tol: float = DEFAULT_REL_TOL, threads: int = 1):
+    """The three profile-term integrals and the conical-region witness at each
+    time: (heat projection, acoustic sine kernel, damped cosine projection,
+    a quarter of |p0|^2 times the cone mass of the damped cosine).
 
     Needs a nonzero moment direction p0 for the projection items.
     """
     p0 = np.asarray(p0, dtype=float)
-    if p0.shape != (params.n,):
-        raise ValueError(f"p0 must have shape ({params.n},)")
     if float(np.linalg.norm(p0)) == 0.0:
         raise ValueError("kernel plateau items need a nonzero moment vector")
-    times = np.asarray(times, dtype=float)
-    n = params.n
-    scale = times ** (n / 2)
-
-    heat_vals = zone_series(lambda t: projection_field(params, p0, t, "heat"), params, times,
-                            "full", rel_tol, threads)
-    cos_vals = zone_series(lambda t: projection_field(params, p0, t, "cosine"), params, times,
-                           "full", rel_tol, threads)
-    sine_vals = np.array(ordered_map(lambda t: sine_kernel_integral(params, t, rel_tol),
-                                     times, threads))
+    heat = zone_series(lambda t: projection_field(params, p0, t, "heat"), params, times,
+                       "full", rel_tol, threads)
+    cosine = zone_series(lambda t: projection_field(params, p0, t, "cosine"), params, times,
+                         "full", rel_tol, threads)
+    sine = np.array(ordered_map(lambda t: sine_kernel_integral(params, t, rel_tol),
+                                times, threads))
     witness = np.array(ordered_map(
         lambda t: 0.25 * float(p0 @ p0) * cone_cosine_integral(params, t, rel_tol),
         times, threads))
-
-    s0 = math.gamma(n / 2) / 2.0
-    limit = 0.5 * s0 * sphere_area(n) * params.b ** (-n / 2)
-    witness_ok = bool(np.all(witness <= cos_vals * (1 + 1e-9)))
-    return KernelPlateauReport(
-        heat_projection=_plateau("heat-projection", times, heat_vals * scale),
-        acoustic_sine=_plateau("acoustic-sine", times, sine_vals * scale),
-        damped_cosine=_plateau("damped-cosine", times, cos_vals * scale),
-        sine_limit=limit,
-        witness_scaled=witness * scale,
-        witness_ok=witness_ok,
-    )
+    return heat, sine, cosine, witness
 
 
-@dataclass(frozen=True)
-class HighFreqReport:
-    """High-frequency energy decay summary.
-
-    ``komornik_t0`` is the largest sampled ratio of the remaining energy
-    integral to the pointwise energy; the averaged-energy inequality then
-    holds at every sample by construction and implies the exponential bound
-    ``E_h(t) <= E_h(0) e^{1 - t/T0}`` for t >= T0, which is re-checked on the
-    grid.
-    """
-
-    series: DecaySeries
-    exp_fit: DecayFit
-    komornik_t0: float
-    initial_energy: float
-    nonincreasing: bool
-    komornik_holds: bool
-    conclusion_holds: bool
-
-    def passed(self, min_r_squared: float) -> bool:
-        return (self.nonincreasing and self.exp_fit.slope < 0
-                and self.exp_fit.r_squared >= min_r_squared
-                and self.komornik_holds and self.conclusion_holds)
-
-
-def highfreq_energy(params: ModelParams, data: InitialData, times: np.ndarray,
-                    rel_tol: float = DEFAULT_REL_TOL, threads: int = 1) -> HighFreqReport:
-    """High-zone energy E_h(t) with exponential-decay and averaged-energy checks."""
-    times = np.asarray(times, dtype=float)
+def highfreq_energy_series(params: ModelParams, data: InitialData, times: np.ndarray,
+                           rel_tol: float = DEFAULT_REL_TOL,
+                           threads: int = 1) -> tuple[DecaySeries, float]:
+    """High-zone energy E_h(t) on a time grid, and E_h(0)."""
     values = zone_series(partial(energy_field, params, data), params, times, "high",
                          rel_tol, threads)
     series = DecaySeries(times, values, label="highfreq-energy")
-    fit = fit_semilog(series)
-
     # E_h(0): the data energy carries no time decay, so size the truncation
     # radius by the data width instead of the default t-dependent formula
     r_max = max(4.0 * params.delta0, 12.0 / data.width)
     energy_0 = energy_field(params, data, 0.0)
     e_h0 = zone_norm_sq(lambda r: energy_0(r).abs_sq(), params, 0.0, "high", rel_tol,
                         r_max=r_max).value
-
-    remaining = np.array([float(np.trapezoid(values[i:], times[i:]))
-                          for i in range(times.size - 1)])
-    ratios = remaining / values[:-1]
-    t0 = float(np.max(ratios))
-    komornik_holds = bool(np.all(remaining <= t0 * values[:-1] * (1 + 1e-12)))
-    on_grid = times >= t0
-    conclusion = bool(np.all(values[on_grid]
-                             <= e_h0 * np.exp(1.0 - times[on_grid] / t0) * (1 + 1e-9)))
-    nonincreasing = bool(np.all(np.diff(values) <= values[:-1] * 1e-12))
-    return HighFreqReport(
-        series=series,
-        exp_fit=fit,
-        komornik_t0=t0,
-        initial_energy=e_h0,
-        nonincreasing=nonincreasing,
-        komornik_holds=komornik_holds,
-        conclusion_holds=conclusion,
-    )
+    return series, e_h0

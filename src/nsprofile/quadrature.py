@@ -66,7 +66,7 @@ _PROBE_FLOOR = 1e-26
 _BASE_PANELS = 12
 _OSC_FACTOR = 2
 _MAX_REFINEMENTS = 6
-_MAX_RADIAL_NODES = 1 << 21  # ~400x the largest layout of a default run (4,935)
+_MAX_RADIAL_NODES = 1 << 21  # ~400x the largest layout of a default run (5,115)
 DEFAULT_REL_TOL = 1e-6
 
 

@@ -13,15 +13,14 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 
 from nsprofile.cli import main as cli_main
+from nsprofile.cli import THRESHOLDS, run_highfreq, run_lemma31, run_sandwich
+from nsprofile.config import build_run_config
 from nsprofile.decay import (
     check_moment_ratio,
     fit_loglog,
-    highfreq_energy,
     remainder_series,
     sine_kernel_integral,
     velocity_norm_series,
-    verify_kernel_plateaus,
-    verify_sandwich,
 )
 from nsprofile.model import InitialData, ModelParams, moments
 from nsprofile.quadrature import cone_cap_area, sphere_area
@@ -34,6 +33,14 @@ DATA2 = InitialData(amplitude_v=(0.1, 0.0), amplitude_rho=1.0, width=1.0)
 DATA3 = InitialData(amplitude_v=(0.1, 0.0, 0.0), amplitude_rho=1.0, width=1.0)
 
 REMAINDER_TIMES = np.geomspace(16.0, 16384.0, 11)
+
+
+def run_verdict(runner, subcommand, times, config):
+    """The verdict of ``runner`` at ``config``, whose time grid must be ``times``."""
+    cfg = build_run_config(subcommand, config)
+    assert np.array_equal(cfg.times, times)
+    verdict, _, _ = runner(cfg, 1)
+    return verdict
 
 
 def report(name: str, ok: bool, detail: str) -> None:
@@ -98,19 +105,20 @@ def test_04_velocity_decay_rate(params, data, expected):
 
 
 def test_05_velocity_sandwich():
+    # the default sandwich config has the coefficients of P2 and this time grid
     times = np.geomspace(100.0, 1.0e4, 12)
-    small_p = InitialData(amplitude_v=(0.05, 0.0), amplitude_rho=1.0, width=1.0)
-    rep = verify_sandwich(P2, small_p, times)
-    ok_two_sided = rep.plateau_min > 0 and rep.ratio <= 2.0
+    small_p = {"data": {"amplitude_v": [0.05, 0.0], "amplitude_rho": 1.0, "width": 1.0}}
+    rep = run_verdict(run_sandwich, "sandwich", times, small_p)["metrics"]
+    ok_two_sided = rep["plateau_min"] > 0 and rep["ratio"] <= 2.0
 
-    pure_q = InitialData(amplitude_v=(0.0, 0.0), amplitude_rho=1.0, width=1.0)
-    rep0 = verify_sandwich(P2, pure_q, times)
+    pure_q = {"data": {"amplitude_v": [0.0, 0.0], "amplitude_rho": 1.0, "width": 1.0}}
+    rep0 = run_verdict(run_sandwich, "sandwich", times, pure_q)["metrics"]
     expected = math.sqrt(math.pi) / 2.0  # sqrt of the sine-kernel plateau pi/4
-    last = float(rep0.scaled_values[-1])
+    last = rep0["normalized_last"]
     ok_value = abs(last - expected) / expected <= 0.05
     report("velocity sandwich",
            ok_two_sided and ok_value,
-           f"ratio {rep.ratio:.4f} <= 2, plateau_min {rep.plateau_min:.4f} > 0, "
+           f"ratio {rep['ratio']:.4f} <= 2, plateau_min {rep['plateau_min']:.4f} > 0, "
            f"normalized at t=1e4: {last:.4f} vs {expected:.4f} within 5%")
 
 
@@ -131,24 +139,29 @@ def test_06_sine_kernel_limit(params):
     (P3, np.array([1.0, 0.0, 0.0]), math.pi),
 ], ids=["n2", "n3"])
 def test_07_kernel_plateaus(params, p0, cap):
-    rep = verify_kernel_plateaus(params, p0, np.geomspace(100.0, 1.0e4, 12))
-    heat_ok = rep.heat_projection.passed(4.0)
-    cos_ok = rep.damped_cosine.passed(4.0)
+    # the default lemma31 data have the moment vector amplitude_v = p0
+    config = {"params": {"n": params.n}, "data": {"amplitude_v": list(p0)}}
+    rep = run_verdict(run_lemma31, "lemma31", np.geomspace(100.0, 1.0e4, 12), config)
+    items = rep["metrics"]["items"]
+    heat, cos = items["heat-projection"], items["damped-cosine"]
+    bound_ok = rep["metrics"]["max_ratio"] == 4.0
     cap_ok = cone_cap_area(params.n) == pytest.approx(cap, rel=1e-14)
     report(f"kernel plateaus n={params.n}",
-           heat_ok and cos_ok and rep.witness_ok and cap_ok,
-           f"heat ratio {rep.heat_projection.ratio:.3f} <= 4, "
-           f"cosine ratio {rep.damped_cosine.ratio:.3f} <= 4, "
+           bound_ok and heat["pass"] and cos["pass"] and rep["metrics"]["witness_ok"] and cap_ok,
+           f"heat ratio {heat['ratio']:.3f} <= 4, "
+           f"cosine ratio {cos['ratio']:.3f} <= 4, "
            f"cone witness ok (cap {cap:.6f})")
 
 
 def test_08_highfreq_energy():
-    rep = highfreq_energy(P2, DATA2, np.geomspace(2.0, 40.0, 12))
-    ok = rep.passed(min_r_squared=0.99)
+    config = {"data": {"amplitude_v": [0.1, 0.0], "amplitude_rho": 1.0, "width": 1.0}}
+    verdict = run_verdict(run_highfreq, "highfreq", np.geomspace(2.0, 40.0, 12), config)
+    rep = verdict["metrics"]
+    ok = THRESHOLDS["highfreq_min_r_squared"] == 0.99 and verdict["pass"]
     report("high-frequency energy",
            ok,
-           f"nonincreasing {rep.nonincreasing}, slope {rep.exp_fit.slope:.3f} < 0, "
-           f"r2 {rep.exp_fit.r_squared:.4f} >= 0.99, T0 {rep.komornik_t0:.2f}, "
+           f"nonincreasing {rep['nonincreasing']}, slope {rep['slope']:.3f} < 0, "
+           f"r2 {rep['r_squared']:.4f} >= 0.99, T0 {rep['komornik_t0']:.2f}, "
            f"averaged-energy and exponential-conclusion checks hold")
 
 

@@ -100,6 +100,16 @@ def test_readme_config_block_matches_defaults():
     assert keys(block) == keys(default_config("rate"))
 
 
+def test_readme_library_session_runs(capsys):
+    # the README's library session imports only names the package still has,
+    # and prints the slope it promises
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library layout", 1)[1]
+    block = section.split("```python", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert float(capsys.readouterr().out) == pytest.approx(-0.5, abs=0.05)
+
+
 def test_highfreq_allows_small_t_min():
     cfg = build_run_config("highfreq", {})
     assert cfg.times[0] == pytest.approx(2.0)
@@ -288,6 +298,32 @@ def test_cli_plot_bad_value_exits_2(tmp_path, capsys, plot):
     csv.write_text("t,v\n1,2\n2,1\n")
     assert_rejected_by_config(tmp_path, capsys, "plot",
                               {"plot": {"input_csv": str(csv), **plot}})
+
+
+@pytest.mark.parametrize("subcommand", ["oracle-check", "profile-error",
+                                        "density-profile-error", "rate", "sandwich",
+                                        "lemma31", "highfreq", "bounds"])
+def test_cli_zero_initial_data_exits_2(tmp_path, capsys, subcommand):
+    # every norm of zero data vanishes, so no fit, plateau or relative error exists
+    assert_rejected_by_config(tmp_path, capsys, subcommand,
+                              {"data": {"amplitude_rho": 0.0, "amplitude_v": [0.0, 0.0]}})
+
+
+def test_zero_density_moment_alone_is_accepted():
+    cfg = build_run_config("profile-error", {"data": {"amplitude_rho": 0.0,
+                                                      "amplitude_v": [0.1, 0.0]}})
+    assert cfg.data.amplitude_rho == 0.0
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_cli_threads_below_one_exits_2(tmp_path, capsys, threads):
+    path = write_config(tmp_path, {})
+    out = tmp_path / "out"
+    assert main(["rate", "--config", path, "--out", str(out), "--threads", threads]) == 2
+    diagnostic = json.loads(capsys.readouterr().err)
+    assert diagnostic["error_type"] == "ConfigError"
+    assert "--threads must be at least 1" in diagnostic["error"]
+    assert not out.exists()
 
 
 def test_cli_plot_escapes_svg_text(tmp_path):

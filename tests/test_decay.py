@@ -1,21 +1,20 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from nsprofile.cli import THRESHOLDS, run_highfreq, run_lemma31, run_sandwich
+from nsprofile.config import build_run_config
 from nsprofile.model import InitialData, ModelParams, moments
 from nsprofile.decay import (
-    DecayFit,
     DecaySeries,
     check_moment_ratio,
     fit_loglog,
-    fit_semilog,
-    highfreq_energy,
+    kernel_series,
     ordered_map,
     tail_window,
     velocity_norm_series,
-    verify_kernel_plateaus,
-    verify_sandwich,
 )
 from nsprofile.profiles import velocity_profile
 from nsprofile.quadrature import zone_norm_sq
@@ -23,6 +22,17 @@ from nsprofile.spectral import solve_exact_batch
 from oracles import black_box_norm_sq
 
 PARAMS = ModelParams(alpha=1.0, beta=1.0, gamma=1.0, n=2)
+
+
+def run_verdict(runner, subcommand, times, data=None, **config):
+    """The verdict of ``runner`` at the default config (``PARAMS``), the given
+    initial data and extra config sections, on the time grid ``times``."""
+    if data is not None:
+        config["data"] = {"amplitude_v": list(data.amplitude_v),
+                          "amplitude_rho": data.amplitude_rho, "width": data.width}
+    cfg = build_run_config(subcommand, config)
+    verdict, _, _ = runner(dataclasses.replace(cfg, times=np.asarray(times, float)), 1)
+    return verdict
 
 
 def test_series_validation():
@@ -55,12 +65,6 @@ def test_fit_loglog_constant_series():
     assert fit.slope == pytest.approx(0.0, abs=1e-14)
 
 
-def test_fit_window_too_short():
-    t = np.geomspace(1, 100, 8)
-    with pytest.raises(ValueError):
-        fit_loglog(DecaySeries(t, 1 / t), window=(5, 8))
-
-
 def test_tail_window_rules():
     assert tail_window(12) == (6, 12)
     assert tail_window(8) == (2, 8)
@@ -75,9 +79,10 @@ def test_rate_preconditions():
     big_p = InitialData(amplitude_v=(1.0, 0.0), amplitude_rho=1.0, width=1.0)
     with pytest.raises(ValueError):
         check_moment_ratio(PARAMS, big_p)
-    for data in (no_q, big_p):
-        with pytest.raises(ValueError):
-            verify_sandwich(PARAMS, data, t)
+    # the all-zero data are refused by the config, the others by the run
+    for data, reason in ((no_q, "initial data are zero"), (big_p, "exceeds the admissible")):
+        with pytest.raises(ValueError, match=reason):
+            run_verdict(run_sandwich, "sandwich", t, data)
 
 
 def test_rate_smoke_run():
@@ -103,33 +108,38 @@ def test_sandwich_scale_equivariance():
     t = np.geomspace(50, 2000, 8)
     d1 = InitialData(amplitude_v=(0.02, 0.0), amplitude_rho=1.0, width=1.0)
     d2 = InitialData(amplitude_v=(0.04, 0.0), amplitude_rho=2.0, width=1.0)
-    r1 = verify_sandwich(PARAMS, d1, t)
-    r2 = verify_sandwich(PARAMS, d2, t)
-    assert r2.plateau_min == pytest.approx(2 * r1.plateau_min, rel=1e-9)
-    assert r2.plateau_max == pytest.approx(2 * r1.plateau_max, rel=1e-9)
-    assert r2.ratio == pytest.approx(r1.ratio, rel=1e-9)
-    assert r1.passed(max_ratio=2.0) and r2.passed(max_ratio=2.0)
+    v1 = run_verdict(run_sandwich, "sandwich", t, d1)
+    v2 = run_verdict(run_sandwich, "sandwich", t, d2)
+    r1, r2 = v1["metrics"], v2["metrics"]
+    assert r2["plateau_min"] == pytest.approx(2 * r1["plateau_min"], rel=1e-9)
+    assert r2["plateau_max"] == pytest.approx(2 * r1["plateau_max"], rel=1e-9)
+    assert r2["ratio"] == pytest.approx(r1["ratio"], rel=1e-9)
+    assert r1["max_ratio"] == 2.0 and v1["pass"] and v2["pass"]
 
 
 def test_kernel_plateaus_smoke():
-    rep = verify_kernel_plateaus(PARAMS, np.array([1.0, 0.0]), np.geomspace(100, 5000, 8))
-    assert rep.passed(max_ratio=4.0)
+    # the default lemma31 data have the moment direction p0 = (1, 0)
+    verdict = run_verdict(run_lemma31, "lemma31", np.geomspace(100, 5000, 8))
+    items = verdict["metrics"]["items"]
+    assert verdict["metrics"]["max_ratio"] == 4.0 and verdict["pass"]
     # the heat projection plateau has the closed-form value pi/4 here
-    assert rep.heat_projection.plateau_min == pytest.approx(math.pi / 4, rel=1e-6)
-    assert rep.acoustic_sine.plateau_max == pytest.approx(rep.sine_limit, rel=0.02)
-    with pytest.raises(ValueError):
-        verify_kernel_plateaus(PARAMS, np.zeros(2), np.geomspace(10, 100, 6))
+    assert items["heat-projection"]["plateau_min"] == pytest.approx(math.pi / 4, rel=1e-6)
+    assert items["acoustic-sine"]["plateau_max"] == pytest.approx(
+        verdict["metrics"]["sine_limit"], rel=0.02)
+    with pytest.raises(ValueError, match="nonzero moment vector"):
+        kernel_series(PARAMS, np.zeros(2), np.geomspace(10, 100, 6))
 
 
 def test_highfreq_energy_report():
     data = InitialData(amplitude_v=(0.1, 0.0), amplitude_rho=1.0, width=1.0)
-    rep = highfreq_energy(PARAMS, data, np.geomspace(2.0, 30.0, 10))
-    assert rep.nonincreasing
-    assert rep.exp_fit.slope < 0
-    assert rep.exp_fit.r_squared > 0.99
-    assert rep.komornik_holds and rep.conclusion_holds
-    assert rep.komornik_t0 > 0
-    assert rep.passed(min_r_squared=0.99)
+    verdict = run_verdict(run_highfreq, "highfreq", np.geomspace(2.0, 30.0, 10), data)
+    rep = verdict["metrics"]
+    assert rep["nonincreasing"]
+    assert rep["slope"] < 0
+    assert rep["r_squared"] > 0.99
+    assert rep["komornik_holds"] and rep["conclusion_holds"]
+    assert rep["komornik_t0"] > 0
+    assert THRESHOLDS["highfreq_min_r_squared"] == 0.99 and verdict["pass"]
 
 
 def test_highfreq_small_against_low_zone():
@@ -166,10 +176,11 @@ def test_highfreq_rate_stable_under_quadrature_doubling():
     times = np.geomspace(2.0, 30.0, 10)
     # 1e-7, not tighter: the tail estimate at the default truncation radius
     # is up to ~6e-8 of the high-zone energy on this grid
-    base = highfreq_energy(PARAMS, data, times)
-    fine = highfreq_energy(PARAMS, data, times, rel_tol=1e-7)
-    assert base.exp_fit.slope < 0 and fine.exp_fit.slope < 0
-    assert abs(fine.exp_fit.slope - base.exp_fit.slope) <= 0.1 * abs(base.exp_fit.slope)
+    base = run_verdict(run_highfreq, "highfreq", times, data)["metrics"]["slope"]
+    fine = run_verdict(run_highfreq, "highfreq", times, data,
+                       quadrature={"rel_tol": 1e-7})["metrics"]["slope"]
+    assert base < 0 and fine < 0
+    assert abs(fine - base) <= 0.1 * abs(base)
 
 
 def test_ordered_map_thread_invariance():
