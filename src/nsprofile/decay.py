@@ -1,12 +1,15 @@
 """Every norm a verdict reports, decay series, and their least-squares fits.
 
-Each norm is one ``zone_norm_sq`` call: the velocity, energy, remainder and
-kernel-projection fields, the isotropic sine and cone kernels, and the
-measured remainder masses.  Norms at the times of a grid are mapped in order
-over a thread pool, so the thread count never changes a value.  Time series
-are fitted by log-log lines for polynomial rates and semi-log lines for the
-exponential high-frequency regime.  The verdicts themselves, with their pass
-marks, are judged by the CLI runners.
+Each quadrature norm is one ``zone_norm_sq`` call: the velocity, energy and
+remainder fields, the isotropic sine kernel, and the measured remainder
+masses.  The other kernel items of ``lemma31`` (the heat and damped-cosine
+projections and the cone witness) are closed-form Gaussian integrals and
+multiples of G - K_sin, with G the Gaussian integral and K_sin the sine
+kernel, since sin^2 + cos^2 = 1.  Norms at the times of a grid are mapped in
+order over a thread pool, so the thread count never changes a value.  Time
+series are fitted by log-log lines for polynomial rates and semi-log lines
+for the exponential high-frequency regime.  The verdicts themselves, with
+their pass marks, are judged by the CLI runners.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import numpy as np
 from .model import InitialData, ModelParams, moments
 from .profiles import (
     expansion_field,
+    gaussian_moment_bound,
     moment_defect_field,
     profile_field,
     sine_correction_field,
@@ -124,40 +128,21 @@ def energy_field(params: ModelParams, data: InitialData, t: float):
     return lambda r: Field(*(c / math.sqrt(2.0) for c in exact_field(params, data, r, t)))
 
 
-def projection_field(params: ModelParams, p0: np.ndarray, t: float, kind: str):
-    """Radii to xi (xi.p0)/|xi|^2 times e^{-alpha |xi|^2 t} (``kind`` "heat")
-    or e^{-b |xi|^2 t/2} cos(gamma t |xi|) ("cosine")."""
-    p = float(np.linalg.norm(p0))
-
-    def field(r):
-        rr = r * r
-        if kind == "heat":
-            return Field(b1=p * np.exp(-params.alpha * rr * t))
-        return Field(b1=p * np.exp(-params.b * rr * t / 2) * np.cos(params.gamma * t * r))
-
-    return field
-
-
-def _damped_square_norm(params: ModelParams, t: float, wave, rel_tol: float) -> float:
-    """Full-zone norm of the isotropic |kernel|^2 = e^{-b t |xi|^2} wave(gamma t |xi|)^2."""
-    def f(r):
-        zero = np.zeros_like(r)
-        return np.exp(-params.b * t * r * r) * wave(params.gamma * t * r) ** 2, zero, zero
-
-    return zone_norm_sq(f, params, t, "full", rel_tol).value
-
-
 def sine_kernel_integral(params: ModelParams, t: float,
                          rel_tol: float = DEFAULT_REL_TOL) -> float:
     """The squared L^2 norm of the acoustic sine kernel,
 
-        int |i xi e^{-b |xi|^2 t / 2} sin(gamma t |xi|)/|xi||^2 dxi
-        = omega_{n-1} int_0^inf r^{n-1} e^{-b t r^2} sin^2(gamma t r) dr.
+        K_sin(t) = int |i xi e^{-b |xi|^2 t / 2} sin(gamma t |xi|)/|xi||^2 dxi
+                 = omega_{n-1} int_0^inf r^{n-1} e^{-b t r^2} sin^2(gamma t r) dr,
 
-    For large t this behaves like (S0/2) omega_{n-1} b^{-n/2} t^{-n/2} with
-    S0 = Gamma(n/2)/2.
+    the only kernel item that needs quadrature.  For large t it behaves like
+    (S0/2) omega_{n-1} b^{-n/2} t^{-n/2} with S0 = Gamma(n/2)/2.
     """
-    return _damped_square_norm(params, t, np.sin, rel_tol)
+    def f(r):
+        zero = np.zeros_like(r)
+        return np.exp(-params.b * t * r * r) * np.sin(params.gamma * t * r) ** 2, zero, zero
+
+    return zone_norm_sq(f, params, t, "full", rel_tol).value
 
 
 def cone_cosine_integral(params: ModelParams, t: float,
@@ -165,14 +150,16 @@ def cone_cosine_integral(params: ModelParams, t: float,
     """Damped-cosine mass on a cone {xi : (xi.p)/(|xi||p|) >= 1/2} around any
     direction p,
 
-        int_K e^{-b t |xi|^2} cos^2(gamma t |xi|) dxi
-        = c(n) int_0^inf r^{n-1} e^{-b t r^2} cos^2(gamma t r) dr,
+        int_K e^{-b t |xi|^2} cos^2(gamma t |xi|) dxi = c(n)/omega_{n-1} (G(b, t) - K_sin(t)),
 
-    where c(n) is the spherical cap measure (2*pi/3 in 2-d, pi in 3-d); the
-    value is rotation invariant, so it does not depend on p.
+    by cos^2 = 1 - sin^2, where c(n) is the spherical cap measure (2*pi/3 in
+    2-d, pi in 3-d) and G(b, t) = ``gaussian_moment_bound(n, 0, b, t)`` the
+    full-space integral of e^{-b t |xi|^2}; the value is rotation invariant,
+    so it does not depend on p.
     """
     n = params.n
-    return cone_cap_area(n) / sphere_area(n) * _damped_square_norm(params, t, np.cos, rel_tol)
+    return cone_cap_area(n) / sphere_area(n) * (gaussian_moment_bound(n, 0, params.b, t)
+                                                - sine_kernel_integral(params, t, rel_tol))
 
 
 def measured_remainder_norms(params: ModelParams, data: InitialData, t: float,
@@ -222,24 +209,33 @@ def check_moment_ratio(params: ModelParams, data: InitialData):
 def kernel_series(params: ModelParams, p0: np.ndarray, times: np.ndarray,
                   rel_tol: float = DEFAULT_REL_TOL, threads: int = 1):
     """The three profile-term integrals and the conical-region witness at each
-    time: (heat projection, acoustic sine kernel, damped cosine projection,
-    a quarter of |p0|^2 times the cone mass of the damped cosine).
+    time: the full-space norms of the heat projection xi (xi.p0)/|xi|^2
+    e^{-alpha t |xi|^2} and the damped cosine projection xi (xi.p0)/|xi|^2
+    e^{-b t |xi|^2/2} cos(gamma t |xi|), the acoustic sine kernel K_sin, and a
+    quarter of |p0|^2 times the cone mass of the damped cosine.
 
-    Needs a nonzero moment direction p0 for the projection items.
+    Only K_sin is a quadrature (:func:`sine_kernel_integral`).  The sphere mean
+    of |xi_hat . p0|^2 is |p0|^2/n and cos^2 = 1 - sin^2, so with G(rate, t)
+    the full-space integral of e^{-rate t |xi|^2}:
+
+        heat = |p0|^2/n G(2 alpha, t),
+        cosine = |p0|^2/n (G(b, t) - K_sin),
+        witness = |p0|^2/4 |cap|/|S^(n-1)| (G(b, t) - K_sin).
+
+    Needs a nonzero moment vector p0 for the projection items.
     """
-    p0 = np.asarray(p0, dtype=float)
-    if float(np.linalg.norm(p0)) == 0.0:
+    p_sq = float(np.dot(p0, p0))
+    if p_sq == 0.0:
         raise ValueError("kernel plateau items need a nonzero moment vector")
-    heat = zone_series(lambda t: projection_field(params, p0, t, "heat"), params, times,
-                       "full", rel_tol, threads)
-    cosine = zone_series(lambda t: projection_field(params, p0, t, "cosine"), params, times,
-                         "full", rel_tol, threads)
+    n = params.n
+    times = [float(t) for t in times]
     sine = np.array(ordered_map(lambda t: sine_kernel_integral(params, t, rel_tol),
                                 times, threads))
-    witness = np.array(ordered_map(
-        lambda t: 0.25 * float(p0 @ p0) * cone_cosine_integral(params, t, rel_tol),
-        times, threads))
-    return heat, sine, cosine, witness
+    gauss = lambda rate: np.array([gaussian_moment_bound(n, 0, rate, t) for t in times])
+    cos_mass = gauss(params.b) - sine
+    heat = p_sq / n * gauss(2.0 * params.alpha)
+    witness = 0.25 * p_sq * cone_cap_area(n) / sphere_area(n) * cos_mass
+    return heat, sine, p_sq / n * cos_mass, witness
 
 
 def highfreq_energy_series(params: ModelParams, data: InitialData, times: np.ndarray,

@@ -3,8 +3,9 @@
 ``bench/spans.py`` (``run_bench.py --trace 1``) replaces module attributes
 of the package with span wrappers whose hooks read call arguments by name.
 A deleted or renamed attribute, or a renamed parameter, would break tracing
-without failing any other test.  One test installs the tracer in process
-and restores the wrapped attributes afterwards.
+without failing any other test.  The traced-run tests install the tracer in
+process, count the zone norms of a default run and restore the wrapped
+attributes afterwards.
 """
 
 import importlib
@@ -48,17 +49,32 @@ def test_wrap_site_has_the_bound_parameters(name, module, attr):
     assert not missing, f"{module}.{attr} lacks {sorted(missing)}"
 
 
-def test_traced_rate_run_counts_its_zone_norms(tmp_path, monkeypatch):
-    # the tracer installed in process sees every zone norm of a default rate
-    # run: one per time of its 11-point grid
-    for _, module, attr in SITES:  # restored when the test ends
+def _traced_zone_norm_calls(tmp_path, monkeypatch, subcommand, config="{}", threads=1):
+    """``quadrature.zone_norm_sq.calls`` of one in-process CLI run under the
+    tracer; the wrapped attributes are restored when the test ends."""
+    for _, module, attr in SITES:
         mod = importlib.import_module(module)
         monkeypatch.setattr(mod, attr, getattr(mod, attr))
     tracer = spans.Tracer()
     tracer.install()
-    config = tmp_path / "rate.json"
-    config.write_text("{}")
+    path = tmp_path / "config.json"
+    path.write_text(config)
     from nsprofile.cli import main
 
-    assert main(["rate", "--config", str(config), "--out", str(tmp_path)]) == 0
-    assert tracer.metrics(0.0)["quadrature.zone_norm_sq.calls"] == 11
+    assert main([subcommand, "--config", str(path), "--out", str(tmp_path),
+                 "--threads", str(threads)]) == 0
+    return tracer.metrics(0.0)["quadrature.zone_norm_sq.calls"]
+
+
+def test_traced_rate_run_counts_its_zone_norms(tmp_path, monkeypatch):
+    # the tracer installed in process sees every zone norm of a default rate
+    # run: one per time of its 11-point grid
+    assert _traced_zone_norm_calls(tmp_path, monkeypatch, "rate") == 11
+
+
+@pytest.mark.parametrize("config,threads", [("{}", 1), ('{"params": {"n": 3}}', 2)],
+                         ids=["n2", "n3-t2"])
+def test_traced_lemma31_run_counts_its_zone_norms(tmp_path, monkeypatch, config, threads):
+    # only the sine kernel is a quadrature: one zone norm per time of the
+    # 12-point grid, the heat, cosine and witness items being closed forms
+    assert _traced_zone_norm_calls(tmp_path, monkeypatch, "lemma31", config, threads) == 12

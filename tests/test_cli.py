@@ -14,6 +14,7 @@ from nsprofile.config import (
     default_config,
     merge_config,
 )
+from nsprofile.reporting import read_csv
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -199,6 +200,33 @@ def test_cli_oracle_check_default_grid(tmp_path):
     assert verdict["metrics"]["step"] == 1e-4
 
 
+def test_cli_oracle_check_where_the_data_envelope_underflows(tmp_path):
+    # at width 50 the data transform underflows at the larger oracle radii, so
+    # the exact and oracle states are both 0 there: exact agreement, rel_err 0
+    out = tmp_path / "out"
+    path = write_config(tmp_path, {"data": {"width": 50}})
+    assert main(["oracle-check", "--config", path, "--out", str(out)]) == 0
+    verdict = json.loads((out / "oracle-check.json").read_text())
+    assert verdict["pass"] is True
+    assert verdict["metrics"]["max_rel_err"] <= 1e-8
+    assert 0.0 in read_csv(str(out / "oracle-check.csv"))["rel_err"]
+
+
+def test_cli_oracle_gap_over_a_zero_state_is_not_agreement(tmp_path, monkeypatch, capsys):
+    # an oracle that is off where the exact state is 0 has rel_err inf and
+    # fails: the CSV takes no inf, so the run exits 2
+    solve = cli.solve_ode_oracle_batch
+
+    def off(*args):
+        v, rho = solve(*args)
+        return v, rho + 1e-100
+
+    monkeypatch.setattr(cli, "solve_ode_oracle_batch", off)
+    path = write_config(tmp_path, {"data": {"width": 50}})
+    assert main(["oracle-check", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "CSV values must be finite, got inf"
+
+
 def test_cli_plot_from_produced_csv(tmp_path):
     out = tmp_path / "out"
     path = write_config(tmp_path, {
@@ -376,8 +404,6 @@ def test_cli_moment_off_the_first_axis_matches_its_rotation(tmp_path):
     # the fields depend on the velocity moment only through |P0| and the
     # cosine u of its angle to xi, so a moment off e1 gives the verdicts of
     # the same moment rotated onto e1
-    from nsprofile.reporting import read_csv
-
     columns = {}
     for label, moment in (("diagonal", [0.05, 0.05]), ("axis", [0.05 * math.sqrt(2), 0.0])):
         path = write_config(tmp_path, {"params": {"n": 2}, "data": {"amplitude_v": moment}},

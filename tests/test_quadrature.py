@@ -7,6 +7,7 @@ from numpy.polynomial.legendre import leggauss
 from nsprofile.config import ConfigError, build_run_config
 from nsprofile.decay import cone_cosine_integral, sine_kernel_integral
 from nsprofile.model import InitialData, ModelParams
+from nsprofile.profiles import gaussian_moment_bound
 from nsprofile.quadrature import (
     _BASE_PANELS,
     _G7_WEIGHTS,
@@ -288,6 +289,26 @@ def test_cone_integral_plateau():
     for t in (1e3, 1e4):
         val = cone_cosine_integral(PARAMS2, t)
         assert t * val == pytest.approx(2 * math.pi / 3 / (4 * PARAMS2.b), rel=0.03)
+
+
+@pytest.mark.parametrize("n", [2, 3, 16])
+@pytest.mark.parametrize("ratio", [0.3, 3.0, 100.0])
+def test_cone_integral_matches_the_cosine_quadrature(n, ratio):
+    # |cap|/|S| (G - K_sin) against the cone fraction of a zone_norm_sq of
+    # e^{-b t r^2} cos^2(gamma t r) at gamma^2 t / b = ratio.  G - K_sin cancels
+    # most at n = 16, ratio 0.3, where K_cos/G is about 0.07, so the bound holds
+    # K_sin's accepted estimate (at most rel_tol K_sin) and G's rounding
+    rel_tol = 1e-12
+    params = ModelParams(alpha=1.0, beta=1.0, gamma=1.0, n=n)
+    t = ratio * params.b / params.gamma ** 2
+    ref = zone_norm_sq(
+        isotropic(lambda r: np.exp(-params.b * t * r * r) * np.cos(params.gamma * t * r) ** 2),
+        params, t, "full", rel_tol)
+    fraction = cone_cap_area(n) / sphere_area(n)
+    sine = sine_kernel_integral(params, t, rel_tol)
+    gauss = gaussian_moment_bound(n, 0, params.b, t)
+    bound = fraction * (ref.est_error + rel_tol * sine + 8 * np.finfo(float).eps * gauss)
+    assert abs(cone_cosine_integral(params, t, rel_tol) - fraction * ref.value) <= bound
 
 
 def test_profile_norm_equals_sine_kernel_times_moment():

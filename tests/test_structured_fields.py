@@ -1,6 +1,8 @@
 """Every field that the runtime integrates through its radial coefficients
 (``spectral.Field``) against its pointwise formula and against the black-box
-angular integrator of ``tests/oracles.py``.
+angular integrator of ``tests/oracles.py``, and the closed-form heat and
+damped-cosine items of ``kernel_series`` against the black-box norms of their
+pointwise fields.
 
 A structured field is axially symmetric and quadratic in u by construction;
 this seeded sweep is what checks that its coefficients are the right ones.
@@ -10,7 +12,8 @@ import numpy as np
 import pytest
 
 from nsprofile.config import build_run_config
-from nsprofile.decay import energy_field, projection_field, remainder_field, velocity_field
+from nsprofile import decay
+from nsprofile.decay import energy_field, kernel_series, remainder_field, velocity_field
 from nsprofile.model import InitialData, ModelParams, moments
 from nsprofile.profiles import expansion_field, moment_defect_field, sine_correction_field
 from nsprofile.quadrature import QuadratureError, default_r_max, zone_norm_sq
@@ -32,24 +35,27 @@ FIELDS = {
                         "bounds", "low"),
     "expansion": (lambda p, d, t: lambda r: expansion_field(p, moments(d), r, t),
                   "bounds", "low"),
-    "heat_projection": (lambda p, d, t: projection_field(p, d.amplitude_v, t, "heat"),
-                        "lemma31", "full"),
-    "damped_cosine": (lambda p, d, t: projection_field(p, d.amplitude_v, t, "cosine"),
-                      "lemma31", "full"),
 }
+# the items of kernel_series' (heat, sine, cosine, witness) that are full-zone
+# norms of a projection field, by their index; they run on the lemma31 grid
+KERNEL_ITEMS = {"heat_projection": 0, "damped_cosine": 2}
+# a case's seed is its name's index here, so that no case is re-drawn
+SEED_NAMES = sorted([*FIELDS, *KERNEL_ITEMS])
+_ROUNDING = 8 * np.finfo(float).eps  # relative rounding of a closed-form Gaussian integral
 PARTS = {"energy": "both", "density_remainder": "scalar"}  # the rest are vectors
 # a difference of fields is compared at the size of the terms that it cancels
 CANCELS = {"velocity_remainder": "velocity", "density_remainder": "energy",
            "expansion": "moment_flow"}
-CASES = [(name, n) for name in FIELDS for n in (1, 2, 3, 4)]
+ASSEMBLY_CASES = [(name, n) for name in FIELDS for n in (1, 2, 3, 4)]
+CASES = [(name, n) for name in [*FIELDS, *KERNEL_ITEMS] for n in (1, 2, 3, 4)]
 
 
 def _draw(name, n):
     """Random coefficients, log-uniform on [0.1, 10], data with both moments
     (the velocity moment along e1, as the black-box integrator needs) and a
     time of the field's default grid."""
-    _, sub, zone = FIELDS[name]
-    rng = np.random.default_rng([sorted(FIELDS).index(name), n])
+    sub, zone = FIELDS[name][1:] if name in FIELDS else ("lemma31", "full")
+    rng = np.random.default_rng([SEED_NAMES.index(name), n])
     alpha, beta, gamma = np.exp(rng.uniform(np.log(0.1), np.log(10.0), 3))
     params = ModelParams(alpha=alpha, beta=beta, gamma=gamma, n=n)
     data = InitialData(amplitude_v=(rng.uniform(0.1, 1.0),) + (0.0,) * (n - 1),
@@ -57,7 +63,8 @@ def _draw(name, n):
     return params, data, float(rng.choice(build_run_config(sub, {}).times)), zone, rng
 
 
-@pytest.mark.parametrize("name,n", CASES, ids=[f"{name}-n{n}" for name, n in CASES])
+@pytest.mark.parametrize("name,n", ASSEMBLY_CASES,
+                         ids=[f"{name}-n{n}" for name, n in ASSEMBLY_CASES])
 def test_assembly_matches_the_pointwise_formula(name, n):
     # radii out to where |field|^2 has fallen by e^-32 or to the zone's end
     params, data, t, zone, rng = _draw(name, n)
@@ -75,10 +82,15 @@ def test_assembly_matches_the_pointwise_formula(name, n):
 
 
 @pytest.mark.parametrize("name,n", CASES, ids=[f"{name}-n{n}" for name, n in CASES])
-def test_zone_norm_matches_the_black_box_integrator(name, n):
+def test_zone_norm_matches_the_black_box_integrator(name, n, monkeypatch):
     params, data, t, zone, _ = _draw(name, n)
-    field = FIELDS[name][0](params, data, t)
     f = pointwise_fields(params, data, t)[name]
+    if name in KERNEL_ITEMS:
+        value, est_error = _kernel_item(name, params, data, t, monkeypatch)
+        ref = black_box_norm_sq(f, params, t, zone)
+        assert abs(value - ref.value) <= est_error + ref.est_error
+        return
+    field = FIELDS[name][0](params, data, t)
     r_max = None
     try:
         got = zone_norm_sq(lambda r: field(r).abs_sq(), params, t, zone)
@@ -93,3 +105,22 @@ def test_zone_norm_matches_the_black_box_integrator(name, n):
         got = zone_norm_sq(lambda r: field(r).abs_sq(), params, t, zone, r_max=r_max)
     ref = black_box_norm_sq(f, params, t, zone, r_max=r_max)
     assert abs(got.value - ref.value) <= got.est_error + ref.est_error
+
+
+def _kernel_item(name, params, data, t, monkeypatch):
+    """``kernel_series``' item ``name`` at t and its error: the rounding of its
+    Gaussian integral G and, for the cosine item |p0|^2/n (G(b, t) - K_sin),
+    |p0|^2/n times the sine kernel's estimate."""
+    sine_norms = []
+
+    def recorded(*args, **kwargs):
+        sine_norms.append(zone_norm_sq(*args, **kwargs))
+        return sine_norms[-1]
+
+    monkeypatch.setattr(decay, "zone_norm_sq", recorded)
+    value = float(kernel_series(params, data.amplitude_v, [t])[KERNEL_ITEMS[name]][0])
+    (sine,) = sine_norms
+    share = float(np.dot(data.amplitude_v, data.amplitude_v)) / params.n
+    if name == "heat_projection":
+        return value, _ROUNDING * value
+    return value, share * (_ROUNDING * (value / share + sine.value) + sine.est_error)
