@@ -5,12 +5,13 @@
 Each subcommand writes ``<out>/<subcommand>.csv`` (the series it computed),
 ``<subcommand>.json`` (verdict, fitted numbers, thresholds, config hash) and,
 unless disabled, ``<subcommand>.svg``.  Exit status: 0 when every verdict
-passes, 1 on a verdict failure, 2 on configuration or numerical errors and on
-any other error (with a diagnostic JSON on stderr, never a traceback).
+passes, 1 on a verdict failure, 2 on argument, configuration or numerical
+errors and on any other error (with a diagnostic JSON on stderr, never a
+traceback).
 Each runner takes its series and norms from ``decay``, judges its verdict
 against its pass mark in ``THRESHOLDS``, and returns (verdict, columns, plot).
-Inner norm evaluations run on a thread pool with an order-preserving reduce,
-so results are byte-identical for any thread count.
+Inner norm evaluations run on ``--threads`` threads with an order-preserving
+map, so results are byte-identical for any thread count.
 """
 
 from __future__ import annotations
@@ -326,19 +327,32 @@ def _write_outputs(cfg: RunConfig, out_dir: str, verdict: dict, columns: dict, p
         emit_svg(columns, *plot, os.path.join(out_dir, f"{name}.svg"))
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises a :class:`ConfigError` on bad arguments instead of exiting, so
+    that they take the exit-2 path with a diagnostic JSON."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
+_PARSER = _ArgumentParser(
+    prog="nsprofile",
+    description="Frequency-space decay verification for a linearized "
+                "compressible viscous flow model.",
+)
+_PARSER.add_argument("subcommand", choices=_RUNNERS, metavar="subcommand",
+                     help=", ".join(_RUNNERS))
+_PARSER.add_argument("--config", required=True, help="JSON run configuration")
+_PARSER.add_argument("--out", default="out", help="output directory (default: out)")
+_PARSER.add_argument("--threads", type=int, default=1, help="worker threads (default: 1)")
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="nsprofile",
-        description="Frequency-space decay verification for a linearized "
-                    "compressible viscous flow model.",
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in _RUNNERS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="JSON run configuration")
-        p.add_argument("--out", default="out", help="output directory (default: out)")
-        p.add_argument("--threads", type=int, default=1, help="worker threads (default: 1)")
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    try:
+        args = _PARSER.parse_args(argv)
+    except ConfigError as exc:
+        return _fail({"subcommand": next((a for a in argv if a in _RUNNERS), None)}, exc)
 
     try:
         if args.threads < 1:

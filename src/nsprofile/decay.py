@@ -6,7 +6,7 @@ masses.  The other kernel items of ``lemma31`` (the heat and damped-cosine
 projections and the cone witness) are closed-form Gaussian integrals and
 multiples of G - K_sin, with G the Gaussian integral and K_sin the sine
 kernel, since sin^2 + cos^2 = 1.  Norms at the times of a grid are mapped in
-order over a thread pool, so the thread count never changes a value.  Time
+order over worker threads, so the thread count never changes a value.  Time
 series are fitted by log-log lines for polynomial rates and semi-log lines
 for the exponential high-frequency regime.  The verdicts themselves, with
 their pass marks, are judged by the CLI runners.
@@ -15,7 +15,7 @@ their pass marks, are judged by the CLI runners.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass
 from functools import partial
 
@@ -40,11 +40,38 @@ _MAX_MOMENT_RATIO = 0.1  # |P0|/|Q0| above which the sandwich statement is not m
 
 
 def ordered_map(fn, items, threads: int = 1) -> list:
-    """Map preserving input order; thread count never changes the results."""
+    """Map preserving input order; thread count never changes the results.
+
+    The calling thread and ``threads - 1`` others each walk a fixed stride of
+    the items.  If items fail, the exception of the first of them in input
+    order is raised, whatever the thread count: each stride stops at its own
+    first failure, so every item before the first failing one has run and
+    that failure is always recorded.
+    """
+    items = list(items)
+    threads = min(threads, len(items))
     if threads <= 1:
         return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+    results = [None] * len(items)
+    errors = {}
+
+    def walk(start: int) -> None:
+        for i in range(start, len(items), threads):
+            try:
+                results[i] = fn(items[i])
+            except BaseException as exc:
+                errors[i] = exc
+                return
+
+    workers = [threading.Thread(target=walk, args=(k,)) for k in range(1, threads)]
+    for worker in workers:
+        worker.start()
+    walk(0)
+    for worker in workers:
+        worker.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 @dataclass(frozen=True)

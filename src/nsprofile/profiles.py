@@ -48,8 +48,7 @@ def profile_field(params: ModelParams, mom: Moments, r: np.ndarray, t: float) ->
     wave = np.exp(-params.b * (r * r) * t / 2.0)
     sine = wave * np.sin(params.gamma * t * r)
     cosine = wave * np.cos(params.gamma * t * r)
-    return Field(heat * p, -1j * sine * mom.Q0, (cosine - heat) * p,
-                 mom.Q0 * cosine, -1j * p * sine)
+    return Field(heat * p, -sine * mom.Q0, (cosine - heat) * p, mom.Q0 * cosine, -p * sine)
 
 
 def moment_defect_field(params: ModelParams, data: InitialData, r: np.ndarray,
@@ -112,7 +111,7 @@ def sine_correction_term(params: ModelParams, mom: Moments, xi: np.ndarray,
                          t: float) -> np.ndarray:
     """:func:`sine_correction_field` at xi of shape (m, n)."""
     return pointwise(lambda r: sine_correction_field(params, mom, r, t), xi, params.n,
-                     mom.P0)[0].astype(complex)
+                     mom.P0)[0]
 
 
 def gaussian_moment_bound(n: int, k: int, rate: float, t: float) -> float:

@@ -13,8 +13,10 @@ radius delta0, real above it.  The flow needs only their divided differences
 Phi and Psi, which are real for every root type: damped cos/sin below
 delta0, the real roots through expm1 above it and the double-root limit at
 it.  No formula subtracts nearby exponentials, so the closed form is smooth
-across delta0 with no cutoff, and complex numbers enter only through the
--i gamma coupling.
+across delta0 with no cutoff.  The -i gamma coupling is the only source of i,
+so every coefficient of the solution is real or i times real: a :class:`Field`
+stores both kinds as real arrays, and i enters only where :func:`pointwise`
+assembles complex vectors.
 
 The data are isotropic envelopes times the moments, so the solution depends
 on the direction of xi only through u = xi_hat . p_hat, p_hat the direction
@@ -77,16 +79,12 @@ def _phi_psi(params: ModelParams, r2: np.ndarray, t: float) -> tuple[np.ndarray,
     return phi, psi
 
 
-def _re_dot(x, y):
-    """Re(x conj(y)) for real or complex arrays or scalars."""
-    return np.real(x) * np.real(y) + np.imag(x) * np.imag(y)
-
-
 class Field(NamedTuple):
     """A field that depends on the direction of xi only through u = xi_hat . p_hat,
     with p_hat the unit velocity moment (e1 if the moment is 0): the vector
-    a p_hat + (b0 + b1 u) xi_hat and the scalar c0 + c1 u.  Each coefficient is
-    an array over the radii r = |xi| or 0."""
+    a p_hat + (i b0 + b1 u) xi_hat and the scalar c0 + i c1 u.  Each coefficient
+    is a real array over the radii r = |xi| or 0; b0 and c1 are the real
+    coefficients of i."""
 
     a: np.ndarray | float = 0.0
     b0: np.ndarray | float = 0.0
@@ -107,10 +105,10 @@ class Field(NamedTuple):
         """Coefficients (q0, q1, q2), as arrays over the radii, of
         |vector|^2 + |scalar|^2 = q0 + q1 u + q2 u^2."""
         a, b0, b1, c0, c1 = self
-        return np.broadcast_arrays(
-            _re_dot(a, a) + _re_dot(b0, b0) + _re_dot(c0, c0),
-            2.0 * (_re_dot(a, b0) + _re_dot(b0, b1) + _re_dot(c0, c1)),
-            2.0 * _re_dot(a, b1) + _re_dot(b1, b1) + _re_dot(c1, c1))
+        # the cross terms a b0, b0 b1 and c0 c1 pair a real with an imaginary
+        # part, so they have no real part and q1 = 0
+        return np.broadcast_arrays(a * a + b0 * b0 + c0 * c0, 0.0,
+                                   2.0 * a * b1 + b1 * b1 + c1 * c1)
 
 
 def pointwise(field_at, xi: np.ndarray, n: int,
@@ -130,8 +128,8 @@ def pointwise(field_at, xi: np.ndarray, n: int,
     f = field_at(r)
     xi_hat = xi / r[:, None]
     u = xi_hat @ p_hat
-    return (np.multiply.outer(f.a, p_hat) + (f.b0 + f.b1 * u)[:, None] * xi_hat,
-            f.c0 + f.c1 * u)
+    return (np.multiply.outer(f.a, p_hat) + (f.b1 * u + 1j * f.b0)[:, None] * xi_hat,
+            f.c0 + 1j * f.c1 * u)
 
 
 def flow(params: ModelParams, r: np.ndarray, t: float, p, q) -> Field:
@@ -143,11 +141,11 @@ def flow(params: ModelParams, r: np.ndarray, t: float, p, q) -> Field:
         v_hat   = heat p p_hat + (-i gamma r Phi q + (Psi - heat) p u) xi_hat,
         rho_hat = (Psi + b r^2 Phi) q - i gamma r Phi p u,
 
-    heat = e^{-alpha r^2 t}."""
+    heat = e^{-alpha r^2 t}; b0 and c1 hold -gamma r Phi q and -gamma r Phi p."""
     rr = r * r
     phi, psi = _phi_psi(params, rr, t)
     heat = np.exp(-params.alpha * rr * t)
-    acoustic = -1j * params.gamma * r * phi
+    acoustic = -params.gamma * r * phi
     return Field(heat * p, acoustic * q, (psi - heat) * p,
                  (psi + params.b * rr * phi) * q, acoustic * p)
 

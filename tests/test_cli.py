@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -352,6 +355,41 @@ def test_cli_threads_below_one_exits_2(tmp_path, capsys, threads):
     assert diagnostic["error_type"] == "ConfigError"
     assert "--threads must be at least 1" in diagnostic["error"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,subcommand,message", [
+    (["nope"], None, "invalid choice: 'nope'"),
+    (["rate"], "rate", "the following arguments are required: --config"),
+    (["rate", "--config", "x", "--threads", "abc"], "rate",
+     "argument --threads: invalid int value: 'abc'"),
+], ids=["unknown-subcommand", "no-config", "non-integer-threads"])
+def test_cli_argument_error_exits_2_with_a_diagnostic(capsys, argv, subcommand, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    diagnostic = json.loads(captured.err)
+    assert diagnostic["subcommand"] == subcommand
+    assert diagnostic["error_type"] == "ConfigError"
+    assert message in diagnostic["error"]
+    assert "traceback" not in diagnostic and "usage:" not in captured.err
+
+
+def test_cli_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    assert "--threads" in capsys.readouterr().out
+
+
+def test_cli_import_loads_no_executor_machinery():
+    # concurrent.futures pulls in logging and queue on every run
+    code = ("import sys, nsprofile.cli; "
+            "print(sorted(m for m in ('concurrent.futures', 'logging', 'queue') "
+            "if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 def test_cli_plot_escapes_svg_text(tmp_path):

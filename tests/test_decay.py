@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -187,3 +189,40 @@ def test_ordered_map_thread_invariance():
     items = list(np.linspace(0.0, 3.0, 17))
     fn = lambda x: math.sin(x) * math.exp(-x)
     assert ordered_map(fn, items, 1) == ordered_map(fn, items, 4)
+    # more threads than items, and no items at all
+    assert ordered_map(fn, items[:3], 8) == ordered_map(fn, items[:3], 1)
+    assert ordered_map(fn, [], 4) == []
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4])
+def test_ordered_map_raises_the_first_failure_in_input_order(threads):
+    # items 5 and 6 fail, in different strides at 2 and 4 threads; the later
+    # one fails at once while the earlier one is still running
+    def fn(i):
+        if i == 5:
+            time.sleep(0.05)
+            raise ValueError("item 5")
+        if i == 6:
+            raise KeyError("item 6")
+        return i
+
+    with pytest.raises(ValueError, match="item 5"):
+        ordered_map(fn, range(12), threads)
+
+
+def test_ordered_map_under_frequent_thread_switches():
+    # more threads than cores write results and failures side by side
+    def fn(i):
+        if i % 7 == 3:
+            raise ValueError(f"item {i}")
+        return i * i
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        items = list(range(400))
+        assert ordered_map(lambda i: i * i, items, 8) == [i * i for i in items]
+        with pytest.raises(ValueError, match="^item 3$"):
+            ordered_map(fn, items, 8)
+    finally:
+        sys.setswitchinterval(interval)

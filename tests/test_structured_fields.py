@@ -15,9 +15,14 @@ from nsprofile.config import build_run_config
 from nsprofile import decay
 from nsprofile.decay import energy_field, kernel_series, remainder_field, velocity_field
 from nsprofile.model import InitialData, ModelParams, moments
-from nsprofile.profiles import expansion_field, moment_defect_field, sine_correction_field
+from nsprofile.profiles import (
+    expansion_field,
+    moment_defect_field,
+    profile_field,
+    sine_correction_field,
+)
 from nsprofile.quadrature import QuadratureError, default_r_max, zone_norm_sq
-from nsprofile.spectral import pointwise
+from nsprofile.spectral import exact_field, flow, pointwise
 from oracles import black_box_norm_sq, pointwise_fields
 
 # field -> (its builder: (params, data, t) to radii to its Field, the subcommand
@@ -79,6 +84,24 @@ def test_assembly_matches_the_pointwise_formula(name, n):
     expected = fields[name](xi)
     scale = np.max(np.abs(fields[CANCELS.get(name, name)](xi)))
     np.testing.assert_allclose(got, expected, rtol=1e-13, atol=1e-13 * scale)
+
+
+def test_field_coefficients_are_real():
+    # b0 and c1 are the real coefficients of i, so no complex array reaches
+    # the radial integrands
+    params, data, t, _, _ = _draw("velocity", 3)
+    mom = moments(data)
+    r = params.r_low * np.linspace(0.0, 1.0, 17)[1:]
+    fields = {"flow": flow(params, r, t, np.linalg.norm(mom.P0), mom.Q0),
+              "exact_field": exact_field(params, data, r, t),
+              "profile_field": profile_field(params, mom, r, t),
+              "sine_correction_field": sine_correction_field(params, mom, r, t),
+              "moment_defect_field": moment_defect_field(params, data, r, t),
+              "expansion_field": expansion_field(params, mom, r, t)}
+    for name, field in fields.items():
+        for coefficient, value in field._asdict().items():
+            assert isinstance(value, (float, np.ndarray)), (name, coefficient)
+            assert np.asarray(value).dtype == np.float64, (name, coefficient)
 
 
 @pytest.mark.parametrize("name,n", CASES, ids=[f"{name}-n{n}" for name, n in CASES])
