@@ -132,7 +132,8 @@ def zone_series(field_at, params: ModelParams, times: np.ndarray, zone: str,
     ``spectral.Field``) at each time, mapped in order over ``threads`` workers."""
     def at(t: float) -> float:
         field = field_at(t)
-        return zone_norm_sq(lambda r: field(r).abs_sq(), params, t, zone, rel_tol).value
+        return zone_norm_sq(lambda r: field(r).sphere_mean_max(params.n), params, t, zone,
+                            rel_tol).value
 
     return np.array(ordered_map(at, [float(t) for t in times], threads))
 
@@ -166,8 +167,8 @@ def sine_kernel_integral(params: ModelParams, t: float,
     (S0/2) omega_{n-1} b^{-n/2} t^{-n/2} with S0 = Gamma(n/2)/2.
     """
     def f(r):
-        zero = np.zeros_like(r)
-        return np.exp(-params.b * t * r * r) * np.sin(params.gamma * t * r) ** 2, zero, zero
+        value = np.exp(-params.b * t * r * r) * np.sin(params.gamma * t * r) ** 2
+        return value, value
 
     return zone_norm_sq(f, params, t, "full", rel_tol).value
 
@@ -201,7 +202,8 @@ def measured_remainder_norms(params: ModelParams, data: InitialData, t: float,
     fields = {"moment_defect": lambda r: moment_defect_field(params, data, r, t),
               "sine_correction": lambda r: sine_correction_field(params, mom, r, t),
               "expansion": lambda r: expansion_field(params, mom, r, t)}
-    return {name: zone_norm_sq(lambda r: field(r).abs_sq(), params, t, "low", rel_tol).value
+    return {name: zone_norm_sq(lambda r: field(r).sphere_mean_max(params.n), params, t, "low",
+                               rel_tol).value
             for name, field in fields.items()}
 
 
@@ -265,6 +267,22 @@ def kernel_series(params: ModelParams, p0: np.ndarray, times: np.ndarray,
     return heat, sine, p_sq / n * cos_mass, witness
 
 
+def highfreq_initial_energy(params: ModelParams, data: InitialData) -> float:
+    """E_h(0), the data energy (|P0|^2 + Q0^2) e^(-s^2 |xi|^2) / 2 outside the low
+    zone, s the data width, in closed form: (|P0|^2 + Q0^2) |S^(n-1)| Gamma(n/2, x)
+    / (4 s^n) with x = s^2 r_low^2.  Gamma(1, x) = e^(-x) or Gamma(1/2, x) =
+    sqrt(pi) erfc(sqrt(x)) is raised by Gamma(a + 1, x) = a Gamma(a, x) + x^a e^(-x),
+    with x^a e^(-x) formed as exp(a log x - x) so that it cannot overflow."""
+    n, s = params.n, data.width
+    x = (s * params.delta0) * (s * params.delta0) / 2.0  # s^2 r_low^2, r_low unrounded
+    a, upper = ((0.5, math.sqrt(math.pi) * math.erfc(math.sqrt(x))) if n % 2
+                else (1.0, math.exp(-x)))
+    while a < n / 2:
+        upper = a * upper + (math.exp(a * math.log(x) - x) if 0.0 < x < math.inf else 0.0)
+        a += 1.0
+    return data.mass_sq * sphere_area(n) * upper / (4.0 * s ** n)
+
+
 def highfreq_energy_series(params: ModelParams, data: InitialData, times: np.ndarray,
                            rel_tol: float = DEFAULT_REL_TOL,
                            threads: int = 1) -> tuple[DecaySeries, float]:
@@ -272,10 +290,4 @@ def highfreq_energy_series(params: ModelParams, data: InitialData, times: np.nda
     values = zone_series(partial(energy_field, params, data), params, times, "high",
                          rel_tol, threads)
     series = DecaySeries(times, values, label="highfreq-energy")
-    # E_h(0): the data energy carries no time decay, so size the truncation
-    # radius by the data width instead of the default t-dependent formula
-    r_max = max(4.0 * params.delta0, 12.0 / data.width)
-    energy_0 = energy_field(params, data, 0.0)
-    e_h0 = zone_norm_sq(lambda r: energy_0(r).abs_sq(), params, 0.0, "high", rel_tol,
-                        r_max=r_max).value
-    return series, e_h0
+    return series, highfreq_initial_energy(params, data)

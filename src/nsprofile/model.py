@@ -99,10 +99,17 @@ class InitialData:
             raise ParameterError(f"width must be positive, got {self.width}")
         if len(self.amplitude_v) < 1:
             raise ParameterError("amplitude_v must have at least one component")
+        if not math.isfinite(self.mass_sq):
+            raise ParameterError("|P0|^2 + Q0^2 of the amplitudes overflows")
 
     @property
     def n(self) -> int:
         return len(self.amplitude_v)
+
+    @property
+    def mass_sq(self) -> float:
+        """|P0|^2 + Q0^2, the squared moments that bound the energy density."""
+        return sum(c * c for c in (*self.amplitude_v, self.amplitude_rho))
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,10 @@
-"""L^2 norms over frequency zones by radial quadrature of exact angular means.
+"""L^2 norms over frequency zones by radial quadrature of exact sphere means.
 
-Every field whose norm is taken here depends on the direction of xi only
-through u = xi_hat . p_hat, the cosine of the angle to the velocity-moment
-direction, and |field|^2 is a quadratic q0 + q1 u + q2 u^2 in it (see
-``spectral.Field``).  Over the unit sphere S^(n-1) the mean of u is 0 and that
-of u^2 is 1/n (also at n = 1, where the sphere is the two points -+1), so an
-n-dimensional zone norm is the radial integral of |S^(n-1)| r^(n-1)
-(q0 + q2/n): one real evaluation per radius and no angular rule.
+Every field whose norm is taken here gives, at each radius, the mean and the
+maximum of |field|^2 over the sphere of that radius (``spectral.Field``
+computes both exactly), so an n-dimensional zone norm is the radial integral
+of |S^(n-1)| r^(n-1) times the mean: one real evaluation per radius and no
+angular rule.
 
 Radial panels carry the 15-point Gauss-Kronrod rule with its embedded 7-point
 Gauss rule (QUADPACK qk15; Piessens et al. 1983), laid out densely enough to
@@ -79,7 +77,6 @@ class ZoneNorm:
     """A zone norm, its error estimate, the radii its integrand was evaluated
     at (probe included) and its accepted refinement level."""
 
-    zone: str
     value: float
     est_error: float
     points: int
@@ -145,8 +142,6 @@ def _gaussian_tail_bound(r_from: float, lam: float, n: int) -> float:
     For n <= 2, r^{n-1} <= r r_from^{n-2} on r >= r_from gives
     r_from^{n-2} / (2 lam), exact at n = 2.
     """
-    if lam <= 0:
-        return math.inf
     if n <= 2:
         return r_from ** (n - 2) / (2.0 * lam)
     p = n / 2 - 1
@@ -172,79 +167,57 @@ def _radial_layout(r_lo: float, r_hi: float, split: float, gamma_t: float,
 
 
 def default_r_max(params: ModelParams, t: float) -> float:
+    """Radius at which the "high" and "full" zones are truncated at time t > 0."""
     if t <= 0:
-        raise ValueError("default truncation radius needs t > 0; pass r_max")
+        raise ValueError(f"the high and full zones are truncated only at t > 0, got t={t:g}")
     return max(4.0 * params.delta0, 8.0 / math.sqrt(params.alpha * t))
 
 
-def _max_on_unit_interval(q0: float, q1: float, q2: float) -> float:
-    """Maximum of q0 + q1 u + q2 u^2 over u in [-1, 1]."""
-    if q2 < 0.0 and abs(q1) < -2.0 * q2:
-        return q0 - q1 * q1 / (4.0 * q2)
-    return q0 + abs(q1) + q2
-
-
-def zone_norm_sq(f: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]],
-                 params: ModelParams, t: float, zone: str, rel_tol: float = DEFAULT_REL_TOL,
-                 *, r_max: float | None = None) -> ZoneNorm:
+def zone_norm_sq(f: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+                 params: ModelParams, t: float, zone: str,
+                 rel_tol: float = DEFAULT_REL_TOL) -> ZoneNorm:
     """Integral of |field(xi)|^2 over a frequency zone.
 
-    ``f`` maps radii (m,) to the coefficients (q0, q1, q2), arrays (m,), of
-    |field|^2 = q0 + q1 u + q2 u^2 at those radii (``spectral.Field.abs_sq``),
-    so the radial integrand is |S^(n-1)| r^(n-1) times the exact sphere mean
-    q0 + q2/n.  Zones: "low" = {|xi| <= delta0/sqrt(2)}, "high" = the
-    complement truncated at r_max, "full" = both.  A truncated zone adds the
-    tail estimate: the maximum of |field|^2 over u in [-1, 1] at r_max times
-    the radial integral of e^(-min(2 alpha, b) t (r^2 - r_max^2)).  That is no
-    bound: it assumes |field|^2 decays like this Gaussian past r_max, but the
-    slow overdamped root tends to -a/b, so the energy field decays in r only
-    through the data envelope and the tail can exceed the estimate.
-    ``r_max`` overrides the truncation radius :func:`default_r_max`.  The
+    ``f`` maps radii (m,) to the mean and the maximum, arrays (m,), of
+    |field|^2 over the sphere of each radius (``spectral.Field.sphere_mean_max``),
+    so the radial integrand is |S^(n-1)| r^(n-1) times the mean.  Zones:
+    "low" = {|xi| <= delta0/sqrt(2)}, "high" = the complement truncated at
+    r_max = :func:`default_r_max`, which needs t > 0, "full" = both.  A
+    truncated zone adds the tail estimate: the maximum of |field|^2 at r_max
+    times the radial integral of e^(-min(2 alpha, b) t (r^2 - r_max^2)).  That
+    is no bound: it assumes |field|^2 decays like this Gaussian past r_max, but
+    the slow overdamped root tends to -a/b, so the energy field decays in r
+    only through the data envelope and the tail can exceed the estimate.  The
     value is the K15 sum of the first level whose error estimate (the sum over
     its panels of |K15 - G7|) plus the tail estimate is within ``rel_tol`` of
     it, and ``est_error`` is those two estimates together.  An unconverged
     norm raises :class:`QuadratureError` naming its zone and t.  The probe
     and the edge radius r_max take one integrand call; each level one more.
     """
-    n = params.n
-    if zone == "low":
-        r_lo, r_hi = 0.0, params.r_low
-        truncated = False
-    elif zone == "high":
-        r_lo, r_hi = params.r_low, r_max or default_r_max(params, t)
-        truncated = True
-    elif zone == "full":
-        r_lo, r_hi = 0.0, r_max or default_r_max(params, t)
-        truncated = True
-    else:
+    if zone not in ("low", "high", "full"):
         raise ValueError(f"unknown zone {zone!r}")
-    if r_hi <= r_lo:
-        raise ValueError(f"truncation radius {r_hi} does not exceed the zone start {r_lo}")
-
-    area = sphere_area(n)
-
-    def profile(r: np.ndarray, q) -> np.ndarray:
-        """|S^(n-1)| r^(n-1) times the sphere mean q0 + q2/n of |field|^2."""
-        return area * (q[0] + q[2] / n) * r ** (n - 1)
+    r_lo = params.r_low if zone == "high" else 0.0
+    r_hi = params.r_low if zone == "low" else default_r_max(params, t)
+    n, area = params.n, sphere_area(params.n)
 
     # the probe radii and, last, the edge radius r_hi take one integrand call
     radii = np.append(r_lo + (np.arange(_PROBE_POINTS) + 0.5) * ((r_hi - r_lo) / _PROBE_POINTS),
                       r_hi)
-    q = f(radii)
-    split = _active_end(radii[:-1], profile(radii, q)[:-1], r_lo, r_hi)
-    gamma_t = params.gamma * max(t, 0.0)
+    mean, peak = f(radii)
+    # the radial integrand |S^(n-1)| r^(n-1) times the sphere mean of |field|^2
+    split = _active_end(radii[:-1], (area * mean * radii ** (n - 1))[:-1], r_lo, r_hi)
+    gamma_t = params.gamma * t
     tail = 0.0
-    lam = min(2.0 * params.alpha, params.b) * max(t, 0.0)
-    if truncated and lam > 0:
-        edge = _max_on_unit_interval(*(float(c[-1]) for c in q))
-        tail = edge * area * _gaussian_tail_bound(r_hi, lam, n)
+    if zone != "low":
+        lam = min(2.0 * params.alpha, params.b) * t
+        tail = float(peak[-1]) * area * _gaussian_tail_bound(r_hi, lam, n)
 
     points = radii.size
     for level in range(_MAX_REFINEMENTS + 1):
         r, wr = _radial_layout(r_lo, r_hi, split, gamma_t, level)
         points += r.size
-        value, est = _kronrod(profile(r, f(r)), wr)
+        value, est = _kronrod(area * f(r)[0] * r ** (n - 1), wr)
         if est + tail <= rel_tol * max(abs(value), 1e-300) or (value == 0.0 and est == 0.0):
-            return ZoneNorm(zone, value, est + tail, points, level)
+            return ZoneNorm(value, est + tail, points, level)
     raise QuadratureError(f"{zone}-zone norm at t={t:g} did not converge: value={value:.6g}, "
                           f"est_error={est + tail:.3g}")

@@ -101,14 +101,20 @@ class Field(NamedTuple):
     def scalar(self) -> "Field":
         return Field(c0=self.c0, c1=self.c1)
 
-    def abs_sq(self) -> list[np.ndarray]:
-        """Coefficients (q0, q1, q2), as arrays over the radii, of
-        |vector|^2 + |scalar|^2 = q0 + q1 u + q2 u^2."""
+    def sphere_mean_max(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Mean and maximum, as arrays over the radii, of |vector|^2 + |scalar|^2
+        over the sphere S^(n-1) of each radius.
+
+        That is q0 + q2 u^2 with q0 = a^2 + b0^2 + c0^2 and q2 = 2 a b1 + b1^2
+        + c1^2: the cross terms a b0, b0 b1 and c0 c1 pair a real with an
+        imaginary part, so nothing is odd in u.  The sphere mean of u^2 is 1/n
+        (also at n = 1, where the sphere is the two points u = -+1), and the
+        maximum is taken over u in [-1, 1], an upper bound at n = 1.
+        """
         a, b0, b1, c0, c1 = self
-        # the cross terms a b0, b0 b1 and c0 c1 pair a real with an imaginary
-        # part, so they have no real part and q1 = 0
-        return np.broadcast_arrays(a * a + b0 * b0 + c0 * c0, 0.0,
-                                   2.0 * a * b1 + b1 * b1 + c1 * c1)
+        q0, q2 = np.broadcast_arrays(a * a + b0 * b0 + c0 * c0,
+                                     2.0 * a * b1 + b1 * b1 + c1 * c1)
+        return q0 + q2 / n, q0 + np.maximum(q2, 0.0)
 
 
 def pointwise(field_at, xi: np.ndarray, n: int,

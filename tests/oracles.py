@@ -257,7 +257,7 @@ def _check_angular_rule(finer: np.ndarray, probe: np.ndarray, rel_tol: float) ->
 
 
 def black_box_norm_sq(f, params: ModelParams, t: float, zone: str,
-                      rel_tol: float = DEFAULT_REL_TOL, *, r_max: float | None = None):
+                      rel_tol: float = DEFAULT_REL_TOL):
     """``zone_norm_sq`` of a field given pointwise: f maps frequencies (m, n)
     to complex scalars (m,) or vectors (m, n), axially symmetric about e1.
 
@@ -266,16 +266,15 @@ def black_box_norm_sq(f, params: ModelParams, t: float, zone: str,
     the radii are spot-checked for axial symmetry (:class:`SymmetryError`),
     and the 3-node rule u = 0, -+sqrt(3/(n+2)) must give the same mass
     (:class:`QuadratureError` "angular nodes" otherwise).  That mean goes to
-    ``zone_norm_sq`` as q0 = mean, q1 = (largest |f|^2 on the 3 directions) -
-    mean and q2 = 0, so its edge value is that largest |f|^2.  n = 1 has
-    only the directions -+e1.
+    ``zone_norm_sq`` with the largest |f|^2 on the 3 directions as the
+    maximum, so that is its edge value.  n = 1 has only the directions -+e1.
     """
     n = params.n
     dirs, ang_w = _angular_frame(n, 2)
     finer_dirs, finer_w = _angular_frame(n, 3) if n > 1 else (dirs, ang_w)
     area = sphere_area(n)
 
-    def coefficients(r):
+    def mean_max(r):
         spots = r[[r.size // 4, r.size // 2, 3 * r.size // 4]]
         blocks = [_symmetry_points(spots, n) if n > 1 else np.zeros((0, n)),
                   _on_frame(r, dirs), _on_frame(r, finer_dirs)]
@@ -286,10 +285,9 @@ def black_box_norm_sq(f, params: ModelParams, t: float, zone: str,
         probe = _radial_profile(at_probe, r, n, ang_w)
         _check_angular_rule(_radial_profile(at_finer, r, n, finer_w), probe, rel_tol)
         mean = probe / (area * r ** (n - 1))
-        edge = at_finer.reshape(r.size, -1).max(axis=1)
-        return mean, edge - mean, np.zeros(r.size)
+        return mean, at_finer.reshape(r.size, -1).max(axis=1)
 
-    return zone_norm_sq(coefficients, params, t, zone, rel_tol, r_max=r_max)
+    return zone_norm_sq(mean_max, params, t, zone, rel_tol)
 
 
 def pointwise_fields(params: ModelParams, data: InitialData, t: float) -> dict:

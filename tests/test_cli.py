@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -340,6 +341,21 @@ def test_cli_zero_initial_data_exits_2(tmp_path, capsys, subcommand):
                               {"data": {"amplitude_rho": 0.0, "amplitude_v": [0.0, 0.0]}})
 
 
+@pytest.mark.parametrize("subcommand", ["rate", "highfreq", "bounds"])
+@pytest.mark.parametrize("data", [{"amplitude_rho": 1e160},
+                                  {"amplitude_v": [1e160, 0.0]}], ids=["rho", "v"])
+def test_cli_amplitude_whose_square_overflows_exits_2(tmp_path, capsys, subcommand, data):
+    # |P0|^2 + Q0^2 bounds every energy density, so data whose square is not
+    # finite are rejected before any field is formed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_rejected_by_config(tmp_path, capsys, subcommand, {"data": data})
+    path = tmp_path / "cfg.json"
+    assert main([subcommand, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    diagnostic = json.loads(capsys.readouterr().err)
+    assert "traceback" not in diagnostic and "overflows" in diagnostic["error"]
+
+
 def test_zero_density_moment_alone_is_accepted():
     cfg = build_run_config("profile-error", {"data": {"amplitude_rho": 0.0,
                                                       "amplitude_v": [0.1, 0.0]}})
@@ -385,6 +401,20 @@ def test_cli_import_loads_no_executor_machinery():
     code = ("import sys, nsprofile.cli; "
             "print(sorted(m for m in ('concurrent.futures', 'logging', 'queue') "
             "if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.strip() == "[]"
+
+
+def test_cli_import_adds_no_module_beyond_numpys_budget():
+    # the per-run import cost: the CLI may add argparse, json, hashlib and
+    # the like to what numpy loads, but no executor, logging, queue, TLS or
+    # XML machinery
+    code = ("import sys, numpy; loaded = set(sys.modules); import nsprofile.cli; "
+            "print(sorted(m for m in set(sys.modules) - loaded if m.partition('.')[0] "
+            "in ('concurrent', 'logging', 'queue', 'ssl', 'xml')))")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,

@@ -5,6 +5,7 @@ import time
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
 from nsprofile.cli import THRESHOLDS, run_highfreq, run_lemma31, run_sandwich
 from nsprofile.config import build_run_config
@@ -13,13 +14,14 @@ from nsprofile.decay import (
     DecaySeries,
     check_moment_ratio,
     fit_loglog,
+    highfreq_initial_energy,
     kernel_series,
     ordered_map,
     tail_window,
     velocity_norm_series,
 )
 from nsprofile.profiles import velocity_profile
-from nsprofile.quadrature import zone_norm_sq
+from nsprofile.quadrature import sphere_area, zone_norm_sq
 from nsprofile.spectral import solve_exact_batch
 from oracles import black_box_norm_sq
 
@@ -144,13 +146,50 @@ def test_highfreq_energy_report():
     assert THRESHOLDS["highfreq_min_r_squared"] == 0.99 and verdict["pass"]
 
 
+def _gauss_legendre_high_zone_mass(n, s, r_low, panels=400, order=20):
+    """int_{r_low}^{r_low + 40/s} r^(n-1) e^(-s^2 r^2) dr by panel-wise
+    Gauss-Legendre; past the upper end the integrand is below e^-1600."""
+    nodes, weights = leggauss(order)
+    edges = np.linspace(r_low, r_low + 40.0 / s, panels + 1)
+    half = 0.5 * np.diff(edges)
+    r = ((edges[:-1] + half)[:, None] + half[:, None] * nodes[None, :]).ravel()
+    w = (half[:, None] * weights[None, :]).ravel()
+    return float(np.sum(w * r ** (n - 1) * np.exp(-(s * r) ** 2)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 16])
+def test_highfreq_initial_energy_matches_gauss_legendre(n):
+    # E_h(0) = (|P0|^2 + Q0^2)/2 |S^(n-1)| int_{r_low}^inf r^(n-1) e^(-s^2 r^2) dr
+    rng = np.random.default_rng([18, n])
+    for _ in range(8):
+        alpha, beta, gamma = np.exp(rng.uniform(np.log(0.1), np.log(10.0), 3))
+        params = ModelParams(alpha=alpha, beta=beta, gamma=gamma, n=n)
+        direction = rng.normal(size=n)
+        p0 = rng.uniform(0.0, 0.1) * direction / np.linalg.norm(direction)
+        data = InitialData(amplitude_v=tuple(p0), amplitude_rho=rng.uniform(0.5, 1.5),
+                           width=float(np.exp(rng.uniform(np.log(0.5), np.log(2.0)))))
+        mass = float(np.dot(p0, p0)) + data.amplitude_rho ** 2
+        expected = 0.5 * mass * sphere_area(n) * _gauss_legendre_high_zone_mass(
+            n, data.width, params.r_low)
+        assert highfreq_initial_energy(params, data) == pytest.approx(expected, rel=1e-13)
+
+
+@pytest.mark.parametrize("n", [2, 16])
+@pytest.mark.parametrize("width", [1e-3, 1e3])
+def test_highfreq_initial_energy_at_extreme_widths(n, width):
+    params = ModelParams(alpha=1.0, beta=1.0, gamma=1.0, n=n)
+    data = InitialData(amplitude_v=(0.05,) + (0.0,) * (n - 1), amplitude_rho=1.0, width=width)
+    e_h0 = highfreq_initial_energy(params, data)
+    assert math.isfinite(e_h0) and e_h0 >= 0.0
+
+
 def test_highfreq_small_against_low_zone():
     # exponential vs polynomial separation: E_high << E_low at t >= 10
     data = InitialData(amplitude_v=(0.1, 0.0), amplitude_rho=1.0, width=1.0)
     from nsprofile.decay import energy_field
 
     for t in (10.0, 15.0):
-        f = lambda r: energy_field(PARAMS, data, t)(r).abs_sq()
+        f = lambda r: energy_field(PARAMS, data, t)(r).sphere_mean_max(PARAMS.n)
         high = zone_norm_sq(f, PARAMS, t, "high").value
         low = zone_norm_sq(f, PARAMS, t, "low").value
         assert high <= 1e-3 * low

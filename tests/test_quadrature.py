@@ -8,6 +8,7 @@ from nsprofile.config import ConfigError, build_run_config
 from nsprofile.decay import cone_cosine_integral, sine_kernel_integral
 from nsprofile.model import InitialData, ModelParams
 from nsprofile.profiles import gaussian_moment_bound
+from nsprofile import quadrature
 from nsprofile.quadrature import (
     _BASE_PANELS,
     _G7_WEIGHTS,
@@ -24,6 +25,7 @@ from nsprofile.quadrature import (
     sphere_area,
     zone_norm_sq,
 )
+from nsprofile.spectral import Field
 from oracles import SymmetryError, _angular_frame, black_box_norm_sq
 
 PARAMS2 = ModelParams(alpha=1.0, beta=1.0, gamma=1.0, n=2)
@@ -32,8 +34,13 @@ PARAMS4 = ModelParams(alpha=1.0, beta=1.0, gamma=1.0, n=4)
 
 
 def isotropic(abs_sq):
-    """The integrand of zone_norm_sq for a field with |f|^2 = abs_sq(r) at every u."""
-    return lambda r: (abs_sq(r), np.zeros(r.size), np.zeros(r.size))
+    """The integrand of zone_norm_sq for a field with |f|^2 = abs_sq(r) at every
+    u: that value is both its sphere mean and its maximum."""
+    def mean_max(r):
+        value = abs_sq(r)
+        return value, value
+
+    return mean_max
 
 
 def sine_kernel_sq(params, t):
@@ -71,6 +78,13 @@ def test_full_zone_gaussian_closed_form(params, t):
     assert res.est_error <= 1e-6 * res.value
     assert res.value == pytest.approx((math.pi / (2 * params.alpha * t)) ** (params.n / 2),
                                       rel=1e-8)
+
+
+@pytest.mark.parametrize("zone", ["high", "full"])
+@pytest.mark.parametrize("t", [0.0, -1.0])
+def test_truncated_zone_needs_a_positive_time(zone, t):
+    with pytest.raises(ValueError, match=r"truncated only at t > 0"):
+        zone_norm_sq(isotropic(np.ones_like), PARAMS2, t, zone)
 
 
 def test_zone_additivity():
@@ -399,30 +413,34 @@ def test_angular_certificate_accepts_enough_nodes():
             black_box_norm_sq(quartic, params, 1.0, "full")
 
 
-def test_tail_estimate_takes_the_edge_on_the_certificate_directions():
+def test_tail_estimate_takes_the_edge_on_the_certificate_directions(monkeypatch):
     # |f|^2 = (1 - u^2) e^{-2 r^2} at n = 2 is largest at u = 0, the middle
     # direction of the 3-node rule: the tail estimate at r_max = 3 is
     # e^{-18} 2 pi / (2 lam) with lam = min(2 alpha, b) t = 2, twice the true
     # tail (pi/4) e^{-18}
-    def f(r):
-        g = np.exp(-2.0 * r * r)
-        return g, np.zeros(r.size), -g
+    monkeypatch.setattr(quadrature, "default_r_max", lambda params, t: 3.0)
 
-    res = zone_norm_sq(f, PARAMS2, 1.0, "full", r_max=3.0)
+    def f(r):
+        g = np.exp(-r * r)
+        return Field(a=g, b1=-g).sphere_mean_max(2)
+
+    res = zone_norm_sq(f, PARAMS2, 1.0, "full")
     assert res.est_error == pytest.approx(math.pi / 2 * math.exp(-18.0), rel=1e-6)
     assert abs(res.value - math.pi / 4) <= res.est_error
 
 
 @pytest.mark.parametrize("params", [PARAMS2, PARAMS3], ids=["n2", "n3"])
-def test_tail_estimate_takes_the_sphere_maximum_of_the_edge(params):
+def test_tail_estimate_takes_the_sphere_maximum_of_the_edge(params, monkeypatch):
     # |f|^2 = u^2 e^{-2 r^2} is largest at u = -+1, off every Gauss direction in
     # u: the edge value at r_max = 3 is e^{-18}, not the 3/(n+2) e^{-18} that
     # the largest of the 3-node directions u = -+sqrt(3/(n+2)) sees
-    def f(r):
-        return np.zeros(r.size), np.zeros(r.size), np.exp(-2.0 * r * r)
-
+    monkeypatch.setattr(quadrature, "default_r_max", lambda params, t: 3.0)
     n = params.n
-    res = zone_norm_sq(f, params, 1.0, "full", r_max=3.0)
+
+    def f(r):
+        return Field(b1=np.exp(-r * r)).sphere_mean_max(n)
+
+    res = zone_norm_sq(f, params, 1.0, "full")
     tail = sphere_area(n) * _gaussian_tail_bound(3.0, 2.0, n)
     assert res.est_error == pytest.approx(math.exp(-18.0) * tail, rel=1e-6)
     assert res.est_error > 3.0 / (n + 2) * math.exp(-18.0) * tail
@@ -444,7 +462,7 @@ def test_zone_norm_counts_its_points_and_level():
 
         def f(r):
             sizes.append(r.size)
-            return field(r).abs_sq()
+            return field(r).sphere_mean_max(cfg.params.n)
 
         res = zone_norm_sq(f, cfg.params, float(t), "full", cfg.rel_tol)
         assert res.level == 0

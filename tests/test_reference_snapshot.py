@@ -1,9 +1,12 @@
-"""Every CSV cell and verdict JSON value of the benchmark workloads against
-the committed snapshots.
+"""Every CSV cell and verdict JSON value of the benchmark workloads, and of
+an off-axis velocity-moment case, against the committed snapshots.
 
 ``bench/reference/`` holds the CSVs of the two benchmark workloads: the 8
 subcommands at n = 2 on 1 thread, and the 7 quadrature verdicts at n = 3 on
-2 threads; ``tests/reference/`` holds the verdict JSONs of the same runs.
+2 threads; ``tests/reference/`` holds the verdict JSONs of the same runs, and
+both the CSVs and the JSONs of the 7 verdicts at n = 3 on 2 threads with the
+velocity moment P0 = (0.03, 0.04, 0), the one case whose high-zone data
+energy E_h(0) carries a |P0|^2 term.
 The bench gate allows each quadrature cell 2 ``rel_tol`` of drift; here each
 run must exit 0 and every cell must match to 1e-12 relative, so a change that
 moves a result by more than round-off fails Tier-1.  A verdict JSON must have
@@ -25,7 +28,11 @@ JSON_REFERENCE = ROOT / "tests" / "reference"
 VERDICTS = ("profile-error", "density-profile-error", "rate", "sandwich", "lemma31",
             "highfreq", "bounds")
 WORKLOADS = {"verdicts-n2": ({}, 1, ("oracle-check",) + VERDICTS),
-             "verdicts-n3-t2": ({"params": {"n": 3}}, 2, VERDICTS)}
+             "verdicts-n3-t2": ({"params": {"n": 3}}, 2, VERDICTS),
+             "verdicts-n3-offaxis": ({"params": {"n": 3},
+                                      "data": {"amplitude_v": [0.03, 0.04, 0.0]}}, 2, VERDICTS)}
+CSV_REFERENCE = {"verdicts-n2": REFERENCE, "verdicts-n3-t2": REFERENCE,
+                 "verdicts-n3-offaxis": JSON_REFERENCE}
 CASES = [(workload, sub) for workload, (_, _, subs) in WORKLOADS.items() for sub in subs]
 IDS = [f"{w}-{s}" for w, s in CASES]
 SKIPPED_COLUMNS = {"rel_err"}
@@ -63,7 +70,7 @@ def _read_csv(path: Path) -> tuple[list[str], list[list[float]]]:
 def test_csv_cells_match_bench_reference(run_output, workload, sub):
     out = run_output(workload, sub)
     header, rows = _read_csv(out / f"{sub}.csv")
-    ref_header, ref_rows = _read_csv(REFERENCE / workload / f"{sub}.csv")
+    ref_header, ref_rows = _read_csv(CSV_REFERENCE[workload] / workload / f"{sub}.csv")
     assert header == ref_header
     assert len(rows) == len(ref_rows)
     for i, (row, ref_row) in enumerate(zip(rows, ref_rows)):

@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 from nsprofile.model import InitialData, ModelParams, fourier_data_batch
+from nsprofile.quadrature import sphere_area
 from nsprofile.spectral import (
+    Field,
     _flow_matrix,
     _phi_psi,
+    pointwise,
     solve_exact_batch,
     solve_ode_oracle_batch,
 )
-from oracles import complex_phi_psi, complex_roots, density_ode_residual
+from oracles import _angular_frame, complex_phi_psi, complex_roots, density_ode_residual
 
 PARAMS = ModelParams(alpha=1.0, beta=1.0, gamma=1.0, n=2)
 DATA = InitialData(amplitude_v=(0.1, 0.0), amplitude_rho=1.0, width=1.0)
@@ -374,3 +377,33 @@ def test_seeded_property_sweep():
                 v, rho = solve_ode_oracle_batch(params, data_of(amp_a), xi, t, step)
                 got = np.concatenate([v, rho[:, None]], axis=1)
                 assert np.all(np.linalg.norm(got - sa, axis=1) <= 1e-8 * size_a)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_sphere_mean_max_against_pointwise_directions(n):
+    # |field|^2 of random real coefficients at directions of known u = xi_hat . e1:
+    # the 2-node Gauss rule in u integrates the u-quadratic exactly, and a
+    # grid of u through 0 and -+1 attains its maximum over u in [-1, 1]; at
+    # n = 1 the sphere is u = -+1 alone, which that maximum bounds
+    rng = np.random.default_rng([17, n])
+    dirs, weights = _angular_frame(n, 2)
+    u = np.linspace(-1.0, 1.0, 201) if n > 1 else np.array([-1.0, 1.0])
+    grid = np.zeros((u.size, n))
+    grid[:, 0] = u
+    grid[:, 1:2] = np.sqrt(1.0 - u * u)[:, None]
+    for _ in range(20):
+        coefficients = rng.normal(size=5)
+        mean, peak = Field(*coefficients).sphere_mean_max(n)
+
+        def at(xi):
+            vector, scalar = pointwise(
+                lambda r: Field(*(np.full(r.shape, c) for c in coefficients)), 1.5 * xi, n,
+                np.eye(n)[0])
+            return np.sum(np.abs(vector) ** 2, axis=1) + np.abs(scalar) ** 2
+
+        assert float(mean) == pytest.approx(float(np.dot(weights, at(dirs))) / sphere_area(n),
+                                            rel=1e-13)
+        if n > 1:
+            assert float(peak) == pytest.approx(float(np.max(at(grid))), rel=1e-13)
+        else:
+            assert float(peak) >= float(np.max(at(grid))) * (1.0 - 1e-13)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from nsprofile.config import build_run_config
-from nsprofile import decay
+from nsprofile import decay, quadrature
 from nsprofile.decay import energy_field, kernel_series, remainder_field, velocity_field
 from nsprofile.model import InitialData, ModelParams, moments
 from nsprofile.profiles import (
@@ -114,19 +114,19 @@ def test_zone_norm_matches_the_black_box_integrator(name, n, monkeypatch):
         assert abs(value - ref.value) <= est_error + ref.est_error
         return
     field = FIELDS[name][0](params, data, t)
-    r_max = None
     try:
-        got = zone_norm_sq(lambda r: field(r).abs_sq(), params, t, zone)
+        got = zone_norm_sq(lambda r: field(r).sphere_mean_max(n), params, t, zone)
     except QuadratureError:
         # the default radius can cut off mass that decays in r only through
         # the data envelope, while the tail estimate assumes a Gaussian in
         # t r^2; both must fail there, and both are compared where the
-        # envelope e^{-s^2 r^2} is e^-144, the radius of the highfreq E_h(0)
+        # envelope e^{-s^2 r^2} is e^-144
         with pytest.raises(QuadratureError, match="did not converge"):
             black_box_norm_sq(f, params, t, zone)
         r_max = max(default_r_max(params, t), 12.0 / data.width)
-        got = zone_norm_sq(lambda r: field(r).abs_sq(), params, t, zone, r_max=r_max)
-    ref = black_box_norm_sq(f, params, t, zone, r_max=r_max)
+        monkeypatch.setattr(quadrature, "default_r_max", lambda params, t: r_max)
+        got = zone_norm_sq(lambda r: field(r).sphere_mean_max(n), params, t, zone)
+    ref = black_box_norm_sq(f, params, t, zone)
     assert abs(got.value - ref.value) <= got.est_error + ref.est_error
 
 
