@@ -9,16 +9,21 @@ every verdict for reproduction.
 from __future__ import annotations
 
 import copy
-import hashlib
 import json
 import math
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
 from .model import InitialData, ModelParams, ParameterError
 from .quadrature import DEFAULT_REL_TOL
+
+# the builtin SHA-256, as random.py takes _sha512: hashlib's _hashlib would
+# load OpenSSL for this one short digest
+try:
+    from _sha256 import sha256
+except ImportError:
+    from hashlib import sha256
 
 
 class ConfigError(ValueError):
@@ -107,8 +112,7 @@ def merge_config(subcommand: str, user: dict[str, Any]) -> dict[str, Any]:
     return cfg
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     subcommand: str
     params: ModelParams
     data: InitialData
@@ -126,7 +130,7 @@ class RunConfig:
 
 def config_hash(cfg: dict[str, Any]) -> str:
     canonical = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+    return sha256(canonical.encode()).hexdigest()[:16]
 
 
 def build_run_config(subcommand: str, user: dict[str, Any]) -> RunConfig:

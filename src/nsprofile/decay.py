@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,27 +74,23 @@ def ordered_map(fn, items, threads: int = 1) -> list:
     return results
 
 
-@dataclass(frozen=True)
-class DecaySeries:
-    times: np.ndarray
-    values: np.ndarray
-    label: str = ""
+class DecaySeries(NamedTuple("DecaySeries", [("times", np.ndarray), ("values", np.ndarray),
+                                             ("label", str)])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "values", v)
+    def __new__(cls, times: np.ndarray, values: np.ndarray, label: str = ""):
+        t = np.asarray(times, dtype=float)
+        v = np.asarray(values, dtype=float)
         if t.shape != v.shape or t.size < 4:
             raise ValueError("series needs matching times/values with >= 4 entries")
         if np.any(np.diff(t) <= 0) or np.any(t <= 0):
             raise ValueError("times must be ascending and positive")
         if np.any(v <= 0):
             raise ValueError("values must be strictly positive")
+        return super().__new__(cls, t, v, label)
 
 
-@dataclass(frozen=True)
-class DecayFit:
+class DecayFit(NamedTuple):
     slope: float
     intercept: float
     r_squared: float
@@ -108,11 +104,16 @@ def tail_window(length: int) -> tuple[int, int]:
 
 
 def _linear_fit(x: np.ndarray, y: np.ndarray) -> DecayFit:
-    slope, intercept = np.polyfit(x, y, 1)
+    # closed form about correctly rounded means: np.polyfit's LAPACK lstsq
+    # would make OpenBLAS allocate its work buffers for this one small fit
+    mx, my = math.fsum(x) / x.size, math.fsum(y) / y.size
+    xc, yc = x - mx, y - my
+    slope = float(np.sum(xc * yc) / np.sum(xc * xc))
+    intercept = my - slope * mx
     resid = y - (slope * x + intercept)
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
+    ss_tot = float(np.sum(yc**2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - float(np.sum(resid**2)) / ss_tot
-    return DecayFit(float(slope), float(intercept), r2, (0, int(x.size)))
+    return DecayFit(slope, intercept, r2, (0, int(x.size)))
 
 
 def fit_loglog(series: DecaySeries) -> DecayFit:

@@ -17,7 +17,7 @@ equals the plain integral of the data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,8 +28,8 @@ class ParameterError(ValueError):
     """Raised when model parameters violate the thermodynamic restrictions."""
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class ModelParams(NamedTuple("ModelParams", [("alpha", float), ("beta", float),
+                                             ("gamma", float), ("n", int)])):
     """Coefficients of the linearized system plus the space dimension.
 
     Requires finite alpha > 0, beta >= 0, gamma > 0 and integer n >= 1, with
@@ -38,12 +38,10 @@ class ModelParams:
     n >= 2; n = 1 is accepted for the radial kernel plateau tests only.
     """
 
-    alpha: float
-    beta: float
-    gamma: float
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, alpha: float, beta: float, gamma: float, n: int):
+        self = super().__new__(cls, alpha, beta, gamma, n)
         if not 0 < self.alpha < math.inf:
             raise ParameterError(f"alpha must be positive and finite, got {self.alpha}")
         if not 0 <= self.beta < math.inf:
@@ -57,6 +55,7 @@ class ModelParams:
                                  f"gamma={self.gamma}, alpha + beta={self.b}")
         if int(self.n) != self.n or self.n < 1:
             raise ParameterError(f"n must be an integer >= 1, got {self.n}")
+        return self
 
     @property
     def a(self) -> float:
@@ -76,8 +75,8 @@ class ModelParams:
         return self.delta0 / _SQRT2
 
 
-@dataclass(frozen=True)
-class InitialData:
+class InitialData(NamedTuple("InitialData", [("amplitude_v", tuple[float, ...]),
+                                             ("amplitude_rho", float), ("width", float)])):
     """Gaussian-bump initial data.
 
     The physical-space fields are
@@ -87,12 +86,10 @@ class InitialData:
     form.
     """
 
-    amplitude_v: tuple[float, ...]
-    amplitude_rho: float
-    width: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "amplitude_v", tuple(float(c) for c in self.amplitude_v))
+    def __new__(cls, amplitude_v: tuple[float, ...], amplitude_rho: float, width: float):
+        self = super().__new__(cls, tuple(map(float, amplitude_v)), amplitude_rho, width)
         if not all(map(math.isfinite, (*self.amplitude_v, self.amplitude_rho, self.width))):
             raise ParameterError("amplitudes and width must be finite")
         if not self.width > 0:
@@ -101,6 +98,7 @@ class InitialData:
             raise ParameterError("amplitude_v must have at least one component")
         if not math.isfinite(self.mass_sq):
             raise ParameterError("|P0|^2 + Q0^2 of the amplitudes overflows")
+        return self
 
     @property
     def n(self) -> int:
@@ -112,20 +110,18 @@ class InitialData:
         return sum(c * c for c in (*self.amplitude_v, self.amplitude_rho))
 
 
-@dataclass(frozen=True)
-class Moments:
+class Moments(NamedTuple("Moments", [("P0", np.ndarray), ("Q0", float),
+                                     ("l11_v", np.ndarray), ("l11_rho", float)])):
     """Zeroth moments and weighted L^{1,1} norms of an initial datum."""
 
-    P0: np.ndarray
-    Q0: float
-    l11_v: np.ndarray
-    l11_rho: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if np.any(np.abs(self.P0) > self.l11_v + 1e-15):
+    def __new__(cls, P0: np.ndarray, Q0: float, l11_v: np.ndarray, l11_rho: float):
+        if np.any(np.abs(P0) > l11_v + 1e-15):
             raise ParameterError("|P0_j| must not exceed the weighted norm l11_v[j]")
-        if abs(self.Q0) > self.l11_rho + 1e-15:
+        if abs(Q0) > l11_rho + 1e-15:
             raise ParameterError("|Q0| must not exceed the weighted norm l11_rho")
+        return super().__new__(cls, P0, Q0, l11_v, l11_rho)
 
 
 def _abs_moment_factor(n: int, width: float) -> float:

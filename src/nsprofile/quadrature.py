@@ -26,8 +26,7 @@ allocating them, so every call has a bounded cost.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -72,8 +71,7 @@ class QuadratureError(RuntimeError):
     """Raised when a norm evaluation cannot meet its tolerance."""
 
 
-@dataclass(frozen=True)
-class ZoneNorm:
+class ZoneNorm(NamedTuple):
     """A zone norm, its error estimate, the radii its integrand was evaluated
     at (probe included) and its accepted refinement level."""
 

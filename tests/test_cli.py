@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from nsprofile import cli
-from nsprofile.cli import main
+from nsprofile.cli import main, run_oracle_check
 from nsprofile.config import (
     ConfigError,
     build_run_config,
@@ -127,6 +128,20 @@ def test_config_hash_stable_and_sensitive():
     assert config_hash(a) != config_hash(b)
 
 
+@pytest.mark.parametrize("subcommand,user", [
+    ("rate", {}), ("lemma31", {}), ("highfreq", {"params": {"n": 3}, "emit_svg": False}),
+    ("oracle-check", {"oracle": {"seed": 7}, "params": {"n": 3},
+                      "data": {"amplitude_v": [0.03, 0.04, 0.0]}}),
+    ("plot", {"plot": {"input_csv": "r\u00e9sultats.csv", "title": "a<b & \u00fc"}}),
+])
+def test_config_hash_is_the_sha256_prefix_of_the_canonical_json(subcommand, user):
+    # config_hash takes the builtin SHA-256 where the interpreter has one and
+    # hashlib's otherwise: both must give hashlib's digest
+    cfg = merge_config(subcommand, user)
+    canonical = json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()
+    assert config_hash(cfg) == hashlib.sha256(canonical).hexdigest()[:16]
+
+
 def test_cli_bad_config_exits_2(tmp_path, capsys):
     path = write_config(tmp_path, {"nope": 1})
     assert main(["rate", "--config", path, "--out", str(tmp_path / "out")]) == 2
@@ -191,6 +206,34 @@ def test_cli_threads_do_not_change_bytes(tmp_path):
                      "--threads", str(threads)]) == 0
         outs.append((out / "profile-error.csv").read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_cli_oracle_seed_fixes_the_csv(tmp_path):
+    # the seed drives random.Random: one seed gives one CSV for any run and
+    # thread count, another seed other directions and so other errors
+    outs = []
+    for k, (seed, threads) in enumerate(((0, 1), (0, 1), (0, 2), (1, 1))):
+        out = tmp_path / f"out{k}"
+        path = write_config(tmp_path, {"oracle": {"seed": seed}}, f"cfg{k}.json")
+        assert main(["oracle-check", "--config", path, "--out", str(out),
+                     "--threads", str(threads)]) == 0
+        outs.append((out / "oracle-check.csv").read_bytes())
+    assert outs[0] == outs[1] == outs[2]
+    assert outs[3] != outs[0]
+    rel_err = [read_csv(str(tmp_path / f"out{k}" / "oracle-check.csv"))["rel_err"]
+               for k in (0, 3)]
+    assert rel_err[0] != rel_err[1]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_oracle_check_passes_for_every_seed(n):
+    worst = 0.0
+    for seed in range(40):
+        cfg = build_run_config("oracle-check", {"params": {"n": n}, "oracle": {"seed": seed}})
+        verdict, _, _ = run_oracle_check(cfg, 1)
+        assert verdict["pass"] is True, seed
+        worst = max(worst, verdict["metrics"]["max_rel_err"])
+    assert worst <= 1e-8
 
 
 def test_cli_oracle_check_default_grid(tmp_path):
@@ -396,30 +439,47 @@ def test_cli_help_exits_0(capsys):
     assert "--threads" in capsys.readouterr().out
 
 
+def last_line_printed(code: str) -> str:
+    """The last line that ``code`` prints in a fresh interpreter that imports
+    this package from the source tree."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    return result.stdout.strip().splitlines()[-1]
+
+
 def test_cli_import_loads_no_executor_machinery():
     # concurrent.futures pulls in logging and queue on every run
     code = ("import sys, nsprofile.cli; "
             "print(sorted(m for m in ('concurrent.futures', 'logging', 'queue') "
             "if m in sys.modules))")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                            text=True, check=True)
-    assert result.stdout.strip() == "[]"
+    assert last_line_printed(code) == "[]"
 
 
 def test_cli_import_adds_no_module_beyond_numpys_budget():
-    # the per-run import cost: the CLI may add argparse, json, hashlib and
-    # the like to what numpy loads, but no executor, logging, queue, TLS or
-    # XML machinery
+    # the per-run import cost: the CLI may add argparse, json, the builtin
+    # _sha256 and the like to what numpy loads, but no executor, logging,
+    # queue, TLS or XML machinery
     code = ("import sys, numpy; loaded = set(sys.modules); import nsprofile.cli; "
             "print(sorted(m for m in set(sys.modules) - loaded if m.partition('.')[0] "
             "in ('concurrent', 'logging', 'queue', 'ssl', 'xml')))")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                            text=True, check=True)
-    assert result.stdout.strip() == "[]"
+    assert last_line_printed(code) == "[]"
+
+
+def test_cli_runs_load_no_rng_record_or_openssl_machinery(tmp_path):
+    # the oracle draws its directions from random.Random, the records are
+    # NamedTuples, the fits are closed form and, where the interpreter has
+    # the builtin _sha256, the config hash does not load OpenSSL's _hashlib
+    path = write_config(tmp_path, {})
+    out = str(tmp_path / "out")
+    code = ("import importlib.util, sys, nsprofile.cli as cli; "
+            f"codes = [cli.main([s, '--config', {path!r}, '--out', {out!r}]) "
+            "for s in ('oracle-check', 'rate')]; "
+            "unwanted = ['numpy.random', 'dataclasses'] + "
+            "(['_hashlib'] if importlib.util.find_spec('_sha256') else []); "
+            "print(codes, sorted(m for m in unwanted if m in sys.modules))")
+    assert last_line_printed(code) == "[0, 0] []"
 
 
 def test_cli_plot_escapes_svg_text(tmp_path):

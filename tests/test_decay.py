@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import sys
 import time
@@ -12,6 +11,7 @@ from nsprofile.config import build_run_config
 from nsprofile.model import InitialData, ModelParams, moments
 from nsprofile.decay import (
     DecaySeries,
+    _linear_fit,
     check_moment_ratio,
     fit_loglog,
     highfreq_initial_energy,
@@ -35,7 +35,7 @@ def run_verdict(runner, subcommand, times, data=None, **config):
         config["data"] = {"amplitude_v": list(data.amplitude_v),
                           "amplitude_rho": data.amplitude_rho, "width": data.width}
     cfg = build_run_config(subcommand, config)
-    verdict, _, _ = runner(dataclasses.replace(cfg, times=np.asarray(times, float)), 1)
+    verdict, _, _ = runner(cfg._replace(times=np.asarray(times, float)), 1)
     return verdict
 
 
@@ -61,6 +61,38 @@ def test_fit_loglog_perturbed_power_law():
     vals = 2.0 / t * (1 + 0.01 * np.sin(np.log(t)))
     fit = fit_loglog(DecaySeries(t, vals))
     assert fit.slope == pytest.approx(-1.0, abs=0.02)
+
+
+def assert_fit_matches_polyfit(x, y):
+    """``_linear_fit`` gives ``np.polyfit``'s line to 1e-12 relative, and its
+    r_squared is 1 - (residual sum of squares) / (total sum of squares)."""
+    fit = _linear_fit(x, y)
+    slope, intercept = np.polyfit(x, y, 1)
+    assert fit.slope == pytest.approx(slope, rel=1e-12, abs=0)
+    assert fit.intercept == pytest.approx(intercept, rel=1e-12, abs=0)
+    resid = y - (slope * x + intercept)
+    r_squared = 1.0 - np.sum(resid**2) / np.sum((y - np.mean(y)) ** 2)
+    assert fit.r_squared == pytest.approx(r_squared, rel=1e-12, abs=0)
+    assert fit.window == (0, x.size)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("subcommand", ["profile-error", "density-profile-error", "rate",
+                                        "sandwich", "lemma31", "highfreq", "bounds"])
+def test_linear_fit_matches_polyfit_on_default_grids(subcommand, n):
+    cfg = build_run_config(subcommand, {"params": {"n": n}})
+    series = velocity_norm_series(cfg.params, cfg.data, cfg.times, cfg.rel_tol, 1)
+    assert_fit_matches_polyfit(np.log(series.times), np.log(series.values))
+
+
+def test_linear_fit_matches_polyfit_on_noisy_lines():
+    rng = np.random.default_rng(19)
+    for _ in range(50):
+        m = int(rng.integers(4, 60))
+        x = np.sort(rng.uniform(-5.0, 15.0, m))
+        slope, intercept = rng.choice([-1.0, 1.0], 2) * rng.uniform([0.25, 0.5], 3.0)
+        noise = rng.normal(scale=10.0 ** rng.uniform(-4.0, -1.0), size=m)
+        assert_fit_matches_polyfit(x, intercept + slope * x + noise)
 
 
 def test_fit_loglog_constant_series():

@@ -5,14 +5,17 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 from scipy import optimize, special
 
+from nsprofile.config import build_run_config
 from nsprofile.model import (
     VERSINE_RATIO,
     InitialData,
     ModelParams,
+    Moments,
     ParameterError,
     fourier_data_batch,
     moments,
 )
+from nsprofile.quadrature import ZoneNorm
 from oracles import ABDecomposition, ab_decomposition, l11_norm_radial_quadrature
 
 
@@ -60,6 +63,27 @@ def test_initial_data_validation():
             InitialData(amplitude_v=(1.0,), amplitude_rho=bad, width=1.0)
         with pytest.raises(ParameterError):
             InitialData(amplitude_v=(1.0,), amplitude_rho=1.0, width=bad)
+
+
+def test_records_are_frozen():
+    records = {"alpha": ModelParams(alpha=1.0, beta=1.0, gamma=1.0, n=2),
+               "width": InitialData(amplitude_v=[0, 1], amplitude_rho=1.0, width=1.0),
+               "times": build_run_config("rate", {}),
+               "value": ZoneNorm(value=1.0, est_error=0.0, points=15, level=0)}
+    for field, record in records.items():
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+        with pytest.raises(AttributeError):
+            record.no_such_field = 0.0
+    assert [type(c) for c in records["width"].amplitude_v] == [float, float]
+
+
+def test_moments_validation():
+    one = np.array([1.0])
+    with pytest.raises(ParameterError):
+        Moments(P0=2.0 * one, Q0=0.0, l11_v=one, l11_rho=0.0)
+    with pytest.raises(ParameterError):
+        Moments(P0=one, Q0=-2.0, l11_v=one, l11_rho=1.0)
 
 
 def test_moments_equal_amplitudes_exactly():
