@@ -11,19 +11,24 @@ from __future__ import annotations
 import copy
 import json
 import math
-from typing import Any, NamedTuple
+from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
 from .model import InitialData, ModelParams, ParameterError
 from .quadrature import DEFAULT_REL_TOL
 
-# the builtin SHA-256, as random.py takes _sha512: hashlib's _hashlib would
-# load OpenSSL for this one short digest
+# the builtin SHA-256 (_sha256 up to Python 3.11, _sha2 from 3.12), as
+# random.py takes its builtin SHA-512: hashlib's _hashlib would load OpenSSL
+# for this one short digest
 try:
     from _sha256 import sha256
 except ImportError:
-    from hashlib import sha256
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 
 class ConfigError(ValueError):
@@ -112,7 +117,8 @@ def merge_config(subcommand: str, user: dict[str, Any]) -> dict[str, Any]:
     return cfg
 
 
-class RunConfig(NamedTuple):
+@dataclass(frozen=True)
+class RunConfig:
     subcommand: str
     params: ModelParams
     data: InitialData

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import math
 import threading
+from dataclasses import dataclass
 from functools import partial
-from typing import NamedTuple
 
 import numpy as np
 
@@ -74,23 +74,27 @@ def ordered_map(fn, items, threads: int = 1) -> list:
     return results
 
 
-class DecaySeries(NamedTuple("DecaySeries", [("times", np.ndarray), ("values", np.ndarray),
-                                             ("label", str)])):
-    __slots__ = ()
+@dataclass(frozen=True)
+class DecaySeries:
+    times: np.ndarray
+    values: np.ndarray
+    label: str = ""
 
-    def __new__(cls, times: np.ndarray, values: np.ndarray, label: str = ""):
-        t = np.asarray(times, dtype=float)
-        v = np.asarray(values, dtype=float)
+    def __post_init__(self):
+        t = np.asarray(self.times, dtype=float)
+        v = np.asarray(self.values, dtype=float)
+        object.__setattr__(self, "times", t)
+        object.__setattr__(self, "values", v)
         if t.shape != v.shape or t.size < 4:
             raise ValueError("series needs matching times/values with >= 4 entries")
         if np.any(np.diff(t) <= 0) or np.any(t <= 0):
             raise ValueError("times must be ascending and positive")
         if np.any(v <= 0):
             raise ValueError("values must be strictly positive")
-        return super().__new__(cls, t, v, label)
 
 
-class DecayFit(NamedTuple):
+@dataclass(frozen=True)
+class DecayFit:
     slope: float
     intercept: float
     r_squared: float

@@ -17,7 +17,7 @@ equals the plain integral of the data.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,8 +28,8 @@ class ParameterError(ValueError):
     """Raised when model parameters violate the thermodynamic restrictions."""
 
 
-class ModelParams(NamedTuple("ModelParams", [("alpha", float), ("beta", float),
-                                             ("gamma", float), ("n", int)])):
+@dataclass(frozen=True)
+class ModelParams:
     """Coefficients of the linearized system plus the space dimension.
 
     Requires finite alpha > 0, beta >= 0, gamma > 0 and integer n >= 1, with
@@ -38,10 +38,12 @@ class ModelParams(NamedTuple("ModelParams", [("alpha", float), ("beta", float),
     n >= 2; n = 1 is accepted for the radial kernel plateau tests only.
     """
 
-    __slots__ = ()
+    alpha: float
+    beta: float
+    gamma: float
+    n: int
 
-    def __new__(cls, alpha: float, beta: float, gamma: float, n: int):
-        self = super().__new__(cls, alpha, beta, gamma, n)
+    def __post_init__(self):
         if not 0 < self.alpha < math.inf:
             raise ParameterError(f"alpha must be positive and finite, got {self.alpha}")
         if not 0 <= self.beta < math.inf:
@@ -55,7 +57,6 @@ class ModelParams(NamedTuple("ModelParams", [("alpha", float), ("beta", float),
                                  f"gamma={self.gamma}, alpha + beta={self.b}")
         if int(self.n) != self.n or self.n < 1:
             raise ParameterError(f"n must be an integer >= 1, got {self.n}")
-        return self
 
     @property
     def a(self) -> float:
@@ -75,8 +76,8 @@ class ModelParams(NamedTuple("ModelParams", [("alpha", float), ("beta", float),
         return self.delta0 / _SQRT2
 
 
-class InitialData(NamedTuple("InitialData", [("amplitude_v", tuple[float, ...]),
-                                             ("amplitude_rho", float), ("width", float)])):
+@dataclass(frozen=True)
+class InitialData:
     """Gaussian-bump initial data.
 
     The physical-space fields are
@@ -86,10 +87,12 @@ class InitialData(NamedTuple("InitialData", [("amplitude_v", tuple[float, ...]),
     form.
     """
 
-    __slots__ = ()
+    amplitude_v: tuple[float, ...]
+    amplitude_rho: float
+    width: float
 
-    def __new__(cls, amplitude_v: tuple[float, ...], amplitude_rho: float, width: float):
-        self = super().__new__(cls, tuple(map(float, amplitude_v)), amplitude_rho, width)
+    def __post_init__(self):
+        object.__setattr__(self, "amplitude_v", tuple(float(c) for c in self.amplitude_v))
         if not all(map(math.isfinite, (*self.amplitude_v, self.amplitude_rho, self.width))):
             raise ParameterError("amplitudes and width must be finite")
         if not self.width > 0:
@@ -98,7 +101,6 @@ class InitialData(NamedTuple("InitialData", [("amplitude_v", tuple[float, ...]),
             raise ParameterError("amplitude_v must have at least one component")
         if not math.isfinite(self.mass_sq):
             raise ParameterError("|P0|^2 + Q0^2 of the amplitudes overflows")
-        return self
 
     @property
     def n(self) -> int:
@@ -110,18 +112,20 @@ class InitialData(NamedTuple("InitialData", [("amplitude_v", tuple[float, ...]),
         return sum(c * c for c in (*self.amplitude_v, self.amplitude_rho))
 
 
-class Moments(NamedTuple("Moments", [("P0", np.ndarray), ("Q0", float),
-                                     ("l11_v", np.ndarray), ("l11_rho", float)])):
+@dataclass(frozen=True)
+class Moments:
     """Zeroth moments and weighted L^{1,1} norms of an initial datum."""
 
-    __slots__ = ()
+    P0: np.ndarray
+    Q0: float
+    l11_v: np.ndarray
+    l11_rho: float
 
-    def __new__(cls, P0: np.ndarray, Q0: float, l11_v: np.ndarray, l11_rho: float):
-        if np.any(np.abs(P0) > l11_v + 1e-15):
+    def __post_init__(self):
+        if np.any(np.abs(self.P0) > self.l11_v + 1e-15):
             raise ParameterError("|P0_j| must not exceed the weighted norm l11_v[j]")
-        if abs(Q0) > l11_rho + 1e-15:
+        if abs(self.Q0) > self.l11_rho + 1e-15:
             raise ParameterError("|Q0| must not exceed the weighted norm l11_rho")
-        return super().__new__(cls, P0, Q0, l11_v, l11_rho)
 
 
 def _abs_moment_factor(n: int, width: float) -> float:

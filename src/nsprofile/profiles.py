@@ -28,7 +28,7 @@ identity at machine precision.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -130,7 +130,8 @@ def gaussian_moment_bound(n: int, k: int, rate: float, t: float) -> float:
     return c * t ** (-(n + k) / 2)
 
 
-class RemainderBounds(NamedTuple):
+@dataclass(frozen=True)
+class RemainderBounds:
     """Closed-form upper bounds for the squared low-zone L^2 norms of the
     remainder pieces: the moment defect, the five expansion corrections, and
     the longitudinal sine correction.  ``total`` is their sum."""

@@ -26,7 +26,8 @@ allocating them, so every call has a bounded cost.
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -71,7 +72,8 @@ class QuadratureError(RuntimeError):
     """Raised when a norm evaluation cannot meet its tolerance."""
 
 
-class ZoneNorm(NamedTuple):
+@dataclass(frozen=True)
+class ZoneNorm:
     """A zone norm, its error estimate, the radii its integrand was evaluated
     at (probe included) and its accepted refinement level."""
 

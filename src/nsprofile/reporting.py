@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from typing import NamedTuple
+from dataclasses import dataclass
 
 # escapes XML element text; importing xml.sax.saxutils would load urllib and ssl
 _XML = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
@@ -56,7 +56,8 @@ def read_csv(path: str) -> dict[str, list[float]]:
     return {name: [float(row[j]) for row in rows] for j, name in enumerate(names)}
 
 
-class AxesSpec(NamedTuple):
+@dataclass(frozen=True)
+class AxesSpec:
     x_label: str = "t"
     y_label: str = "value"
     x_log: bool = True

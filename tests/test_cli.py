@@ -439,14 +439,14 @@ def test_cli_help_exits_0(capsys):
     assert "--threads" in capsys.readouterr().out
 
 
-def last_line_printed(code: str) -> str:
-    """The last line that ``code`` prints in a fresh interpreter that imports
+def printed(code: str) -> str:
+    """What ``code`` prints, stripped, in a fresh interpreter that imports
     this package from the source tree."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True)
-    return result.stdout.strip().splitlines()[-1]
+    return result.stdout.strip()
 
 
 def test_cli_import_loads_no_executor_machinery():
@@ -454,32 +454,33 @@ def test_cli_import_loads_no_executor_machinery():
     code = ("import sys, nsprofile.cli; "
             "print(sorted(m for m in ('concurrent.futures', 'logging', 'queue') "
             "if m in sys.modules))")
-    assert last_line_printed(code) == "[]"
+    assert printed(code) == "[]"
 
 
 def test_cli_import_adds_no_module_beyond_numpys_budget():
     # the per-run import cost: the CLI may add argparse, json, the builtin
-    # _sha256 and the like to what numpy loads, but no executor, logging,
+    # SHA-256 and the like to what numpy loads, but no executor, logging,
     # queue, TLS or XML machinery
     code = ("import sys, numpy; loaded = set(sys.modules); import nsprofile.cli; "
             "print(sorted(m for m in set(sys.modules) - loaded if m.partition('.')[0] "
             "in ('concurrent', 'logging', 'queue', 'ssl', 'xml')))")
-    assert last_line_printed(code) == "[]"
+    assert printed(code) == "[]"
 
 
-def test_cli_runs_load_no_rng_record_or_openssl_machinery(tmp_path):
-    # the oracle draws its directions from random.Random, the records are
-    # NamedTuples, the fits are closed form and, where the interpreter has
-    # the builtin _sha256, the config hash does not load OpenSSL's _hashlib
+def test_cli_runs_load_no_rng_or_openssl_machinery(tmp_path):
+    # the oracle draws its directions from random.Random and, where the
+    # interpreter has a builtin SHA-256 (_sha256 up to 3.11, _sha2 from 3.12),
+    # the config hash does not load OpenSSL's _hashlib
     path = write_config(tmp_path, {})
     out = str(tmp_path / "out")
     code = ("import importlib.util, sys, nsprofile.cli as cli; "
             f"codes = [cli.main([s, '--config', {path!r}, '--out', {out!r}]) "
             "for s in ('oracle-check', 'rate')]; "
-            "unwanted = ['numpy.random', 'dataclasses'] + "
-            "(['_hashlib'] if importlib.util.find_spec('_sha256') else []); "
+            "builtin = any(map(importlib.util.find_spec, ('_sha256', '_sha2'))); "
+            "unwanted = ['numpy.random'] + (['_hashlib'] if builtin else []); "
             "print(codes, sorted(m for m in unwanted if m in sys.modules))")
-    assert last_line_printed(code) == "[0, 0] []"
+    # the runs print their own status lines before the one checked here
+    assert printed(code).splitlines()[-1] == "[0, 0] []"
 
 
 def test_cli_plot_escapes_svg_text(tmp_path):

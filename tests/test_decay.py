@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import time
@@ -35,7 +36,7 @@ def run_verdict(runner, subcommand, times, data=None, **config):
         config["data"] = {"amplitude_v": list(data.amplitude_v),
                           "amplitude_rho": data.amplitude_rho, "width": data.width}
     cfg = build_run_config(subcommand, config)
-    verdict, _, _ = runner(cfg._replace(times=np.asarray(times, float)), 1)
+    verdict, _, _ = runner(dataclasses.replace(cfg, times=np.asarray(times, float)), 1)
     return verdict
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -76,6 +77,11 @@ def test_records_are_frozen():
         with pytest.raises(AttributeError):
             record.no_such_field = 0.0
     assert [type(c) for c in records["width"].amplitude_v] == [float, float]
+    # a changed copy is checked like a new record
+    with pytest.raises(ParameterError):
+        dataclasses.replace(records["alpha"], alpha=-1.0)
+    with pytest.raises(ParameterError):
+        dataclasses.replace(records["width"], width=0.0)
 
 
 def test_moments_validation():
