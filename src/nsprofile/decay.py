@@ -21,7 +21,7 @@ from functools import partial
 
 import numpy as np
 
-from .model import InitialData, ModelParams, moments
+from .model import InitialData, ModelParams
 from .profiles import (
     expansion_field,
     gaussian_moment_bound,
@@ -145,15 +145,15 @@ def zone_series(field_at, params: ModelParams, times: np.ndarray, zone: str,
 
 def velocity_field(params: ModelParams, data: InitialData, t: float):
     """Radii to the exact velocity transform."""
-    return lambda r: exact_field(params, data, r, t).vector()
+    return lambda r: exact_field(params, data, r, t, scalar=False)
 
 
 def remainder_field(params: ModelParams, data: InitialData, t: float, component: str):
     """Radii to the exact solution minus its leading profile, the ``component``
     "velocity" or "density"."""
-    mom = moments(data)
-    part = {"velocity": Field.vector, "density": Field.scalar}[component]
-    return lambda r: part(exact_field(params, data, r, t) - profile_field(params, mom, r, t))
+    part = {"velocity": {"scalar": False}, "density": {"vector": False}}[component]
+    return lambda r: (exact_field(params, data, r, t, **part)
+                      - profile_field(params, data.moments, r, t, **part))
 
 
 def energy_field(params: ModelParams, data: InitialData, t: float):
@@ -203,7 +203,7 @@ def measured_remainder_norms(params: ModelParams, data: InitialData, t: float,
     correction, and the lumped five expansion corrections (obtained as the
     exact moment flow minus leading profile minus sine correction).
     """
-    mom = moments(data)
+    mom = data.moments
     fields = {"moment_defect": lambda r: moment_defect_field(params, data, r, t),
               "sine_correction": lambda r: sine_correction_field(params, mom, r, t),
               "expansion": lambda r: expansion_field(params, mom, r, t)}
@@ -231,8 +231,8 @@ def remainder_series(params: ModelParams, data: InitialData, times: np.ndarray,
 
 
 def check_moment_ratio(params: ModelParams, data: InitialData):
-    mom = moments(data)
-    p0_norm = float(np.linalg.norm(mom.P0))
+    mom = data.moments
+    p0_norm = mom.p0_norm
     if mom.Q0 == 0:
         raise ValueError("the optimality statement needs a nonzero density moment")
     if p0_norm / abs(mom.Q0) > _MAX_MOMENT_RATIO:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -106,6 +107,11 @@ class InitialData:
     def n(self) -> int:
         return len(self.amplitude_v)
 
+    @cached_property
+    def moments(self) -> "Moments":
+        """:func:`moments` of the data, formed once per datum."""
+        return moments(self)
+
     @property
     def mass_sq(self) -> float:
         """|P0|^2 + Q0^2, the squared moments that bound the energy density."""
@@ -126,6 +132,11 @@ class Moments:
             raise ParameterError("|P0_j| must not exceed the weighted norm l11_v[j]")
         if abs(self.Q0) > self.l11_rho + 1e-15:
             raise ParameterError("|Q0| must not exceed the weighted norm l11_rho")
+
+    @cached_property
+    def p0_norm(self) -> float:
+        """|P0|, formed once per moments object."""
+        return float(np.linalg.norm(self.P0))
 
 
 def _abs_moment_factor(n: int, width: float) -> float:

@@ -32,23 +32,38 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import VERSINE_RATIO, InitialData, ModelParams, Moments, moments
+from .model import VERSINE_RATIO, InitialData, ModelParams, Moments
 from .quadrature import sphere_area
 from .spectral import Field, flow, pointwise
 # no function here calls it: bench/spans.py wraps this attribute as a trace site
 from .spectral import solve_exact_batch  # noqa: F401
 
 
-def profile_field(params: ModelParams, mom: Moments, r: np.ndarray, t: float) -> Field:
+def profile_field(params: ModelParams, mom: Moments, r: np.ndarray, t: float,
+                  vector: bool = True, scalar: bool = True) -> Field:
     """Leading profiles at radii r: the velocity is heat flow of P0 less its
     longitudinal part, plus the acoustic sine of Q0 and the damped cosine on
-    the longitudinal part; the density is the matching sine/cosine pair."""
-    p = np.linalg.norm(mom.P0)
-    heat = np.exp(-params.alpha * (r * r) * t)
-    wave = np.exp(-params.b * (r * r) * t / 2.0)
-    sine = wave * np.sin(params.gamma * t * r)
-    cosine = wave * np.cos(params.gamma * t * r)
-    return Field(heat * p, -sine * mom.Q0, (cosine - heat) * p, mom.Q0 * cosine, -p * sine)
+    the longitudinal part; the density is the matching sine/cosine pair.
+    ``vector``, ``scalar`` and zero moments leave coefficients the scalar 0.0
+    as in ``spectral.flow``, and the sine and cosine are formed only where
+    used."""
+    p, q = mom.p0_norm, mom.Q0
+    rr = r * r
+    wave = np.exp(-params.b * rr * t / 2.0)
+    phase = params.gamma * t * r
+    sine = wave * np.sin(phase) if (vector and q) or (scalar and p) else None
+    cosine = wave * np.cos(phase) if (vector and p) or (scalar and q) else None
+    a = b0 = b1 = c0 = c1 = 0.0
+    if vector and p:
+        heat = np.exp(-params.alpha * rr * t)
+        a, b1 = heat * p, (cosine - heat) * p
+    if vector and q:
+        b0 = sine * -q
+    if scalar and q:
+        c0 = q * cosine
+    if scalar and p:
+        c1 = -p * sine
+    return Field(a, b0, b1, c0, c1)
 
 
 def moment_defect_field(params: ModelParams, data: InitialData, r: np.ndarray,
@@ -63,24 +78,30 @@ def moment_defect_field(params: ModelParams, data: InitialData, r: np.ndarray,
     if np.any(r > params.delta0 * (1 + 1e-12)):
         raise ValueError("moment defect is evaluated on |xi| <= delta0 only")
     defect = np.exp(-data.width ** 2 * (r * r) / 2.0) - 1.0
-    return flow(params, r, t, np.linalg.norm(data.amplitude_v) * defect,
-                data.amplitude_rho * defect).vector()
+    p, q = data.moments.p0_norm, data.amplitude_rho
+    return flow(params, r, t, p * defect if p else 0.0, q * defect if q else 0.0,
+                scalar=False)
 
 
 def sine_correction_field(params: ModelParams, mom: Moments, r: np.ndarray,
                           t: float) -> Field:
     """Longitudinal damped-sine correction,
-    -(b/2) xi (xi.P0) e^{-b r^2 t/2} sin(gamma t r) / (gamma r)."""
+    -(b/2) xi (xi.P0) e^{-b r^2 t/2} sin(gamma t r) / (gamma r); the scalar 0.0
+    for P0 = 0."""
+    p = mom.p0_norm
+    if not p:
+        return Field()
     wave = np.exp(-params.b * (r * r) * t / 2.0)
-    return Field(b1=(-0.5 * params.b * np.linalg.norm(mom.P0) * r * wave
-                     * np.sin(params.gamma * t * r) / params.gamma))
+    return Field(b1=(-0.5 * params.b * p * r * wave * np.sin(params.gamma * t * r)
+                     / params.gamma))
 
 
 def expansion_field(params: ModelParams, mom: Moments, r: np.ndarray, t: float) -> Field:
     """The five expansion corrections together: the exact moment flow minus
     the leading velocity profile minus the sine correction."""
-    return (flow(params, r, t, np.linalg.norm(mom.P0), mom.Q0) - profile_field(params, mom, r, t)
-            - sine_correction_field(params, mom, r, t)).vector()
+    return (flow(params, r, t, mom.p0_norm, mom.Q0, scalar=False)
+            - profile_field(params, mom, r, t, scalar=False)
+            - sine_correction_field(params, mom, r, t))
 
 
 def velocity_profile(params: ModelParams, mom: Moments, xi: np.ndarray, t: float) -> np.ndarray:
@@ -96,7 +117,7 @@ def density_profile(params: ModelParams, mom: Moments, xi: np.ndarray, t: float)
 def moment_flow(params: ModelParams, mom: Moments, xi: np.ndarray, t: float) -> np.ndarray:
     """Exact velocity flow of the pure moments (P0, Q0) with the true
     divided-difference coefficients; the moment defect is solve_exact_batch minus this."""
-    return pointwise(lambda r: flow(params, r, t, np.linalg.norm(mom.P0), mom.Q0),
+    return pointwise(lambda r: flow(params, r, t, mom.p0_norm, mom.Q0),
                      xi, params.n, mom.P0)[0]
 
 
@@ -156,7 +177,7 @@ def remainder_bounds(params: ModelParams, data: InitialData, t: float) -> Remain
     if t <= 0:
         raise ValueError("t must be positive")
     a, b, g, n = params.a, params.b, params.gamma, params.n
-    mom = moments(data)
+    mom = data.moments
     p0_sq = float(np.dot(mom.P0, mom.P0))
     q0_sq = mom.Q0 ** 2
     sv = float(np.sum(mom.l11_v ** 2))

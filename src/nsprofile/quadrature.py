@@ -54,6 +54,7 @@ _G7_WEIGHTS[1::2] = _WG + _WG[-2::-1]
 # a panel's K15 - G7 is its K15 terms weighted by this
 _GAUSS_GAP = 1.0 - _G7_WEIGHTS / _K15_WEIGHTS
 _PROBE_POINTS = 97
+_PROBE_OFFSETS = np.arange(_PROBE_POINTS) + 0.5
 _PROBE_FLOOR = 1e-26
 
 # Radial layout of refinement level 0: at least _BASE_PANELS panels, and at
@@ -100,39 +101,48 @@ def cone_cap_area(n: int) -> float:
         raise ValueError(f"dimension must be >= 1, got {n}")
     if n == 1:
         return 1.0
-    nodes, weights = _panel_nodes(0.0, math.pi / 3.0, 1)
+    nodes, weights = _panel_nodes([(0.0, math.pi / 3.0, 1)])
     return sphere_area(n - 1) * float(np.sum(np.sin(nodes) ** (n - 2) * weights))
 
 
-def _panel_nodes(lo: float, hi: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
-    """K15 nodes and weights of ``panels`` equal panels on [lo, hi]."""
-    if panels * _PANEL_ORDER > _MAX_RADIAL_NODES:
-        raise QuadratureError(
-            f"radial layout needs {panels * _PANEL_ORDER} nodes on [{lo:.4g}, {hi:.4g}], "
-            f"more than the cap of {_MAX_RADIAL_NODES}"
-        )
-    edges = np.linspace(lo, hi, panels + 1)
-    width = (hi - lo) / panels
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    nodes = (mids[:, None] + 0.5 * width * _K15_NODES[None, :]).ravel()
-    weights = np.broadcast_to(0.5 * width * _K15_WEIGHTS, (panels, _PANEL_ORDER)).ravel()
-    return nodes, weights
+def _panel_nodes(segments: list[tuple[float, float, int]]) -> tuple[np.ndarray, np.ndarray]:
+    """K15 nodes and weights of consecutive segments, each (lo, hi, panels)
+    of equal panels on [lo, hi], written into one pair of arrays."""
+    for lo, hi, panels in segments:
+        if panels * _PANEL_ORDER > _MAX_RADIAL_NODES:
+            raise QuadratureError(
+                f"radial layout needs {panels * _PANEL_ORDER} nodes on [{lo:.4g}, {hi:.4g}], "
+                f"more than the cap of {_MAX_RADIAL_NODES}"
+            )
+    rows = sum(panels for _, _, panels in segments)
+    nodes, weights = np.empty((rows, _PANEL_ORDER)), np.empty((rows, _PANEL_ORDER))
+    row = 0
+    for lo, hi, panels in segments:
+        width = (hi - lo) / panels
+        # the values of np.linspace(lo, hi, panels + 1), by its own arithmetic
+        edges = np.arange(panels + 1.0) * width + lo
+        edges[-1] = hi
+        mids = 0.5 * (edges[:-1] + edges[1:])
+        np.add(mids[:, None], 0.5 * width * _K15_NODES, out=nodes[row:row + panels])
+        np.multiply(0.5 * width, _K15_WEIGHTS, out=weights[row:row + panels])
+        row += panels
+    return nodes.ravel(), weights.ravel()
 
 
 def _kronrod(values: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
     """K15 sum of ``values`` over a :func:`_radial_layout` with ``weights``, and
     its error estimate, the sum over panels of |K15 - G7|."""
     panel_gaps = (values * weights).reshape(-1, _PANEL_ORDER) @ _GAUSS_GAP
-    return float(np.dot(values, weights)), float(np.sum(np.abs(panel_gaps)))
+    return float(np.dot(values, weights)), float(np.abs(panel_gaps).sum())
 
 
 def _active_end(radii: np.ndarray, probe: np.ndarray, r_lo: float, r_hi: float) -> float:
     """Largest radius where the probe sees non-negligible mass, plus padding."""
     spacing = (r_hi - r_lo) / radii.size
-    peak = float(np.max(probe))
+    peak = float(probe.max())
     if peak == 0.0:
         return min(r_hi, r_lo + 2.0 * spacing)
-    above = np.nonzero(probe > peak * _PROBE_FLOOR)[0]
+    above = (probe > peak * _PROBE_FLOOR).nonzero()[0]
     return min(r_hi, float(radii[above[-1]]) + 2.0 * spacing)
 
 
@@ -158,12 +168,9 @@ def _radial_layout(r_lo: float, r_hi: float, split: float, gamma_t: float,
                    refine: int) -> tuple[np.ndarray, np.ndarray]:
     mult = 2 ** refine
     if split >= r_hi:
-        panels = _osc_panels(gamma_t, r_hi - r_lo) * mult
-        return _panel_nodes(r_lo, r_hi, panels)
-    n1 = _osc_panels(gamma_t, split - r_lo) * mult
-    r1, w1 = _panel_nodes(r_lo, split, n1)
-    r2, w2 = _panel_nodes(split, r_hi, _BASE_PANELS * mult)
-    return np.concatenate([r1, r2]), np.concatenate([w1, w2])
+        return _panel_nodes([(r_lo, r_hi, _osc_panels(gamma_t, r_hi - r_lo) * mult)])
+    return _panel_nodes([(r_lo, split, _osc_panels(gamma_t, split - r_lo) * mult),
+                         (split, r_hi, _BASE_PANELS * mult)])
 
 
 def default_r_max(params: ModelParams, t: float) -> float:
@@ -180,7 +187,9 @@ def zone_norm_sq(f: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
 
     ``f`` maps radii (m,) to the mean and the maximum, arrays (m,), of
     |field|^2 over the sphere of each radius (``spectral.Field.sphere_mean_max``),
-    so the radial integrand is |S^(n-1)| r^(n-1) times the mean.  Zones:
+    or to 0.0 and 0.0 for a field that is 0 at every radius, so the radial
+    integrand is |S^(n-1)| r^(n-1) times the mean.  The probe and every layout
+    give ``f`` ascending radii.  Zones:
     "low" = {|xi| <= delta0/sqrt(2)}, "high" = the complement truncated at
     r_max = :func:`default_r_max`, which needs t > 0, "full" = both.  A
     truncated zone adds the tail estimate: the maximum of |field|^2 at r_max
@@ -201,8 +210,9 @@ def zone_norm_sq(f: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     n, area = params.n, sphere_area(params.n)
 
     # the probe radii and, last, the edge radius r_hi take one integrand call
-    radii = np.append(r_lo + (np.arange(_PROBE_POINTS) + 0.5) * ((r_hi - r_lo) / _PROBE_POINTS),
-                      r_hi)
+    radii = np.empty(_PROBE_POINTS + 1)
+    np.add(r_lo, _PROBE_OFFSETS * ((r_hi - r_lo) / _PROBE_POINTS), out=radii[:-1])
+    radii[-1] = r_hi
     mean, peak = f(radii)
     # the radial integrand |S^(n-1)| r^(n-1) times the sphere mean of |field|^2
     split = _active_end(radii[:-1], (area * mean * radii ** (n - 1))[:-1], r_lo, r_hi)
@@ -210,7 +220,8 @@ def zone_norm_sq(f: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     tail = 0.0
     if zone != "low":
         lam = min(2.0 * params.alpha, params.b) * t
-        tail = float(peak[-1]) * area * _gaussian_tail_bound(r_hi, lam, n)
+        edge = peak[-1] if np.ndim(peak) else peak
+        tail = float(edge) * area * _gaussian_tail_bound(r_hi, lam, n)
 
     points = radii.size
     for level in range(_MAX_REFINEMENTS + 1):

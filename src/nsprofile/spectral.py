@@ -24,6 +24,9 @@ of the velocity moment: it is a :class:`Field` of coefficients in r = |xi|.
 One kernel (:func:`flow`) maps the data transform, the zeroth moments or the
 moment remainder to those coefficients at a batch of radii, and
 :func:`pointwise` assembles any such field at an (m, n) batch of frequencies.
+The kernel forms only what a zone norm integrates: the vector or the scalar
+part alone when asked for one, and no coefficient that a zero moment makes 0,
+which a :class:`Field` holds as the scalar 0.0.
 
 The classical fixed-step RK4 integrator is kept deliberately independent of
 the closed form and serves as the verification oracle.
@@ -38,53 +41,89 @@ import numpy as np
 from .model import InitialData, ModelParams, fourier_data_batch
 
 
-def _phi_psi(params: ModelParams, r2: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+def _phi_psi(params: ModelParams, r2: np.ndarray, t: float,
+             with_psi: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """Real divided differences Phi = (e^{s1 t}-e^{s2 t})/(s1-s2) and
     Psi = (s1 e^{s1 t}-s2 e^{s2 t})/(s1-s2) at |xi|^2 = r2, where s1, s2 are the
     roots of lambda^2 + b r^2 lambda + a r^2, by one formula per root type:
 
     - conjugate pair m -+ i w (below delta0): Phi = e^{mt} sin(wt)/w,
       Psi = e^{mt} cos(wt) + m Phi;
+    - double root m (at delta0): Phi = t e^{mt}, Psi = e^{mt} + m Phi;
     - real roots (above delta0), s2 the large one and s1 = a r^2 / s2:
-      Phi = e^{s1 t} (-expm1(-(s1-s2) t)) / (s1-s2), Psi = s1 Phi + e^{s2 t};
-    - double root m (at delta0): Phi = t e^{mt}, Psi = e^{mt} + m Phi.
+      Phi = e^{s1 t} (-expm1(-(s1-s2) t)) / (s1-s2), Psi = s1 Phi + e^{s2 t}.
 
     None of them forms a difference of nearby exponentials, so each holds for
-    every (s1-s2) t, and every one gives Phi = 0, Psi = 1 at t = 0.
+    every (s1-s2) t, and every one gives Phi = 0, Psi = 1 at t = 0.  In
+    ascending radii, the order of every batch that a zone norm takes, the
+    root types are three consecutive slices, and each formula runs on its own
+    slice only.  A batch in another order (from :func:`pointwise`) that holds
+    more than one root type is taken in ascending order and its values are
+    put back, so a radius gets the same bits wherever it stands in its batch.
+    With ``with_psi`` false, Psi is not formed and None stands for it.
     """
     a, b = params.a, params.b
     r = np.sqrt(r2)
     rr = r * r  # not r2: r2 one ulp apart (xi and a rotated xi) often share r, so disc
     disc = 4.0 * a - b * b * rr  # > 0 oscillatory, 0 at r = delta0, < 0 overdamped
-    gap = r * np.sqrt(np.abs(disc))  # |s1 - s2|
+    # [0, osc) oscillatory, [osc, real) double and [real, size) real roots
+    osc = real = size = disc.size
+    order = None
+    if size and not disc.min() > 0.0:
+        if (disc[1:] > disc[:-1]).any():
+            order = np.argsort(rr, kind="stable")
+            r, rr, disc = r[order], rr[order], disc[order]
+        ascending = disc[::-1]
+        osc -= int(np.searchsorted(ascending, 0.0, side="right"))
+        real -= int(np.searchsorted(ascending, 0.0, side="left"))
+    gap = r * np.sqrt(disc if osc == size else np.abs(disc))  # |s1 - s2|
     m = -0.5 * b * rr  # (s1 + s2) / 2
-    phi = np.empty(r.shape)
-    psi = np.empty(r.shape)
-    osc = disc > 0.0
-    emt = np.exp(m[osc] * t)
-    w = 0.5 * gap[osc]
-    phi_osc = emt * np.sin(w * t) / w
-    phi[osc] = phi_osc
-    psi[osc] = emt * np.cos(w * t) + m[osc] * phi_osc
-    real = disc < 0.0
-    s2 = m[real] - 0.5 * gap[real]
-    s1 = a * rr[real] / s2  # free of the cancellation in m + gap / 2
-    phi_real = np.exp(s1 * t) * -np.expm1(-gap[real] * t) / gap[real]
-    phi[real] = phi_real
-    psi[real] = s1 * phi_real + np.exp(s2 * t)
-    double = disc == 0.0
-    emt = np.exp(m[double] * t)
-    phi[double] = t * emt
-    psi[double] = emt + m[double] * t * emt
+    phi = np.empty(size)
+    psi = np.empty(size) if with_psi else None
+    if osc:
+        m_osc = m[:osc]
+        emt = np.exp(m_osc * t)
+        w = 0.5 * gap[:osc]
+        wt = w * t
+        np.divide(emt * np.sin(wt), w, out=phi[:osc])
+        if with_psi:
+            np.add(emt * np.cos(wt), m_osc * phi[:osc], out=psi[:osc])
+    if real > osc:
+        m_double = m[osc:real]
+        emt = np.exp(m_double * t)
+        np.multiply(t, emt, out=phi[osc:real])
+        if with_psi:
+            np.add(emt, m_double * t * emt, out=psi[osc:real])
+    if real < size:
+        gap_real = gap[real:]
+        s2 = m[real:] - 0.5 * gap_real
+        s1 = a * rr[real:] / s2  # free of the cancellation in m + gap / 2
+        np.divide(np.exp(s1 * t) * -np.expm1(-gap_real * t), gap_real, out=phi[real:])
+        if with_psi:
+            np.add(s1 * phi[real:], np.exp(s2 * t), out=psi[real:])
+    if order is not None:
+        back = np.argsort(order)
+        phi, psi = phi[back], psi[back] if with_psi else None
     return phi, psi
+
+
+def _zero(x) -> bool:
+    """Whether a coefficient or amplitude is held as the scalar zero."""
+    return isinstance(x, float) and x == 0.0
+
+
+def _sum(terms: list):
+    """Left-to-right sum of the terms, 0.0 for none."""
+    return sum(terms[1:], terms[0]) if terms else 0.0
 
 
 class Field(NamedTuple):
     """A field that depends on the direction of xi only through u = xi_hat . p_hat,
     with p_hat the unit velocity moment (e1 if the moment is 0): the vector
     a p_hat + (i b0 + b1 u) xi_hat and the scalar c0 + i c1 u.  Each coefficient
-    is a real array over the radii r = |xi| or 0; b0 and c1 are the real
-    coefficients of i."""
+    is a real array over the radii r = |xi| or a scalar; b0 and c1 are the real
+    coefficients of i.  A coefficient that a zero amplitude makes 0 everywhere
+    is held as the scalar 0.0, and no arithmetic is spent on it."""
 
     a: np.ndarray | float = 0.0
     b0: np.ndarray | float = 0.0
@@ -93,13 +132,7 @@ class Field(NamedTuple):
     c1: np.ndarray | float = 0.0
 
     def __sub__(self, other: "Field") -> "Field":
-        return Field(*(x - y for x, y in zip(self, other)))
-
-    def vector(self) -> "Field":
-        return self._replace(c0=0.0, c1=0.0)
-
-    def scalar(self) -> "Field":
-        return Field(c0=self.c0, c1=self.c1)
+        return Field(*(x if _zero(y) else x - y for x, y in zip(self, other)))
 
     def sphere_mean_max(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Mean and maximum, as arrays over the radii, of |vector|^2 + |scalar|^2
@@ -109,12 +142,20 @@ class Field(NamedTuple):
         + c1^2: the cross terms a b0, b0 b1 and c0 c1 pair a real with an
         imaginary part, so nothing is odd in u.  The sphere mean of u^2 is 1/n
         (also at n = 1, where the sphere is the two points u = -+1), and the
-        maximum is taken over u in [-1, 1], an upper bound at n = 1.
+        maximum is taken over u in [-1, 1], an upper bound at n = 1.  The terms
+        of scalar-zero coefficients are left out of the sums, which changes no
+        value; a field whose coefficients are all the scalar 0.0 gives 0.0.
         """
         a, b0, b1, c0, c1 = self
-        q0, q2 = np.broadcast_arrays(a * a + b0 * b0 + c0 * c0,
-                                     2.0 * a * b1 + b1 * b1 + c1 * c1)
-        return q0 + q2 / n, q0 + np.maximum(q2, 0.0)
+        q0 = _sum([x * x for x in (a, b0, c0) if not _zero(x)])
+        q2 = _sum(([] if _zero(a) or _zero(b1) else [2.0 * a * b1])
+                  + [x * x for x in (b1, c1) if not _zero(x)])
+        if _zero(q2):
+            return q0, q0
+        peak = np.maximum(q2, 0.0)
+        if _zero(q0):
+            return q2 / n, peak
+        return q0 + q2 / n, q0 + peak
 
 
 def pointwise(field_at, xi: np.ndarray, n: int,
@@ -138,7 +179,8 @@ def pointwise(field_at, xi: np.ndarray, n: int,
             f.c0 + 1j * f.c1 * u)
 
 
-def flow(params: ModelParams, r: np.ndarray, t: float, p, q) -> Field:
+def flow(params: ModelParams, r: np.ndarray, t: float, p, q, vector: bool = True,
+         scalar: bool = True) -> Field:
     """Closed-form flow at radii r of the transformed data p p_hat (velocity)
     and q (density), p and q scalars or arrays over r.  The velocity is heat
     flow on the transverse part plus the longitudinal 2x2 flow; the density
@@ -147,20 +189,36 @@ def flow(params: ModelParams, r: np.ndarray, t: float, p, q) -> Field:
         v_hat   = heat p p_hat + (-i gamma r Phi q + (Psi - heat) p u) xi_hat,
         rho_hat = (Psi + b r^2 Phi) q - i gamma r Phi p u,
 
-    heat = e^{-alpha r^2 t}; b0 and c1 hold -gamma r Phi q and -gamma r Phi p."""
+    heat = e^{-alpha r^2 t}; b0 and c1 hold -gamma r Phi q and -gamma r Phi p.
+    With ``vector`` or ``scalar`` false that part is left out.  Its
+    coefficients, and those of a p or q that is the scalar 0.0, stay the
+    scalar 0.0, and only the factors that the others use are formed: heat for
+    a and b1, Psi for b1 and c0."""
+    with_p, with_q = not _zero(p), not _zero(q)
     rr = r * r
-    phi, psi = _phi_psi(params, rr, t)
-    heat = np.exp(-params.alpha * rr * t)
+    phi, psi = _phi_psi(params, rr, t, (vector and with_p) or (scalar and with_q))
     acoustic = -params.gamma * r * phi
-    return Field(heat * p, acoustic * q, (psi - heat) * p,
-                 (psi + params.b * rr * phi) * q, acoustic * p)
+    a = b0 = b1 = c0 = c1 = 0.0
+    if vector and with_p:
+        heat = np.exp(-params.alpha * rr * t)
+        a, b1 = heat * p, (psi - heat) * p
+    if vector and with_q:
+        b0 = acoustic * q
+    if scalar and with_q:
+        c0 = (psi + params.b * rr * phi) * q
+    if scalar and with_p:
+        c1 = acoustic * p
+    return Field(a, b0, b1, c0, c1)
 
 
-def exact_field(params: ModelParams, data: InitialData, r: np.ndarray, t: float) -> Field:
-    """:func:`flow` of the data transform, whose envelope is e^{-s^2 r^2 / 2}."""
+def exact_field(params: ModelParams, data: InitialData, r: np.ndarray, t: float,
+                vector: bool = True, scalar: bool = True) -> Field:
+    """:func:`flow` of the data transform, whose envelope is e^{-s^2 r^2 / 2};
+    a zero moment stays the scalar 0.0."""
     envelope = np.exp(-data.width ** 2 * (r * r) / 2.0)
-    return flow(params, r, t, np.linalg.norm(data.amplitude_v) * envelope,
-                data.amplitude_rho * envelope)
+    p, q = data.moments.p0_norm, data.amplitude_rho
+    return flow(params, r, t, p * envelope if p else 0.0, q * envelope if q else 0.0,
+                vector, scalar)
 
 
 def solve_exact_batch(params: ModelParams, data: InitialData, xi: np.ndarray,

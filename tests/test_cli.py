@@ -8,6 +8,7 @@ import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from nsprofile import cli
@@ -257,6 +258,40 @@ def test_cli_oracle_check_where_the_data_envelope_underflows(tmp_path):
     assert verdict["pass"] is True
     assert verdict["metrics"]["max_rel_err"] <= 1e-8
     assert 0.0 in read_csv(str(out / "oracle-check.csv"))["rel_err"]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_cli_oracle_check_where_the_state_has_decayed(tmp_path, n):
+    # at alpha = 1e-3 some oracle states decay to ~1e-16 of their datum, so
+    # the round-off of the RK4 state is large against them; the gap is measured
+    # against |y(0)|, which bounds every |y(t)|, and the oracle agrees
+    out = tmp_path / "out"
+    path = write_config(tmp_path, {"params": {"alpha": 1e-3, "n": n}})
+    assert main(["oracle-check", "--config", path, "--out", str(out)]) == 0
+    verdict = json.loads((out / "oracle-check.json").read_text())
+    assert verdict["pass"] is True
+    assert verdict["metrics"]["max_rel_err"] <= 1e-8
+
+
+def test_cli_oracle_off_by_a_share_of_the_datum_fails(tmp_path, monkeypatch):
+    # an oracle off by 1e-6 |y(0)| at every point has rel_err 1e-6, over the
+    # 1e-8 pass mark: the verdict fails and the run exits 1
+    from nsprofile.model import fourier_data_batch
+
+    solve = cli.solve_ode_oracle_batch
+
+    def off(params, data, xi, t, step):
+        v, rho = solve(params, data, xi, t, step)
+        v0, rho0 = fourier_data_batch(data, xi)
+        return v, rho + 1e-6 * np.sqrt(np.sum(v0 * v0, axis=1) + rho0 * rho0)
+
+    monkeypatch.setattr(cli, "solve_ode_oracle_batch", off)
+    out = tmp_path / "out"
+    path = write_config(tmp_path, {})
+    assert main(["oracle-check", "--config", path, "--out", str(out)]) == 1
+    rel_err = read_csv(str(out / "oracle-check.csv"))["rel_err"]
+    assert min(rel_err) == pytest.approx(1e-6, rel=1e-3)
+    assert max(rel_err) == pytest.approx(1e-6, rel=1e-3)
 
 
 def test_cli_oracle_gap_over_a_zero_state_is_not_agreement(tmp_path, monkeypatch, capsys):

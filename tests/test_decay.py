@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import sys
 import time
@@ -7,7 +8,8 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from nsprofile.cli import THRESHOLDS, run_highfreq, run_lemma31, run_sandwich
+from nsprofile import decay
+from nsprofile.cli import THRESHOLDS, main, run_highfreq, run_lemma31, run_sandwich
 from nsprofile.config import build_run_config
 from nsprofile.model import InitialData, ModelParams, moments
 from nsprofile.decay import (
@@ -298,3 +300,36 @@ def test_ordered_map_under_frequent_thread_switches():
             ordered_map(fn, items, 8)
     finally:
         sys.setswitchinterval(interval)
+
+
+VERDICTS = ("profile-error", "density-profile-error", "rate", "sandwich", "lemma31",
+            "highfreq", "bounds")
+# config, threads and the radii that the 102 zone norms of the 7 verdicts evaluate
+PINNED_WORK = {"n2": ({}, 1, 149_751),
+               "n3-t2": ({"params": {"n": 3}}, 2, 151_821),
+               "n3-offaxis": ({"params": {"n": 3}, "data": {"amplitude_v": [0.03, 0.04, 0.0]}},
+                              2, 161_526)}
+
+
+@pytest.mark.parametrize("case", list(PINNED_WORK))
+def test_default_verdicts_keep_their_quadrature_work(case, tmp_path, monkeypatch):
+    # every verdict takes its zone norms through decay.zone_norm_sq: their
+    # number, radii and levels pin the layout that each kernel is integrated on
+    config, threads, radii = PINNED_WORK[case]
+    norms = []
+    integrate = decay.zone_norm_sq
+
+    def recorded(*args, **kwargs):
+        norm = integrate(*args, **kwargs)
+        norms.append(norm)
+        return norm
+
+    monkeypatch.setattr(decay, "zone_norm_sq", recorded)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    for sub in VERDICTS:
+        assert main([sub, "--config", str(path), "--out", str(tmp_path / "out"),
+                     "--threads", str(threads)]) == 0
+    assert len(norms) == 102
+    assert sum(norm.points for norm in norms) == radii
+    assert all(norm.level == 0 for norm in norms)

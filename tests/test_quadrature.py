@@ -248,12 +248,12 @@ def test_panel_nodes_cap():
     # one panel more than the cap allows raises, naming the requested count
     panels = _MAX_RADIAL_NODES // _PANEL_ORDER
     with pytest.raises(QuadratureError, match=f"needs {_PANEL_ORDER * (panels + 1)} nodes"):
-        _panel_nodes(0.0, 1.0, panels + 1)
+        _panel_nodes([(0.0, 1.0, panels + 1)])
     # a count no machine could allocate raises the same way, before allocating
     with pytest.raises(QuadratureError, match=f"needs {_PANEL_ORDER * 10**15} nodes"):
-        _panel_nodes(0.0, 1.0, 10**15)
+        _panel_nodes([(0.0, 1.0, 10**15)])
     # the largest allowed layout allocates
-    nodes, weights = _panel_nodes(0.0, 1.0, panels)
+    nodes, weights = _panel_nodes([(0.0, 1.0, panels)])
     assert nodes.size == _PANEL_ORDER * panels > _MAX_RADIAL_NODES - _PANEL_ORDER
     assert float(np.sum(weights)) == pytest.approx(1.0, rel=1e-12)
 

@@ -9,6 +9,8 @@ from nsprofile.spectral import (
     Field,
     _flow_matrix,
     _phi_psi,
+    exact_field,
+    flow,
     pointwise,
     solve_exact_batch,
     solve_ode_oracle_batch,
@@ -407,3 +409,70 @@ def test_sphere_mean_max_against_pointwise_directions(n):
             assert float(peak) == pytest.approx(float(np.max(at(grid))), rel=1e-13)
         else:
             assert float(peak) >= float(np.max(at(grid))) * (1.0 - 1e-13)
+
+
+def _bits(*arrays):
+    return [np.asarray(x).tobytes() for x in arrays]
+
+
+@pytest.mark.parametrize("t", [0.0, 0.7, 30.0])
+def test_phi_psi_of_a_shuffled_batch_is_its_ascending_batch_put_back(t):
+    # the root types are slices of an ascending batch: oscillatory radii, then
+    # r = delta0 (disc exactly 0, twice), then real roots; a shuffled batch
+    # is taken in ascending order and put back, so every radius keeps its bits,
+    # which are also the bits of that radius alone
+    d0 = PARAMS.delta0
+    r2 = np.sort(np.concatenate([(d0 * np.linspace(0.05, 3.0, 40)) ** 2, [d0 * d0] * 2]))
+    rr = np.sqrt(r2) ** 2
+    assert np.count_nonzero(4.0 * PARAMS.a - PARAMS.b * PARAMS.b * rr == 0.0) >= 2
+    assert np.any(4.0 * PARAMS.a - PARAMS.b * PARAMS.b * rr > 0.0)
+    assert np.any(4.0 * PARAMS.a - PARAMS.b * PARAMS.b * rr < 0.0)
+    phi, psi = _phi_psi(PARAMS, r2, t)
+    order = np.random.default_rng(11).permutation(r2.size)
+    shuffled = _phi_psi(PARAMS, r2[order], t)
+    assert _bits(*shuffled) == _bits(phi[order], psi[order])
+    for i in range(r2.size):
+        assert _bits(*_phi_psi(PARAMS, r2[i:i + 1], t)) == _bits(phi[i:i + 1], psi[i:i + 1])
+    # without Psi, Phi keeps its bits
+    alone, none = _phi_psi(PARAMS, r2[order], t, with_psi=False)
+    assert none is None and _bits(alone) == _bits(phi[order])
+    assert [x.size for x in _phi_psi(PARAMS, np.empty(0), t)] == [0, 0]
+
+
+def test_pointwise_of_an_unsorted_batch_matches_the_sorted_batch():
+    # both moments nonzero and radii across delta0, in no order: each point
+    # gets the bits it gets in the sorted batch
+    params = ModelParams(alpha=0.7, beta=1.3, gamma=1.1, n=3)
+    data = InitialData(amplitude_v=(0.3, -0.2, 0.1), amplitude_rho=0.8, width=0.9)
+    rng = np.random.default_rng(5)
+    dirs = rng.normal(size=(60, 3))
+    xi = params.delta0 * rng.uniform(0.05, 3.0, 60)[:, None] * dirs / np.linalg.norm(
+        dirs, axis=1)[:, None]
+    order = np.argsort(np.sum(xi * xi, axis=1), kind="stable")
+    for t in (0.0, 2.5):
+        v, rho = solve_exact_batch(params, data, xi, t)
+        v_sorted, rho_sorted = solve_exact_batch(params, data, xi[order], t)
+        assert _bits(v[order], rho[order]) == _bits(v_sorted, rho_sorted)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_zero_moment_coefficients_are_scalars_with_the_same_sphere_means(n):
+    # |P0| = 0: the velocity-moment coefficients a, b1 and c1 are the scalar
+    # 0.0, and the sphere means and maxima keep the bits that arrays of zeros
+    # give (the flow with p an array of zeros)
+    params = ModelParams(alpha=1.0, beta=1.0, gamma=1.0, n=n)
+    data = InitialData(amplitude_v=(0.0,) * n, amplitude_rho=1.0, width=1.0)
+    r = params.delta0 * np.linspace(0.01, 3.0, 300)
+    q = np.exp(-(r * r) / 2.0)
+    for t in (0.5, 40.0):
+        field = exact_field(params, data, r, t)
+        assert all(isinstance(c, float) and c == 0.0 for c in (field.a, field.b1, field.c1))
+        assert _bits(field.b0, field.c0) == _bits(*flow(params, r, t, 0.0, q)[1::2])
+        for part in ({"scalar": False}, {"vector": False}, {}):
+            scalar_zeros = flow(params, r, t, 0.0, q, **part)
+            array_zeros = flow(params, r, t, np.zeros(r.size), q, **part)
+            assert any(isinstance(c, np.ndarray) and not c.any() for c in array_zeros)
+            assert (_bits(*scalar_zeros.sphere_mean_max(n))
+                    == _bits(*array_zeros.sphere_mean_max(n)))
+    # a field that is zero at every radius gives zero means
+    assert Field().sphere_mean_max(n) == (0.0, 0.0)
