@@ -74,8 +74,7 @@ def run_oracle_check(cfg: RunConfig, threads: int):
     for j, t in enumerate(_ORACLE_TIMES):
         dirs = np.zeros((n_r, cfg.params.n))
         dirs[:, 0] = np.cos(angles[j])
-        if cfg.params.n > 1:
-            dirs[:, 1] = np.sin(angles[j])
+        dirs[:, 1] = np.sin(angles[j])
         xi = radii[:, None] * dirs
         v_e, rho_e = solve_exact_batch(cfg.params, cfg.data, xi, float(t))
         v_o, rho_o = solve_ode_oracle_batch(cfg.params, cfg.data, xi, float(t), _ORACLE_STEP)
@@ -85,12 +84,12 @@ def run_oracle_check(cfg: RunConfig, threads: int):
         gap = np.linalg.norm(exact - oracle, axis=1)
         # the gap is taken relative to |y(0)|, the data transform at xi: the
         # flow does not increase |y|, so this bounds the state at every t,
-        # while the state itself may have decayed to nothing by t.  Where the
-        # data envelope underflows both states are 0: exact agreement counts
-        # as 0, while a nonzero gap over a zero datum stays inf
+        # while the state itself may have decayed to nothing by t.  A gap as
+        # large as the datum is total disagreement, so rel_err is capped at 1,
+        # and where the data envelope underflows exact agreement counts as 0
         size = np.linalg.norm(np.concatenate([v_0, rho_0[:, None]], axis=1), axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rel = np.where(gap == 0.0, 0.0, gap / size)
+        with np.errstate(invalid="ignore"):
+            rel = np.where(gap == 0.0, 0.0, gap / np.maximum(size, gap))
         columns["r"].extend(radii)
         columns["t"].extend([t] * n_r)
         columns["rel_err"].extend(rel)

@@ -33,10 +33,10 @@ class ParameterError(ValueError):
 class ModelParams:
     """Coefficients of the linearized system plus the space dimension.
 
-    Requires finite alpha > 0, beta >= 0, gamma > 0 and integer n >= 1, with
-    a = gamma^2, b^2 = (alpha + beta)^2 and a (4 delta0)^2 finite, so the
-    discriminant 4a - b^2 r^2 can be formed.  The main decay statements assume
-    n >= 2; n = 1 is accepted for the radial kernel plateau tests only.
+    Requires finite alpha > 0, beta >= 0, gamma > 0 and integer n >= 2, the
+    dimensions of the paper's decay statements, with a = gamma^2,
+    b^2 = (alpha + beta)^2 and a (4 delta0)^2 finite, so the discriminant
+    4a - b^2 r^2 can be formed.
     """
 
     alpha: float
@@ -56,8 +56,8 @@ class ModelParams:
         if not all(map(math.isfinite, (self.b * self.b, self.gamma * self.gamma * (r * r)))):
             raise ParameterError(f"(alpha + beta)^2 or gamma^2 (4 delta0)^2 overflows: "
                                  f"gamma={self.gamma}, alpha + beta={self.b}")
-        if int(self.n) != self.n or self.n < 1:
-            raise ParameterError(f"n must be an integer >= 1, got {self.n}")
+        if int(self.n) != self.n or self.n < 2:
+            raise ParameterError(f"n must be an integer >= 2, got {self.n}")
 
     @property
     def a(self) -> float:

@@ -94,13 +94,11 @@ def sphere_area(n: int) -> float:
 def cone_cap_area(n: int) -> float:
     """Measure of the unit-sphere cap {w : w.e >= 1/2} in R^n.
 
-    For n >= 2 the polar-angle integral of sin^{n-2} over [0, pi/3] times the
-    area of S^{n-2}: 2*pi/3 for n = 2 and pi for n = 3.
+    The polar-angle integral of sin^{n-2} over [0, pi/3] times the area of
+    S^{n-2}: 2*pi/3 for n = 2 and pi for n = 3.
     """
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
-    if n == 1:
-        return 1.0
+    if n < 2:
+        raise ValueError(f"dimension must be >= 2, got {n}")
     nodes, weights = _panel_nodes([(0.0, math.pi / 3.0, 1)])
     return sphere_area(n - 1) * float(np.sum(np.sin(nodes) ** (n - 2) * weights))
 

@@ -140,11 +140,11 @@ class Field(NamedTuple):
 
         That is q0 + q2 u^2 with q0 = a^2 + b0^2 + c0^2 and q2 = 2 a b1 + b1^2
         + c1^2: the cross terms a b0, b0 b1 and c0 c1 pair a real with an
-        imaginary part, so nothing is odd in u.  The sphere mean of u^2 is 1/n
-        (also at n = 1, where the sphere is the two points u = -+1), and the
-        maximum is taken over u in [-1, 1], an upper bound at n = 1.  The terms
-        of scalar-zero coefficients are left out of the sums, which changes no
-        value; a field whose coefficients are all the scalar 0.0 gives 0.0.
+        imaginary part, so nothing is odd in u.  The sphere mean of u^2 is 1/n,
+        and the maximum is taken over u in [-1, 1], all of which the sphere
+        attains.  The terms of scalar-zero coefficients are left out of the
+        sums, which changes no value; a field whose coefficients are all the
+        scalar 0.0 gives 0.0.
         """
         a, b0, b1, c0, c1 = self
         q0 = _sum([x * x for x in (a, b0, c0) if not _zero(x)])

@@ -173,9 +173,9 @@ def _angular_frame(n: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     in u = cos(phi) with ``nodes`` = 2 or 3 nodes for the measure of S^(n-1).
 
     Over the sphere the mean of u^2 is 1/n and that of u^4 is 3/(n(n+2)).
-    2 nodes: u = -+1/sqrt(n), each weighted |S^(n-1)|/2, exact through degree 3
-    (the two points -+e1 at n = 1).  3 nodes: u = -+sqrt(3/(n+2)) weighted
-    |S^(n-1)| (n+2)/(6n) and u = 0 the rest, exact through degree 5.
+    2 nodes: u = -+1/sqrt(n), each weighted |S^(n-1)|/2, exact through degree 3.
+    3 nodes: u = -+sqrt(3/(n+2)) weighted |S^(n-1)| (n+2)/(6n) and u = 0 the
+    rest, exact through degree 5.
     """
     area = sphere_area(n)
     if nodes == 2:
@@ -187,7 +187,7 @@ def _angular_frame(n: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
         w = np.array([outer, area - 2.0 * outer, outer])
     dirs = np.zeros((nodes, n))
     dirs[:, 0] = u
-    dirs[:, 1:2] = np.sqrt(1.0 - u * u)[:, None]  # no second axis at n = 1
+    dirs[:, 1] = np.sqrt(1.0 - u * u)
     return dirs, w
 
 
@@ -267,21 +267,19 @@ def black_box_norm_sq(f, params: ModelParams, t: float, zone: str,
     and the 3-node rule u = 0, -+sqrt(3/(n+2)) must give the same mass
     (:class:`QuadratureError` "angular nodes" otherwise).  That mean goes to
     ``zone_norm_sq`` with the largest |f|^2 on the 3 directions as the
-    maximum, so that is its edge value.  n = 1 has only the directions -+e1.
+    maximum, so that is its edge value.
     """
     n = params.n
     dirs, ang_w = _angular_frame(n, 2)
-    finer_dirs, finer_w = _angular_frame(n, 3) if n > 1 else (dirs, ang_w)
+    finer_dirs, finer_w = _angular_frame(n, 3)
     area = sphere_area(n)
 
     def mean_max(r):
         spots = r[[r.size // 4, r.size // 2, 3 * r.size // 4]]
-        blocks = [_symmetry_points(spots, n) if n > 1 else np.zeros((0, n)),
-                  _on_frame(r, dirs), _on_frame(r, finer_dirs)]
+        blocks = [_symmetry_points(spots, n), _on_frame(r, dirs), _on_frame(r, finer_dirs)]
         at_spots, at_probe, at_finer = np.split(
             _eval_abs_sq(f, np.concatenate(blocks)), np.cumsum([len(x) for x in blocks[:-1]]))
-        if n > 1:
-            _check_axial_symmetry(spots, at_spots)
+        _check_axial_symmetry(spots, at_spots)
         probe = _radial_profile(at_probe, r, n, ang_w)
         _check_angular_rule(_radial_profile(at_finer, r, n, finer_w), probe, rel_tol)
         mean = probe / (area * r ** (n - 1))

@@ -295,8 +295,8 @@ def test_cli_oracle_off_by_a_share_of_the_datum_fails(tmp_path, monkeypatch):
 
 
 def test_cli_oracle_gap_over_a_zero_state_is_not_agreement(tmp_path, monkeypatch, capsys):
-    # an oracle that is off where the exact state is 0 has rel_err inf and
-    # fails: the CSV takes no inf, so the run exits 2
+    # an oracle that is off where the exact state is 0 disagrees totally:
+    # rel_err is capped at 1 there, and the verdict fails with a finite CSV
     solve = cli.solve_ode_oracle_batch
 
     def off(*args):
@@ -305,8 +305,13 @@ def test_cli_oracle_gap_over_a_zero_state_is_not_agreement(tmp_path, monkeypatch
 
     monkeypatch.setattr(cli, "solve_ode_oracle_batch", off)
     path = write_config(tmp_path, {"data": {"width": 50}})
-    assert main(["oracle-check", "--config", path, "--out", str(tmp_path / "out")]) == 2
-    assert json.loads(capsys.readouterr().err)["error"] == "CSV values must be finite, got inf"
+    out = tmp_path / "out"
+    assert main(["oracle-check", "--config", path, "--out", str(out)]) == 1
+    verdict = json.loads((out / "oracle-check.json").read_text())
+    assert verdict["pass"] is False
+    assert verdict["metrics"]["max_rel_err"] == 1.0
+    rel_err = read_csv(str(out / "oracle-check.csv"))["rel_err"]
+    assert all(math.isfinite(x) for x in rel_err) and max(rel_err) == 1.0
 
 
 def test_cli_plot_from_produced_csv(tmp_path):
@@ -347,9 +352,14 @@ def test_cli_oversized_quadrature_exits_2(tmp_path, monkeypatch, capsys):
     assert json.loads((tmp_path / "out" / "rate.json").read_text()) == diagnostic
 
 
-def test_cli_highfreq_n1_default_config_passes(tmp_path):
+@pytest.mark.parametrize("subcommand", list(cli._RUNNERS))
+def test_cli_rejects_one_dimension(tmp_path, capsys, subcommand):
+    # the paper's decay statements are for n >= 2, so n = 1 is bad input
     path = write_config(tmp_path, {"params": {"n": 1}})
-    assert main(["highfreq", "--config", path, "--out", str(tmp_path / "out")]) == 0
+    assert main([subcommand, "--config", path, "--out", str(tmp_path / "out")]) == 2
+    diagnostic = json.loads(capsys.readouterr().err)
+    assert diagnostic["error"] == "n must be an integer >= 2, got 1"
+    assert "traceback" not in diagnostic
 
 
 def assert_rejected_by_config(tmp_path, capsys, subcommand, payload):

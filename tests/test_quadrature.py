@@ -58,6 +58,8 @@ def test_sphere_area_values():
 def test_cone_cap_area_values():
     assert cone_cap_area(2) == pytest.approx(2 * math.pi / 3, rel=1e-15)
     assert cone_cap_area(3) == pytest.approx(math.pi, rel=1e-15)
+    with pytest.raises(ValueError, match="dimension must be >= 2"):
+        cone_cap_area(1)
     # n=4 via the polar integral; cross-check against dense trapezoid
     nodes = np.linspace(0, math.pi / 3, 200001)
     ref = sphere_area(3) * np.trapezoid(np.sin(nodes) ** 2, nodes)
@@ -131,7 +133,7 @@ def test_symmetry_check_rejects_non_axisymmetric_field(params):
 
 
 def test_unreachable_tolerance_is_reported_not_converged():
-    params = ModelParams(alpha=1.0, beta=1.0, gamma=1.0, n=1)
+    params = PARAMS2
     t = 10.0
     f = isotropic(lambda r: np.exp(-2.0 * params.alpha * r * r * t))
     message = r"full-zone norm at t=10 did not converge: value=\S+, est_error=\S+"
@@ -152,14 +154,6 @@ def test_spec_rejects_degenerate_settings(kwargs):
     # key is an unknown key
     with pytest.raises(ConfigError):
         build_run_config("rate", {"quadrature": kwargs})
-
-
-def test_one_dimensional_reduction():
-    params = ModelParams(alpha=0.8, beta=0.0, gamma=1.0, n=1)
-    t = 4.0
-    f = isotropic(lambda r: np.exp(-2.0 * params.alpha * r * r * t))
-    res = zone_norm_sq(f, params, t, "full")
-    assert res.value == pytest.approx(math.sqrt(math.pi / (2 * params.alpha * t)), rel=1e-9)
 
 
 def _monomial_integral(d):
@@ -185,12 +179,12 @@ def test_embedded_gauss_rule_is_leggauss_7_exact_to_degree_13():
 
 
 def test_error_estimate_bounds_the_true_error():
-    # the Gaussian of test_one_dimensional_reduction, against its closed form
-    params = ModelParams(alpha=0.8, beta=0.0, gamma=1.0, n=1)
+    # a Gaussian in R^2, against its closed form pi / (2 alpha t)
+    params = ModelParams(alpha=0.8, beta=0.0, gamma=1.0, n=2)
     t = 4.0
     f = isotropic(lambda r: np.exp(-2.0 * params.alpha * r * r * t))
     res = zone_norm_sq(f, params, t, "full")
-    exact = math.sqrt(math.pi / (2 * params.alpha * t))
+    exact = math.pi / (2 * params.alpha * t)
     assert abs(res.value - exact) <= res.est_error <= 1e-6 * exact
     # the sine kernel, against its value at rel_tol 1e-12
     for t in (1.0, 37.0, 1e3, 1e4):
@@ -348,28 +342,27 @@ def _sphere_moment(n, d):
     return math.prod(range(1, d, 2)) / math.prod(range(n, n + d - 1, 2))
 
 
-ANGULAR_RULES = [(n, k) for n in range(1, 7) for k in (2, 3) if n > 1 or k == 2]
+ANGULAR_RULES = [(n, k) for n in range(2, 7) for k in (2, 3)]
 
 
 @pytest.mark.parametrize("n,k", ANGULAR_RULES, ids=[f"{n}-{k}" for n, k in ANGULAR_RULES])
 def test_angular_rule_exact_to_degree_2k_minus_1(n, k):
-    # k nodes are exact through degree 2k - 1 and, for n >= 2, off at degree 2k
+    # k nodes are exact through degree 2k - 1 and off at degree 2k
     dirs, ang_w = _angular_frame(n, k)
     u, area = dirs[:, 0], sphere_area(n)
     for d in range(2 * k):
         assert float(np.dot(ang_w, u ** d)) == pytest.approx(
             area * _sphere_moment(n, d), rel=1e-14, abs=1e-15)
-    if n > 1:
-        assert float(np.dot(ang_w, u ** (2 * k))) != pytest.approx(
-            area * _sphere_moment(n, 2 * k), rel=1e-3)
+    assert float(np.dot(ang_w, u ** (2 * k))) != pytest.approx(
+        area * _sphere_moment(n, 2 * k), rel=1e-3)
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(2, 7))
 def test_angular_frame_integrates_sphere_moments(n):
     # over S^{n-1}: int 1 = |S^{n-1}|, int w_1^2 = |S^{n-1}|/n, int w_1^4 = 3|S^{n-1}|/(n(n+2));
-    # the 2-node rule gets the first two, the 3-node rule all three (n = 1 has 2 nodes)
+    # the 2-node rule gets the first two, the 3-node rule all three
     area = sphere_area(n)
-    for k in (2, 3) if n > 1 else (2,):
+    for k in (2, 3):
         dirs, ang_w = _angular_frame(n, k)
         assert dirs.shape == (k, n)
         np.testing.assert_allclose(np.linalg.norm(dirs, axis=1), 1.0, rtol=1e-15)

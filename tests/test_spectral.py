@@ -326,13 +326,13 @@ def test_oracle_matrix_power_matches_step_loop():
 
 
 def test_seeded_property_sweep():
-    # coefficients log-uniform over six decades, every dimension 1..4, radii
+    # coefficients log-uniform over six decades, every dimension 2..4, radii
     # at delta0, at delta0 (1 -+ 1e-3) and at delta0 (1 -+ eps); the data
     # width 1/delta0 keeps the data transform of order one at these radii
     rng = np.random.default_rng(20261018)
     for _ in range(24):
         alpha, beta, gamma = 10.0 ** rng.uniform(-3.0, 3.0, 3)
-        n = int(rng.integers(1, 5))
+        n = int(rng.integers(2, 5))
         params = ModelParams(alpha=alpha, beta=beta, gamma=gamma, n=n)
         d0 = params.delta0
         eps = 10.0 ** rng.uniform(-7.0, -2.0)
@@ -381,18 +381,17 @@ def test_seeded_property_sweep():
                 assert np.all(np.linalg.norm(got - sa, axis=1) <= 1e-8 * size_a)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 5])
+@pytest.mark.parametrize("n", [2, 3, 5])
 def test_sphere_mean_max_against_pointwise_directions(n):
     # |field|^2 of random real coefficients at directions of known u = xi_hat . e1:
     # the 2-node Gauss rule in u integrates the u-quadratic exactly, and a
-    # grid of u through 0 and -+1 attains its maximum over u in [-1, 1]; at
-    # n = 1 the sphere is u = -+1 alone, which that maximum bounds
+    # grid of u through 0 and -+1 attains its maximum over u in [-1, 1]
     rng = np.random.default_rng([17, n])
     dirs, weights = _angular_frame(n, 2)
-    u = np.linspace(-1.0, 1.0, 201) if n > 1 else np.array([-1.0, 1.0])
+    u = np.linspace(-1.0, 1.0, 201)
     grid = np.zeros((u.size, n))
     grid[:, 0] = u
-    grid[:, 1:2] = np.sqrt(1.0 - u * u)[:, None]
+    grid[:, 1] = np.sqrt(1.0 - u * u)
     for _ in range(20):
         coefficients = rng.normal(size=5)
         mean, peak = Field(*coefficients).sphere_mean_max(n)
@@ -405,10 +404,7 @@ def test_sphere_mean_max_against_pointwise_directions(n):
 
         assert float(mean) == pytest.approx(float(np.dot(weights, at(dirs))) / sphere_area(n),
                                             rel=1e-13)
-        if n > 1:
-            assert float(peak) == pytest.approx(float(np.max(at(grid))), rel=1e-13)
-        else:
-            assert float(peak) >= float(np.max(at(grid))) * (1.0 - 1e-13)
+        assert float(peak) == pytest.approx(float(np.max(at(grid))), rel=1e-13)
 
 
 def _bits(*arrays):
