@@ -5,10 +5,8 @@ from .model import (
     VERSINE_RATIO,
     InitialData,
     ModelParams,
-    Moments,
     ParameterError,
     fourier_data_batch,
-    moments,
 )
 from .spectral import solve_exact_batch, solve_ode_oracle_batch
 from .profiles import (

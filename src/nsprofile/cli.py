@@ -181,8 +181,8 @@ def run_sandwich(cfg: RunConfig, threads: int):
 def run_lemma31(cfg: RunConfig, threads: int):
     # each profile-term integral, scaled by t^{n/2}, must plateau on the tail
     n = cfg.params.n
-    heat, sine, cosine, witness = kernel_series(cfg.params, cfg.data.moments.P0, cfg.times,
-                                                cfg.rel_tol, threads)
+    heat, sine, cosine, witness = kernel_series(cfg.params, np.asarray(cfg.data.amplitude_v),
+                                                cfg.times, cfg.rel_tol, threads)
     scale = cfg.times ** (n / 2)
     max_ratio = THRESHOLDS["kernel_max_ratio"]
     items = {label: _plateau(values * scale, max_ratio)

@@ -1,15 +1,15 @@
 """Every norm a verdict reports, decay series, and their least-squares fits.
 
-Each quadrature norm is one ``zone_norm_sq`` call: the velocity, energy and
-remainder fields, the isotropic sine kernel, and the measured remainder
-masses.  The other kernel items of ``lemma31`` (the heat and damped-cosine
-projections and the cone witness) are closed-form Gaussian integrals and
-multiples of G - K_sin, with G the Gaussian integral and K_sin the sine
-kernel, since sin^2 + cos^2 = 1.  Norms at the times of a grid are mapped in
-order over worker threads, so the thread count never changes a value.  Time
-series are fitted by log-log lines for polynomial rates and semi-log lines
-for the exponential high-frequency regime.  The verdicts themselves, with
-their pass marks, are judged by the CLI runners.
+Each quadrature norm is one ``zone_norm_sq`` call: the isotropic sine kernel,
+and through :func:`field_norm_sq` every field(params, data, r, t) of this
+module and of ``profiles``.  The other kernel items of ``lemma31`` (the heat
+and damped-cosine projections and the cone witness) are closed-form Gaussian
+integrals and multiples of G - K_sin, with G the Gaussian integral and K_sin
+the sine kernel, since sin^2 + cos^2 = 1.  Norms at the times of a grid are
+mapped in order over worker threads, so the thread count never changes a
+value.  Time series are fitted by log-log lines for polynomial rates and
+semi-log lines for the exponential high-frequency regime.  The verdicts
+themselves, with their pass marks, are judged by the CLI runners.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .profiles import (
     profile_field,
     sine_correction_field,
 )
-from .quadrature import DEFAULT_REL_TOL, cone_cap_area, sphere_area, zone_norm_sq
+from .quadrature import DEFAULT_REL_TOL, ZoneNorm, cone_cap_area, sphere_area, zone_norm_sq
 from .spectral import Field, exact_field
 # no function here calls them: bench/spans.py wraps these attributes as trace sites
 from .profiles import density_profile, velocity_profile  # noqa: F401
@@ -131,34 +131,40 @@ def fit_semilog(series: DecaySeries) -> DecayFit:
     return _linear_fit(series.times, np.log(series.values))
 
 
-def zone_series(field_at, params: ModelParams, times: np.ndarray, zone: str,
-                rel_tol: float, threads: int) -> np.ndarray:
-    """:func:`zone_norm_sq` of the field ``field_at(t)`` (radii to a
-    ``spectral.Field``) at each time, mapped in order over ``threads`` workers."""
-    def at(t: float) -> float:
-        field = field_at(t)
-        return zone_norm_sq(lambda r: field(r).sphere_mean_max(params.n), params, t, zone,
-                            rel_tol).value
-
-    return np.array(ordered_map(at, [float(t) for t in times], threads))
+def field_norm_sq(field, params: ModelParams, data: InitialData, t: float, zone: str,
+                  rel_tol: float) -> ZoneNorm:
+    """:func:`zone_norm_sq` of ``field(params, data, r, t)``, a
+    ``spectral.Field`` at the radii r: the one place that turns a field into
+    the sphere means and maxima that a zone norm integrates."""
+    return zone_norm_sq(lambda r: field(params, data, r, t).sphere_mean_max(params.n),
+                        params, t, zone, rel_tol)
 
 
-def velocity_field(params: ModelParams, data: InitialData, t: float):
-    """Radii to the exact velocity transform."""
-    return lambda r: exact_field(params, data, r, t, scalar=False)
+def zone_series(field, params: ModelParams, data: InitialData, times: np.ndarray,
+                zone: str, rel_tol: float, threads: int) -> np.ndarray:
+    """:func:`field_norm_sq` values at each time, mapped in order over
+    ``threads`` workers."""
+    return np.array(ordered_map(
+        lambda t: field_norm_sq(field, params, data, t, zone, rel_tol).value,
+        [float(t) for t in times], threads))
 
 
-def remainder_field(params: ModelParams, data: InitialData, t: float, component: str):
-    """Radii to the exact solution minus its leading profile, the ``component``
+def velocity_field(params: ModelParams, data: InitialData, r: np.ndarray, t: float) -> Field:
+    """The exact velocity transform."""
+    return exact_field(params, data, r, t, scalar=False)
+
+
+def remainder_field(params: ModelParams, data: InitialData, r: np.ndarray, t: float,
+                    component: str) -> Field:
+    """The exact solution minus its leading profile, the ``component``
     "velocity" or "density"."""
     part = {"velocity": {"scalar": False}, "density": {"vector": False}}[component]
-    return lambda r: (exact_field(params, data, r, t, **part)
-                      - profile_field(params, data.moments, r, t, **part))
+    return exact_field(params, data, r, t, **part) - profile_field(params, data, r, t, **part)
 
 
-def energy_field(params: ModelParams, data: InitialData, t: float):
-    """Radii to (v_hat, rho_hat) / sqrt(2), whose |.|^2 is the energy density."""
-    return lambda r: Field(*(c / math.sqrt(2.0) for c in exact_field(params, data, r, t)))
+def energy_field(params: ModelParams, data: InitialData, r: np.ndarray, t: float) -> Field:
+    """(v_hat, rho_hat) / sqrt(2), whose |.|^2 is the energy density."""
+    return Field(*(c / math.sqrt(2.0) for c in exact_field(params, data, r, t)))
 
 
 def sine_kernel_integral(params: ModelParams, t: float,
@@ -203,20 +209,16 @@ def measured_remainder_norms(params: ModelParams, data: InitialData, t: float,
     correction, and the lumped five expansion corrections (obtained as the
     exact moment flow minus leading profile minus sine correction).
     """
-    mom = data.moments
-    fields = {"moment_defect": lambda r: moment_defect_field(params, data, r, t),
-              "sine_correction": lambda r: sine_correction_field(params, mom, r, t),
-              "expansion": lambda r: expansion_field(params, mom, r, t)}
-    return {name: zone_norm_sq(lambda r: field(r).sphere_mean_max(params.n), params, t, "low",
-                               rel_tol).value
+    fields = {"moment_defect": moment_defect_field, "sine_correction": sine_correction_field,
+              "expansion": expansion_field}
+    return {name: field_norm_sq(field, params, data, t, "low", rel_tol).value
             for name, field in fields.items()}
 
 
 def velocity_norm_series(params: ModelParams, data: InitialData, times: np.ndarray,
                          rel_tol: float = DEFAULT_REL_TOL, threads: int = 1) -> DecaySeries:
     """L^2 norms ||v_hat(t, .)|| of the exact solution on a time grid."""
-    values = zone_series(partial(velocity_field, params, data), params, times, "full",
-                         rel_tol, threads)
+    values = zone_series(velocity_field, params, data, times, "full", rel_tol, threads)
     return DecaySeries(np.asarray(times, float), np.sqrt(values), label="velocity-norm")
 
 
@@ -225,18 +227,17 @@ def remainder_series(params: ModelParams, data: InitialData, times: np.ndarray,
                      threads: int = 1) -> DecaySeries:
     """Squared low-zone L^2 norms of (exact solution - leading profile) for the
     ``component`` "velocity" or "density"."""
-    values = zone_series(lambda t: remainder_field(params, data, t, component), params,
+    values = zone_series(partial(remainder_field, component=component), params, data,
                          times, "low", rel_tol, threads)
     return DecaySeries(np.asarray(times, float), values, label=f"{component}-remainder-sq")
 
 
 def check_moment_ratio(params: ModelParams, data: InitialData):
-    mom = data.moments
-    p0_norm = mom.p0_norm
-    if mom.Q0 == 0:
+    q0 = data.amplitude_rho
+    if q0 == 0:
         raise ValueError("the optimality statement needs a nonzero density moment")
-    if p0_norm / abs(mom.Q0) > _MAX_MOMENT_RATIO:
-        raise ValueError(f"|P0|/|Q0| = {p0_norm / abs(mom.Q0):.3g} exceeds the admissible "
+    if data.p0_norm / abs(q0) > _MAX_MOMENT_RATIO:
+        raise ValueError(f"|P0|/|Q0| = {data.p0_norm / abs(q0):.3g} exceeds the admissible "
                          f"ratio {_MAX_MOMENT_RATIO}")
 
 
@@ -292,7 +293,6 @@ def highfreq_energy_series(params: ModelParams, data: InitialData, times: np.nda
                            rel_tol: float = DEFAULT_REL_TOL,
                            threads: int = 1) -> tuple[DecaySeries, float]:
     """High-zone energy E_h(t) on a time grid, and E_h(0)."""
-    values = zone_series(partial(energy_field, params, data), params, times, "high",
-                         rel_tol, threads)
+    values = zone_series(energy_field, params, data, times, "high", rel_tol, threads)
     series = DecaySeries(times, values, label="highfreq-energy")
     return series, highfreq_initial_energy(params, data)

@@ -1,4 +1,4 @@
-"""Model coefficients, the Gaussian test data, and its moment machinery.
+"""Model coefficients, the Gaussian test data, and its closed-form transforms.
 
 The linearized system couples a scalar density and an n-vector velocity through
 three constant coefficients: two viscosities (``alpha > 0``, ``beta >= 0``) and
@@ -36,7 +36,7 @@ class ModelParams:
     Requires finite alpha > 0, beta >= 0, gamma > 0 and integer n >= 2, the
     dimensions of the paper's decay statements, with a = gamma^2,
     b^2 = (alpha + beta)^2 and a (4 delta0)^2 finite, so the discriminant
-    4a - b^2 r^2 can be formed.
+    4a - b^2 r^2 can be formed out to r = 4 delta0.
     """
 
     alpha: float
@@ -51,7 +51,8 @@ class ModelParams:
             raise ParameterError(f"beta must be nonnegative and finite, got {self.beta}")
         if not 0 < self.gamma < math.inf:
             raise ParameterError(f"gamma must be positive and finite, got {self.gamma}")
-        # the kernels form a r^2 out to the default full-zone radius r = 4 delta0
+        # the kernels form a r^2 out to the full-zone radius, at least 4 delta0;
+        # its time-dependent part 8/sqrt(alpha t) is checked by zone_norm_sq
         r = 4.0 * self.delta0
         if not all(map(math.isfinite, (self.b * self.b, self.gamma * self.gamma * (r * r)))):
             raise ParameterError(f"(alpha + beta)^2 or gamma^2 (4 delta0)^2 overflows: "
@@ -84,8 +85,9 @@ class InitialData:
     The physical-space fields are
     ``v0_j(x) = amplitude_v[j] * (2 pi s^2)^{-n/2} exp(-|x|^2 / (2 s^2))`` and
     the same radial profile times ``amplitude_rho`` for the density, so the
-    zeroth moments equal the amplitudes exactly and all transforms are closed
-    form.
+    zeroth moments P0 = int v0 and Q0 = int rho0 are exactly ``amplitude_v``
+    and ``amplitude_rho``, their weighted L^{1,1} norms are |P0_j| and |Q0|
+    times :func:`l11_weight`, and all transforms are closed form.
     """
 
     amplitude_v: tuple[float, ...]
@@ -108,9 +110,9 @@ class InitialData:
         return len(self.amplitude_v)
 
     @cached_property
-    def moments(self) -> "Moments":
-        """:func:`moments` of the data, formed once per datum."""
-        return moments(self)
+    def p0_norm(self) -> float:
+        """|P0|, formed once per datum."""
+        return float(np.linalg.norm(self.amplitude_v))
 
     @property
     def mass_sq(self) -> float:
@@ -118,43 +120,11 @@ class InitialData:
         return sum(c * c for c in (*self.amplitude_v, self.amplitude_rho))
 
 
-@dataclass(frozen=True)
-class Moments:
-    """Zeroth moments and weighted L^{1,1} norms of an initial datum."""
-
-    P0: np.ndarray
-    Q0: float
-    l11_v: np.ndarray
-    l11_rho: float
-
-    def __post_init__(self):
-        if np.any(np.abs(self.P0) > self.l11_v + 1e-15):
-            raise ParameterError("|P0_j| must not exceed the weighted norm l11_v[j]")
-        if abs(self.Q0) > self.l11_rho + 1e-15:
-            raise ParameterError("|Q0| must not exceed the weighted norm l11_rho")
-
-    @cached_property
-    def p0_norm(self) -> float:
-        """|P0|, formed once per moments object."""
-        return float(np.linalg.norm(self.P0))
-
-
-def _abs_moment_factor(n: int, width: float) -> float:
-    # E|x| for an isotropic Gaussian of width s in R^n: s*sqrt(2)*G((n+1)/2)/G(n/2)
-    return width * _SQRT2 * math.gamma((n + 1) / 2) / math.gamma(n / 2)
-
-
-def moments(data: InitialData) -> Moments:
-    """Zeroth moments (exactly the amplitudes) and closed-form L^{1,1} norms."""
-    n = data.n
-    p0 = np.asarray(data.amplitude_v, dtype=float)
-    weight = 1.0 + _abs_moment_factor(n, data.width)
-    return Moments(
-        P0=p0,
-        Q0=float(data.amplitude_rho),
-        l11_v=np.abs(p0) * weight,
-        l11_rho=abs(data.amplitude_rho) * weight,
-    )
+def l11_weight(n: int, width: float) -> float:
+    """1 + E|x|, the weighted L^{1,1} norm of the unit-mass Gaussian of width s
+    in R^n, with E|x| = s sqrt(2) Gamma((n+1)/2) / Gamma(n/2); it is at least 1,
+    so no moment exceeds its L^{1,1} norm."""
+    return 1.0 + width * _SQRT2 * math.gamma((n + 1) / 2) / math.gamma(n / 2)
 
 
 def fourier_data_batch(data: InitialData, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

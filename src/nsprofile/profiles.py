@@ -32,14 +32,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import VERSINE_RATIO, InitialData, ModelParams, Moments
+from .model import VERSINE_RATIO, InitialData, ModelParams, l11_weight
 from .quadrature import sphere_area
 from .spectral import Field, flow, pointwise
 # no function here calls it: bench/spans.py wraps this attribute as a trace site
 from .spectral import solve_exact_batch  # noqa: F401
 
 
-def profile_field(params: ModelParams, mom: Moments, r: np.ndarray, t: float,
+def profile_field(params: ModelParams, data: InitialData, r: np.ndarray, t: float,
                   vector: bool = True, scalar: bool = True) -> Field:
     """Leading profiles at radii r: the velocity is heat flow of P0 less its
     longitudinal part, plus the acoustic sine of Q0 and the damped cosine on
@@ -47,7 +47,7 @@ def profile_field(params: ModelParams, mom: Moments, r: np.ndarray, t: float,
     ``vector``, ``scalar`` and zero moments leave coefficients the scalar 0.0
     as in ``spectral.flow``, and the sine and cosine are formed only where
     used."""
-    p, q = mom.p0_norm, mom.Q0
+    p, q = data.p0_norm, data.amplitude_rho
     rr = r * r
     wave = np.exp(-params.b * rr * t / 2.0)
     phase = params.gamma * t * r
@@ -78,17 +78,17 @@ def moment_defect_field(params: ModelParams, data: InitialData, r: np.ndarray,
     if np.any(r > params.delta0 * (1 + 1e-12)):
         raise ValueError("moment defect is evaluated on |xi| <= delta0 only")
     defect = np.exp(-data.width ** 2 * (r * r) / 2.0) - 1.0
-    p, q = data.moments.p0_norm, data.amplitude_rho
+    p, q = data.p0_norm, data.amplitude_rho
     return flow(params, r, t, p * defect if p else 0.0, q * defect if q else 0.0,
                 scalar=False)
 
 
-def sine_correction_field(params: ModelParams, mom: Moments, r: np.ndarray,
+def sine_correction_field(params: ModelParams, data: InitialData, r: np.ndarray,
                           t: float) -> Field:
     """Longitudinal damped-sine correction,
     -(b/2) xi (xi.P0) e^{-b r^2 t/2} sin(gamma t r) / (gamma r); the scalar 0.0
     for P0 = 0."""
-    p = mom.p0_norm
+    p = data.p0_norm
     if not p:
         return Field()
     wave = np.exp(-params.b * (r * r) * t / 2.0)
@@ -96,29 +96,33 @@ def sine_correction_field(params: ModelParams, mom: Moments, r: np.ndarray,
                      / params.gamma))
 
 
-def expansion_field(params: ModelParams, mom: Moments, r: np.ndarray, t: float) -> Field:
+def expansion_field(params: ModelParams, data: InitialData, r: np.ndarray, t: float) -> Field:
     """The five expansion corrections together: the exact moment flow minus
     the leading velocity profile minus the sine correction."""
-    return (flow(params, r, t, mom.p0_norm, mom.Q0, scalar=False)
-            - profile_field(params, mom, r, t, scalar=False)
-            - sine_correction_field(params, mom, r, t))
+    return (flow(params, r, t, data.p0_norm, data.amplitude_rho, scalar=False)
+            - profile_field(params, data, r, t, scalar=False)
+            - sine_correction_field(params, data, r, t))
 
 
-def velocity_profile(params: ModelParams, mom: Moments, xi: np.ndarray, t: float) -> np.ndarray:
+def velocity_profile(params: ModelParams, data: InitialData, xi: np.ndarray,
+                     t: float) -> np.ndarray:
     """Four-term leading profile of the velocity transform at (t, xi != 0)."""
-    return pointwise(lambda r: profile_field(params, mom, r, t), xi, params.n, mom.P0)[0]
+    return pointwise(lambda r: profile_field(params, data, r, t), xi, params.n,
+                     data.amplitude_v)[0]
 
 
-def density_profile(params: ModelParams, mom: Moments, xi: np.ndarray, t: float):
+def density_profile(params: ModelParams, data: InitialData, xi: np.ndarray, t: float):
     """Two-term leading profile of the density transform at (t, xi != 0)."""
-    return pointwise(lambda r: profile_field(params, mom, r, t), xi, params.n, mom.P0)[1]
+    return pointwise(lambda r: profile_field(params, data, r, t), xi, params.n,
+                     data.amplitude_v)[1]
 
 
-def moment_flow(params: ModelParams, mom: Moments, xi: np.ndarray, t: float) -> np.ndarray:
+def moment_flow(params: ModelParams, data: InitialData, xi: np.ndarray,
+                t: float) -> np.ndarray:
     """Exact velocity flow of the pure moments (P0, Q0) with the true
     divided-difference coefficients; the moment defect is solve_exact_batch minus this."""
-    return pointwise(lambda r: flow(params, r, t, mom.p0_norm, mom.Q0),
-                     xi, params.n, mom.P0)[0]
+    return pointwise(lambda r: flow(params, r, t, data.p0_norm, data.amplitude_rho),
+                     xi, params.n, data.amplitude_v)[0]
 
 
 def moment_defect_term(params: ModelParams, data: InitialData, xi: np.ndarray,
@@ -128,11 +132,11 @@ def moment_defect_term(params: ModelParams, data: InitialData, xi: np.ndarray,
                      data.amplitude_v)[0]
 
 
-def sine_correction_term(params: ModelParams, mom: Moments, xi: np.ndarray,
+def sine_correction_term(params: ModelParams, data: InitialData, xi: np.ndarray,
                          t: float) -> np.ndarray:
     """:func:`sine_correction_field` at xi of shape (m, n)."""
-    return pointwise(lambda r: sine_correction_field(params, mom, r, t), xi, params.n,
-                     mom.P0)[0]
+    return pointwise(lambda r: sine_correction_field(params, data, r, t), xi, params.n,
+                     data.amplitude_v)[0]
 
 
 def gaussian_moment_bound(n: int, k: int, rate: float, t: float) -> float:
@@ -177,11 +181,11 @@ def remainder_bounds(params: ModelParams, data: InitialData, t: float) -> Remain
     if t <= 0:
         raise ValueError("t must be positive")
     a, b, g, n = params.a, params.b, params.gamma, params.n
-    mom = data.moments
-    p0_sq = float(np.dot(mom.P0, mom.P0))
-    q0_sq = mom.Q0 ** 2
-    sv = float(np.sum(mom.l11_v ** 2))
-    sr = mom.l11_rho ** 2
+    weight = l11_weight(data.n, data.width)  # the L^{1,1} norms are the moments times it
+    p0_sq = float(np.dot(data.amplitude_v, data.amplitude_v))
+    q0_sq = data.amplitude_rho ** 2
+    sv = float(np.sum((np.abs(data.amplitude_v) * weight) ** 2))
+    sr = (abs(data.amplitude_rho) * weight) ** 2
     lm = VERSINE_RATIO ** 2 + 1.0
 
     gm = lambda k, rate: gaussian_moment_bound(n, k, rate, t)

@@ -198,13 +198,16 @@ def zone_norm_sq(f: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     value is the K15 sum of the first level whose error estimate (the sum over
     its panels of |K15 - G7|) plus the tail estimate is within ``rel_tol`` of
     it, and ``est_error`` is those two estimates together.  An unconverged
-    norm raises :class:`QuadratureError` naming its zone and t.  The probe
+    norm raises :class:`QuadratureError` naming its zone and t, and so does a
+    radius r_max at which the kernels' b^2 r^2 or a r^2 overflows.  The probe
     and the edge radius r_max take one integrand call; each level one more.
     """
     if zone not in ("low", "high", "full"):
         raise ValueError(f"unknown zone {zone!r}")
     r_lo = params.r_low if zone == "high" else 0.0
     r_hi = params.r_low if zone == "low" else default_r_max(params, t)
+    if not math.isfinite(max(params.b * params.b, params.a) * (r_hi * r_hi)):
+        raise QuadratureError(f"b^2 r^2 or a r^2 overflows at r_max={r_hi:.4g}, t={t:g}")
     n, area = params.n, sphere_area(params.n)
 
     # the probe radii and, last, the edge radius r_hi take one integrand call

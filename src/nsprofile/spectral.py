@@ -216,7 +216,7 @@ def exact_field(params: ModelParams, data: InitialData, r: np.ndarray, t: float,
     """:func:`flow` of the data transform, whose envelope is e^{-s^2 r^2 / 2};
     a zero moment stays the scalar 0.0."""
     envelope = np.exp(-data.width ** 2 * (r * r) / 2.0)
-    p, q = data.moments.p0_norm, data.amplitude_rho
+    p, q = data.p0_norm, data.amplitude_rho
     return flow(params, r, t, p * envelope if p else 0.0, q * envelope if q else 0.0,
                 vector, scalar)
 

@@ -24,8 +24,9 @@ from nsprofile.reporting import read_csv
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
+    """Write ``payload`` as JSON, or a string as it is."""
     path = tmp_path / name
-    path.write_text(json.dumps(payload))
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     return str(path)
 
 
@@ -328,7 +329,7 @@ def test_cli_plot_from_produced_csv(tmp_path):
     assert (out / "plot.svg").exists()
 
 
-def test_cli_env_thread_fallback_and_json_thread_independence(tmp_path):
+def test_cli_json_and_csv_thread_independence(tmp_path):
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
     path = write_config(tmp_path, {
         "time_grid": {"t_min": 100.0, "t_max": 2000.0, "points": 8},
@@ -350,6 +351,22 @@ def test_cli_oversized_quadrature_exits_2(tmp_path, monkeypatch, capsys):
     assert diagnostic["error_type"] == "QuadratureError"
     assert "nodes" in diagnostic["error"]
     assert json.loads((tmp_path / "out" / "rate.json").read_text()) == diagnostic
+
+
+@pytest.mark.parametrize("subcommand", ["rate", "sandwich", "highfreq"])
+@pytest.mark.parametrize("params", [{"alpha": 1e-10, "beta": 1e150, "gamma": 1e150},
+                                    {"alpha": 1e-100, "beta": 1e120, "gamma": 1e120}],
+                         ids=["beta1e150", "beta1e120"])
+def test_cli_radius_where_the_kernels_overflow_exits_2(tmp_path, capsys, subcommand, params):
+    # the params are checked at r = 4 delta0, but the full-zone radius
+    # 8/sqrt(alpha t) reaches 8e4 and more here, where b^2 r^2 overflows: the
+    # norm stops before its probe, and stderr is the one diagnostic JSON
+    path = write_config(tmp_path, {"params": params})
+    assert main([subcommand, "--config", path, "--out", str(tmp_path / "out")]) == 2
+    diagnostic = json.loads(capsys.readouterr().err)
+    assert diagnostic["error_type"] == "QuadratureError"
+    assert "overflows" in diagnostic["error"]
+    assert "traceback" not in diagnostic
 
 
 @pytest.mark.parametrize("subcommand", list(cli._RUNNERS))
@@ -400,6 +417,10 @@ def assert_rejected_by_config(tmp_path, capsys, subcommand, payload):
     {"time_grid": {"points": 10**7}},
     # so is the dimension: oracle-check would form (10^6 + 1)-square step matrices
     {"params": {"n": 10**6}},
+    # the root and each section must be objects, and the file JSON
+    [], {"params": 3}, pytest.param("not json {", id="not-json"),
+    # a velocity moment with no component has no dimension
+    {"data": {"amplitude_v": []}},
 ])
 def test_cli_bad_value_exits_2(tmp_path, capsys, payload):
     # json writes NaN/Infinity, which json.load reads back as floats
@@ -418,6 +439,26 @@ def test_cli_plot_bad_value_exits_2(tmp_path, capsys, plot):
     csv.write_text("t,v\n1,2\n2,1\n")
     assert_rejected_by_config(tmp_path, capsys, "plot",
                               {"plot": {"input_csv": str(csv), **plot}})
+
+
+@pytest.mark.parametrize("plot,message", [
+    ({"input_csv": ""}, "plot.input_csv is required"),
+    ({"x": "q"}, "plot.x column 'q' not in CSV header"),
+    ({"y": ["q"]}, "plot.y column 'q' not in CSV header"),
+    ({"axes": "cubic"}, "plot.axes must be loglog/semilogy/linear, got 'cubic'"),
+], ids=["no-input", "x-not-in-header", "y-not-in-header", "cubic-axes"])
+def test_cli_plot_runner_rejects_its_settings(tmp_path, capsys, plot, message):
+    # well-typed plot settings that only the runner can judge against the CSV
+    csv = tmp_path / "in.csv"
+    csv.write_text("t,v\n1,2\n2,1\n")
+    path = write_config(tmp_path, {"plot": {"input_csv": str(csv), **plot}})
+    assert main(["plot", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    diagnostic = json.loads(err)
+    assert diagnostic["error_type"] == "ConfigError"
+    assert diagnostic["error"] == message
+    assert diagnostic["config_hash"]
+    assert "traceback" not in diagnostic and "Traceback" not in err
 
 
 @pytest.mark.parametrize("subcommand", ["oracle-check", "profile-error",

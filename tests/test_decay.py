@@ -11,11 +11,13 @@ from numpy.polynomial.legendre import leggauss
 from nsprofile import decay
 from nsprofile.cli import THRESHOLDS, main, run_highfreq, run_lemma31, run_sandwich
 from nsprofile.config import build_run_config
-from nsprofile.model import InitialData, ModelParams, moments
+from nsprofile.model import InitialData, ModelParams
 from nsprofile.decay import (
     DecaySeries,
     _linear_fit,
     check_moment_ratio,
+    energy_field,
+    field_norm_sq,
     fit_loglog,
     highfreq_initial_energy,
     kernel_series,
@@ -24,7 +26,7 @@ from nsprofile.decay import (
     velocity_norm_series,
 )
 from nsprofile.profiles import velocity_profile
-from nsprofile.quadrature import sphere_area, zone_norm_sq
+from nsprofile.quadrature import DEFAULT_REL_TOL, sphere_area
 from nsprofile.spectral import solve_exact_batch
 from oracles import black_box_norm_sq
 
@@ -221,25 +223,21 @@ def test_highfreq_initial_energy_at_extreme_widths(n, width):
 def test_highfreq_small_against_low_zone():
     # exponential vs polynomial separation: E_high << E_low at t >= 10
     data = InitialData(amplitude_v=(0.1, 0.0), amplitude_rho=1.0, width=1.0)
-    from nsprofile.decay import energy_field
-
     for t in (10.0, 15.0):
-        f = lambda r: energy_field(PARAMS, data, t)(r).sphere_mean_max(PARAMS.n)
-        high = zone_norm_sq(f, PARAMS, t, "high").value
-        low = zone_norm_sq(f, PARAMS, t, "low").value
+        high = field_norm_sq(energy_field, PARAMS, data, t, "high", DEFAULT_REL_TOL).value
+        low = field_norm_sq(energy_field, PARAMS, data, t, "low", DEFAULT_REL_TOL).value
         assert high <= 1e-3 * low
 
 
 def test_remainder_decays_faster_than_solution():
     # fitted remainder-norm slope must sit strictly below the solution's -n/4
     data = InitialData(amplitude_v=(0.1, 0.0), amplitude_rho=1.0, width=1.0)
-    mom = moments(data)
     times = np.geomspace(64, 4096, 7)
 
     def remainder_norm(t):
         def f(xi):
             v, _ = solve_exact_batch(PARAMS, data, xi, t)
-            return v - velocity_profile(PARAMS, mom, xi, t)
+            return v - velocity_profile(PARAMS, data, xi, t)
         return math.sqrt(black_box_norm_sq(f, PARAMS, t, "low").value)
 
     rem = DecaySeries(times, np.array([remainder_norm(float(t)) for t in times]))

@@ -11,10 +11,9 @@ from nsprofile.model import (
     VERSINE_RATIO,
     InitialData,
     ModelParams,
-    Moments,
     ParameterError,
     fourier_data_batch,
-    moments,
+    l11_weight,
 )
 from nsprofile.quadrature import ZoneNorm
 from oracles import ABDecomposition, ab_decomposition, l11_norm_radial_quadrature
@@ -84,31 +83,16 @@ def test_records_are_frozen():
         dataclasses.replace(records["width"], width=0.0)
 
 
-def test_moments_validation():
-    one = np.array([1.0])
-    with pytest.raises(ParameterError):
-        Moments(P0=2.0 * one, Q0=0.0, l11_v=one, l11_rho=0.0)
-    with pytest.raises(ParameterError):
-        Moments(P0=one, Q0=-2.0, l11_v=one, l11_rho=1.0)
-
-
-def test_moments_equal_amplitudes_exactly():
-    data = InitialData(amplitude_v=(0.3, -0.7), amplitude_rho=2.5, width=1.3)
-    m = moments(data)
-    assert m.P0.tolist() == [0.3, -0.7]
-    assert m.Q0 == 2.5
-    assert np.all(np.abs(m.P0) <= m.l11_v)
-    assert abs(m.Q0) <= m.l11_rho
-
-
 @pytest.mark.parametrize("n,width", [(2, 1.0), (3, 0.6), (2, 2.4)])
 def test_l11_closed_form_matches_radial_quadrature(n, width):
     data = InitialData(amplitude_v=(1.0,) * n, amplitude_rho=1.7, width=width)
-    m = moments(data)
+    weight = l11_weight(n, width)
     ref = l11_norm_radial_quadrature(data)
-    assert m.l11_rho == pytest.approx(ref, rel=1e-10)
+    assert 1.7 * weight == pytest.approx(ref, rel=1e-10)
     # same radial profile scaled by the velocity amplitude
-    assert m.l11_v[0] == pytest.approx(ref / 1.7, rel=1e-10)
+    assert weight == pytest.approx(ref / 1.7, rel=1e-10)
+    # no moment exceeds its weighted norm
+    assert weight >= 1.0
 
 
 def test_fourier_data_at_zero_is_the_moment():
@@ -173,12 +157,11 @@ def test_ab_decomposition_value_matches_2d_quadrature_oracle():
 def test_decomposition_identity_on_grid():
     # v0_hat(xi) - P0 = A0(xi) to machine precision (B = 0 for even data)
     data = InitialData(amplitude_v=(0.6, -1.4, 0.2), amplitude_rho=0.9, width=0.7)
-    m = moments(data)
     xi = np.random.default_rng(3).normal(size=(50, 3)) * 2.0
     v_hat, rho_hat = fourier_data_batch(data, xi)
     dec = ab_decomposition(data, xi)
-    np.testing.assert_allclose(v_hat - m.P0, dec.A0, rtol=0, atol=1e-15)
-    np.testing.assert_allclose(rho_hat - m.Q0, dec.A_rho, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(v_hat - np.array(data.amplitude_v), dec.A0, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(rho_hat - data.amplitude_rho, dec.A_rho, rtol=0, atol=1e-15)
 
 
 def test_moment_bound_constants():
@@ -193,13 +176,14 @@ def test_moment_bound_constants():
 def test_moment_remainder_bounds_on_sampled_grid():
     # |A| <= VERSINE_RATIO |xi| l11
     data = InitialData(amplitude_v=(0.8, -0.3), amplitude_rho=1.5, width=1.2)
-    m = moments(data)
+    weight = l11_weight(data.n, data.width)
     r = np.geomspace(1e-3, 30.0, 40)
     theta = np.random.default_rng(11).uniform(0, 2 * math.pi, size=r.size)
     xi = r[:, None] * np.stack([np.cos(theta), np.sin(theta)], axis=1)
     dec = ab_decomposition(data, xi)
-    assert np.all(np.abs(dec.A_rho) <= VERSINE_RATIO * r * m.l11_rho + 1e-12)
-    assert np.all(np.abs(dec.A0) <= VERSINE_RATIO * r[:, None] * m.l11_v + 1e-12)
+    l11_v, l11_rho = np.abs(data.amplitude_v) * weight, abs(data.amplitude_rho) * weight
+    assert np.all(np.abs(dec.A_rho) <= VERSINE_RATIO * r * l11_rho + 1e-12)
+    assert np.all(np.abs(dec.A0) <= VERSINE_RATIO * r[:, None] * l11_v + 1e-12)
 
 
 def test_fourier_data_batch_agrees_with_scalar():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nsprofile.model import InitialData, ModelParams, moments
+from nsprofile.model import InitialData, ModelParams
 from nsprofile.profiles import (
     RemainderBounds,
     density_profile,
@@ -22,30 +22,30 @@ DATA = InitialData(amplitude_v=(0.1, 0.0), amplitude_rho=1.0, width=1.0)
 
 
 def test_velocity_profile_without_velocity_moment():
-    mom = moments(InitialData(amplitude_v=(0.0, 0.0), amplitude_rho=2.0, width=1.0))
+    data = InitialData(amplitude_v=(0.0, 0.0), amplitude_rho=2.0, width=1.0)
     xi = np.array([0.3, 0.2])
     t = 5.0
     r = np.linalg.norm(xi)
     expected = -1j * xi * math.exp(-PARAMS.b * r**2 * t / 2) * math.sin(t * r) / r * 2.0
-    np.testing.assert_allclose(velocity_profile(PARAMS, mom, xi[None, :], t)[0], expected,
+    np.testing.assert_allclose(velocity_profile(PARAMS, data, xi[None, :], t)[0], expected,
                                rtol=1e-14)
 
 
 def test_velocity_profile_heat_terms_cancel_for_parallel_xi():
-    mom = moments(InitialData(amplitude_v=(0.7, 0.0), amplitude_rho=0.0, width=1.0))
+    data = InitialData(amplitude_v=(0.7, 0.0), amplitude_rho=0.0, width=1.0)
     xi = np.array([0.4, 0.0])  # parallel to P0
     t = 3.0
-    prof = velocity_profile(PARAMS, mom, xi[None, :], t)[0]
+    prof = velocity_profile(PARAMS, data, xi[None, :], t)[0]
     r = 0.4
     # only the damped cosine term survives
-    expected = (mom.P0 * math.exp(-PARAMS.b * r**2 * t / 2) * math.cos(t * r))
+    expected = np.array(data.amplitude_v) * math.exp(-PARAMS.b * r**2 * t / 2) * math.cos(t * r)
     np.testing.assert_allclose(prof, expected.astype(complex), rtol=1e-14)
 
 
 def test_velocity_profile_independent_summation_oracle():
     # re-evaluate term by term in reversed order at a point where the cosine
     # term vanishes (gamma t r = pi/2)
-    mom = moments(DATA)
+    p0 = np.array(DATA.amplitude_v)
     r = 0.5
     t = math.pi / 2 / (PARAMS.gamma * r)
     xi = np.array([0.3, 0.4])
@@ -53,25 +53,24 @@ def test_velocity_profile_independent_summation_oracle():
     assert math.isclose(math.sqrt(r2), r)
     heat = math.exp(-PARAMS.alpha * r2 * t)
     wave = math.exp(-PARAMS.b * r2 * t / 2)
-    long_proj = xi * float(xi @ mom.P0) / r2
+    long_proj = xi * float(xi @ p0) / r2
     terms = [
         wave * math.cos(PARAMS.gamma * t * r) * long_proj.astype(complex),
-        -1j * xi * wave * math.sin(PARAMS.gamma * t * r) / r * mom.Q0,
+        -1j * xi * wave * math.sin(PARAMS.gamma * t * r) / r * DATA.amplitude_rho,
         -heat * long_proj.astype(complex),
-        heat * mom.P0.astype(complex),
+        heat * p0.astype(complex),
     ]
     assert abs(terms[0][0]) < 1e-16  # cosine term vanished
     oracle = terms[0] + terms[1] + terms[2] + terms[3]
-    np.testing.assert_allclose(velocity_profile(PARAMS, mom, xi[None, :], t)[0], oracle,
+    np.testing.assert_allclose(velocity_profile(PARAMS, DATA, xi[None, :], t)[0], oracle,
                                rtol=1e-13)
 
 
 def test_velocity_profile_linear_in_moments():
-    mom = moments(DATA)
-    scaled = moments(InitialData(amplitude_v=(0.3, 0.0), amplitude_rho=3.0, width=1.0))
+    scaled = InitialData(amplitude_v=(0.3, 0.0), amplitude_rho=3.0, width=1.0)
     xi = np.array([[0.2, -0.5]])
     np.testing.assert_allclose(
-        3.0 * velocity_profile(PARAMS, mom, xi, 7.0),
+        3.0 * velocity_profile(PARAMS, DATA, xi, 7.0),
         velocity_profile(PARAMS, scaled, xi, 7.0),
         rtol=1e-14,
     )
@@ -79,16 +78,16 @@ def test_velocity_profile_linear_in_moments():
 
 def test_density_profile_examples():
     # P0 = 0 and gamma t r = pi: value is -Q0 e^{-b r^2 t / 2}
-    mom = moments(InitialData(amplitude_v=(0.0, 0.0), amplitude_rho=1.5, width=1.0))
+    data = InitialData(amplitude_v=(0.0, 0.0), amplitude_rho=1.5, width=1.0)
     r = 0.25
     t = math.pi / r
     xi = np.array([[r, 0.0]])
-    val = density_profile(PARAMS, mom, xi, t)[0]
+    val = density_profile(PARAMS, data, xi, t)[0]
     assert val == pytest.approx(-1.5 * math.exp(-PARAMS.b * r**2 * t / 2), rel=1e-12)
 
     # Q0 = 0 and xi perpendicular to P0: identically zero
-    mom2 = moments(InitialData(amplitude_v=(0.9, 0.0), amplitude_rho=0.0, width=1.0))
-    assert density_profile(PARAMS, mom2, np.array([[0.0, 0.8]]), 2.0)[0] == 0.0
+    data2 = InitialData(amplitude_v=(0.9, 0.0), amplitude_rho=0.0, width=1.0)
+    assert density_profile(PARAMS, data2, np.array([[0.0, 0.8]]), 2.0)[0] == 0.0
 
 
 def test_moment_defect_equals_exact_minus_moment_flow():
@@ -96,7 +95,6 @@ def test_moment_defect_equals_exact_minus_moment_flow():
     # the data decomposition forces defect = solve_exact_batch - moment_flow
     params = ModelParams(alpha=1.0, beta=1.0, gamma=1.0, n=2)
     data = InitialData(amplitude_v=(0.3, -0.2), amplitude_rho=0.7, width=1.0)
-    mom = moments(data)
     rng = np.random.default_rng(2)
     for _ in range(12):
         r = rng.uniform(0.05, params.delta0)
@@ -104,7 +102,7 @@ def test_moment_defect_equals_exact_minus_moment_flow():
         xi = r * np.array([[math.cos(theta), math.sin(theta)]])
         t = rng.uniform(0.0, 30.0)
         exact = solve_exact_batch(params, data, xi, t)[0]
-        flow = moment_flow(params, mom, xi, t)
+        flow = moment_flow(params, data, xi, t)
         defect = moment_defect_term(params, data, xi, t)
         scale = max(np.max(np.abs(exact)), np.max(np.abs(flow)), 1e-30)
         np.testing.assert_allclose(defect, exact - flow, atol=5e-15 * scale)
@@ -116,7 +114,6 @@ def test_moment_defect_alternate_coefficient_fails_identity():
     from nsprofile.spectral import _phi_psi
 
     data = InitialData(amplitude_v=(0.3, -0.2), amplitude_rho=0.7, width=1.0)
-    mom = moments(data)
     xi = np.array([0.2, 0.35])
     t = 7.0
     r2 = float(xi @ xi)
@@ -130,7 +127,7 @@ def test_moment_defect_alternate_coefficient_fails_identity():
              - 1j * PARAMS.gamma * phi[0] * a_rho * xi
              + (alt_psi - heat) * float(xi @ a0) / r2 * xi)
     exact = solve_exact_batch(PARAMS, data, xi[None, :], t)[0][0]
-    flow = moment_flow(PARAMS, mom, xi[None, :], t)[0]
+    flow = moment_flow(PARAMS, data, xi[None, :], t)[0]
     right = moment_defect_term(PARAMS, data, xi[None, :], t)[0]
     assert np.max(np.abs(right - (exact - flow))) < 1e-16
     assert np.max(np.abs(wrong - (exact - flow))) > 1e-8 * np.max(np.abs(exact))
@@ -165,21 +162,20 @@ def test_moment_defect_rejects_high_zone():
 
 
 def test_sine_correction_examples():
-    mom = moments(InitialData(amplitude_v=(0.8, 0.0), amplitude_rho=0.0, width=1.0))
+    data = InitialData(amplitude_v=(0.8, 0.0), amplitude_rho=0.0, width=1.0)
     # perpendicular moment: zero
-    val = sine_correction_term(PARAMS, mom, np.array([[0.0, 0.6]]), 3.0)
+    val = sine_correction_term(PARAMS, data, np.array([[0.0, 0.6]]), 3.0)
     np.testing.assert_array_equal(val, np.zeros((1, 2), dtype=complex))
     # gamma t r = pi: sine vanishes
     r = 0.5
-    val = sine_correction_term(PARAMS, mom, np.array([[r, 0.0]]), math.pi / r)
+    val = sine_correction_term(PARAMS, data, np.array([[r, 0.0]]), math.pi / r)
     assert np.max(np.abs(val)) < 1e-15
 
 
 def test_sine_correction_norm_below_closed_form_bound():
     data = InitialData(amplitude_v=(0.8, 0.0), amplitude_rho=0.0, width=1.0)
-    mom = moments(data)
     for t in (16.0, 64.0, 256.0):
-        f = lambda xi: sine_correction_term(PARAMS, mom, xi, t)
+        f = lambda xi: sine_correction_term(PARAMS, data, xi, t)
         measured = black_box_norm_sq(f, PARAMS, t, "low").value
         bound = remainder_bounds(PARAMS, data, t).sine_correction
         assert measured <= bound * 1.05
@@ -190,12 +186,11 @@ def test_raw_remainder_construction():
     # moment_flow - leading - sine term
     xi = np.array([[0.25, 0.15]])
     t = 12.0
-    mom = moments(DATA)
-    leading = velocity_profile(PARAMS, mom, xi, t)
-    sine = sine_correction_term(PARAMS, mom, xi, t)
+    leading = velocity_profile(PARAMS, DATA, xi, t)
+    sine = sine_correction_term(PARAMS, DATA, xi, t)
     raw = solve_exact_batch(PARAMS, DATA, xi, t)[0] - leading
     residual = raw - moment_defect_term(PARAMS, DATA, xi, t) - sine
-    alt = moment_flow(PARAMS, mom, xi, t) - leading - sine
+    alt = moment_flow(PARAMS, DATA, xi, t) - leading - sine
     np.testing.assert_allclose(residual, alt, atol=1e-17)
 
 
@@ -234,12 +229,11 @@ def test_measured_defect_below_bound():
 def test_expansion_sum_below_triangle_bound():
     # the five inaccessible corrections sum to moment_flow - leading - sine_correction;
     # their L2 norm is bounded by the sum of the square roots of the bounds
-    mom = moments(DATA)
     for t in (16.0, 128.0):
         def f(xi):
-            return (moment_flow(PARAMS, mom, xi, t)
-                    - velocity_profile(PARAMS, mom, xi, t)
-                    - sine_correction_term(PARAMS, mom, xi, t))
+            return (moment_flow(PARAMS, DATA, xi, t)
+                    - velocity_profile(PARAMS, DATA, xi, t)
+                    - sine_correction_term(PARAMS, DATA, xi, t))
         measured = black_box_norm_sq(f, PARAMS, t, "low").value
         rb = remainder_bounds(PARAMS, DATA, t)
         triangle = sum(math.sqrt(e) for e in rb.expansion) ** 2
@@ -252,17 +246,16 @@ def test_subtracting_computable_pieces_tightens_remainder():
     # (velocity moment dominant; for density-dominated data the inaccessible
     # acoustic corrections dominate instead and the two sides merely agree)
     data = InitialData(amplitude_v=(1.0, 0.0), amplitude_rho=0.05, width=1.0)
-    mom = moments(data)
     for t in (64.0, 256.0, 2048.0):
         def raw(xi):
             v, _ = solve_exact_batch(PARAMS, data, xi, t)
-            return v - velocity_profile(PARAMS, mom, xi, t)
+            return v - velocity_profile(PARAMS, data, xi, t)
 
         def tightened(xi):
             v, _ = solve_exact_batch(PARAMS, data, xi, t)
-            return (v - velocity_profile(PARAMS, mom, xi, t)
+            return (v - velocity_profile(PARAMS, data, xi, t)
                     - moment_defect_term(PARAMS, data, xi, t)
-                    - sine_correction_term(PARAMS, mom, xi, t))
+                    - sine_correction_term(PARAMS, data, xi, t))
 
         full = black_box_norm_sq(raw, PARAMS, t, "low").value
         rest = black_box_norm_sq(tightened, PARAMS, t, "low").value
@@ -278,11 +271,11 @@ def test_remainder_evaluators_pointwise_linear_in_data():
         moment_defect_term(PARAMS, scaled, xi, t),
         lam * moment_defect_term(PARAMS, DATA, xi, t), rtol=1e-13)
     np.testing.assert_allclose(
-        sine_correction_term(PARAMS, moments(scaled), xi, t),
-        lam * sine_correction_term(PARAMS, moments(DATA), xi, t), rtol=1e-13)
+        sine_correction_term(PARAMS, scaled, xi, t),
+        lam * sine_correction_term(PARAMS, DATA, xi, t), rtol=1e-13)
     np.testing.assert_allclose(
-        density_profile(PARAMS, moments(scaled), xi, t),
-        lam * density_profile(PARAMS, moments(DATA), xi, t), rtol=1e-13)
+        density_profile(PARAMS, scaled, xi, t),
+        lam * density_profile(PARAMS, DATA, xi, t), rtol=1e-13)
 
 
 def test_gaussian_moment_integral_examples():
@@ -311,13 +304,12 @@ def test_gaussian_moment_integral_rejects_bad_args():
 
 
 def test_profile_rejects_origin():
-    mom = moments(DATA)
     with pytest.raises(ValueError):
-        velocity_profile(PARAMS, mom, np.zeros((1, 2)), 1.0)
+        velocity_profile(PARAMS, DATA, np.zeros((1, 2)), 1.0)
     with pytest.raises(ValueError):
-        density_profile(PARAMS, mom, np.zeros((1, 2)), 1.0)
+        density_profile(PARAMS, DATA, np.zeros((1, 2)), 1.0)
     with pytest.raises(ValueError):
-        sine_correction_term(PARAMS, mom, np.zeros((1, 2)), 1.0)
+        sine_correction_term(PARAMS, DATA, np.zeros((1, 2)), 1.0)
     # a single frequency is passed as a one-row batch, never as an n-vector
     with pytest.raises(ValueError, match="shape"):
-        velocity_profile(PARAMS, mom, np.array([0.3, 0.1]), 1.0)
+        velocity_profile(PARAMS, DATA, np.array([0.3, 0.1]), 1.0)

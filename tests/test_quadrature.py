@@ -149,7 +149,7 @@ def test_unreachable_tolerance_is_reported_not_converged():
     dict(base_panels=0), dict(osc_factor=0), dict(angular_nodes=0),
     dict(rel_tol=0.0), dict(rel_tol=-1e-6), dict(rel_tol=math.nan), dict(rel_tol=math.inf),
 ])
-def test_spec_rejects_degenerate_settings(kwargs):
+def test_quadrature_config_rejects_degenerate_settings(kwargs):
     # rel_tol is the one quadrature setting; the layout is fixed, so a layout
     # key is an unknown key
     with pytest.raises(ConfigError):
@@ -449,15 +449,14 @@ def test_zone_norm_counts_its_points_and_level():
     from nsprofile.decay import velocity_field
 
     cfg = build_run_config("rate", {})
-    for t in cfg.times:
+    for t in cfg.times.tolist():
         sizes = []
-        field = velocity_field(cfg.params, cfg.data, float(t))
 
         def f(r):
             sizes.append(r.size)
-            return field(r).sphere_mean_max(cfg.params.n)
+            return velocity_field(cfg.params, cfg.data, r, t).sphere_mean_max(cfg.params.n)
 
-        res = zone_norm_sq(f, cfg.params, float(t), "full", cfg.rel_tol)
+        res = zone_norm_sq(f, cfg.params, t, "full", cfg.rel_tol)
         assert res.level == 0
         assert sizes[0] == _PROBE_POINTS + 1 and len(sizes) == 2
         assert sizes[1] % _PANEL_ORDER == 0 and sizes[1] >= _PANEL_ORDER * _BASE_PANELS

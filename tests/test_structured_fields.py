@@ -8,38 +8,43 @@ A structured field is axially symmetric and quadratic in u by construction;
 this seeded sweep is what checks that its coefficients are the right ones.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 from nsprofile.config import build_run_config
 from nsprofile import decay, quadrature
-from nsprofile.decay import energy_field, kernel_series, remainder_field, velocity_field
-from nsprofile.model import InitialData, ModelParams, moments
+from nsprofile.decay import (
+    energy_field,
+    field_norm_sq,
+    kernel_series,
+    remainder_field,
+    velocity_field,
+)
+from nsprofile.model import InitialData, ModelParams
 from nsprofile.profiles import (
     expansion_field,
     moment_defect_field,
     profile_field,
     sine_correction_field,
 )
-from nsprofile.quadrature import QuadratureError, default_r_max, zone_norm_sq
+from nsprofile.quadrature import DEFAULT_REL_TOL, QuadratureError, default_r_max, zone_norm_sq
 from nsprofile.spectral import exact_field, flow, pointwise
 from oracles import black_box_norm_sq, pointwise_fields
 
-# field -> (its builder: (params, data, t) to radii to its Field, the subcommand
-# whose default grid it runs on, its zone)
+# field -> (its function (params, data, r, t) to its Field, the subcommand whose
+# default grid it runs on, its zone)
 FIELDS = {
     "velocity": (velocity_field, "rate", "full"),
     "energy": (energy_field, "highfreq", "high"),
-    "velocity_remainder": (lambda p, d, t: remainder_field(p, d, t, "velocity"),
+    "velocity_remainder": (partial(remainder_field, component="velocity"),
                            "profile-error", "low"),
-    "density_remainder": (lambda p, d, t: remainder_field(p, d, t, "density"),
+    "density_remainder": (partial(remainder_field, component="density"),
                           "density-profile-error", "low"),
-    "moment_defect": (lambda p, d, t: lambda r: moment_defect_field(p, d, r, t),
-                      "bounds", "low"),
-    "sine_correction": (lambda p, d, t: lambda r: sine_correction_field(p, moments(d), r, t),
-                        "bounds", "low"),
-    "expansion": (lambda p, d, t: lambda r: expansion_field(p, moments(d), r, t),
-                  "bounds", "low"),
+    "moment_defect": (moment_defect_field, "bounds", "low"),
+    "sine_correction": (sine_correction_field, "bounds", "low"),
+    "expansion": (expansion_field, "bounds", "low"),
 }
 # the items of kernel_series' (heat, sine, cosine, witness) that are full-zone
 # norms of a projection field, by their index; they run on the lemma31 grid
@@ -77,7 +82,8 @@ def test_assembly_matches_the_pointwise_formula(name, n):
     r_hi = min(r_hi, 4.0 / np.sqrt(min(params.alpha, params.b / 2, data.width ** 2) * t))
     xi = rng.normal(size=(64, n))
     xi *= (r_hi * rng.uniform(0.01, 1.0, 64) / np.linalg.norm(xi, axis=1))[:, None]
-    vector, scalar = pointwise(FIELDS[name][0](params, data, t), xi, n, data.amplitude_v)
+    vector, scalar = pointwise(lambda r: FIELDS[name][0](params, data, r, t), xi, n,
+                               data.amplitude_v)
     got = {"velocity": vector, "scalar": scalar,
            "both": np.concatenate([vector, scalar[:, None]], axis=1)}[PARTS.get(name, "velocity")]
     fields = pointwise_fields(params, data, t)
@@ -90,14 +96,13 @@ def test_field_coefficients_are_real():
     # b0 and c1 are the real coefficients of i, so no complex array reaches
     # the radial integrands
     params, data, t, _, _ = _draw("velocity", 3)
-    mom = moments(data)
     r = params.r_low * np.linspace(0.0, 1.0, 17)[1:]
-    fields = {"flow": flow(params, r, t, np.linalg.norm(mom.P0), mom.Q0),
+    fields = {"flow": flow(params, r, t, data.p0_norm, data.amplitude_rho),
               "exact_field": exact_field(params, data, r, t),
-              "profile_field": profile_field(params, mom, r, t),
-              "sine_correction_field": sine_correction_field(params, mom, r, t),
+              "profile_field": profile_field(params, data, r, t),
+              "sine_correction_field": sine_correction_field(params, data, r, t),
               "moment_defect_field": moment_defect_field(params, data, r, t),
-              "expansion_field": expansion_field(params, mom, r, t)}
+              "expansion_field": expansion_field(params, data, r, t)}
     for name, field in fields.items():
         for coefficient, value in field._asdict().items():
             assert isinstance(value, (float, np.ndarray)), (name, coefficient)
@@ -113,9 +118,9 @@ def test_zone_norm_matches_the_black_box_integrator(name, n, monkeypatch):
         ref = black_box_norm_sq(f, params, t, zone)
         assert abs(value - ref.value) <= est_error + ref.est_error
         return
-    field = FIELDS[name][0](params, data, t)
+    field = FIELDS[name][0]
     try:
-        got = zone_norm_sq(lambda r: field(r).sphere_mean_max(n), params, t, zone)
+        got = field_norm_sq(field, params, data, t, zone, DEFAULT_REL_TOL)
     except QuadratureError:
         # the default radius can cut off mass that decays in r only through
         # the data envelope, while the tail estimate assumes a Gaussian in
@@ -125,7 +130,7 @@ def test_zone_norm_matches_the_black_box_integrator(name, n, monkeypatch):
             black_box_norm_sq(f, params, t, zone)
         r_max = max(default_r_max(params, t), 12.0 / data.width)
         monkeypatch.setattr(quadrature, "default_r_max", lambda params, t: r_max)
-        got = zone_norm_sq(lambda r: field(r).sphere_mean_max(n), params, t, zone)
+        got = field_norm_sq(field, params, data, t, zone, DEFAULT_REL_TOL)
     ref = black_box_norm_sq(f, params, t, zone)
     assert abs(got.value - ref.value) <= got.est_error + ref.est_error
 
