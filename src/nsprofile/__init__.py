@@ -1,6 +1,7 @@
 """Frequency-space solver and decay-verification toolkit for a linearized
 compressible viscous flow model.  Frequencies are passed as (m, n) batches."""
 
+from ._record import replace
 from .model import (
     VERSINE_RATIO,
     InitialData,

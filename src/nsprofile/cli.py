@@ -23,7 +23,6 @@ import os
 import random
 import sys
 import time
-import traceback
 from functools import partial
 
 import numpy as np
@@ -385,6 +384,7 @@ def _fail(diagnostic: dict, exc: Exception, path: str | None = None) -> int:
     """
     diagnostic = {**diagnostic, "error": str(exc), "error_type": type(exc).__name__}
     if not isinstance(exc, _ANTICIPATED):
+        import traceback  # here, so that only an unanticipated error loads it
         diagnostic["traceback"] = traceback.format_tb(exc.__traceback__)
     if path is not None:
         try:

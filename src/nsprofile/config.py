@@ -8,14 +8,13 @@ every verdict for reproduction.
 
 from __future__ import annotations
 
-import copy
 import json
 import math
-from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
+from ._record import record
 from .model import InitialData, ModelParams, ParameterError
 from .quadrature import DEFAULT_REL_TOL
 
@@ -34,16 +33,6 @@ except ImportError:
 class ConfigError(ValueError):
     """Raised for malformed or invalid run configurations."""
 
-
-_BASE_DEFAULTS: dict[str, Any] = {
-    "params": {"alpha": 1.0, "beta": 1.0, "gamma": 1.0, "n": 2},
-    "data": {"amplitude_v": None, "amplitude_rho": 1.0, "width": 1.0},
-    "time_grid": {"t_min": 100.0, "t_max": 1.0e4, "points": 11},
-    "quadrature": {"rel_tol": DEFAULT_REL_TOL},
-    "oracle": {"seed": 0},
-    "plot": {"input_csv": "", "x": "t", "y": [], "axes": "loglog", "title": ""},
-    "emit_svg": True,
-}
 
 # per-subcommand time grids: remainder runs start earlier, the exponential
 # high-frequency run needs a short-time window
@@ -67,9 +56,17 @@ _ASYMPTOTIC_SUBCOMMANDS = {"profile-error", "density-profile-error", "rate",
 
 
 def default_config(subcommand: str) -> dict[str, Any]:
-    cfg = copy.deepcopy(_BASE_DEFAULTS)
-    cfg["time_grid"].update(_GRID_OVERRIDES.get(subcommand, {}))
-    return cfg
+    """The defaults of ``subcommand``, a new dict that the caller may fill in."""
+    return {
+        "params": {"alpha": 1.0, "beta": 1.0, "gamma": 1.0, "n": 2},
+        "data": {"amplitude_v": None, "amplitude_rho": 1.0, "width": 1.0},
+        "time_grid": {"t_min": 100.0, "t_max": 1.0e4, "points": 11,
+                      **_GRID_OVERRIDES.get(subcommand, {})},
+        "quadrature": {"rel_tol": DEFAULT_REL_TOL},
+        "oracle": {"seed": 0},
+        "plot": {"input_csv": "", "x": "t", "y": [], "axes": "loglog", "title": ""},
+        "emit_svg": True,
+    }
 
 
 # keys whose default (None or an empty list) does not show the type a user
@@ -117,7 +114,7 @@ def merge_config(subcommand: str, user: dict[str, Any]) -> dict[str, Any]:
     return cfg
 
 
-@dataclass(frozen=True)
+@record
 class RunConfig:
     subcommand: str
     params: ModelParams

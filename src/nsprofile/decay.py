@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .model import InitialData, ModelParams
+from ._record import record
+from .model import InitialData, ModelParams, check_dimension
 from .profiles import (
     expansion_field,
     gaussian_moment_bound,
@@ -74,7 +74,7 @@ def ordered_map(fn, items, threads: int = 1) -> list:
     return results
 
 
-@dataclass(frozen=True)
+@record
 class DecaySeries:
     times: np.ndarray
     values: np.ndarray
@@ -93,7 +93,7 @@ class DecaySeries:
             raise ValueError("values must be strictly positive")
 
 
-@dataclass(frozen=True)
+@record
 class DecayFit:
     slope: float
     intercept: float
@@ -136,6 +136,7 @@ def field_norm_sq(field, params: ModelParams, data: InitialData, t: float, zone:
     """:func:`zone_norm_sq` of ``field(params, data, r, t)``, a
     ``spectral.Field`` at the radii r: the one place that turns a field into
     the sphere means and maxima that a zone norm integrates."""
+    check_dimension(params, data.n)
     return zone_norm_sq(lambda r: field(params, data, r, t).sphere_mean_max(params.n),
                         params, t, zone, rel_tol)
 
@@ -259,6 +260,7 @@ def kernel_series(params: ModelParams, p0: np.ndarray, times: np.ndarray,
 
     Needs a nonzero moment vector p0 for the projection items.
     """
+    check_dimension(params, np.size(p0))
     p_sq = float(np.dot(p0, p0))
     if p_sq == 0.0:
         raise ValueError("kernel plateau items need a nonzero moment vector")

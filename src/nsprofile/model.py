@@ -17,10 +17,11 @@ equals the plain integral of the data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+from ._record import record
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -29,7 +30,7 @@ class ParameterError(ValueError):
     """Raised when model parameters violate the thermodynamic restrictions."""
 
 
-@dataclass(frozen=True)
+@record
 class ModelParams:
     """Coefficients of the linearized system plus the space dimension.
 
@@ -78,7 +79,7 @@ class ModelParams:
         return self.delta0 / _SQRT2
 
 
-@dataclass(frozen=True)
+@record
 class InitialData:
     """Gaussian-bump initial data.
 
@@ -118,6 +119,12 @@ class InitialData:
     def mass_sq(self) -> float:
         """|P0|^2 + Q0^2, the squared moments that bound the energy density."""
         return sum(c * c for c in (*self.amplitude_v, self.amplitude_rho))
+
+
+def check_dimension(params: ModelParams, n: int) -> None:
+    """Reject a datum of ``n`` components for the dimension of ``params``."""
+    if n != params.n:
+        raise ValueError(f"data dimension {n} != params dimension {params.n}")
 
 
 def l11_weight(n: int, width: float) -> float:

@@ -28,11 +28,11 @@ identity at machine precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .model import VERSINE_RATIO, InitialData, ModelParams, l11_weight
+from ._record import record
+from .model import VERSINE_RATIO, InitialData, ModelParams, check_dimension, l11_weight
 from .quadrature import sphere_area
 from .spectral import Field, flow, pointwise
 # no function here calls it: bench/spans.py wraps this attribute as a trace site
@@ -155,7 +155,7 @@ def gaussian_moment_bound(n: int, k: int, rate: float, t: float) -> float:
     return c * t ** (-(n + k) / 2)
 
 
-@dataclass(frozen=True)
+@record
 class RemainderBounds:
     """Closed-form upper bounds for the squared low-zone L^2 norms of the
     remainder pieces: the moment defect, the five expansion corrections, and
@@ -178,6 +178,7 @@ def remainder_bounds(params: ModelParams, data: InitialData, t: float) -> Remain
     zone, and the data-dependent entries use the paper's moment bounds
     |A| <= VERSINE_RATIO |xi| L^{1,1} and |B| <= |xi| L^{1,1} (the 1.0 in lm).
     """
+    check_dimension(params, data.n)
     if t <= 0:
         raise ValueError("t must be positive")
     a, b, g, n = params.a, params.b, params.gamma, params.n

@@ -26,11 +26,11 @@ allocating them, so every call has a bounded cost.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from ._record import record
 from .model import ModelParams
 
 # QUADPACK qk15 on [-1, 1]: the non-negative Kronrod abscissae (the rule is
@@ -73,7 +73,7 @@ class QuadratureError(RuntimeError):
     """Raised when a norm evaluation cannot meet its tolerance."""
 
 
-@dataclass(frozen=True)
+@record
 class ZoneNorm:
     """A zone norm, its error estimate, the radii its integrand was evaluated
     at (probe included) and its accepted refinement level."""

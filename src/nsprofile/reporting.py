@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+
+from ._record import record
 
 # escapes XML element text; importing xml.sax.saxutils would load urllib and ssl
 _XML = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
@@ -56,7 +57,7 @@ def read_csv(path: str) -> dict[str, list[float]]:
     return {name: [float(row[j]) for row in rows] for j, name in enumerate(names)}
 
 
-@dataclass(frozen=True)
+@record
 class AxesSpec:
     x_label: str = "t"
     y_label: str = "value"

@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import InitialData, ModelParams, fourier_data_batch
+from .model import InitialData, ModelParams, check_dimension, fourier_data_batch
 
 
 def _phi_psi(params: ModelParams, r2: np.ndarray, t: float,
@@ -225,8 +225,7 @@ def solve_exact_batch(params: ModelParams, data: InitialData, xi: np.ndarray,
                       t: float) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized closed form over xi of shape (m, n); returns (v_hat, rho_hat),
     the :func:`exact_field` at those points."""
-    if data.n != params.n:
-        raise ValueError(f"data dimension {data.n} != params dimension {params.n}")
+    check_dimension(params, data.n)
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
     return pointwise(lambda r: exact_field(params, data, r, t), xi, params.n,

@@ -546,10 +546,13 @@ def test_cli_import_loads_no_executor_machinery():
 def test_cli_import_adds_no_module_beyond_numpys_budget():
     # the per-run import cost: the CLI may add argparse, json, the builtin
     # SHA-256 and the like to what numpy loads, but no executor, logging,
-    # queue, TLS or XML machinery
+    # queue, TLS or XML machinery, no dataclasses (the records build no code),
+    # no copy (the defaults are a literal) and no traceback (only an
+    # unanticipated error loads it)
     code = ("import sys, numpy; loaded = set(sys.modules); import nsprofile.cli; "
             "print(sorted(m for m in set(sys.modules) - loaded if m.partition('.')[0] "
-            "in ('concurrent', 'logging', 'queue', 'ssl', 'xml')))")
+            "in ('concurrent', 'logging', 'queue', 'ssl', 'xml', 'dataclasses', 'copy', "
+            "'traceback')))")
     assert printed(code) == "[]"
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import sys
@@ -8,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from nsprofile import decay
+from nsprofile import decay, replace
 from nsprofile.cli import THRESHOLDS, main, run_highfreq, run_lemma31, run_sandwich
 from nsprofile.config import build_run_config
 from nsprofile.model import InitialData, ModelParams
@@ -21,11 +20,12 @@ from nsprofile.decay import (
     fit_loglog,
     highfreq_initial_energy,
     kernel_series,
+    measured_remainder_norms,
     ordered_map,
     tail_window,
     velocity_norm_series,
 )
-from nsprofile.profiles import velocity_profile
+from nsprofile.profiles import remainder_bounds, velocity_profile
 from nsprofile.quadrature import DEFAULT_REL_TOL, sphere_area
 from nsprofile.spectral import solve_exact_batch
 from oracles import black_box_norm_sq
@@ -40,7 +40,7 @@ def run_verdict(runner, subcommand, times, data=None, **config):
         config["data"] = {"amplitude_v": list(data.amplitude_v),
                           "amplitude_rho": data.amplitude_rho, "width": data.width}
     cfg = build_run_config(subcommand, config)
-    verdict, _, _ = runner(dataclasses.replace(cfg, times=np.asarray(times, float)), 1)
+    verdict, _, _ = runner(replace(cfg, times=np.asarray(times, float)), 1)
     return verdict
 
 
@@ -124,6 +124,23 @@ def test_rate_preconditions():
     for data, reason in ((no_q, "initial data are zero"), (big_p, "exceeds the admissible")):
         with pytest.raises(ValueError, match=reason):
             run_verdict(run_sandwich, "sandwich", t, data)
+
+
+PARAMS_3D = ModelParams(alpha=1.0, beta=1.0, gamma=1.0, n=3)
+DATA_2D = InitialData(amplitude_v=(0.1, 0.0), amplitude_rho=1.0, width=1.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: velocity_norm_series(PARAMS_3D, DATA_2D, np.geomspace(10, 100, 4)),
+    lambda: measured_remainder_norms(PARAMS_3D, DATA_2D, 10.0),
+    lambda: remainder_bounds(PARAMS_3D, DATA_2D, 10.0),
+    lambda: kernel_series(PARAMS_3D, np.array([1.0, 0.0]), np.geomspace(10, 100, 4)),
+], ids=["velocity_norm_series", "measured_remainder_norms", "remainder_bounds",
+        "kernel_series"])
+def test_library_calls_reject_a_datum_of_another_dimension(call):
+    # the config rejects such a datum before a CLI run; a library call must too
+    with pytest.raises(ValueError, match=r"^data dimension 2 != params dimension 3$"):
+        call()
 
 
 def test_rate_smoke_run():

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +5,7 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 from scipy import optimize, special
 
+from nsprofile import replace
 from nsprofile.config import build_run_config
 from nsprofile.model import (
     VERSINE_RATIO,
@@ -16,6 +16,7 @@ from nsprofile.model import (
     l11_weight,
 )
 from nsprofile.quadrature import ZoneNorm
+from nsprofile.reporting import AxesSpec
 from oracles import ABDecomposition, ab_decomposition, l11_norm_radial_quadrature
 
 
@@ -75,12 +76,37 @@ def test_records_are_frozen():
             setattr(record, field, getattr(record, field))
         with pytest.raises(AttributeError):
             record.no_such_field = 0.0
+        with pytest.raises(AttributeError):
+            delattr(record, field)
     assert [type(c) for c in records["width"].amplitude_v] == [float, float]
     # a changed copy is checked like a new record
     with pytest.raises(ParameterError):
-        dataclasses.replace(records["alpha"], alpha=-1.0)
+        replace(records["alpha"], alpha=-1.0)
     with pytest.raises(ParameterError):
-        dataclasses.replace(records["width"], width=0.0)
+        replace(records["width"], width=0.0)
+    assert replace(records["alpha"], n=3) == ModelParams(1.0, 1.0, 1.0, 3)
+    # equal fields compare and hash equal
+    twin = ModelParams(1.0, 1.0, 1.0, n=2)
+    assert twin == records["alpha"] and hash(twin) == hash(records["alpha"])
+    assert twin != ModelParams(1.0, 1.0, 2.0, 2) and twin != (1.0, 1.0, 1.0, 2)
+    data = InitialData((0.0, 1.0), 1.0, 1.0)
+    assert data == records["width"] and hash(data) == hash(records["width"])
+    with pytest.raises(TypeError):  # RunConfig holds dicts
+        hash(records["times"])
+    # the dataclass repr
+    assert repr(twin) == "ModelParams(alpha=1.0, beta=1.0, gamma=1.0, n=2)"
+    assert repr(data) == "InitialData(amplitude_v=(0.0, 1.0), amplitude_rho=1.0, width=1.0)"
+    assert repr(records["value"]) == "ZoneNorm(value=1.0, est_error=0.0, points=15, level=0)"
+    assert repr(AxesSpec()) == ("AxesSpec(x_label='t', y_label='value', x_log=True, "
+                                "y_log=True, title='', guide_slope=None)")
+    assert AxesSpec(y_log=False) == AxesSpec("t", "value", True, False, "", None)
+    # a missing, unknown or duplicate argument
+    for args, kwargs in [((1.0, 1.0, 1.0), {}), ((1.0, 1.0, 1.0, 2), {"delta": 1.0}),
+                         ((1.0, 1.0, 1.0, 2), {"alpha": 1.0}), ((1.0,) * 5, {})]:
+        with pytest.raises(TypeError):
+            ModelParams(*args, **kwargs)
+    with pytest.raises(TypeError):
+        replace(twin, delta=1.0)
 
 
 @pytest.mark.parametrize("n,width", [(2, 1.0), (3, 0.6), (2, 2.4)])
