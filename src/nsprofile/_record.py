@@ -2,12 +2,18 @@
 no code at import."""
 
 
+def _same(x, y) -> bool:
+    """Equal field values: the same object, or the same shape and == everywhere."""
+    equal = x is y or (getattr(x, "shape", None) == getattr(y, "shape", None) and x == y)
+    return equal if isinstance(equal, bool) else bool(equal.all())
+
+
 def record(cls):
     """Make ``cls`` a frozen record of the fields annotated in its own body, in
     order; a class attribute named like a field is that field's default.  It
     takes its fields by position or keyword, then runs ``__post_init__``; it
-    prints as ``Name(field=value, ...)``, compares and hashes by its field
-    values and refuses assignment."""
+    prints as ``Name(field=value, ...)``, compares (arrays element by element)
+    and hashes by its field values and refuses assignment."""
     names = tuple(cls.__annotations__)
     defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
     post_init = getattr(cls, "__post_init__", None)
@@ -31,7 +37,7 @@ def record(cls):
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return astuple(self) == astuple(other)
+        return all(map(_same, astuple(self), astuple(other)))
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in names)

@@ -242,7 +242,7 @@ def check_moment_ratio(params: ModelParams, data: InitialData):
                          f"ratio {_MAX_MOMENT_RATIO}")
 
 
-def kernel_series(params: ModelParams, p0: np.ndarray, times: np.ndarray,
+def kernel_series(params: ModelParams, data: InitialData, times: np.ndarray,
                   rel_tol: float = DEFAULT_REL_TOL, threads: int = 1):
     """The three profile-term integrals and the conical-region witness at each
     time: the full-space norms of the heat projection xi (xi.p0)/|xi|^2
@@ -258,10 +258,10 @@ def kernel_series(params: ModelParams, p0: np.ndarray, times: np.ndarray,
         cosine = |p0|^2/n (G(b, t) - K_sin),
         witness = |p0|^2/4 |cap|/|S^(n-1)| (G(b, t) - K_sin).
 
-    Needs a nonzero moment vector p0 for the projection items.
+    p0 is the velocity moment of ``data``; the projection items need it nonzero.
     """
-    check_dimension(params, np.size(p0))
-    p_sq = float(np.dot(p0, p0))
+    check_dimension(params, data.n)
+    p_sq = float(np.dot(data.amplitude_v, data.amplitude_v))
     if p_sq == 0.0:
         raise ValueError("kernel plateau items need a nonzero moment vector")
     n = params.n

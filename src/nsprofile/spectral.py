@@ -41,11 +41,11 @@ import numpy as np
 from .model import InitialData, ModelParams, check_dimension, fourier_data_batch
 
 
-def _phi_psi(params: ModelParams, r2: np.ndarray, t: float,
+def _phi_psi(params: ModelParams, r: np.ndarray, t: float,
              with_psi: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """Real divided differences Phi = (e^{s1 t}-e^{s2 t})/(s1-s2) and
-    Psi = (s1 e^{s1 t}-s2 e^{s2 t})/(s1-s2) at |xi|^2 = r2, where s1, s2 are the
-    roots of lambda^2 + b r^2 lambda + a r^2, by one formula per root type:
+    Psi = (s1 e^{s1 t}-s2 e^{s2 t})/(s1-s2) at ascending radii r, where s1, s2
+    are the roots of lambda^2 + b r^2 lambda + a r^2, one formula per root type:
 
     - conjugate pair m -+ i w (below delta0): Phi = e^{mt} sin(wt)/w,
       Psi = e^{mt} cos(wt) + m Phi;
@@ -54,36 +54,30 @@ def _phi_psi(params: ModelParams, r2: np.ndarray, t: float,
       Phi = e^{s1 t} (-expm1(-(s1-s2) t)) / (s1-s2), Psi = s1 Phi + e^{s2 t}.
 
     None of them forms a difference of nearby exponentials, so each holds for
-    every (s1-s2) t, and every one gives Phi = 0, Psi = 1 at t = 0.  In
-    ascending radii, the order of every batch that a zone norm takes, the
-    root types are three consecutive slices, and each formula runs on its own
-    slice only.  A batch in another order (from :func:`pointwise`) that holds
-    more than one root type is taken in ascending order and its values are
-    put back, so a radius gets the same bits wherever it stands in its batch.
-    With ``with_psi`` false, Psi is not formed and None stands for it.
+    every (s1-s2) t, and every one gives Phi = 0, Psi = 1 at t = 0.  Each runs
+    on its own slice of the radii, where the root types are consecutive, so a
+    radius has the same bits in any batch; out of order, a radius in another
+    type's slice gives NaN with a RuntimeWarning (0/0 or a negative's root) or,
+    among double roots, ValueError.  Without ``with_psi``, Psi is None.
     """
     a, b = params.a, params.b
-    r = np.sqrt(r2)
-    rr = r * r  # not r2: r2 one ulp apart (xi and a rotated xi) often share r, so disc
+    rr = r * r
     disc = 4.0 * a - b * b * rr  # > 0 oscillatory, 0 at r = delta0, < 0 overdamped
     # [0, osc) oscillatory, [osc, real) double and [real, size) real roots
     osc = real = size = disc.size
-    order = None
-    if size and not disc.min() > 0.0:
-        if (disc[1:] > disc[:-1]).any():
-            order = np.argsort(rr, kind="stable")
-            r, rr, disc = r[order], rr[order], disc[order]
+    if size and not disc[-1] > 0.0:
         ascending = disc[::-1]
         osc -= int(np.searchsorted(ascending, 0.0, side="right"))
         real -= int(np.searchsorted(ascending, 0.0, side="left"))
-    gap = r * np.sqrt(disc if osc == size else np.abs(disc))  # |s1 - s2|
+        if disc[osc:real].any():
+            raise ValueError("_phi_psi takes radii in ascending order")
     m = -0.5 * b * rr  # (s1 + s2) / 2
     phi = np.empty(size)
     psi = np.empty(size) if with_psi else None
     if osc:
         m_osc = m[:osc]
         emt = np.exp(m_osc * t)
-        w = 0.5 * gap[:osc]
+        w = 0.5 * (r[:osc] * np.sqrt(disc[:osc]))  # |s1 - s2| / 2
         wt = w * t
         np.divide(emt * np.sin(wt), w, out=phi[:osc])
         if with_psi:
@@ -95,15 +89,12 @@ def _phi_psi(params: ModelParams, r2: np.ndarray, t: float,
         if with_psi:
             np.add(emt, m_double * t * emt, out=psi[osc:real])
     if real < size:
-        gap_real = gap[real:]
-        s2 = m[real:] - 0.5 * gap_real
+        gap = r[real:] * np.sqrt(-disc[real:])  # s1 - s2
+        s2 = m[real:] - 0.5 * gap
         s1 = a * rr[real:] / s2  # free of the cancellation in m + gap / 2
-        np.divide(np.exp(s1 * t) * -np.expm1(-gap_real * t), gap_real, out=phi[real:])
+        np.divide(np.exp(s1 * t) * -np.expm1(-gap * t), gap, out=phi[real:])
         if with_psi:
             np.add(s1 * phi[real:], np.exp(s2 * t), out=psi[real:])
-    if order is not None:
-        back = np.argsort(order)
-        phi, psi = phi[back], psi[back] if with_psi else None
     return phi, psi
 
 
@@ -162,7 +153,7 @@ def pointwise(field_at, xi: np.ndarray, n: int,
               p0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(vector (m, n), scalar (m,)) at xi of shape (m, n) of the :class:`Field`
     that ``field_at`` gives at the radii |xi|, for the velocity moment ``p0``;
-    rejects other shapes and xi = 0."""
+    rejects other shapes and xi = 0.  ``field_at`` gets the radii sorted."""
     xi = np.asarray(xi, dtype=float)
     if xi.ndim != 2 or xi.shape[1] != n:
         raise ValueError(f"xi must have shape (m, {n}), got {xi.shape}")
@@ -172,7 +163,9 @@ def pointwise(field_at, xi: np.ndarray, n: int,
     p0 = np.asarray(p0, dtype=float)
     norm = np.linalg.norm(p0)
     p_hat = p0 / norm if norm > 0 else np.eye(n)[0]
-    f = field_at(r)
+    order = np.argsort(r, kind="stable")
+    back = np.argsort(order)
+    f = Field(*(x[back] if np.ndim(x) else x for x in field_at(r[order])))
     xi_hat = xi / r[:, None]
     u = xi_hat @ p_hat
     return (np.multiply.outer(f.a, p_hat) + (f.b1 * u + 1j * f.b0)[:, None] * xi_hat,
@@ -196,7 +189,7 @@ def flow(params: ModelParams, r: np.ndarray, t: float, p, q, vector: bool = True
     a and b1, Psi for b1 and c0."""
     with_p, with_q = not _zero(p), not _zero(q)
     rr = r * r
-    phi, psi = _phi_psi(params, rr, t, (vector and with_p) or (scalar and with_q))
+    phi, psi = _phi_psi(params, r, t, (vector and with_p) or (scalar and with_q))
     acoustic = -params.gamma * r * phi
     a = b0 = b1 = c0 = c1 = 0.0
     if vector and with_p:

@@ -134,7 +134,7 @@ DATA_2D = InitialData(amplitude_v=(0.1, 0.0), amplitude_rho=1.0, width=1.0)
     lambda: velocity_norm_series(PARAMS_3D, DATA_2D, np.geomspace(10, 100, 4)),
     lambda: measured_remainder_norms(PARAMS_3D, DATA_2D, 10.0),
     lambda: remainder_bounds(PARAMS_3D, DATA_2D, 10.0),
-    lambda: kernel_series(PARAMS_3D, np.array([1.0, 0.0]), np.geomspace(10, 100, 4)),
+    lambda: kernel_series(PARAMS_3D, DATA_2D, np.geomspace(10, 100, 4)),
 ], ids=["velocity_norm_series", "measured_remainder_norms", "remainder_bounds",
         "kernel_series"])
 def test_library_calls_reject_a_datum_of_another_dimension(call):
@@ -185,7 +185,7 @@ def test_kernel_plateaus_smoke():
     assert items["acoustic-sine"]["plateau_max"] == pytest.approx(
         verdict["metrics"]["sine_limit"], rel=0.02)
     with pytest.raises(ValueError, match="nonzero moment vector"):
-        kernel_series(PARAMS, np.zeros(2), np.geomspace(10, 100, 6))
+        kernel_series(PARAMS, InitialData((0.0, 0.0), 1.0, 1.0), np.geomspace(10, 100, 6))
 
 
 def test_highfreq_energy_report():

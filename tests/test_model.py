@@ -7,6 +7,7 @@ from scipy import optimize, special
 
 from nsprofile import replace
 from nsprofile.config import build_run_config
+from nsprofile.decay import DecaySeries
 from nsprofile.model import (
     VERSINE_RATIO,
     InitialData,
@@ -18,6 +19,22 @@ from nsprofile.model import (
 from nsprofile.quadrature import ZoneNorm
 from nsprofile.reporting import AxesSpec
 from oracles import ABDecomposition, ab_decomposition, l11_norm_radial_quadrature
+
+
+def test_records_that_hold_arrays_compare_by_value():
+    # a field that holds an array compares element by element, and arrays of
+    # other shapes are unequal rather than a broadcast error
+    assert build_run_config("rate", {}) == build_run_config("rate", {})
+    assert build_run_config("rate", {}) != build_run_config("rate", {"params": {"n": 3}})
+    t = np.geomspace(1.0, 10.0, 5)
+    v = np.exp(-t)
+    assert DecaySeries(t, v) == DecaySeries(t.copy(), v.copy())
+    assert DecaySeries(t, v) != DecaySeries(t, 2 * v)
+    assert DecaySeries(t, v) != DecaySeries(t[:4], v[:4])
+    assert DecaySeries(t, v, "a") != DecaySeries(t, v, "b")
+    for series in (build_run_config("rate", {}), DecaySeries(t, v)):
+        with pytest.raises(TypeError):
+            hash(series)
 
 
 def test_derived_params_direct_substitution():

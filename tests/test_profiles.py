@@ -117,7 +117,7 @@ def test_moment_defect_alternate_coefficient_fails_identity():
     xi = np.array([0.2, 0.35])
     t = 7.0
     r2 = float(xi @ xi)
-    phi, psi = _phi_psi(PARAMS, np.array([r2]), t)
+    phi, psi = _phi_psi(PARAMS, np.array([math.sqrt(r2)]), t)
     alt_psi = psi[0] + PARAMS.b * r2 * phi[0]  # equals (s1 e^{s2 t}-s2 e^{s1 t})/(s1-s2)
     heat = math.exp(-PARAMS.alpha * r2 * t)
     env = math.exp(-r2 / 2) - 1.0

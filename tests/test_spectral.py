@@ -1,8 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from nsprofile import spectral
+from nsprofile.cli import main
 from nsprofile.model import InitialData, ModelParams, fourier_data_batch
 from nsprofile.quadrature import sphere_area
 from nsprofile.spectral import (
@@ -81,9 +84,10 @@ def assert_phi_psi_match_reference(params, r, t):
     cancellation. At a double root the reference takes the limit t e^{s t},
     and t replaces 1 / |s1 - s2|. Psi weighs each term by |s| + 1/t more.
     """
+    r = np.sort(r)  # the kernel takes ascending radii
     s1, s2 = complex_roots(params, r)
     ref_phi, ref_psi = complex_phi_psi(s1, s2, t)
-    phi, psi = _phi_psi(params, r * r, t)
+    phi, psi = _phi_psi(params, r, t)
     assert phi.dtype == psi.dtype == np.float64
     gap = np.abs(s1 - s2)
     lever = np.divide(1.0, gap, out=np.full(gap.shape, t), where=gap > 0)
@@ -117,11 +121,10 @@ def test_phi_psi_against_long_double(coeffs):
     a, b = params.a, params.b
     eps = np.array([1e-14, 1e-11, 1e-8, 1e-5, 1e-3, 0.1])
     r = params.delta0 * np.concatenate([1 - eps, 1 + eps, 1 + np.array([1.0, 9.0, 99.0, 999.0])])
-    r2 = r * r
-    rr = np.sqrt(r2) ** 2
+    rr = r * r
     disc = 4.0 * a - b * b * rr
     assert np.all(disc != 0.0)
-    gap = np.sqrt(rr) * np.sqrt(np.abs(disc))
+    gap = r * np.sqrt(np.abs(disc))
     ld = np.longdouble
     m = -ld(b) * rr.astype(ld) / 2
     d = np.sqrt(rr.astype(ld) * np.abs(disc.astype(ld))) / 2
@@ -129,7 +132,7 @@ def test_phi_psi_against_long_double(coeffs):
     for gap_t in (1e-12, 1e-9, 5e-7, 2e-6, 1e-3, 0.5, 1.9, 2.1, 10.0, 100.0):
         for i in range(r.size):
             t = gap_t / gap[i]
-            phi, psi = _phi_psi(params, r2[i:i + 1], t)
+            phi, psi = _phi_psi(params, r[i:i + 1], t)
             dt, emt = d[i] * ld(t), np.exp(m[i] * ld(t))
             if osc[i]:
                 sin_d, cos_d, size = np.sin(dt) / d[i], np.cos(dt), emt
@@ -163,11 +166,11 @@ def test_branch_continuity_at_resonance(eps):
 
 
 def test_solve_exact_initial_condition():
-    # oscillatory, overdamped and r = delta0 exactly, where disc == 0: the
+    # oscillatory, r = delta0 exactly, where disc == 0, and overdamped: the
     # t = 0 norms (highfreq's E_h(0)) need Phi = 0 and Psi = 1 for every root type
-    xi = np.array([[0.3, -0.8], [1.2, -1.6], [PARAMS.delta0, 0.0]])
+    xi = np.array([[0.3, -0.8], [PARAMS.delta0, 0.0], [1.2, -1.6]])
     assert 4.0 * PARAMS.a - PARAMS.b ** 2 * PARAMS.delta0 ** 2 == 0.0
-    phi, psi = _phi_psi(PARAMS, np.sum(xi * xi, axis=1), 0.0)
+    phi, psi = _phi_psi(PARAMS, np.sqrt(np.sum(xi * xi, axis=1)), 0.0)
     assert np.all(phi == 0.0) and np.all(psi == 1.0)
     v, rho = solve_exact_batch(PARAMS, DATA, xi, 0.0)
     env = np.exp(-np.sum(xi * xi, axis=1) / 2)
@@ -411,28 +414,72 @@ def _bits(*arrays):
     return [np.asarray(x).tobytes() for x in arrays]
 
 
-@pytest.mark.parametrize("t", [0.0, 0.7, 30.0])
-def test_phi_psi_of_a_shuffled_batch_is_its_ascending_batch_put_back(t):
-    # the root types are slices of an ascending batch: oscillatory radii, then
-    # r = delta0 (disc exactly 0, twice), then real roots; a shuffled batch
-    # is taken in ascending order and put back, so every radius keeps its bits,
-    # which are also the bits of that radius alone
+def _three_root_types():
+    """Ascending radii that hold every root type: oscillatory radii, then
+    r = delta0 (disc exactly 0, twice), then real roots."""
     d0 = PARAMS.delta0
-    r2 = np.sort(np.concatenate([(d0 * np.linspace(0.05, 3.0, 40)) ** 2, [d0 * d0] * 2]))
-    rr = np.sqrt(r2) ** 2
-    assert np.count_nonzero(4.0 * PARAMS.a - PARAMS.b * PARAMS.b * rr == 0.0) >= 2
-    assert np.any(4.0 * PARAMS.a - PARAMS.b * PARAMS.b * rr > 0.0)
-    assert np.any(4.0 * PARAMS.a - PARAMS.b * PARAMS.b * rr < 0.0)
-    phi, psi = _phi_psi(PARAMS, r2, t)
-    order = np.random.default_rng(11).permutation(r2.size)
-    shuffled = _phi_psi(PARAMS, r2[order], t)
-    assert _bits(*shuffled) == _bits(phi[order], psi[order])
-    for i in range(r2.size):
-        assert _bits(*_phi_psi(PARAMS, r2[i:i + 1], t)) == _bits(phi[i:i + 1], psi[i:i + 1])
+    r = np.sort(np.concatenate([d0 * np.linspace(0.05, 3.0, 40), [d0] * 2]))
+    disc = 4.0 * PARAMS.a - PARAMS.b * PARAMS.b * r * r
+    assert np.count_nonzero(disc == 0.0) >= 2 and np.any(disc > 0.0) and np.any(disc < 0.0)
+    return r
+
+
+@pytest.mark.parametrize("t", [0.0, 0.7, 30.0])
+def test_phi_psi_of_an_ascending_batch_gives_each_radius_its_bits_alone(t):
+    # each formula runs on its own slice of the ascending batch, so every
+    # radius has the bits it has alone
+    r = _three_root_types()
+    phi, psi = _phi_psi(PARAMS, r, t)
+    for i in range(r.size):
+        assert _bits(*_phi_psi(PARAMS, r[i:i + 1], t)) == _bits(phi[i:i + 1], psi[i:i + 1])
     # without Psi, Phi keeps its bits
-    alone, none = _phi_psi(PARAMS, r2[order], t, with_psi=False)
-    assert none is None and _bits(alone) == _bits(phi[order])
+    alone, none = _phi_psi(PARAMS, r, t, with_psi=False)
+    assert none is None and _bits(alone) == _bits(phi)
     assert [x.size for x in _phi_psi(PARAMS, np.empty(0), t)] == [0, 0]
+
+
+@pytest.mark.parametrize("t", [0.0, 0.7, 30.0])
+def test_phi_psi_of_a_batch_out_of_order_fails_loudly(t):
+    # a radius in the slice of another root type takes the square root of a
+    # negative discriminant or divides by a zero gap (a RuntimeWarning, an
+    # error under the suite's filter), or stands among the double roots with
+    # a nonzero discriminant (ValueError): never finite wrong values
+    r = _three_root_types()
+    d0 = PARAMS.delta0
+    batches = [r[np.random.default_rng([11, k]).permutation(r.size)] for k in range(5)]
+    # the last two put a radius off delta0 in the double-root slice, where
+    # only the ValueError stands between them and finite wrong values
+    batches += [r[::-1]] + [d0 * np.array(x) for x in (
+        [2.0, 0.5], [1.0, 0.5], [2.0, 1.0], [0.5, 2.0, 1.0], [3.0, 1.0, 2.0], [2.0, 1.0, 1.0])]
+    for batch in batches:
+        with pytest.raises((ValueError, RuntimeWarning)):
+            _phi_psi(PARAMS, batch, t)
+
+
+VERDICTS = ("profile-error", "density-profile-error", "rate", "sandwich", "lemma31",
+            "highfreq", "bounds")
+
+
+@pytest.mark.parametrize("config,threads,subcommands", [
+    ({}, 1, ("oracle-check",) + VERDICTS),
+    ({"params": {"n": 3}}, 2, VERDICTS),
+], ids=["n2", "n3-t2"])
+def test_every_batch_of_the_default_runs_reaches_phi_psi_ascending(
+        tmp_path, monkeypatch, config, threads, subcommands):
+    batches = []
+
+    def recorded(params, r, t, with_psi=True):
+        batches.append((r.size, bool(np.any(r[1:] < r[:-1]))))
+        return _phi_psi(params, r, t, with_psi)
+
+    monkeypatch.setattr(spectral, "_phi_psi", recorded)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    for sub in subcommands:
+        assert main([sub, "--config", str(path), "--out", str(tmp_path / "out"),
+                     "--threads", str(threads)]) == 0
+    assert sum(size for size, _ in batches) > 10 ** 5
+    assert not any(unordered for _, unordered in batches)
 
 
 def test_pointwise_of_an_unsorted_batch_matches_the_sorted_batch():

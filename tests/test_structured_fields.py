@@ -146,7 +146,7 @@ def _kernel_item(name, params, data, t, monkeypatch):
         return sine_norms[-1]
 
     monkeypatch.setattr(decay, "zone_norm_sq", recorded)
-    value = float(kernel_series(params, data.amplitude_v, [t])[KERNEL_ITEMS[name]][0])
+    value = float(kernel_series(params, data, [t])[KERNEL_ITEMS[name]][0])
     (sine,) = sine_norms
     share = float(np.dot(data.amplitude_v, data.amplitude_v)) / params.n
     if name == "heat_projection":
