@@ -10,8 +10,10 @@ errors and on any other error (with a diagnostic JSON on stderr, never a
 traceback).
 Each runner takes its series and norms from ``decay``, judges its verdict
 against its pass mark in ``THRESHOLDS``, and returns (verdict, columns, plot).
-Inner norm evaluations run on ``--threads`` threads with an order-preserving
-map, so results are byte-identical for any thread count.
+Every run computes on the calling thread.  ``--threads N`` is still accepted
+and checked (N below 1 exits 2) but changes nothing: at the default sizes a
+zone norm is a run of short numpy calls that hold the GIL, so worker threads
+saved no time and cost memory.
 """
 
 from __future__ import annotations
@@ -60,21 +62,27 @@ _ORACLE_TIMES = np.geomspace(0.1, 20.0, 10)
 _ORACLE_STEP = 1e-4
 
 
-def run_oracle_check(cfg: RunConfig, threads: int):
+def run_oracle_check(cfg: RunConfig):
     delta0 = cfg.params.delta0
     radii = np.sort(np.concatenate([_ORACLE_RADII, [delta0 * 0.999, delta0 * 1.001]]))
     n_r, n_t = radii.size, _ORACLE_TIMES.size
     # random.Random is loaded at interpreter start; numpy.random would add 16 modules
     rng = random.Random(cfg.oracle["seed"])
-    angles = 2.0 * math.pi * np.array([[rng.random() for _ in range(n_r)] for _ in range(n_t)])
+    n = cfg.params.n
+    if n == 2:  # uniform on S^1 too; this draw keeps the directions of each n = 2 seed
+        angles = 2.0 * math.pi * np.array([[rng.random() for _ in range(n_r)]
+                                           for _ in range(n_t)])
+        dirs = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+    else:
+        # normalised Gaussian vectors are uniform on S^(n-1)
+        dirs = np.array([[[rng.gauss(0.0, 1.0) for _ in range(n)] for _ in range(n_r)]
+                         for _ in range(n_t)])
+        dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
 
     start = time.perf_counter()
     columns = {"r": [], "t": [], "rel_err": []}
     for j, t in enumerate(_ORACLE_TIMES):
-        dirs = np.zeros((n_r, cfg.params.n))
-        dirs[:, 0] = np.cos(angles[j])
-        dirs[:, 1] = np.sin(angles[j])
-        xi = radii[:, None] * dirs
+        xi = radii[:, None] * dirs[j]
         v_e, rho_e = solve_exact_batch(cfg.params, cfg.data, xi, float(t))
         v_o, rho_o = solve_ode_oracle_batch(cfg.params, cfg.data, xi, float(t), _ORACLE_STEP)
         exact = np.concatenate([v_e, rho_e[:, None]], axis=1)
@@ -107,9 +115,8 @@ def run_oracle_check(cfg: RunConfig, threads: int):
     return verdict, columns, None
 
 
-def run_remainder(component: str, cfg: RunConfig, threads: int):
-    series = remainder_series(cfg.params, cfg.data, cfg.times, component,
-                              cfg.rel_tol, threads)
+def run_remainder(component: str, cfg: RunConfig):
+    series = remainder_series(cfg.params, cfg.data, cfg.times, component, cfg.rel_tol)
     fit = fit_loglog(series)
     expected = -(cfg.params.n / 2 + 1)
     threshold = expected + THRESHOLDS["remainder_slope_margin"]
@@ -127,9 +134,9 @@ def run_remainder(component: str, cfg: RunConfig, threads: int):
     return verdict, columns, plot
 
 
-def run_rate(cfg: RunConfig, threads: int):
+def run_rate(cfg: RunConfig):
     check_moment_ratio(cfg.params, cfg.data)
-    series = velocity_norm_series(cfg.params, cfg.data, cfg.times, cfg.rel_tol, threads)
+    series = velocity_norm_series(cfg.params, cfg.data, cfg.times, cfg.rel_tol)
     fit = fit_loglog(series)
     expected = -cfg.params.n / 4.0
     tol = THRESHOLDS["rate_slope_tol"]
@@ -157,10 +164,10 @@ def _plateau(scaled: np.ndarray, max_ratio: float) -> dict:
             "pass": low > 0 and ratio <= max_ratio}
 
 
-def run_sandwich(cfg: RunConfig, threads: int):
+def run_sandwich(cfg: RunConfig):
     # two-sided optimality: ||v(t)|| t^{n/4} must plateau on the tail
     check_moment_ratio(cfg.params, cfg.data)
-    series = velocity_norm_series(cfg.params, cfg.data, cfg.times, cfg.rel_tol, threads)
+    series = velocity_norm_series(cfg.params, cfg.data, cfg.times, cfg.rel_tol)
     scaled = series.values * series.times ** (cfg.params.n / 4)
     max_ratio = THRESHOLDS["sandwich_max_ratio"]
     plateau = _plateau(scaled, max_ratio)
@@ -177,11 +184,10 @@ def run_sandwich(cfg: RunConfig, threads: int):
     return verdict, columns, plot
 
 
-def run_lemma31(cfg: RunConfig, threads: int):
+def run_lemma31(cfg: RunConfig):
     # each profile-term integral, scaled by t^{n/2}, must plateau on the tail
     n = cfg.params.n
-    heat, sine, cosine, witness = kernel_series(cfg.params, cfg.data, cfg.times, cfg.rel_tol,
-                                                threads)
+    heat, sine, cosine, witness = kernel_series(cfg.params, cfg.data, cfg.times, cfg.rel_tol)
     scale = cfg.times ** (n / 2)
     max_ratio = THRESHOLDS["kernel_max_ratio"]
     items = {label: _plateau(values * scale, max_ratio)
@@ -208,9 +214,8 @@ def run_lemma31(cfg: RunConfig, threads: int):
     return verdict, columns, plot
 
 
-def run_highfreq(cfg: RunConfig, threads: int):
-    series, e_h0 = highfreq_energy_series(cfg.params, cfg.data, cfg.times, cfg.rel_tol,
-                                          threads)
+def run_highfreq(cfg: RunConfig):
+    series, e_h0 = highfreq_energy_series(cfg.params, cfg.data, cfg.times, cfg.rel_tol)
     fit = fit_semilog(series)
     times, values = series.times, series.values
     # averaged-energy inequality int_t^T E_h <= T0 E_h(t): T0 is the largest
@@ -242,7 +247,7 @@ def run_highfreq(cfg: RunConfig, threads: int):
     return verdict, columns, plot
 
 
-def run_bounds(cfg: RunConfig, threads: int):
+def run_bounds(cfg: RunConfig):
     cushion = THRESHOLDS["bounds_cushion"]
 
     def row_at(t: float):
@@ -266,7 +271,7 @@ def run_bounds(cfg: RunConfig, threads: int):
               and measured["expansion"] <= triangle * cushion + 1e-300)
         return row, ok
 
-    results = ordered_map(row_at, [float(t) for t in cfg.times], threads)
+    results = ordered_map(row_at, [float(t) for t in cfg.times])
     columns = {key: [row[key] for row, _ in results] for key in results[0][0]}
     verdict = {"pass": all(ok for _, ok in results),
                "metrics": {"cushion": cushion, "points": len(results)}}
@@ -275,7 +280,7 @@ def run_bounds(cfg: RunConfig, threads: int):
     return verdict, columns, plot
 
 
-def run_plot(cfg: RunConfig, threads: int):
+def run_plot(cfg: RunConfig):
     p = cfg.plot
     if not p["input_csv"]:
         raise ConfigError("plot.input_csv is required")
@@ -349,7 +354,8 @@ _PARSER.add_argument("subcommand", choices=_RUNNERS, metavar="subcommand",
                      help=", ".join(_RUNNERS))
 _PARSER.add_argument("--config", required=True, help="JSON run configuration")
 _PARSER.add_argument("--out", default="out", help="output directory (default: out)")
-_PARSER.add_argument("--threads", type=int, default=1, help="worker threads (default: 1)")
+_PARSER.add_argument("--threads", type=int, default=1,
+                     help="accepted and checked (at least 1); every run uses one thread")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -367,7 +373,7 @@ def main(argv: list[str] | None = None) -> int:
         return _fail({"subcommand": args.subcommand}, exc)
 
     try:
-        verdict, columns, plot = _RUNNERS[args.subcommand](cfg, args.threads)
+        verdict, columns, plot = _RUNNERS[args.subcommand](cfg)
         _write_outputs(cfg, args.out, verdict, columns, plot)
     except Exception as exc:
         diagnostic = {"subcommand": args.subcommand, "pass": False,

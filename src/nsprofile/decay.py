@@ -5,9 +5,10 @@ and through :func:`field_norm_sq` every field(params, data, r, t) of this
 module and of ``profiles``.  The other kernel items of ``lemma31`` (the heat
 and damped-cosine projections and the cone witness) are closed-form Gaussian
 integrals and multiples of G - K_sin, with G the Gaussian integral and K_sin
-the sine kernel, since sin^2 + cos^2 = 1.  Norms at the times of a grid are
-mapped in order over worker threads, so the thread count never changes a
-value.  Time series are fitted by log-log lines for polynomial rates and
+the sine kernel, since sin^2 + cos^2 = 1.  The norms of a time grid are taken
+in order on the calling thread: at the default sizes each is a run of short
+numpy calls that hold the GIL, so worker threads saved no time and cost
+memory.  Time series are fitted by log-log lines for polynomial rates and
 semi-log lines for the exponential high-frequency regime.  The verdicts
 themselves, with their pass marks, are judged by the CLI runners.
 """
@@ -15,7 +16,6 @@ themselves, with their pass marks, are judged by the CLI runners.
 from __future__ import annotations
 
 import math
-import threading
 from functools import partial
 
 import numpy as np
@@ -39,39 +39,11 @@ _TAIL_MIN_POINTS = 6
 _MAX_MOMENT_RATIO = 0.1  # |P0|/|Q0| above which the sandwich statement is not made
 
 
+# a plain map; bench/spans.py wraps it and binds ``fn`` and ``threads``, so both stay
 def ordered_map(fn, items, threads: int = 1) -> list:
-    """Map preserving input order; thread count never changes the results.
-
-    The calling thread and ``threads - 1`` others each walk a fixed stride of
-    the items.  If items fail, the exception of the first of them in input
-    order is raised, whatever the thread count: each stride stops at its own
-    first failure, so every item before the first failing one has run and
-    that failure is always recorded.
-    """
-    items = list(items)
-    threads = min(threads, len(items))
-    if threads <= 1:
-        return [fn(x) for x in items]
-    results = [None] * len(items)
-    errors = {}
-
-    def walk(start: int) -> None:
-        for i in range(start, len(items), threads):
-            try:
-                results[i] = fn(items[i])
-            except BaseException as exc:
-                errors[i] = exc
-                return
-
-    workers = [threading.Thread(target=walk, args=(k,)) for k in range(1, threads)]
-    for worker in workers:
-        worker.start()
-    walk(0)
-    for worker in workers:
-        worker.join()
-    if errors:
-        raise errors[min(errors)]
-    return results
+    """``fn`` of each item, in input order, on the calling thread; ``threads``
+    is ignored."""
+    return [fn(x) for x in items]
 
 
 @record
@@ -142,12 +114,11 @@ def field_norm_sq(field, params: ModelParams, data: InitialData, t: float, zone:
 
 
 def zone_series(field, params: ModelParams, data: InitialData, times: np.ndarray,
-                zone: str, rel_tol: float, threads: int) -> np.ndarray:
-    """:func:`field_norm_sq` values at each time, mapped in order over
-    ``threads`` workers."""
+                zone: str, rel_tol: float) -> np.ndarray:
+    """:func:`field_norm_sq` values at each time."""
     return np.array(ordered_map(
         lambda t: field_norm_sq(field, params, data, t, zone, rel_tol).value,
-        [float(t) for t in times], threads))
+        [float(t) for t in times]))
 
 
 def velocity_field(params: ModelParams, data: InitialData, r: np.ndarray, t: float) -> Field:
@@ -217,19 +188,18 @@ def measured_remainder_norms(params: ModelParams, data: InitialData, t: float,
 
 
 def velocity_norm_series(params: ModelParams, data: InitialData, times: np.ndarray,
-                         rel_tol: float = DEFAULT_REL_TOL, threads: int = 1) -> DecaySeries:
+                         rel_tol: float = DEFAULT_REL_TOL) -> DecaySeries:
     """L^2 norms ||v_hat(t, .)|| of the exact solution on a time grid."""
-    values = zone_series(velocity_field, params, data, times, "full", rel_tol, threads)
+    values = zone_series(velocity_field, params, data, times, "full", rel_tol)
     return DecaySeries(np.asarray(times, float), np.sqrt(values), label="velocity-norm")
 
 
 def remainder_series(params: ModelParams, data: InitialData, times: np.ndarray,
-                     component: str, rel_tol: float = DEFAULT_REL_TOL,
-                     threads: int = 1) -> DecaySeries:
+                     component: str, rel_tol: float = DEFAULT_REL_TOL) -> DecaySeries:
     """Squared low-zone L^2 norms of (exact solution - leading profile) for the
     ``component`` "velocity" or "density"."""
     values = zone_series(partial(remainder_field, component=component), params, data,
-                         times, "low", rel_tol, threads)
+                         times, "low", rel_tol)
     return DecaySeries(np.asarray(times, float), values, label=f"{component}-remainder-sq")
 
 
@@ -243,7 +213,7 @@ def check_moment_ratio(params: ModelParams, data: InitialData):
 
 
 def kernel_series(params: ModelParams, data: InitialData, times: np.ndarray,
-                  rel_tol: float = DEFAULT_REL_TOL, threads: int = 1):
+                  rel_tol: float = DEFAULT_REL_TOL):
     """The three profile-term integrals and the conical-region witness at each
     time: the full-space norms of the heat projection xi (xi.p0)/|xi|^2
     e^{-alpha t |xi|^2} and the damped cosine projection xi (xi.p0)/|xi|^2
@@ -266,8 +236,7 @@ def kernel_series(params: ModelParams, data: InitialData, times: np.ndarray,
         raise ValueError("kernel plateau items need a nonzero moment vector")
     n = params.n
     times = [float(t) for t in times]
-    sine = np.array(ordered_map(lambda t: sine_kernel_integral(params, t, rel_tol),
-                                times, threads))
+    sine = np.array(ordered_map(lambda t: sine_kernel_integral(params, t, rel_tol), times))
     gauss = lambda rate: np.array([gaussian_moment_bound(n, 0, rate, t) for t in times])
     cos_mass = gauss(params.b) - sine
     heat = p_sq / n * gauss(2.0 * params.alpha)
@@ -292,9 +261,8 @@ def highfreq_initial_energy(params: ModelParams, data: InitialData) -> float:
 
 
 def highfreq_energy_series(params: ModelParams, data: InitialData, times: np.ndarray,
-                           rel_tol: float = DEFAULT_REL_TOL,
-                           threads: int = 1) -> tuple[DecaySeries, float]:
+                           rel_tol: float = DEFAULT_REL_TOL) -> tuple[DecaySeries, float]:
     """High-zone energy E_h(t) on a time grid, and E_h(0)."""
-    values = zone_series(energy_field, params, data, times, "high", rel_tol, threads)
+    values = zone_series(energy_field, params, data, times, "high", rel_tol)
     series = DecaySeries(times, values, label="highfreq-energy")
     return series, highfreq_initial_energy(params, data)

@@ -39,7 +39,7 @@ def run_verdict(runner, subcommand, times, config):
     """The verdict of ``runner`` at ``config``, whose time grid must be ``times``."""
     cfg = build_run_config(subcommand, config)
     assert np.array_equal(cfg.times, times)
-    verdict, _, _ = runner(cfg, 1)
+    verdict, _, _ = runner(cfg)
     return verdict
 
 

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -232,7 +233,7 @@ def test_oracle_check_passes_for_every_seed(n):
     worst = 0.0
     for seed in range(40):
         cfg = build_run_config("oracle-check", {"params": {"n": n}, "oracle": {"seed": seed}})
-        verdict, _, _ = run_oracle_check(cfg, 1)
+        verdict, _, _ = run_oracle_check(cfg)
         assert verdict["pass"] is True, seed
         worst = max(worst, verdict["metrics"]["max_rel_err"])
     assert worst <= 1e-8
@@ -295,6 +296,25 @@ def test_cli_oracle_off_by_a_share_of_the_datum_fails(tmp_path, monkeypatch):
     assert max(rel_err) == pytest.approx(1e-6, rel=1e-3)
 
 
+@pytest.mark.parametrize("p0", [[0.05, 0.0, 0.0], [0.0, 0.0, 0.05]], ids=["e1", "e3"])
+def test_cli_oracle_sees_the_u_terms_for_any_moment_direction(tmp_path, monkeypatch, p0):
+    # a closed form without its u = xi_hat . p_hat terms b1 and c1 is wrong
+    # wherever u != 0; directions drawn on the whole sphere find that for P0
+    # along e3 too, where the (e1, e2) plane alone has u = 0.  Unpatched, the
+    # closed form passes at both directions
+    from nsprofile import spectral
+
+    out = tmp_path / "out"
+    path = write_config(tmp_path, {"params": {"n": 3}, "data": {"amplitude_v": p0}})
+    assert main(["oracle-check", "--config", path, "--out", str(out)]) == 0
+    flow = spectral.flow
+    monkeypatch.setattr(spectral, "flow",
+                        lambda *args, **kw: flow(*args, **kw)._replace(b1=0.0, c1=0.0))
+    assert main(["oracle-check", "--config", path, "--out", str(out)]) == 1
+    verdict = json.loads((out / "oracle-check.json").read_text())
+    assert verdict["metrics"]["max_rel_err"] > 1e-3
+
+
 def test_cli_oracle_gap_over_a_zero_state_is_not_agreement(tmp_path, monkeypatch, capsys):
     # an oracle that is off where the exact state is 0 disagrees totally:
     # rel_err is capped at 1 there, and the verdict fails with a finite CSV
@@ -339,6 +359,21 @@ def test_cli_json_and_csv_thread_independence(tmp_path):
     # verdict files are byte-identical regardless of parallelism
     assert (out1 / "rate.json").read_bytes() == (out2 / "rate.json").read_bytes()
     assert (out1 / "rate.csv").read_bytes() == (out2 / "rate.csv").read_bytes()
+
+
+def test_cli_threads_start_no_thread(tmp_path, monkeypatch):
+    # every run computes on the calling thread, whatever --threads says
+    def refuse(self):
+        raise RuntimeError("a run started a thread")
+
+    path = write_config(tmp_path, {"params": {"n": 3}})
+    assert main(["rate", "--config", path, "--out", str(tmp_path / "t1"),
+                 "--threads", "1"]) == 0
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert main(["rate", "--config", path, "--out", str(tmp_path / "t4"),
+                 "--threads", "4"]) == 0
+    for name in ("rate.csv", "rate.json", "rate.svg"):
+        assert (tmp_path / "t4" / name).read_bytes() == (tmp_path / "t1" / name).read_bytes()
 
 
 def test_cli_oversized_quadrature_exits_2(tmp_path, monkeypatch, capsys):
@@ -602,7 +637,7 @@ def test_cli_csv_header_matches_bench_reference(tmp_path, subcommand):
 
 
 def test_cli_unexpected_runner_error_exits_2(tmp_path, monkeypatch, capsys):
-    def broken(cfg, threads):
+    def broken(cfg):
         raise TypeError("unsupported operand")
 
     monkeypatch.setitem(cli._RUNNERS, "rate", broken)
