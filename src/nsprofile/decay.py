@@ -80,8 +80,7 @@ def tail_window(length: int) -> tuple[int, int]:
 
 
 def _linear_fit(x: np.ndarray, y: np.ndarray) -> DecayFit:
-    # closed form about correctly rounded means: np.polyfit's LAPACK lstsq
-    # would make OpenBLAS allocate its work buffers for this one small fit
+    # closed form about correctly rounded means
     mx, my = math.fsum(x) / x.size, math.fsum(y) / y.size
     xc, yc = x - mx, y - my
     slope = float(np.sum(xc * yc) / np.sum(xc * xc))
@@ -231,7 +230,7 @@ def kernel_series(params: ModelParams, data: InitialData, times: np.ndarray,
     p0 is the velocity moment of ``data``; the projection items need it nonzero.
     """
     check_dimension(params, data.n)
-    p_sq = float(np.dot(data.amplitude_v, data.amplitude_v))
+    p_sq = data.p0_sq
     if p_sq == 0.0:
         raise ValueError("kernel plateau items need a nonzero moment vector")
     n = params.n

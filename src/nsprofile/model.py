@@ -111,14 +111,19 @@ class InitialData:
         return len(self.amplitude_v)
 
     @cached_property
+    def p0_sq(self) -> float:
+        """|P0|^2, summed once per datum."""
+        return sum(c * c for c in self.amplitude_v)
+
+    @cached_property
     def p0_norm(self) -> float:
-        """|P0|, formed once per datum."""
-        return float(np.linalg.norm(self.amplitude_v))
+        """|P0|."""
+        return math.sqrt(self.p0_sq)
 
     @property
     def mass_sq(self) -> float:
         """|P0|^2 + Q0^2, the squared moments that bound the energy density."""
-        return sum(c * c for c in (*self.amplitude_v, self.amplitude_rho))
+        return self.p0_sq + self.amplitude_rho * self.amplitude_rho
 
 
 def check_dimension(params: ModelParams, n: int) -> None:

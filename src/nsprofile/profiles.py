@@ -183,7 +183,7 @@ def remainder_bounds(params: ModelParams, data: InitialData, t: float) -> Remain
         raise ValueError("t must be positive")
     a, b, g, n = params.a, params.b, params.gamma, params.n
     weight = l11_weight(data.n, data.width)  # the L^{1,1} norms are the moments times it
-    p0_sq = float(np.dot(data.amplitude_v, data.amplitude_v))
+    p0_sq = data.p0_sq
     q0_sq = data.amplitude_rho ** 2
     sv = float(np.sum((np.abs(data.amplitude_v) * weight) ** 2))
     sr = (abs(data.amplitude_rho) * weight) ** 2

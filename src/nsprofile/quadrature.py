@@ -130,8 +130,9 @@ def _panel_nodes(segments: list[tuple[float, float, int]]) -> tuple[np.ndarray, 
 def _kronrod(values: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
     """K15 sum of ``values`` over a :func:`_radial_layout` with ``weights``, and
     its error estimate, the sum over panels of |K15 - G7|."""
-    panel_gaps = (values * weights).reshape(-1, _PANEL_ORDER) @ _GAUSS_GAP
-    return float(np.dot(values, weights)), float(np.abs(panel_gaps).sum())
+    terms = values * weights
+    panel_gaps = (terms.reshape(-1, _PANEL_ORDER) * _GAUSS_GAP).sum(axis=1)
+    return float(np.sum(terms)), float(np.abs(panel_gaps).sum())
 
 
 def _active_end(radii: np.ndarray, probe: np.ndarray, r_lo: float, r_hi: float) -> float:

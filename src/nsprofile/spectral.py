@@ -30,6 +30,15 @@ which a :class:`Field` holds as the scalar 0.0.
 
 The classical fixed-step RK4 integrator is kept deliberately independent of
 the closed form and serves as the verification oracle.
+
+No runtime code of the package calls a BLAS- or LAPACK-backed numpy function:
+not ``@``, ``np.dot``, ``np.matmul``, ``np.linalg.matrix_power`` or
+``np.polyfit``, nor ``np.linalg.norm`` without ``axis``.  Their operands here
+are 3x3 and 4x4 matrices, 15-point panels and 2- or 3-vectors, where BLAS
+saves microseconds per call at most, while the first BLAS call of a process
+pages OpenBLAS code and buffers in: 412 KiB of the 1.4 MB that the 8
+subcommands at n = 2 added to the resident set when they still called it
+(numpy 2.4.6, x86-64; the README gives the benchmark figures).
 """
 
 from __future__ import annotations
@@ -161,13 +170,13 @@ def pointwise(field_at, xi: np.ndarray, n: int,
     if np.any(r == 0.0):
         raise ValueError("xi = 0 is excluded from pointwise evaluation")
     p0 = np.asarray(p0, dtype=float)
-    norm = np.linalg.norm(p0)
+    norm = np.sqrt(np.sum(p0 * p0))
     p_hat = p0 / norm if norm > 0 else np.eye(n)[0]
     order = np.argsort(r, kind="stable")
     back = np.argsort(order)
     f = Field(*(x[back] if np.ndim(x) else x for x in field_at(r[order])))
     xi_hat = xi / r[:, None]
-    u = xi_hat @ p_hat
+    u = np.sum(xi_hat * p_hat, axis=1)
     return (np.multiply.outer(f.a, p_hat) + (f.b1 * u + 1j * f.b0)[:, None] * xi_hat,
             f.c0 + 1j * f.c1 * u)
 
@@ -238,14 +247,22 @@ def _flow_matrix(params: ModelParams, xi: np.ndarray) -> np.ndarray:
     return gen
 
 
+def _matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The matrix products x[k] y[k] of stacks (m, i, j) and (m, j, l), as a
+    broadcast sum: np.einsum also calls no BLAS and is faster per call, but
+    pages another 64 KiB of numpy's code in at n = 2."""
+    return (x[:, :, :, None] * y[:, None, :, :]).sum(axis=2)
+
+
 def solve_ode_oracle_batch(params: ModelParams, data: InitialData, xi: np.ndarray,
                            t: float, step: float) -> tuple[np.ndarray, np.ndarray]:
     """Classical RK4 integration of the frequency ODE system, batched over xi.
 
     The system is linear and autonomous, so one RK4 step is exactly the
     degree-4 Taylor polynomial of the step matrix applied to the state; the
-    matrix is formed once and raised to the number of steps by repeated
-    squaring (global error O(step^4), independent of the closed-form path).
+    matrix is formed once and its powers 2^k, found by repeated squaring, are
+    applied to the state for the set bits k of the number of steps, lowest
+    first (global error O(step^4), independent of the closed-form path).
     All points share the endpoint t; the stability guard requires
     b |xi|^2 step < 0.5 and the actual uniform step is t/ceil(t/step).
     """
@@ -256,16 +273,19 @@ def solve_ode_oracle_batch(params: ModelParams, data: InitialData, xi: np.ndarra
     if np.max(params.b * r2) * step >= 0.5:
         raise ValueError("step too large: b |xi|^2 step must stay below 0.5")
     v0, rho0 = fourier_data_batch(data, xi)
-    y = np.concatenate([v0, rho0[:, None]], axis=1, dtype=complex)
+    y = np.concatenate([v0, rho0[:, None]], axis=1, dtype=complex)[:, :, None]
     if t > 0:
         nsteps = max(1, int(np.ceil(t / step)))
         h = t / nsteps
         ha = h * _flow_matrix(params, xi)
-        eye = np.broadcast_to(np.eye(xi.shape[1] + 1, dtype=complex), ha.shape)
-        rk4 = eye + ha
+        rk4 = np.eye(xi.shape[1] + 1) + ha
         power = ha
         for k in (2.0, 3.0, 4.0):
-            power = np.matmul(power, ha) / k
+            power = _matmul(power, ha) / k
             rk4 = rk4 + power
-        y = np.einsum("mij,mj->mi", np.linalg.matrix_power(rk4, nsteps), y)
-    return y[:, :-1].copy(), y[:, -1].copy()
+        while nsteps:
+            nsteps, bit = divmod(nsteps, 2)
+            if bit:
+                y = _matmul(rk4, y)
+            rk4 = _matmul(rk4, rk4)
+    return y[:, :-1, 0].copy(), y[:, -1, 0].copy()

@@ -636,6 +636,42 @@ def test_cli_csv_header_matches_bench_reference(tmp_path, subcommand):
     assert header == (REFERENCE / f"{subcommand}.csv").read_text().split("\n", 1)[0]
 
 
+# Rss in KiB of the mappings whose path names OpenBLAS, None if there are none
+OPENBLAS_RSS = '''
+def openblas_rss():
+    sizes, inside = [], False
+    with open("/proc/self/smaps") as fh:
+        for line in fh:
+            key, _, rest = line.partition(" ")
+            if not key.endswith(":"):  # a mapping's header line
+                inside = "openblas" in rest
+            elif inside and key == "Rss:":
+                sizes.append(int(rest.split()[0]))
+    return sum(sizes) if sizes else None
+'''
+
+
+@pytest.mark.parametrize("n, subcommands", [(2, COMPUTE_SUBCOMMANDS),
+                                            (3, COMPUTE_SUBCOMMANDS[1:])], ids=["n2", "n3"])
+def test_cli_runs_page_in_no_openblas(tmp_path, n, subcommands):
+    # runtime code calls no BLAS-backed numpy function (see the spectral
+    # docstring): the first call would page OpenBLAS code and buffers in
+    if not Path("/proc/self/smaps").exists():
+        pytest.skip("no /proc/self/smaps to read the mappings from")
+    path = write_config(tmp_path, {"params": {"n": n}})
+    out = str(tmp_path / "out")
+    code = OPENBLAS_RSS + (
+        "import json, nsprofile.cli as cli\n"
+        "before = openblas_rss()\n"
+        f"codes = [cli.main([s, '--config', {path!r}, '--out', {out!r}]) for s in {subcommands!r}]\n"
+        "print(json.dumps([codes, before, openblas_rss()]))\n")
+    codes, before, after = json.loads(printed(code).splitlines()[-1])
+    if before is None:
+        pytest.skip("this numpy maps no OpenBLAS library")
+    assert codes == [0] * len(subcommands)
+    assert after == before, f"OpenBLAS Rss grew from {before} to {after} KiB"
+
+
 def test_cli_unexpected_runner_error_exits_2(tmp_path, monkeypatch, capsys):
     def broken(cfg):
         raise TypeError("unsupported operand")

@@ -306,23 +306,30 @@ def test_solve_exact_batch_rejects_negative_time():
         solve_exact_batch(PARAMS, DATA, np.array([[0.5, 0.2]]), -1.0)
 
 
-def test_oracle_matrix_power_matches_step_loop():
+@pytest.mark.parametrize("n", [2, 3])
+def test_oracle_matrix_power_matches_step_loop(n):
     # reference: the same RK4 step advanced one step at a time
-    d0 = PARAMS.delta0
+    params = ModelParams(alpha=1.0, beta=1.0, gamma=1.0, n=n)
+    data = InitialData(amplitude_v=(0.1, 0.0, 0.05)[:n], amplitude_rho=1.0, width=1.0)
+    d0 = params.delta0
     radii = np.array([0.3, 0.999 * d0, d0, 1.001 * d0, 2.0])
     theta = np.linspace(0.1, 2.9, radii.size)
-    xi = radii[:, None] * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    if n == 3:  # the same azimuths at polar angles off the equator
+        polar = np.linspace(0.4, 2.6, radii.size)
+        dirs = np.concatenate([dirs * np.sin(polar)[:, None], np.cos(polar)[:, None]], axis=1)
+    xi = radii[:, None] * dirs
     step = 1e-3
     for t in (0.37, 2.0):
         nsteps = math.ceil(t / step)
-        ha = (t / nsteps) * _flow_matrix(PARAMS, xi)
+        ha = (t / nsteps) * _flow_matrix(params, xi)
         ha2 = ha @ ha
-        rk4 = np.eye(3) + ha + ha2 / 2 + ha2 @ ha / 6 + ha2 @ ha2 / 24
-        v0, rho0 = fourier_data_batch(DATA, xi)
+        rk4 = np.eye(n + 1) + ha + ha2 / 2 + ha2 @ ha / 6 + ha2 @ ha2 / 24
+        v0, rho0 = fourier_data_batch(data, xi)
         y = np.concatenate([v0, rho0[:, None]], axis=1)
         for _ in range(nsteps):
             y = np.einsum("mij,mj->mi", rk4, y)
-        v, rho = solve_ode_oracle_batch(PARAMS, DATA, xi, t, step)
+        v, rho = solve_ode_oracle_batch(params, data, xi, t, step)
         got = np.concatenate([v, rho[:, None]], axis=1)
         rel = np.linalg.norm(got - y, axis=1) / np.linalg.norm(y, axis=1)
         assert float(np.max(rel)) <= 1e-12
