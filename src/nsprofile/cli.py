@@ -68,16 +68,10 @@ def run_oracle_check(cfg: RunConfig):
     n_r, n_t = radii.size, _ORACLE_TIMES.size
     # random.Random is loaded at interpreter start; numpy.random would add 16 modules
     rng = random.Random(cfg.oracle["seed"])
-    n = cfg.params.n
-    if n == 2:  # uniform on S^1 too; this draw keeps the directions of each n = 2 seed
-        angles = 2.0 * math.pi * np.array([[rng.random() for _ in range(n_r)]
-                                           for _ in range(n_t)])
-        dirs = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
-    else:
-        # normalised Gaussian vectors are uniform on S^(n-1)
-        dirs = np.array([[[rng.gauss(0.0, 1.0) for _ in range(n)] for _ in range(n_r)]
-                         for _ in range(n_t)])
-        dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
+    # normalised Gaussian vectors are uniform on S^(n-1)
+    dirs = np.array([[[rng.gauss(0.0, 1.0) for _ in range(cfg.params.n)] for _ in range(n_r)]
+                     for _ in range(n_t)])
+    dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
 
     start = time.perf_counter()
     columns = {"r": [], "t": [], "rel_err": []}

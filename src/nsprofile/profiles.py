@@ -96,10 +96,17 @@ def sine_correction_field(params: ModelParams, data: InitialData, r: np.ndarray,
                      / params.gamma))
 
 
+def moment_field(params: ModelParams, data: InitialData, r: np.ndarray, t: float,
+                 scalar: bool = True) -> Field:
+    """Exact flow of the bare moments (P0, Q0) with the true divided-difference
+    coefficients; the moment defect is the exact field minus this."""
+    return flow(params, r, t, data.p0_norm, data.amplitude_rho, scalar=scalar)
+
+
 def expansion_field(params: ModelParams, data: InitialData, r: np.ndarray, t: float) -> Field:
     """The five expansion corrections together: the exact moment flow minus
     the leading velocity profile minus the sine correction."""
-    return (flow(params, r, t, data.p0_norm, data.amplitude_rho, scalar=False)
+    return (moment_field(params, data, r, t, scalar=False)
             - profile_field(params, data, r, t, scalar=False)
             - sine_correction_field(params, data, r, t))
 
@@ -107,36 +114,30 @@ def expansion_field(params: ModelParams, data: InitialData, r: np.ndarray, t: fl
 def velocity_profile(params: ModelParams, data: InitialData, xi: np.ndarray,
                      t: float) -> np.ndarray:
     """Four-term leading profile of the velocity transform at (t, xi != 0)."""
-    return pointwise(lambda r: profile_field(params, data, r, t), xi, params.n,
-                     data.amplitude_v)[0]
+    return pointwise(profile_field, params, data, xi, t)[0]
 
 
 def density_profile(params: ModelParams, data: InitialData, xi: np.ndarray, t: float):
     """Two-term leading profile of the density transform at (t, xi != 0)."""
-    return pointwise(lambda r: profile_field(params, data, r, t), xi, params.n,
-                     data.amplitude_v)[1]
+    return pointwise(profile_field, params, data, xi, t)[1]
 
 
 def moment_flow(params: ModelParams, data: InitialData, xi: np.ndarray,
                 t: float) -> np.ndarray:
-    """Exact velocity flow of the pure moments (P0, Q0) with the true
-    divided-difference coefficients; the moment defect is solve_exact_batch minus this."""
-    return pointwise(lambda r: flow(params, r, t, data.p0_norm, data.amplitude_rho),
-                     xi, params.n, data.amplitude_v)[0]
+    """:func:`moment_field` at xi of shape (m, n)."""
+    return pointwise(moment_field, params, data, xi, t)[0]
 
 
 def moment_defect_term(params: ModelParams, data: InitialData, xi: np.ndarray,
                        t: float) -> np.ndarray:
     """:func:`moment_defect_field` at xi of shape (m, n)."""
-    return pointwise(lambda r: moment_defect_field(params, data, r, t), xi, params.n,
-                     data.amplitude_v)[0]
+    return pointwise(moment_defect_field, params, data, xi, t)[0]
 
 
 def sine_correction_term(params: ModelParams, data: InitialData, xi: np.ndarray,
                          t: float) -> np.ndarray:
     """:func:`sine_correction_field` at xi of shape (m, n)."""
-    return pointwise(lambda r: sine_correction_field(params, data, r, t), xi, params.n,
-                     data.amplitude_v)[0]
+    return pointwise(sine_correction_field, params, data, xi, t)[0]
 
 
 def gaussian_moment_bound(n: int, k: int, rate: float, t: float) -> float:

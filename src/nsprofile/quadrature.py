@@ -154,7 +154,7 @@ def _gaussian_tail_bound(r_from: float, lam: float, n: int) -> float:
     if n <= 2:
         return r_from ** (n - 2) / (2.0 * lam)
     p = n / 2 - 1
-    scale = 2.0 ** max(p - 1, 0.0) if p > 1 else 1.0
+    scale = 2.0 ** (p - 1) if p > 1 else 1.0
     return 0.5 * scale * (r_from ** (n - 2) / lam + math.gamma(n / 2) / lam ** (n / 2))
 
 

@@ -22,8 +22,8 @@ The data are isotropic envelopes times the moments, so the solution depends
 on the direction of xi only through u = xi_hat . p_hat, p_hat the direction
 of the velocity moment: it is a :class:`Field` of coefficients in r = |xi|.
 One kernel (:func:`flow`) maps the data transform, the zeroth moments or the
-moment remainder to those coefficients at a batch of radii, and
-:func:`pointwise` assembles any such field at an (m, n) batch of frequencies.
+moment remainder to those coefficients at a batch of radii.  :func:`pointwise`
+assembles any field(params, data, r, t) at an (m, n) batch of frequencies.
 The kernel forms only what a zone norm integrates: the vector or the scalar
 part alone when asked for one, and no coefficient that a zero moment makes 0,
 which a :class:`Field` holds as the scalar 0.0.
@@ -158,23 +158,30 @@ class Field(NamedTuple):
         return q0 + q2 / n, q0 + peak
 
 
-def pointwise(field_at, xi: np.ndarray, n: int,
-              p0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _check_run(params: ModelParams, data: InitialData, t: float) -> None:
+    """Reject a datum of another dimension and a t not finite and >= 0."""
+    check_dimension(params, data.n)
+    if not 0.0 <= t < np.inf:
+        raise ValueError(f"t must be finite and nonnegative, got {t}")
+
+
+def pointwise(field, params: ModelParams, data: InitialData, xi: np.ndarray,
+              t: float) -> tuple[np.ndarray, np.ndarray]:
     """(vector (m, n), scalar (m,)) at xi of shape (m, n) of the :class:`Field`
-    that ``field_at`` gives at the radii |xi|, for the velocity moment ``p0``;
-    rejects other shapes and xi = 0.  ``field_at`` gets the radii sorted."""
+    ``field(params, data, r, t)``, r = |xi| sorted: the one frequency-point entry
+    point.  Rejects what :func:`_check_run` rejects, other shapes and xi = 0."""
+    _check_run(params, data, t)
+    n = params.n
     xi = np.asarray(xi, dtype=float)
     if xi.ndim != 2 or xi.shape[1] != n:
         raise ValueError(f"xi must have shape (m, {n}), got {xi.shape}")
     r = np.sqrt(np.sum(xi * xi, axis=1))
     if np.any(r == 0.0):
         raise ValueError("xi = 0 is excluded from pointwise evaluation")
-    p0 = np.asarray(p0, dtype=float)
-    norm = np.sqrt(np.sum(p0 * p0))
-    p_hat = p0 / norm if norm > 0 else np.eye(n)[0]
+    p_hat = np.asarray(data.amplitude_v) / data.p0_norm if data.p0_norm else np.eye(n)[0]
     order = np.argsort(r, kind="stable")
     back = np.argsort(order)
-    f = Field(*(x[back] if np.ndim(x) else x for x in field_at(r[order])))
+    f = Field(*(x[back] if np.ndim(x) else x for x in field(params, data, r[order], t)))
     xi_hat = xi / r[:, None]
     u = np.sum(xi_hat * p_hat, axis=1)
     return (np.multiply.outer(f.a, p_hat) + (f.b1 * u + 1j * f.b0)[:, None] * xi_hat,
@@ -227,11 +234,7 @@ def solve_exact_batch(params: ModelParams, data: InitialData, xi: np.ndarray,
                       t: float) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized closed form over xi of shape (m, n); returns (v_hat, rho_hat),
     the :func:`exact_field` at those points."""
-    check_dimension(params, data.n)
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
-    return pointwise(lambda r: exact_field(params, data, r, t), xi, params.n,
-                     data.amplitude_v)
+    return pointwise(exact_field, params, data, xi, t)
 
 
 def _flow_matrix(params: ModelParams, xi: np.ndarray) -> np.ndarray:
@@ -263,9 +266,11 @@ def solve_ode_oracle_batch(params: ModelParams, data: InitialData, xi: np.ndarra
     matrix is formed once and its powers 2^k, found by repeated squaring, are
     applied to the state for the set bits k of the number of steps, lowest
     first (global error O(step^4), independent of the closed-form path).
-    All points share the endpoint t; the stability guard requires
-    b |xi|^2 step < 0.5 and the actual uniform step is t/ceil(t/step).
+    All points share the endpoint t, checked as in :func:`pointwise`; the
+    stability guard requires b |xi|^2 step < 0.5 and the actual uniform step
+    is t/max(1, ceil(t/step)), so t = 0 takes one zero-length step, the identity.
     """
+    _check_run(params, data, t)
     if step <= 0:
         raise ValueError("step must be positive")
     xi = np.asarray(xi, dtype=float)
@@ -274,18 +279,17 @@ def solve_ode_oracle_batch(params: ModelParams, data: InitialData, xi: np.ndarra
         raise ValueError("step too large: b |xi|^2 step must stay below 0.5")
     v0, rho0 = fourier_data_batch(data, xi)
     y = np.concatenate([v0, rho0[:, None]], axis=1, dtype=complex)[:, :, None]
-    if t > 0:
-        nsteps = max(1, int(np.ceil(t / step)))
-        h = t / nsteps
-        ha = h * _flow_matrix(params, xi)
-        rk4 = np.eye(xi.shape[1] + 1) + ha
-        power = ha
-        for k in (2.0, 3.0, 4.0):
-            power = _matmul(power, ha) / k
-            rk4 = rk4 + power
-        while nsteps:
-            nsteps, bit = divmod(nsteps, 2)
-            if bit:
-                y = _matmul(rk4, y)
-            rk4 = _matmul(rk4, rk4)
+    nsteps = max(1, int(np.ceil(t / step)))
+    h = t / nsteps
+    ha = h * _flow_matrix(params, xi)
+    rk4 = np.eye(xi.shape[1] + 1) + ha
+    power = ha
+    for k in (2.0, 3.0, 4.0):
+        power = _matmul(power, ha) / k
+        rk4 = rk4 + power
+    while nsteps:
+        nsteps, bit = divmod(nsteps, 2)
+        if bit:
+            y = _matmul(rk4, y)
+        rk4 = _matmul(rk4, rk4)
     return y[:, :-1, 0].copy(), y[:, -1, 0].copy()

@@ -119,6 +119,24 @@ def test_readme_library_session_runs(capsys):
     assert float(capsys.readouterr().out) == pytest.approx(-0.5, abs=0.05)
 
 
+def test_readme_config_block_is_the_profile_error_default():
+    # the block shows the defaults of the subcommand it names, value by value
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Configuration", 1)[1]
+    assert "The defaults of `profile-error` are:" in section.split("```json", 1)[0]
+    block = json.loads(section.split("```json", 1)[1].split("```", 1)[0])
+    assert block == default_config("profile-error")
+    # and, as the text under it says, the others differ only in the time grid
+    grids = {"profile-error": (16.0, 16384.0, 11), "density-profile-error": (16.0, 16384.0, 11),
+             "bounds": (16.0, 16384.0, 11), "sandwich": (100.0, 1e4, 12),
+             "lemma31": (100.0, 1e4, 12), "highfreq": (2.0, 40.0, 12)}
+    del block["time_grid"]
+    for sub in cli._RUNNERS:
+        cfg = default_config(sub)
+        assert tuple(cfg.pop("time_grid").values()) == grids.get(sub, (100.0, 1e4, 11))
+        assert cfg == block
+
+
 def test_highfreq_allows_small_t_min():
     cfg = build_run_config("highfreq", {})
     assert cfg.times[0] == pytest.approx(2.0)
@@ -296,16 +314,18 @@ def test_cli_oracle_off_by_a_share_of_the_datum_fails(tmp_path, monkeypatch):
     assert max(rel_err) == pytest.approx(1e-6, rel=1e-3)
 
 
-@pytest.mark.parametrize("p0", [[0.05, 0.0, 0.0], [0.0, 0.0, 0.05]], ids=["e1", "e3"])
+@pytest.mark.parametrize("p0", [[0.05, 0.0, 0.0], [0.0, 0.0, 0.05], [0.05, 0.0], [0.0, 0.05]],
+                         ids=["e1", "e3", "n2-e1", "n2-e2"])
 def test_cli_oracle_sees_the_u_terms_for_any_moment_direction(tmp_path, monkeypatch, p0):
     # a closed form without its u = xi_hat . p_hat terms b1 and c1 is wrong
     # wherever u != 0; directions drawn on the whole sphere find that for P0
-    # along e3 too, where the (e1, e2) plane alone has u = 0.  Unpatched, the
-    # closed form passes at both directions
+    # along e3 too, where the (e1, e2) plane alone has u = 0, and at n = 2 for
+    # P0 along either axis, which the isotropic default datum never tests.
+    # Unpatched, the closed form passes at every direction
     from nsprofile import spectral
 
     out = tmp_path / "out"
-    path = write_config(tmp_path, {"params": {"n": 3}, "data": {"amplitude_v": p0}})
+    path = write_config(tmp_path, {"params": {"n": len(p0)}, "data": {"amplitude_v": p0}})
     assert main(["oracle-check", "--config", path, "--out", str(out)]) == 0
     flow = spectral.flow
     monkeypatch.setattr(spectral, "flow",

@@ -471,3 +471,18 @@ def test_gaussian_tail_bound_dominates_for_low_dimensions():
                 lambda r: r ** (n - 1) * math.exp(-lam * (r * r - r_from * r_from)),
                 r_from, math.inf, epsabs=0.0, epsrel=1e-12)
             assert _gaussian_tail_bound(r_from, lam, n) >= ref * (1 - 1e-10)
+
+
+@pytest.mark.parametrize("n", range(3, 17))
+def test_gaussian_tail_bound_is_within_its_factor(n):
+    # the bound over the integral is at most 2^(p-1), p = n/2 - 1, which it
+    # reaches at r_from = 0 (the Gamma term alone), or 1.5 where p <= 1
+    integrate = pytest.importorskip("scipy.integrate")
+    factor = max(2.0 ** (n / 2 - 2), 1.5)
+    for r_from, lam in [(0.0, 1.0), (0.1, 100.0), (0.5, 0.3), (1.0, 1.0), (2.0, 1.0),
+                        (5.66, 4.0), (8.0, 40.0)]:
+        ref, _ = integrate.quad(
+            lambda r: r ** (n - 1) * math.exp(-lam * (r * r - r_from * r_from)),
+            r_from, math.inf, epsabs=0.0, epsrel=1e-12)
+        ratio = _gaussian_tail_bound(r_from, lam, n) / ref
+        assert 1 - 1e-10 <= ratio <= factor * (1 + 1e-10)

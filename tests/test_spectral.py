@@ -1,5 +1,6 @@
 import json
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -7,6 +8,13 @@ import pytest
 from nsprofile import spectral
 from nsprofile.cli import main
 from nsprofile.model import InitialData, ModelParams, fourier_data_batch
+from nsprofile.profiles import (
+    density_profile,
+    moment_defect_term,
+    moment_flow,
+    sine_correction_term,
+    velocity_profile,
+)
 from nsprofile.quadrature import sphere_area
 from nsprofile.spectral import (
     Field,
@@ -306,6 +314,40 @@ def test_solve_exact_batch_rejects_negative_time():
         solve_exact_batch(PARAMS, DATA, np.array([[0.5, 0.2]]), -1.0)
 
 
+ENTRY_POINTS = {
+    "solve_exact_batch": solve_exact_batch,
+    "velocity_profile": velocity_profile,
+    "density_profile": density_profile,
+    "moment_flow": moment_flow,
+    "moment_defect_term": moment_defect_term,
+    "sine_correction_term": sine_correction_term,
+    "oracle": partial(solve_ode_oracle_batch, step=1e-3),
+}
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_frequency_point_entries_reject_a_bad_time_or_datum(name):
+    # a t that is negative or not finite, and a datum of another dimension,
+    # are rejected by name, never turned into growing exponentials, NaN, the
+    # unmoved datum or a numpy broadcast error; t = 0 is finite everywhere and
+    # the oracle's one zero-length step keeps the datum's bits
+    entry = ENTRY_POINTS[name]
+    params = ModelParams(alpha=1.0, beta=1.0, gamma=1.0, n=3)
+    data = InitialData(amplitude_v=(0.1, 0.2, 0.0), amplitude_rho=1.0, width=1.0)
+    xi = np.array([[0.3, 0.1, 0.0], [0.1, -0.2, 0.4]])  # inside delta0 = 1
+    for t in (-1.0, -5.0, -1e-300, math.nan, math.inf):
+        with pytest.raises(ValueError, match="t must be finite and nonnegative"):
+            entry(params, data, xi, t)
+    flat = InitialData(amplitude_v=(0.1, 0.2), amplitude_rho=1.0, width=1.0)
+    with pytest.raises(ValueError, match="data dimension 2 != params dimension 3"):
+        entry(params, flat, xi, 1.0)
+    at_zero = entry(params, data, xi, 0.0)
+    assert all(np.all(np.isfinite(x)) for x in at_zero)
+    if name == "oracle":
+        v0, rho0 = fourier_data_batch(data, xi)
+        assert _bits(*at_zero) == _bits(v0.astype(complex), rho0.astype(complex))
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_oracle_matrix_power_matches_step_loop(n):
     # reference: the same RK4 step advanced one step at a time
@@ -408,8 +450,10 @@ def test_sphere_mean_max_against_pointwise_directions(n):
 
         def at(xi):
             vector, scalar = pointwise(
-                lambda r: Field(*(np.full(r.shape, c) for c in coefficients)), 1.5 * xi, n,
-                np.eye(n)[0])
+                lambda params, data, r, t: Field(*(np.full(r.shape, c) for c in coefficients)),
+                ModelParams(alpha=1.0, beta=1.0, gamma=1.0, n=n),
+                InitialData(amplitude_v=np.eye(n)[0], amplitude_rho=1.0, width=1.0), 1.5 * xi,
+                0.0)
             return np.sum(np.abs(vector) ** 2, axis=1) + np.abs(scalar) ** 2
 
         assert float(mean) == pytest.approx(float(np.dot(weights, at(dirs))) / sphere_area(n),

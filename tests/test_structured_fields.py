@@ -82,8 +82,7 @@ def test_assembly_matches_the_pointwise_formula(name, n):
     r_hi = min(r_hi, 4.0 / np.sqrt(min(params.alpha, params.b / 2, data.width ** 2) * t))
     xi = rng.normal(size=(64, n))
     xi *= (r_hi * rng.uniform(0.01, 1.0, 64) / np.linalg.norm(xi, axis=1))[:, None]
-    vector, scalar = pointwise(lambda r: FIELDS[name][0](params, data, r, t), xi, n,
-                               data.amplitude_v)
+    vector, scalar = pointwise(FIELDS[name][0], params, data, xi, t)
     got = {"velocity": vector, "scalar": scalar,
            "both": np.concatenate([vector, scalar[:, None]], axis=1)}[PARTS.get(name, "velocity")]
     fields = pointwise_fields(params, data, t)
