@@ -179,26 +179,21 @@ def run_sandwich(cfg: RunConfig):
 
 
 def run_lemma31(cfg: RunConfig):
-    # each profile-term integral, scaled by t^{n/2}, must plateau on the tail
+    # each profile-term integral that carries the quadrature K_sin, scaled by
+    # t^{n/2}, must plateau on the tail; the heat item and the cone witness are
+    # closed forms (see kernel_series), so they are reported, not judged
     n = cfg.params.n
     heat, sine, cosine, witness = kernel_series(cfg.params, cfg.data, cfg.times, cfg.rel_tol)
     scale = cfg.times ** (n / 2)
     max_ratio = THRESHOLDS["kernel_max_ratio"]
     items = {label: _plateau(values * scale, max_ratio)
-             for label, values in (("heat-projection", heat), ("acoustic-sine", sine),
-                                   ("damped-cosine", cosine))}
-    # lower-bound witness: a quarter of the conical-region mass never exceeds
-    # the full cosine integral.  Both are multiples of the one cosine mass
-    # G(b, t) - K_sin(t), so witness/cosine is the constant
-    # n |cap| / (4 |S^(n-1)|) (1/6 at n = 2, 3/16 at n = 3): the check cannot
-    # fail, and it is kept as a guard on the two cap measures
-    witness_ok = bool(np.all(witness <= cosine * (1 + 1e-9)))
+             for label, values in (("acoustic-sine", sine), ("damped-cosine", cosine))}
     verdict = {
-        "pass": all(item["pass"] for item in items.values()) and witness_ok,
+        "pass": all(item["pass"] for item in items.values()),
         "metrics": {"items": items,
                     # t^{n/2} K_sin(t) -> G(b, 1)/2: sin^2 averages to 1/2
                     "sine_limit": 0.5 * gaussian_moment_bound(n, 0, cfg.params.b, 1.0),
-                    "witness_ok": witness_ok, "max_ratio": max_ratio},
+                    "max_ratio": max_ratio},
         "window": list(tail_window(cfg.times.size)),
     }
     columns = {"t": cfg.times, "heat_scaled": heat * scale, "sine_scaled": sine * scale,
@@ -213,25 +208,21 @@ def run_highfreq(cfg: RunConfig):
     fit = fit_semilog(series)
     times, values = series.times, series.values
     # averaged-energy inequality int_t^T E_h <= T0 E_h(t): T0 is the largest
-    # sampled ratio, so it holds at every sample by construction, and it
-    # implies E_h(t) <= E_h(0) e^{1 - t/T0} for t >= T0, re-checked on the grid
+    # sampled ratio, so it holds at every sample by definition, and it implies
+    # E_h(t) <= E_h(0) e^{1 - t/T0} for t >= T0, checked on the grid
     remaining = np.array([float(np.trapezoid(values[i:], times[i:]))
                           for i in range(times.size - 1)])
     t0 = float(np.max(remaining / values[:-1]))
-    komornik_holds = bool(np.all(remaining <= t0 * values[:-1] * (1 + 1e-12)))
     bound = e_h0 * np.exp(1.0 - times / t0)
     on_grid = times >= t0
     conclusion = bool(np.all(values[on_grid] <= bound[on_grid] * (1 + 1e-9)))
     nonincreasing = bool(np.all(np.diff(values) <= values[:-1] * 1e-12))
     verdict = {
         "pass": (nonincreasing and fit.slope < 0
-                 and fit.r_squared >= THRESHOLDS["highfreq_min_r_squared"]
-                 and komornik_holds and conclusion),
+                 and fit.r_squared >= THRESHOLDS["highfreq_min_r_squared"] and conclusion),
         "metrics": {"slope": fit.slope, "r_squared": fit.r_squared,
                     "komornik_t0": t0, "initial_energy": e_h0,
-                    "nonincreasing": nonincreasing,
-                    "komornik_holds": komornik_holds,
-                    "conclusion_holds": conclusion},
+                    "nonincreasing": nonincreasing, "conclusion_holds": conclusion},
         "window": list(fit.window),
     }
     columns = {"t": times, "energy": values, "exp_bound": bound}
@@ -261,8 +252,8 @@ def run_bounds(cfg: RunConfig):
             row[f"bound_exp{i}"] = e
         row["bound_total"] = rb.total
         ok = (measured["moment_defect"] <= rb.moment_defect * cushion
-              and measured["sine_correction"] <= rb.sine_correction * cushion + 1e-300
-              and measured["expansion"] <= triangle * cushion + 1e-300)
+              and measured["sine_correction"] <= rb.sine_correction * cushion
+              and measured["expansion"] <= triangle * cushion)
         return row, ok
 
     results = ordered_map(row_at, [float(t) for t in cfg.times])

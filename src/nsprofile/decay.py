@@ -59,6 +59,8 @@ class DecaySeries:
         object.__setattr__(self, "values", v)
         if t.shape != v.shape or t.size < 4:
             raise ValueError("series needs matching times/values with >= 4 entries")
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
+            raise ValueError("times and values must be finite")
         if np.any(np.diff(t) <= 0) or np.any(t <= 0):
             raise ValueError("times must be ascending and positive")
         if np.any(v <= 0):

@@ -158,23 +158,28 @@ class Field(NamedTuple):
         return q0 + q2 / n, q0 + peak
 
 
-def _check_run(params: ModelParams, data: InitialData, t: float) -> None:
-    """Reject a datum of another dimension and a t not finite and >= 0."""
+def _check_run(params: ModelParams, data: InitialData, xi, t: float) -> np.ndarray:
+    """xi as a float array; rejects a datum of another dimension, a t not finite
+    and >= 0, and an xi not of shape (m, n) or not finite."""
     check_dimension(params, data.n)
     if not 0.0 <= t < np.inf:
         raise ValueError(f"t must be finite and nonnegative, got {t}")
+    n = params.n
+    xi = np.asarray(xi, dtype=float)
+    if xi.ndim != 2 or xi.shape[1] != n:
+        raise ValueError(f"xi must have shape (m, {n}), got {xi.shape}")
+    if not np.all(np.isfinite(xi)):
+        raise ValueError("xi must be finite")
+    return xi
 
 
 def pointwise(field, params: ModelParams, data: InitialData, xi: np.ndarray,
               t: float) -> tuple[np.ndarray, np.ndarray]:
     """(vector (m, n), scalar (m,)) at xi of shape (m, n) of the :class:`Field`
     ``field(params, data, r, t)``, r = |xi| sorted: the one frequency-point entry
-    point.  Rejects what :func:`_check_run` rejects, other shapes and xi = 0."""
-    _check_run(params, data, t)
+    point.  Rejects what :func:`_check_run` rejects and xi = 0."""
+    xi = _check_run(params, data, xi, t)
     n = params.n
-    xi = np.asarray(xi, dtype=float)
-    if xi.ndim != 2 or xi.shape[1] != n:
-        raise ValueError(f"xi must have shape (m, {n}), got {xi.shape}")
     r = np.sqrt(np.sum(xi * xi, axis=1))
     if np.any(r == 0.0):
         raise ValueError("xi = 0 is excluded from pointwise evaluation")
@@ -266,14 +271,13 @@ def solve_ode_oracle_batch(params: ModelParams, data: InitialData, xi: np.ndarra
     matrix is formed once and its powers 2^k, found by repeated squaring, are
     applied to the state for the set bits k of the number of steps, lowest
     first (global error O(step^4), independent of the closed-form path).
-    All points share the endpoint t, checked as in :func:`pointwise`; the
-    stability guard requires b |xi|^2 step < 0.5 and the actual uniform step
-    is t/max(1, ceil(t/step)), so t = 0 takes one zero-length step, the identity.
+    All points share t; xi, t and the datum are checked as in :func:`pointwise`,
+    the stability guard requires b |xi|^2 step < 0.5, and the uniform step is
+    t/max(1, ceil(t/step)), so t = 0 takes one zero-length step, the identity.
     """
-    _check_run(params, data, t)
-    if step <= 0:
+    xi = _check_run(params, data, xi, t)
+    if not step > 0:
         raise ValueError("step must be positive")
-    xi = np.asarray(xi, dtype=float)
     r2 = np.sum(xi * xi, axis=1)
     if np.max(params.b * r2) * step >= 0.5:
         raise ValueError("step too large: b |xi|^2 step must stay below 0.5")

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from nsprofile import cli
-from nsprofile.cli import main, run_oracle_check
+from nsprofile.cli import THRESHOLDS, main, run_oracle_check
 from nsprofile.config import (
     ConfigError,
     build_run_config,
@@ -213,6 +213,83 @@ def test_cli_verdict_failure_exit_1(tmp_path):
     verdict = json.loads((out / "rate.json").read_text())
     assert verdict["pass"] is False
     assert verdict["metrics"]["slope"] > -0.5 + verdict["thresholds"]["rate_slope_tol"]
+
+
+def _exit_and_verdict(tmp_path, subcommand, config):
+    """Exit code and verdict JSON of a CLI run of ``subcommand`` at ``config``."""
+    out = tmp_path / "out"
+    code = main([subcommand, "--config", write_config(tmp_path, config), "--out", str(out)])
+    return code, json.loads((out / f"{subcommand}.json").read_text())
+
+
+@pytest.mark.parametrize("factor,code", [(1.04, 0), (1.06, 1)])
+@pytest.mark.parametrize("row", ["moment_defect", "sine_correction", "expansion"])
+def test_cli_bounds_row_check_fails_alone_past_the_cushion(tmp_path, monkeypatch, row,
+                                                          factor, code):
+    # one row's bound at measured/factor and the others as computed: within
+    # the 1.05 cushion the run passes, past it that row alone fails the verdict
+    from nsprofile import replace
+
+    real = cli.remainder_bounds
+
+    def tight(params, data, t):
+        bound = cli.measured_remainder_norms(params, data, t)[row] / factor
+        if row == "expansion":  # the triangle bound of (bound, 0, 0, 0, 0) is bound
+            return replace(real(params, data, t), expansion=(bound, 0.0, 0.0, 0.0, 0.0))
+        return replace(real(params, data, t), **{row: bound})
+
+    monkeypatch.setattr(cli, "remainder_bounds", tight)
+    # a nonzero velocity moment, so that every measured row is positive
+    exit_code, verdict = _exit_and_verdict(tmp_path, "bounds",
+                                           {"data": {"amplitude_v": [0.05, 0.0]}})
+    assert (exit_code, verdict["pass"]) == (code, code == 0)
+
+
+@pytest.mark.parametrize("column,code", [(0, 0), (1, 1), (2, 1), (3, 0)],
+                         ids=["heat", "sine", "cosine", "witness"])
+def test_cli_lemma31_judges_the_quadrature_items(tmp_path, monkeypatch, column, code):
+    # a series ramped by 1 -> 100 over the grid has a tail ratio above 4: the
+    # sine and cosine items then fail the verdict, while the closed-form heat
+    # item and the cone witness are reported and not judged
+    real = cli.kernel_series
+
+    def ramped(params, data, times, rel_tol):
+        series = list(real(params, data, times, rel_tol))
+        series[column] = series[column] * np.geomspace(1.0, 100.0, len(times))
+        return tuple(series)
+
+    monkeypatch.setattr(cli, "kernel_series", ramped)
+    exit_code, verdict = _exit_and_verdict(tmp_path, "lemma31", {})
+    assert (exit_code, verdict["pass"]) == (code, code == 0)
+    assert sorted(verdict["metrics"]["items"]) == ["acoustic-sine", "damped-cosine"]
+
+
+@pytest.mark.parametrize("check", ["nonincreasing", "slope", "r_squared", "conclusion_holds"])
+def test_cli_highfreq_check_fails_alone(tmp_path, monkeypatch, check):
+    # a synthetic E_h series on the default grid that fails one check alone:
+    # one step up by 1e-6, a constant (slope 0), a power law (semi-log r^2
+    # 0.86), or an E_h(0) so small that the exponential bound falls below E_h
+    from nsprofile.decay import DecaySeries
+
+    def series(times):
+        decaying = np.exp(-0.5 * times)
+        if check == "nonincreasing":
+            decaying[6] = decaying[5] * (1 + 1e-6)
+        return {"nonincreasing": (decaying, 1.0), "slope": (np.full(times.size, 0.5), 1.0),
+                "r_squared": (times ** -3.0, 0.125), "conclusion_holds": (decaying, 1e-3)}[check]
+
+    def synthetic(params, data, times, rel_tol):
+        values, e_h0 = series(times)
+        return DecaySeries(times, values), e_h0
+
+    monkeypatch.setattr(cli, "highfreq_energy_series", synthetic)
+    exit_code, verdict = _exit_and_verdict(tmp_path, "highfreq", {})
+    metrics = verdict["metrics"]
+    failed = {"nonincreasing": not metrics["nonincreasing"], "slope": metrics["slope"] >= 0,
+              "r_squared": metrics["r_squared"] < THRESHOLDS["highfreq_min_r_squared"],
+              "conclusion_holds": not metrics["conclusion_holds"]}
+    assert [name for name, fails in failed.items() if fails] == [check]
+    assert (exit_code, verdict["pass"]) == (1, False)
 
 
 def test_cli_threads_do_not_change_bytes(tmp_path):

@@ -3,17 +3,22 @@ import math
 import numpy as np
 import pytest
 
+from nsprofile.decay import field_norm_sq, velocity_field
 from nsprofile.model import InitialData, ModelParams
 from nsprofile.profiles import (
     RemainderBounds,
     density_profile,
+    expansion_field,
     gaussian_moment_bound,
+    moment_defect_field,
     moment_defect_term,
     moment_flow,
     remainder_bounds,
+    sine_correction_field,
     sine_correction_term,
     velocity_profile,
 )
+from nsprofile.quadrature import DEFAULT_REL_TOL
 from nsprofile.spectral import solve_exact_batch
 from oracles import black_box_norm_sq, gaussian_moment_integral
 
@@ -217,6 +222,40 @@ def test_remainder_bounds_doubling_time():
     assert rb2.expansion[4] / rb1.expansion[4] == pytest.approx(expected, rel=1e-12)
     assert rb2.sine_correction / rb1.sine_correction == pytest.approx(expected, rel=1e-12)
     assert rb2.total / rb1.total == pytest.approx(expected, rel=0.05)
+
+
+@pytest.mark.parametrize("alpha,beta,gamma,width,n,t", [
+    (0.5, 3.0, 2.0, 0.7, 2, 50.0), (2.0, 0.3, 0.4, 1.3, 3, 80.0)], ids=["n2", "n3"])
+def test_scale_covariance_at_non_unit_coefficients(alpha, beta, gamma, width, n, t):
+    # xi = kappa eta and t = T tau with kappa = gamma/b and T = b/gamma^2 turn
+    # the frequency ODE into the one of (alpha/b, beta/b, 1) and the width s
+    # into s kappa, so a squared zone norm is kappa^n times the norm of the
+    # scaled problem; pinned configs have alpha = beta = gamma = 1, where
+    # this cannot tell gamma^2 from 1/gamma^2
+    params = ModelParams(alpha=alpha, beta=beta, gamma=gamma, n=n)
+    b = params.b
+    kappa, big_t = gamma / b, b / gamma ** 2
+    unit = ModelParams(alpha=alpha / b, beta=beta / b, gamma=1.0, n=n)
+    amplitude_v = (0.03, -0.04, 0.02)[:n]
+    data = InitialData(amplitude_v=amplitude_v, amplitude_rho=1.0, width=width)
+    scaled = InitialData(amplitude_v=amplitude_v, amplitude_rho=1.0, width=width * kappa)
+    factor = kappa ** n
+
+    rb, rb_unit = remainder_bounds(params, data, t), remainder_bounds(unit, scaled, t / big_t)
+    # the moment-defect bound is left out: its L^{1,1} weight 1 + E|x| does not scale
+    for value, unit_value in zip((*rb.expansion, rb.sine_correction),
+                                 (*rb_unit.expansion, rb_unit.sine_correction)):
+        assert value > 0.0
+        assert value == pytest.approx(factor * unit_value, rel=1e-14, abs=0)
+
+    fields = [(moment_defect_field, "low"), (sine_correction_field, "low"),
+              (expansion_field, "low"), (velocity_field, "full")]
+    for field, zone in fields:
+        norm = field_norm_sq(field, params, data, t, zone, DEFAULT_REL_TOL)
+        unit_norm = field_norm_sq(field, unit, scaled, t / big_t, zone, DEFAULT_REL_TOL)
+        assert norm.value > 0.0
+        gap = abs(norm.value - factor * unit_norm.value)
+        assert gap <= norm.est_error + factor * unit_norm.est_error + 1e-13 * norm.value
 
 
 def test_measured_defect_below_bound():

@@ -327,10 +327,11 @@ ENTRY_POINTS = {
 
 @pytest.mark.parametrize("name", ENTRY_POINTS)
 def test_frequency_point_entries_reject_a_bad_time_or_datum(name):
-    # a t that is negative or not finite, and a datum of another dimension,
-    # are rejected by name, never turned into growing exponentials, NaN, the
-    # unmoved datum or a numpy broadcast error; t = 0 is finite everywhere and
-    # the oracle's one zero-length step keeps the datum's bits
+    # a t that is negative or not finite, a datum of another dimension, and
+    # an xi that is not finite or not of shape (m, n), are rejected by name,
+    # never turned into growing exponentials, NaN, the unmoved datum, a numpy
+    # broadcast error or an AxisError; t = 0 is finite everywhere and the
+    # oracle's one zero-length step keeps the datum's bits
     entry = ENTRY_POINTS[name]
     params = ModelParams(alpha=1.0, beta=1.0, gamma=1.0, n=3)
     data = InitialData(amplitude_v=(0.1, 0.2, 0.0), amplitude_rho=1.0, width=1.0)
@@ -341,11 +342,33 @@ def test_frequency_point_entries_reject_a_bad_time_or_datum(name):
     flat = InitialData(amplitude_v=(0.1, 0.2), amplitude_rho=1.0, width=1.0)
     with pytest.raises(ValueError, match="data dimension 2 != params dimension 3"):
         entry(params, flat, xi, 1.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        for row in range(2):
+            with pytest.raises(ValueError, match="xi must be finite"):
+                entry(params, data, np.where(np.arange(2)[:, None] == row, bad, xi), 1.0)
+    for shape in ((3,), (2, 2), (1, 4), (1, 3, 1)):
+        with pytest.raises(ValueError, match=r"xi must have shape \(m, 3\)"):
+            entry(params, data, np.full(shape, 0.2), 1.0)
     at_zero = entry(params, data, xi, 0.0)
     assert all(np.all(np.isfinite(x)) for x in at_zero)
     if name == "oracle":
         v0, rho0 = fourier_data_batch(data, xi)
         assert _bits(*at_zero) == _bits(v0.astype(complex), rho0.astype(complex))
+
+
+@pytest.mark.parametrize("step", [0.0, -1.0, -1e-300, math.nan])
+def test_oracle_rejects_a_step_that_is_not_positive(step):
+    with pytest.raises(ValueError, match="step must be positive"):
+        solve_ode_oracle_batch(PARAMS, DATA, np.array([[0.3, 0.1]]), 1.0, step)
+
+
+def test_oracle_step_guard_holds_at_its_bound():
+    # b |xi|^2 step = 2 * 0.25 * 1.0 is exactly 0.5, which the guard refuses
+    xi = np.array([[0.5, 0.0]])
+    with pytest.raises(ValueError, match="step too large"):
+        solve_ode_oracle_batch(PARAMS, DATA, xi, 1.0, 1.0)
+    v, rho = solve_ode_oracle_batch(PARAMS, DATA, xi, 1.0, 0.999)
+    assert np.all(np.isfinite(v)) and np.all(np.isfinite(rho))
 
 
 @pytest.mark.parametrize("n", [2, 3])
