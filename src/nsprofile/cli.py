@@ -55,17 +55,22 @@ THRESHOLDS = {"rate_slope_tol": 0.05, "remainder_slope_margin": 0.1,
               "oracle_max_rel_err": 1.0e-8, "oracle_runtime_budget_s": 30.0,
               "bounds_cushion": 1.05, "highfreq_min_r_squared": 0.99}
 
-# oracle-check grid: geometric radii (plus two at delta0 (1 -+ 1e-3)) and times,
-# and the RK4 step, which fixes the oracle's accuracy against its pass mark
+# oracle-check grid in the model's own units: geometric radii (plus two at
+# 1 -+ 1e-3, added at run time: np.sort at import would page numpy's sort code
+# into every subcommand) in units of delta0, and times and the RK4 step, which
+# fixes the oracle's accuracy against its pass mark, in units of b/(2 gamma^2).
+# Then b |xi|^2 step = 2 |eta|^2 h, eta and h the radius and step in these
+# units, whatever the coefficients; at the defaults both units are 1.0
 _ORACLE_RADII = np.geomspace(0.05, 5.0, 8)
 _ORACLE_TIMES = np.geomspace(0.1, 20.0, 10)
 _ORACLE_STEP = 1e-4
 
 
 def run_oracle_check(cfg: RunConfig):
-    delta0 = cfg.params.delta0
-    radii = np.sort(np.concatenate([_ORACLE_RADII, [delta0 * 0.999, delta0 * 1.001]]))
-    n_r, n_t = radii.size, _ORACLE_TIMES.size
+    unit_t = cfg.params.b / (2.0 * cfg.params.a)
+    radii = cfg.params.delta0 * np.sort(np.concatenate([_ORACLE_RADII, [0.999, 1.001]]))
+    times, step = unit_t * _ORACLE_TIMES, unit_t * _ORACLE_STEP
+    n_r, n_t = radii.size, times.size
     # random.Random is loaded at interpreter start; numpy.random would add 16 modules
     rng = random.Random(cfg.oracle["seed"])
     # normalised Gaussian vectors are uniform on S^(n-1)
@@ -75,10 +80,10 @@ def run_oracle_check(cfg: RunConfig):
 
     start = time.perf_counter()
     columns = {"r": [], "t": [], "rel_err": []}
-    for j, t in enumerate(_ORACLE_TIMES):
+    for j, t in enumerate(times):
         xi = radii[:, None] * dirs[j]
         v_e, rho_e = solve_exact_batch(cfg.params, cfg.data, xi, float(t))
-        v_o, rho_o = solve_ode_oracle_batch(cfg.params, cfg.data, xi, float(t), _ORACLE_STEP)
+        v_o, rho_o = solve_ode_oracle_batch(cfg.params, cfg.data, xi, float(t), step)
         exact = np.concatenate([v_e, rho_e[:, None]], axis=1)
         oracle = np.concatenate([v_o, rho_o[:, None]], axis=1)
         v_0, rho_0 = fourier_data_batch(cfg.data, xi)
@@ -104,7 +109,7 @@ def run_oracle_check(cfg: RunConfig):
     verdict = {
         "pass": worst <= THRESHOLDS["oracle_max_rel_err"] and in_budget,
         "metrics": {"max_rel_err": worst, "runtime_within_budget": in_budget,
-                    "step": _ORACLE_STEP, "grid": {"radii": n_r, "times": n_t}},
+                    "step": step, "grid": {"radii": n_r, "times": n_t}},
     }
     return verdict, columns, None
 
@@ -149,13 +154,13 @@ def run_rate(cfg: RunConfig):
 
 def _plateau(scaled: np.ndarray, max_ratio: float) -> dict:
     """Extremes of ``scaled`` on its tail window and their ratio; two-sided
-    (sandwich) behavior passes when the minimum is positive and the ratio is
-    at most ``max_ratio``."""
+    (sandwich) behavior passes when the ratio is at most ``max_ratio``, which
+    a minimum that is not positive fails by its infinite ratio."""
     lo, hi = tail_window(scaled.size)
     low, high = float(np.min(scaled[lo:hi])), float(np.max(scaled[lo:hi]))
     ratio = high / low if low > 0 else math.inf
     return {"plateau_min": low, "plateau_max": high, "ratio": ratio,
-            "pass": low > 0 and ratio <= max_ratio}
+            "pass": ratio <= max_ratio}
 
 
 def run_sandwich(cfg: RunConfig):
@@ -215,8 +220,8 @@ def run_highfreq(cfg: RunConfig):
     t0 = float(np.max(remaining / values[:-1]))
     bound = e_h0 * np.exp(1.0 - times / t0)
     on_grid = times >= t0
-    conclusion = bool(np.all(values[on_grid] <= bound[on_grid] * (1 + 1e-9)))
-    nonincreasing = bool(np.all(np.diff(values) <= values[:-1] * 1e-12))
+    conclusion = bool(np.all(values[on_grid] <= bound[on_grid]))
+    nonincreasing = bool(np.all(values[1:] <= values[:-1]))
     verdict = {
         "pass": (nonincreasing and fit.slope < 0
                  and fit.r_squared >= THRESHOLDS["highfreq_min_r_squared"] and conclusion),

@@ -137,12 +137,9 @@ def _kronrod(values: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
 
 def _active_end(radii: np.ndarray, probe: np.ndarray, r_lo: float, r_hi: float) -> float:
     """Largest radius where the probe sees non-negligible mass, plus padding."""
-    spacing = (r_hi - r_lo) / radii.size
-    peak = float(probe.max())
-    if peak == 0.0:
-        return min(r_hi, r_lo + 2.0 * spacing)
-    above = (probe > peak * _PROBE_FLOOR).nonzero()[0]
-    return min(r_hi, float(radii[above[-1]]) + 2.0 * spacing)
+    above = (probe > probe.max() * _PROBE_FLOOR).nonzero()[0]
+    end = float(radii[above[-1]]) if above.size else r_lo  # a probe of zeros or NaN
+    return min(r_hi, end + 2.0 * (r_hi - r_lo) / radii.size)
 
 
 def _gaussian_tail_bound(r_from: float, lam: float, n: int) -> float:
@@ -199,9 +196,10 @@ def zone_norm_sq(f: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     value is the K15 sum of the first level whose error estimate (the sum over
     its panels of |K15 - G7|) plus the tail estimate is within ``rel_tol`` of
     it, and ``est_error`` is those two estimates together.  An unconverged
-    norm raises :class:`QuadratureError` naming its zone and t, and so does a
-    radius r_max at which the kernels' b^2 r^2 or a r^2 overflows.  The probe
-    and the edge radius r_max take one integrand call; each level one more.
+    norm, a NaN integrand's among them, raises :class:`QuadratureError` naming
+    its zone and t, and so does a radius r_max at which the kernels' b^2 r^2
+    or a r^2 overflows.  The probe and the edge radius r_max take one
+    integrand call; each level one more.
     """
     if zone not in ("low", "high", "full"):
         raise ValueError(f"unknown zone {zone!r}")
@@ -230,7 +228,7 @@ def zone_norm_sq(f: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
         r, wr = _radial_layout(r_lo, r_hi, split, gamma_t, level)
         points += r.size
         value, est = _kronrod(area * f(r)[0] * r ** (n - 1), wr)
-        if est + tail <= rel_tol * max(abs(value), 1e-300) or (value == 0.0 and est == 0.0):
+        if est + tail <= rel_tol * max(abs(value), 1e-300):
             return ZoneNorm(value, est + tail, points, level)
     raise QuadratureError(f"{zone}-zone norm at t={t:g} did not converge: value={value:.6g}, "
                           f"est_error={est + tail:.3g}")

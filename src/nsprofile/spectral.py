@@ -10,13 +10,13 @@ The transverse part of v follows a pure heat flow; the longitudinal pair
 (rho, xi.v) evolves by a 2x2 flow whose eigenvalues are the roots of
 lambda^2 + b |xi|^2 lambda + a |xi|^2: a conjugate pair below the resonance
 radius delta0, real above it.  The flow needs only their divided differences
-Phi and Psi, which are real for every root type: damped cos/sin below
-delta0, the real roots through expm1 above it and the double-root limit at
-it.  No formula subtracts nearby exponentials, so the closed form is smooth
-across delta0 with no cutoff.  The -i gamma coupling is the only source of i,
-so every coefficient of the solution is real or i times real: a :class:`Field`
-stores both kinds as real arrays, and i enters only where :func:`pointwise`
-assembles complex vectors.
+Phi and Psi, which are real for both root types: damped cos/sin up to
+delta0, whose w -> 0 limit covers the double root there, and the real roots
+through expm1 above it.  No formula subtracts nearby exponentials, so the
+closed form is smooth across delta0 with no cutoff.  The -i gamma coupling is
+the only source of i, so every coefficient of the solution is real or i times
+real: a :class:`Field` stores both kinds as real arrays, and i enters only
+where :func:`pointwise` assembles complex vectors.
 
 The data are isotropic envelopes times the moments, so the solution depends
 on the direction of xi only through u = xi_hat . p_hat, p_hat the direction
@@ -56,30 +56,25 @@ def _phi_psi(params: ModelParams, r: np.ndarray, t: float,
     Psi = (s1 e^{s1 t}-s2 e^{s2 t})/(s1-s2) at ascending radii r, where s1, s2
     are the roots of lambda^2 + b r^2 lambda + a r^2, one formula per root type:
 
-    - conjugate pair m -+ i w (below delta0): Phi = e^{mt} sin(wt)/w,
-      Psi = e^{mt} cos(wt) + m Phi;
-    - double root m (at delta0): Phi = t e^{mt}, Psi = e^{mt} + m Phi;
+    - conjugate pair m -+ i w (up to delta0): Phi = e^{mt} sin(wt)/w,
+      Psi = e^{mt} cos(wt) + m Phi, with Phi = t e^{mt}, its w -> 0 limit,
+      at the double root w = 0 (r = delta0);
     - real roots (above delta0), s2 the large one and s1 = a r^2 / s2:
       Phi = e^{s1 t} (-expm1(-(s1-s2) t)) / (s1-s2), Psi = s1 Phi + e^{s2 t}.
 
-    None of them forms a difference of nearby exponentials, so each holds for
-    every (s1-s2) t, and every one gives Phi = 0, Psi = 1 at t = 0.  Each runs
-    on its own slice of the radii, where the root types are consecutive, so a
-    radius has the same bits in any batch; out of order, a radius in another
-    type's slice gives NaN with a RuntimeWarning (0/0 or a negative's root) or,
-    among double roots, ValueError.  Without ``with_psi``, Psi is None.
+    Neither forms a difference of nearby exponentials, so each holds for
+    every (s1-s2) t, and both give Phi = 0, Psi = 1 at t = 0.  Each runs on its
+    own slice of the radii, where the root types are consecutive, so a radius
+    has the same bits in any batch; out of order, a radius in the other
+    type's slice gives NaN with a RuntimeWarning (a negative's root or 0/0)
+    unless it lands in the conjugate-pair slice with disc >= 0, where it gets
+    its own bits.  Without ``with_psi``, Psi is None.
     """
     a, b = params.a, params.b
     rr = r * r
     disc = 4.0 * a - b * b * rr  # > 0 oscillatory, 0 at r = delta0, < 0 overdamped
-    # [0, osc) oscillatory, [osc, real) double and [real, size) real roots
-    osc = real = size = disc.size
-    if size and not disc[-1] > 0.0:
-        ascending = disc[::-1]
-        osc -= int(np.searchsorted(ascending, 0.0, side="right"))
-        real -= int(np.searchsorted(ascending, 0.0, side="left"))
-        if disc[osc:real].any():
-            raise ValueError("_phi_psi takes radii in ascending order")
+    # [0, osc) conjugate pair or double root (disc >= 0), [osc, size) real roots
+    size, osc = disc.size, int(np.searchsorted(-disc, 0.0, side="right"))
     m = -0.5 * b * rr  # (s1 + s2) / 2
     phi = np.empty(size)
     psi = np.empty(size) if with_psi else None
@@ -88,22 +83,17 @@ def _phi_psi(params: ModelParams, r: np.ndarray, t: float,
         emt = np.exp(m_osc * t)
         w = 0.5 * (r[:osc] * np.sqrt(disc[:osc]))  # |s1 - s2| / 2
         wt = w * t
-        np.divide(emt * np.sin(wt), w, out=phi[:osc])
+        np.multiply(t, emt, out=phi[:osc])
+        np.divide(emt * np.sin(wt), w, out=phi[:osc], where=w > 0.0)
         if with_psi:
             np.add(emt * np.cos(wt), m_osc * phi[:osc], out=psi[:osc])
-    if real > osc:
-        m_double = m[osc:real]
-        emt = np.exp(m_double * t)
-        np.multiply(t, emt, out=phi[osc:real])
+    if osc < size:
+        gap = r[osc:] * np.sqrt(-disc[osc:])  # s1 - s2
+        s2 = m[osc:] - 0.5 * gap
+        s1 = a * rr[osc:] / s2  # free of the cancellation in m + gap / 2
+        np.divide(np.exp(s1 * t) * -np.expm1(-gap * t), gap, out=phi[osc:])
         if with_psi:
-            np.add(emt, m_double * t * emt, out=psi[osc:real])
-    if real < size:
-        gap = r[real:] * np.sqrt(-disc[real:])  # s1 - s2
-        s2 = m[real:] - 0.5 * gap
-        s1 = a * rr[real:] / s2  # free of the cancellation in m + gap / 2
-        np.divide(np.exp(s1 * t) * -np.expm1(-gap * t), gap, out=phi[real:])
-        if with_psi:
-            np.add(s1 * phi[real:], np.exp(s2 * t), out=psi[real:])
+            np.add(s1 * phi[osc:], np.exp(s2 * t), out=psi[osc:])
     return phi, psi
 
 
@@ -112,18 +102,14 @@ def _zero(x) -> bool:
     return isinstance(x, float) and x == 0.0
 
 
-def _sum(terms: list):
-    """Left-to-right sum of the terms, 0.0 for none."""
-    return sum(terms[1:], terms[0]) if terms else 0.0
-
-
 class Field(NamedTuple):
     """A field that depends on the direction of xi only through u = xi_hat . p_hat,
     with p_hat the unit velocity moment (e1 if the moment is 0): the vector
     a p_hat + (i b0 + b1 u) xi_hat and the scalar c0 + i c1 u.  Each coefficient
     is a real array over the radii r = |xi| or a scalar; b0 and c1 are the real
     coefficients of i.  A coefficient that a zero amplitude makes 0 everywhere
-    is held as the scalar 0.0, and no arithmetic is spent on it."""
+    is held as the scalar 0.0: :func:`flow` spends no array arithmetic on it,
+    and the arithmetic below takes it as an exact zero."""
 
     a: np.ndarray | float = 0.0
     b0: np.ndarray | float = 0.0
@@ -132,7 +118,7 @@ class Field(NamedTuple):
     c1: np.ndarray | float = 0.0
 
     def __sub__(self, other: "Field") -> "Field":
-        return Field(*(x if _zero(y) else x - y for x, y in zip(self, other)))
+        return Field(*(x - y for x, y in zip(self, other)))
 
     def sphere_mean_max(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Mean and maximum, as arrays over the radii, of |vector|^2 + |scalar|^2
@@ -142,20 +128,13 @@ class Field(NamedTuple):
         + c1^2: the cross terms a b0, b0 b1 and c0 c1 pair a real with an
         imaginary part, so nothing is odd in u.  The sphere mean of u^2 is 1/n,
         and the maximum is taken over u in [-1, 1], all of which the sphere
-        attains.  The terms of scalar-zero coefficients are left out of the
-        sums, which changes no value; a field whose coefficients are all the
-        scalar 0.0 gives 0.0.
+        attains.  A scalar-zero coefficient adds exact zeros, which change no
+        bit; a field whose coefficients are all the scalar 0.0 gives scalars 0.0.
         """
         a, b0, b1, c0, c1 = self
-        q0 = _sum([x * x for x in (a, b0, c0) if not _zero(x)])
-        q2 = _sum(([] if _zero(a) or _zero(b1) else [2.0 * a * b1])
-                  + [x * x for x in (b1, c1) if not _zero(x)])
-        if _zero(q2):
-            return q0, q0
-        peak = np.maximum(q2, 0.0)
-        if _zero(q0):
-            return q2 / n, peak
-        return q0 + q2 / n, q0 + peak
+        q0 = a * a + b0 * b0 + c0 * c0
+        q2 = 2.0 * a * b1 + b1 * b1 + c1 * c1
+        return q0 + q2 / n, q0 + np.maximum(q2, 0.0)
 
 
 def _check_run(params: ModelParams, data: InitialData, xi, t: float) -> np.ndarray:
@@ -274,12 +253,13 @@ def solve_ode_oracle_batch(params: ModelParams, data: InitialData, xi: np.ndarra
     All points share t; xi, t and the datum are checked as in :func:`pointwise`,
     the stability guard requires b |xi|^2 step < 0.5, and the uniform step is
     t/max(1, ceil(t/step)), so t = 0 takes one zero-length step, the identity.
+    An empty batch gives (0, n) and (0,) arrays, as :func:`pointwise` does.
     """
     xi = _check_run(params, data, xi, t)
     if not step > 0:
         raise ValueError("step must be positive")
     r2 = np.sum(xi * xi, axis=1)
-    if np.max(params.b * r2) * step >= 0.5:
+    if np.max(params.b * r2, initial=0.0) * step >= 0.5:
         raise ValueError("step too large: b |xi|^2 step must stay below 0.5")
     v0, rho0 = fourier_data_batch(data, xi)
     y = np.concatenate([v0, rho0[:, None]], axis=1, dtype=complex)[:, :, None]

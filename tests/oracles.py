@@ -6,7 +6,8 @@ Gauss-Legendre, independently of the package's own quadrature;
 transform, which the package uses only through its closed form; the density
 residual checks the closed-form solution against its second-order ODE; the
 complex roots and their divided differences are the reference for the
-package's real Phi and Psi.  :func:`black_box_norm_sq` integrates a field
+package's real Phi and Psi; :func:`sine_kernel_exact` is the closed form of
+the sine kernel at every n.  :func:`black_box_norm_sq` integrates a field
 given only pointwise, f(xi), by Gauss rules in u = cos(phi), with the
 axial-symmetry and angular-resolution checks such a field needs;
 :func:`pointwise_fields` holds the pointwise formulas of the fields that the
@@ -98,6 +99,20 @@ def gaussian_moment_integral(n: int, k: int, rate: float, t: float, r_cut: float
             f"moment integral {value!r} exceeded its dominating constant {bound!r}"
         )
     return value
+
+
+def sine_kernel_exact(params: ModelParams, t: float) -> float:
+    """Closed form of the acoustic sine kernel at every n,
+
+        K_sin(t) = |S^(n-1)|/2 Gamma(n/2)/2 (b t)^(-n/2) [1 - 1F1(n/2; 1/2; -gamma^2 t/b)]:
+
+    sin^2 = (1 - cos)/2, and the cosine moment of the radial Gaussian
+    r^(n-1) e^(-b t r^2) is a Kummer function (scipy's ``hyp1f1``)."""
+    from scipy.special import hyp1f1
+
+    n, b = params.n, params.b
+    g0 = math.gamma(n / 2) / 2.0 * (b * t) ** (-n / 2)
+    return sphere_area(n) / 2.0 * g0 * (1.0 - float(hyp1f1(n / 2, 0.5, -params.a * t / b)))
 
 
 def density_ode_residual(params: ModelParams, data: InitialData, xi: np.ndarray,

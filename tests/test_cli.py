@@ -292,6 +292,67 @@ def test_cli_highfreq_check_fails_alone(tmp_path, monkeypatch, check):
     assert (exit_code, verdict["pass"]) == (1, False)
 
 
+@pytest.mark.parametrize("tail,passed", [
+    ([1.0, 2.0], True), ([1.0, float(np.nextafter(2.0, 3.0))], False),
+    ([0.0, 1.0], False), ([-2.0, -1.0], False), ([-1.0, 1.0], False), ([0.0, 0.0], False),
+])
+def test_plateau_passes_on_its_ratio_alone(tail, passed):
+    # a tail ratio of exactly max_ratio passes and one ulp more fails; a
+    # minimum that is not positive has the infinite ratio, which fails
+    scaled = np.array([50.0] * 6 + tail * 3)
+    plateau = cli._plateau(scaled, 2.0)
+    assert (plateau["plateau_min"], plateau["plateau_max"]) == (min(tail), max(tail))
+    assert plateau["pass"] is passed
+
+
+@pytest.mark.parametrize("check", ["nonincreasing", "conclusion_holds"])
+def test_cli_highfreq_checks_compare_exactly(tmp_path, monkeypatch, check):
+    # no round-off slack: a flat step is nonincreasing and a step up by one
+    # ulp is not; an E_h(0) whose bound just covers E_h past T0 passes and the
+    # next float below fails
+    from nsprofile.decay import DecaySeries
+
+    grid = {}
+
+    def synthetic(params, data, times, rel_tol):
+        values = np.exp(-0.5 * times)
+        if check == "nonincreasing":
+            values[6] = grid["step"](values[5])
+        grid["times"], grid["values"] = times, values
+        return DecaySeries(times, values), grid.get("e_h0", 1.0)
+
+    monkeypatch.setattr(cli, "highfreq_energy_series", synthetic)
+
+    def verdict_at(**setting):
+        grid.update(setting)
+        exit_code, verdict = _exit_and_verdict(tmp_path, "highfreq", {})
+        assert verdict["metrics"]["slope"] < 0
+        assert verdict["metrics"]["r_squared"] >= THRESHOLDS["highfreq_min_r_squared"]
+        return exit_code, verdict["metrics"]
+
+    if check == "nonincreasing":
+        at_edge = verdict_at(step=lambda x: x)
+        past_edge = verdict_at(step=lambda x: np.nextafter(x, math.inf))
+    else:
+        metrics = verdict_at()[1]
+        times, values = grid["times"], grid["values"]
+        on_grid = times >= metrics["komornik_t0"]
+        decay = np.exp(1.0 - times / metrics["komornik_t0"])[on_grid]
+
+        def covers(e_h0):
+            return bool(np.all(values[on_grid] <= e_h0 * decay))
+
+        edge = float(np.max(values[on_grid] / decay))
+        while not covers(edge):
+            edge = np.nextafter(edge, math.inf)
+        while covers(np.nextafter(edge, 0.0)):
+            edge = np.nextafter(edge, 0.0)
+        at_edge = verdict_at(e_h0=float(edge))
+        past_edge = verdict_at(e_h0=float(np.nextafter(edge, 0.0)))
+    assert at_edge[0] == 0 and at_edge[1][check] is True
+    assert past_edge[0] == 1 and past_edge[1][check] is False
+
+
 def test_cli_threads_do_not_change_bytes(tmp_path):
     path = write_config(tmp_path, {
         "data": {"amplitude_v": [0.1, 0.0]},
@@ -355,6 +416,25 @@ def test_cli_oracle_check_where_the_data_envelope_underflows(tmp_path):
     assert verdict["pass"] is True
     assert verdict["metrics"]["max_rel_err"] <= 1e-8
     assert 0.0 in read_csv(str(out / "oracle-check.csv"))["rel_err"]
+
+
+@pytest.mark.parametrize("config", [
+    {"params": {"gamma": 50}, "data": {"width": 0.04}},
+    {"params": {"gamma": 1000, "n": 3}, "data": {"width": 0.002, "amplitude_v": [0.03, 0.04, 0.0]}},
+], ids=["gamma50", "gamma1000-n3"])
+def test_cli_oracle_check_in_the_model_units(tmp_path, config):
+    # the grid's radii are in units of delta0 = 2 gamma / b and its times and
+    # step in units of b / (2 gamma^2), so the step guard holds at any gamma;
+    # the widths shrink with 1 / delta0 so that the data do not underflow
+    out = tmp_path / "out"
+    assert main(["oracle-check", "--config", write_config(tmp_path, config),
+                 "--out", str(out)]) == 0
+    metrics = json.loads((out / "oracle-check.json").read_text())["metrics"]
+    assert 0.0 < metrics["max_rel_err"] <= 1e-8
+    gamma = config["params"]["gamma"]  # b = 2, so delta0 = gamma
+    assert metrics["step"] == 2.0 / (2.0 * gamma ** 2) * 1e-4
+    radii = read_csv(str(out / "oracle-check.csv"))["r"]
+    assert gamma * 0.999 in radii and gamma * 1.001 in radii
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -26,7 +26,7 @@ from nsprofile.quadrature import (
     zone_norm_sq,
 )
 from nsprofile.spectral import Field
-from oracles import SymmetryError, _angular_frame, black_box_norm_sq
+from oracles import SymmetryError, _angular_frame, black_box_norm_sq, sine_kernel_exact
 
 PARAMS2 = ModelParams(alpha=1.0, beta=1.0, gamma=1.0, n=2)
 PARAMS3 = ModelParams(alpha=1.0, beta=1.0, gamma=1.0, n=3)
@@ -143,6 +143,24 @@ def test_unreachable_tolerance_is_reported_not_converged():
         sine_kernel_integral(params, t, 1e-300)
     with pytest.raises(QuadratureError, match=message):
         cone_cosine_integral(params, t, 1e-300)
+
+
+@pytest.mark.parametrize("zone", ["low", "high", "full"])
+def test_nan_integrand_is_not_converged(zone):
+    # a NaN probe finds no active end; every level's sum is NaN, which no
+    # tolerance accepts
+    f = isotropic(lambda r: np.full(r.size, math.nan))
+    with pytest.raises(QuadratureError, match="did not converge: value=nan"):
+        zone_norm_sq(f, PARAMS2, 1.0, zone)
+
+
+@pytest.mark.parametrize("zone", ["low", "high", "full"])
+@pytest.mark.parametrize("as_array", [False, True], ids=["scalars", "arrays"])
+def test_zero_integrand_is_zero_at_level_zero(zone, as_array):
+    # zero value, zero estimate and zero tail meet the 1e-300 floor at once
+    f = isotropic(lambda r: np.zeros(r.size) if as_array else 0.0)
+    res = zone_norm_sq(f, PARAMS2, 1.0, zone)
+    assert (res.value, res.est_error, res.level) == (0.0, 0.0, 0)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -263,6 +281,21 @@ def test_sine_kernel_matches_dawson_closed_form_2d(alpha, beta, gamma):
         c, q = params.b * t, 2.0 * params.gamma * t
         exact = math.pi * q * dawsn(q / (2.0 * math.sqrt(c))) / (2.0 * c ** 1.5)
         assert sine_kernel_integral(params, t) == pytest.approx(exact, rel=1e-12)
+        # the Kummer form of every n reduces to Dawson's at n = 2
+        assert sine_kernel_exact(params, t) == pytest.approx(exact, rel=1e-14)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 16])
+@pytest.mark.parametrize("alpha,beta,gamma", [(1.0, 1.0, 1.0), (0.3, 2.0, 5.0), (2.0, 0.1, 0.2)])
+def test_sine_kernel_matches_kummer_closed_form(n, alpha, beta, gamma):
+    # the exact K_sin at every n (a Kummer function) is met within rel_tol;
+    # t = 1e6 at (0.3, 2, 5) needs more radial nodes than the cap allows
+    pytest.importorskip("scipy.special")
+    params = ModelParams(alpha=alpha, beta=beta, gamma=gamma, n=n)
+    for t in (0.01, 0.5, 3.0, 100.0, 1e4):
+        exact = sine_kernel_exact(params, t)
+        for rel_tol in (1e-6, 1e-10):
+            assert abs(sine_kernel_integral(params, t, rel_tol) - exact) <= rel_tol * exact
 
 
 def test_sine_kernel_large_time_limit_2d():

@@ -356,6 +356,18 @@ def test_frequency_point_entries_reject_a_bad_time_or_datum(name):
         assert _bits(*at_zero) == _bits(v0.astype(complex), rho0.astype(complex))
 
 
+@pytest.mark.parametrize("name", ["solve_exact_batch", "oracle"])
+def test_an_empty_batch_gives_empty_arrays(name):
+    # no frequency gives (0, n) and (0,) arrays from both entries, the oracle
+    # included: its step guard takes the maximum of no b |xi|^2 as 0
+    for n in (2, 3):
+        params = ModelParams(alpha=1.0, beta=1.0, gamma=1.0, n=n)
+        data = InitialData(amplitude_v=(0.1,) + (0.0,) * (n - 1), amplitude_rho=1.0, width=1.0)
+        for t in (0.0, 2.5):
+            v, rho = ENTRY_POINTS[name](params, data, np.empty((0, n)), t)
+            assert (v.shape, rho.shape) == ((0, n), (0,))
+
+
 @pytest.mark.parametrize("step", [0.0, -1.0, -1e-300, math.nan])
 def test_oracle_rejects_a_step_that_is_not_positive(step):
     with pytest.raises(ValueError, match="step must be positive"):
@@ -490,7 +502,7 @@ def _bits(*arrays):
 
 def _three_root_types():
     """Ascending radii that hold every root type: oscillatory radii, then
-    r = delta0 (disc exactly 0, twice), then real roots."""
+    r = delta0 (disc exactly 0, the double root, twice), then real roots."""
     d0 = PARAMS.delta0
     r = np.sort(np.concatenate([d0 * np.linspace(0.05, 3.0, 40), [d0] * 2]))
     disc = 4.0 * PARAMS.a - PARAMS.b * PARAMS.b * r * r
@@ -514,20 +526,23 @@ def test_phi_psi_of_an_ascending_batch_gives_each_radius_its_bits_alone(t):
 
 @pytest.mark.parametrize("t", [0.0, 0.7, 30.0])
 def test_phi_psi_of_a_batch_out_of_order_fails_loudly(t):
-    # a radius in the slice of another root type takes the square root of a
+    # a radius in the slice of the other root type takes the square root of a
     # negative discriminant or divides by a zero gap (a RuntimeWarning, an
-    # error under the suite's filter), or stands among the double roots with
-    # a nonzero discriminant (ValueError): never finite wrong values
+    # error under the suite's filter): never finite wrong values
     r = _three_root_types()
     d0 = PARAMS.delta0
     batches = [r[np.random.default_rng([11, k]).permutation(r.size)] for k in range(5)]
-    # the last two put a radius off delta0 in the double-root slice, where
-    # only the ValueError stands between them and finite wrong values
     batches += [r[::-1]] + [d0 * np.array(x) for x in (
-        [2.0, 0.5], [1.0, 0.5], [2.0, 1.0], [0.5, 2.0, 1.0], [3.0, 1.0, 2.0], [2.0, 1.0, 1.0])]
+        [2.0, 0.5], [2.0, 1.0], [0.5, 2.0, 1.0], [3.0, 1.0, 2.0], [2.0, 1.0, 1.0])]
     for batch in batches:
-        with pytest.raises((ValueError, RuntimeWarning)):
+        with pytest.raises(RuntimeWarning):
             _phi_psi(PARAMS, batch, t)
+    # a double root before an oscillatory radius stays in the conjugate-pair
+    # slice, whose formula holds for every disc >= 0: each radius its own bits
+    batch = d0 * np.array([1.0, 0.5])
+    phi, psi = _phi_psi(PARAMS, batch, t)
+    for i in range(batch.size):
+        assert _bits(*_phi_psi(PARAMS, batch[i:i + 1], t)) == _bits(phi[i:i + 1], psi[i:i + 1])
 
 
 VERDICTS = ("profile-error", "density-profile-error", "rate", "sandwich", "lemma31",
