@@ -1,7 +1,9 @@
 """Batch CLI: run verification workflows and emit CSV / JSON / SVG artifacts.
 
-    nsprofile <subcommand> --config <file> [--out <dir>] [--threads N]
+    nsprofile <subcommand> --config PATH [--out DIR] [--threads N]
 
+Options take ``--opt value`` or ``--opt=value``, before or after the
+subcommand; ``-h`` or ``--help`` prints the usage.
 Each subcommand writes ``<out>/<subcommand>.csv`` (the series it computed),
 ``<subcommand>.json`` (verdict, fitted numbers, thresholds, config hash) and,
 unless disabled, ``<subcommand>.svg``.  Exit status: 0 when every verdict
@@ -18,7 +20,6 @@ saved no time and cost memory.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
@@ -55,20 +56,20 @@ THRESHOLDS = {"rate_slope_tol": 0.05, "remainder_slope_margin": 0.1,
               "oracle_max_rel_err": 1.0e-8, "oracle_runtime_budget_s": 30.0,
               "bounds_cushion": 1.05, "highfreq_min_r_squared": 0.99}
 
-# oracle-check grid in the model's own units: geometric radii (plus two at
-# 1 -+ 1e-3, added at run time: np.sort at import would page numpy's sort code
-# into every subcommand) in units of delta0, and times and the RK4 step, which
-# fixes the oracle's accuracy against its pass mark, in units of b/(2 gamma^2).
+# oracle-check grid in the model's own units: geometric radii plus two at
+# 1 -+ 1e-3 in units of delta0 (ordered by Python's sorted: np.sort would page
+# numpy's sort kernels in), and times and the RK4 step, which fixes the
+# oracle's accuracy against its pass mark, in units of b/(2 gamma^2).
 # Then b |xi|^2 step = 2 |eta|^2 h, eta and h the radius and step in these
 # units, whatever the coefficients; at the defaults both units are 1.0
-_ORACLE_RADII = np.geomspace(0.05, 5.0, 8)
+_ORACLE_RADII = np.array(sorted([*np.geomspace(0.05, 5.0, 8), 0.999, 1.001]))
 _ORACLE_TIMES = np.geomspace(0.1, 20.0, 10)
 _ORACLE_STEP = 1e-4
 
 
 def run_oracle_check(cfg: RunConfig):
     unit_t = cfg.params.b / (2.0 * cfg.params.a)
-    radii = cfg.params.delta0 * np.sort(np.concatenate([_ORACLE_RADII, [0.999, 1.001]]))
+    radii = cfg.params.delta0 * _ORACLE_RADII
     times, step = unit_t * _ORACLE_TIMES, unit_t * _ORACLE_STEP
     n_r, n_t = radii.size, times.size
     # random.Random is loaded at interpreter start; numpy.random would add 16 modules
@@ -327,48 +328,87 @@ def _write_outputs(cfg: RunConfig, out_dir: str, verdict: dict, columns: dict, p
         emit_svg(columns, *plot, os.path.join(out_dir, f"{name}.svg"))
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    """Raises a :class:`ConfigError` on bad arguments instead of exiting, so
-    that they take the exit-2 path with a diagnostic JSON."""
+_OPTIONS = ("--config", "--out", "--threads")
+_USAGE = """\
+usage: nsprofile <subcommand> --config PATH [--out DIR] [--threads N]
 
-    def error(self, message: str):
-        raise ConfigError(message)
+Frequency-space decay verification for a linearized compressible viscous flow model.
+
+subcommands: {}
+
+options:
+  --config PATH  JSON run configuration (required)
+  --out DIR      output directory (default: out)
+  --threads N    accepted and checked (at least 1); every run uses one thread
+  -h, --help     print this message and exit"""
 
 
-_PARSER = _ArgumentParser(
-    prog="nsprofile",
-    description="Frequency-space decay verification for a linearized "
-                "compressible viscous flow model.",
-)
-_PARSER.add_argument("subcommand", choices=_RUNNERS, metavar="subcommand",
-                     help=", ".join(_RUNNERS))
-_PARSER.add_argument("--config", required=True, help="JSON run configuration")
-_PARSER.add_argument("--out", default="out", help="output directory (default: out)")
-_PARSER.add_argument("--threads", type=int, default=1,
-                     help="accepted and checked (at least 1); every run uses one thread")
+def _parse_args(argv: list[str]) -> tuple[str | None, dict, str | None]:
+    """(subcommand, options, problem) of ``argv``, which takes one subcommand
+    and ``--opt value`` or ``--opt=value`` in any order, the last of a repeated
+    option counting; ``options`` maps each option name to its value, the
+    defaults filled in and ``--threads`` an int.  The subcommand is the
+    positional one if it names a runner, else None; ``problem`` is the message
+    of the first bad argument, else of the missing ones, else None.  ``-h`` or
+    ``--help`` anywhere prints the usage and exits 0."""
+    if "-h" in argv or "--help" in argv:
+        print(_USAGE.format(", ".join(_RUNNERS)))
+        raise SystemExit(0)
+    subcommand, problems, positional = None, [], False
+    options = {"--out": "out", "--threads": 1}
+    args = iter(argv)
+    for arg in args:
+        name, eq, value = arg.partition("=")
+        if name in _OPTIONS:
+            if not eq:
+                value = next(args, None)
+                if value is None or value.startswith("--"):
+                    problems.append(f"argument {name}: expected one argument")
+                    continue
+            if name == "--threads":
+                try:
+                    value = int(value)
+                except ValueError:
+                    problems.append(f"argument --threads: invalid int value: {value!r}")
+                    continue
+                if value < 1:
+                    problems.append(f"--threads must be at least 1, got {value}")
+                    continue
+            options[name] = value
+        elif arg.startswith("-") or positional:
+            problems.append(f"unrecognized arguments: {arg}")
+        else:
+            positional = True
+            if arg in _RUNNERS:
+                subcommand = arg
+            else:
+                problems.append(f"argument subcommand: invalid choice: {arg!r} "
+                                f"(choose from {', '.join(_RUNNERS)})")
+    missing = [name for name, given in (("subcommand", positional),
+                                        ("--config", "--config" in options)) if not given]
+    if missing:
+        problems.append("the following arguments are required: " + ", ".join(missing))
+    return subcommand, options, problems[0] if problems else None
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    subcommand, options, problem = _parse_args(argv)
     try:
-        args = _PARSER.parse_args(argv)
-    except ConfigError as exc:
-        return _fail({"subcommand": next((a for a in argv if a in _RUNNERS), None)}, exc)
-
-    try:
-        if args.threads < 1:
-            raise ConfigError(f"--threads must be at least 1, got {args.threads}")
-        cfg = load_config_file(args.subcommand, args.config)
+        if problem is not None:
+            raise ConfigError(problem)
+        cfg = load_config_file(subcommand, options["--config"])
     except Exception as exc:  # every failure exits 2; exit 1 means a verdict failed
-        return _fail({"subcommand": args.subcommand}, exc)
+        return _fail({"subcommand": subcommand}, exc)
 
+    out = options["--out"]
     try:
-        verdict, columns, plot = _RUNNERS[args.subcommand](cfg)
-        _write_outputs(cfg, args.out, verdict, columns, plot)
+        verdict, columns, plot = _RUNNERS[subcommand](cfg)
+        _write_outputs(cfg, out, verdict, columns, plot)
     except Exception as exc:
-        diagnostic = {"subcommand": args.subcommand, "pass": False,
+        diagnostic = {"subcommand": subcommand, "pass": False,
                       "config_hash": cfg.config_hash}
-        return _fail(diagnostic, exc, os.path.join(args.out, f"{args.subcommand}.json"))
+        return _fail(diagnostic, exc, os.path.join(out, f"{subcommand}.json"))
     return 0 if verdict["pass"] else 1
 
 

@@ -38,7 +38,11 @@ are 3x3 and 4x4 matrices, 15-point panels and 2- or 3-vectors, where BLAS
 saves microseconds per call at most, while the first BLAS call of a process
 pages OpenBLAS code and buffers in: 412 KiB of the 1.4 MB that the 8
 subcommands at n = 2 added to the resident set when they still called it
-(numpy 2.4.6, x86-64; the README gives the benchmark figures).
+(numpy 2.4.6, x86-64; the README gives the benchmark figures).  Nor does it
+call numpy's sorts (``np.sort``, ``np.argsort``, ``np.lexsort``,
+``np.unique``): the few orderings it needs, 10 oracle radii and the radii of
+a :func:`pointwise` batch, take Python's ``sorted``, since the first numpy
+sort pages 192-576 KiB of its kernels in.
 """
 
 from __future__ import annotations
@@ -155,16 +159,19 @@ def _check_run(params: ModelParams, data: InitialData, xi, t: float) -> np.ndarr
 def pointwise(field, params: ModelParams, data: InitialData, xi: np.ndarray,
               t: float) -> tuple[np.ndarray, np.ndarray]:
     """(vector (m, n), scalar (m,)) at xi of shape (m, n) of the :class:`Field`
-    ``field(params, data, r, t)``, r = |xi| sorted: the one frequency-point entry
-    point.  Rejects what :func:`_check_run` rejects and xi = 0."""
+    ``field(params, data, r, t)``: the one frequency-point entry point.  The
+    field takes r = |xi| in ascending order, found by a stable ``sorted`` of the
+    indices and undone by a scatter, so each point gets the bits that any
+    batch gives it.  Rejects what :func:`_check_run` rejects and xi = 0."""
     xi = _check_run(params, data, xi, t)
     n = params.n
     r = np.sqrt(np.sum(xi * xi, axis=1))
     if np.any(r == 0.0):
         raise ValueError("xi = 0 is excluded from pointwise evaluation")
     p_hat = np.asarray(data.amplitude_v) / data.p0_norm if data.p0_norm else np.eye(n)[0]
-    order = np.argsort(r, kind="stable")
-    back = np.argsort(order)
+    order = np.array(sorted(range(r.size), key=r.tolist().__getitem__), dtype=np.intp)
+    back = np.empty_like(order)
+    back[order] = np.arange(r.size)
     f = Field(*(x[back] if np.ndim(x) else x for x in field(params, data, r[order], t)))
     xi_hat = xi / r[:, None]
     u = np.sum(xi_hat * p_hat, axis=1)

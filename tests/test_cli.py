@@ -719,7 +719,17 @@ def test_cli_threads_below_one_exits_2(tmp_path, capsys, threads):
     (["rate"], "rate", "the following arguments are required: --config"),
     (["rate", "--config", "x", "--threads", "abc"], "rate",
      "argument --threads: invalid int value: 'abc'"),
-], ids=["unknown-subcommand", "no-config", "non-integer-threads"])
+    (["--config", "rate"], None, "the following arguments are required: subcommand"),
+    (["--threads=abc", "--config=x", "rate"], "rate",
+     "argument --threads: invalid int value: 'abc'"),
+    (["rate", "--config"], "rate", "argument --config: expected one argument"),
+    (["rate", "--out", "--config", "x"], "rate", "argument --out: expected one argument"),
+    (["rate", "--config", "x", "--bogus", "1"], "rate", "unrecognized arguments: --bogus"),
+    (["rate", "--conf", "x"], "rate", "unrecognized arguments: --conf"),
+    (["rate", "plot", "--config", "x"], "rate", "unrecognized arguments: plot"),
+], ids=["unknown-subcommand", "no-config", "non-integer-threads", "config-takes-the-subcommand",
+        "equals-form-before-the-subcommand", "missing-config-value", "missing-out-value",
+        "unknown-option", "abbreviated-option", "second-positional"])
 def test_cli_argument_error_exits_2_with_a_diagnostic(capsys, argv, subcommand, message):
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -730,11 +740,32 @@ def test_cli_argument_error_exits_2_with_a_diagnostic(capsys, argv, subcommand, 
     assert "traceback" not in diagnostic and "usage:" not in captured.err
 
 
+def test_cli_takes_options_in_either_form_before_or_after_the_subcommand(tmp_path):
+    path = write_config(tmp_path, {"time_grid": {"points": 8}})
+    spaced, joined = tmp_path / "spaced", tmp_path / "joined"
+    assert main(["rate", "--config", path, "--out", str(spaced), "--threads", "2"]) == 0
+    assert main([f"--out={joined}", f"--config={path}", "--threads=2", "rate"]) == 0
+    for name in ("rate.csv", "rate.json", "rate.svg"):
+        assert (spaced / name).read_bytes() == (joined / name).read_bytes()
+
+
 def test_cli_help_exits_0(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["--help"])
     assert exit_info.value.code == 0
-    assert "--threads" in capsys.readouterr().out
+    usage = capsys.readouterr().out
+    assert "--threads" in usage
+    assert all(sub in usage for sub in cli._RUNNERS)
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["rate", "--config", "x", "-h"]])
+def test_cli_short_help_is_help(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    usage = capsys.readouterr().out
+    with pytest.raises(SystemExit) as short_exit:
+        main(argv)
+    assert (short_exit.value.code, capsys.readouterr()) == (exit_info.value.code, (usage, ""))
 
 
 def printed(code: str) -> str:
@@ -756,15 +787,17 @@ def test_cli_import_loads_no_executor_machinery():
 
 
 def test_cli_import_adds_no_module_beyond_numpys_budget():
-    # the per-run import cost: the CLI may add argparse, json, the builtin
-    # SHA-256 and the like to what numpy loads, but no executor, logging,
-    # queue, TLS or XML machinery, no dataclasses (the records build no code),
-    # no copy (the defaults are a literal) and no traceback (only an
-    # unanticipated error loads it)
+    # the per-run import cost: the CLI may add json, the builtin SHA-256 and
+    # the like to what numpy loads, but no argument-parsing machinery (argparse
+    # loads gettext, and building a parser loads locale: the CLI parses its
+    # one argument form itself), no executor, logging, queue, TLS or XML
+    # machinery, no dataclasses (the records build no code), no copy (the
+    # defaults are a literal) and no traceback (only an unanticipated error
+    # loads it)
     code = ("import sys, numpy; loaded = set(sys.modules); import nsprofile.cli; "
             "print(sorted(m for m in set(sys.modules) - loaded if m.partition('.')[0] "
-            "in ('concurrent', 'logging', 'queue', 'ssl', 'xml', 'dataclasses', 'copy', "
-            "'traceback')))")
+            "in ('argparse', 'gettext', 'locale', 'concurrent', 'logging', 'queue', 'ssl', "
+            "'xml', 'dataclasses', 'copy', 'traceback')))")
     assert printed(code) == "[]"
 
 

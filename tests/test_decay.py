@@ -22,10 +22,11 @@ from nsprofile.decay import (
     measured_remainder_norms,
     ordered_map,
     tail_window,
+    velocity_field,
     velocity_norm_series,
 )
 from nsprofile.profiles import remainder_bounds, velocity_profile
-from nsprofile.quadrature import DEFAULT_REL_TOL, sphere_area
+from nsprofile.quadrature import DEFAULT_REL_TOL, sphere_area, zone_norm_sq
 from nsprofile.spectral import solve_exact_batch
 from oracles import black_box_norm_sq
 
@@ -346,3 +347,29 @@ def test_default_verdicts_keep_their_quadrature_work(case, tmp_path, monkeypatch
     assert len(norms) == 102
     assert sum(norm.points for norm in norms) == radii
     assert all(norm.level == 0 for norm in norms)
+
+
+@pytest.mark.parametrize("amplitude_v", [(0.0, 0.0), (0.03, 0.04)], ids=["p0-zero", "p0"])
+def test_field_norm_sq_evaluates_bounded_batches_with_the_bits_of_one(amplitude_v):
+    # rate's full-zone norm at t = 1e4 lays out 5,115 radii at level 0, more
+    # than one field batch: the field sees slices of at most _FIELD_BATCH
+    # radii, and the norm keeps the bits of the unsliced integrand
+    data = InitialData(amplitude_v=amplitude_v, amplitude_rho=1.0, width=1.0)
+    t, sizes = 1e4, []
+
+    def velocity(params, data, r, t):
+        sizes.append(r.size)
+        return velocity_field(params, data, r, t)
+
+    sliced = field_norm_sq(velocity, PARAMS, data, t, "full", DEFAULT_REL_TOL)
+    whole_sizes = []
+
+    def whole(r):
+        whole_sizes.append(r.size)
+        return velocity_field(PARAMS, data, r, t).sphere_mean_max(PARAMS.n)
+
+    unsliced = zone_norm_sq(whole, PARAMS, t, "full", DEFAULT_REL_TOL)
+    assert max(whole_sizes) == 5115 > decay._FIELD_BATCH
+    assert max(sizes) == decay._FIELD_BATCH and sum(sizes) == sum(whole_sizes)
+    bits = lambda norm: (norm.value.hex(), norm.est_error.hex(), norm.points, norm.level)
+    assert bits(sliced) == bits(unsliced)

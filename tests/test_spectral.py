@@ -571,20 +571,44 @@ def test_every_batch_of_the_default_runs_reaches_phi_psi_ascending(
     assert not any(unordered for _, unordered in batches)
 
 
-def test_pointwise_of_an_unsorted_batch_matches_the_sorted_batch():
-    # both moments nonzero and radii across delta0, in no order: each point
-    # gets the bits it gets in the sorted batch
+def _forbid_numpy_sorts(monkeypatch):
+    """Make numpy's sorting entry points raise: no run-time code may page
+    numpy's sort kernels in (see the spectral docstring)."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("numpy sort called at run time")
+
+    for name in ("sort", "argsort", "lexsort", "unique"):
+        monkeypatch.setattr(np, name, forbidden)
+
+
+def test_pointwise_of_an_unsorted_batch_matches_the_sorted_batch(monkeypatch):
+    # both moments nonzero and radii across delta0, in no order and each twice
+    # (at xi and -xi): each point gets the bits it gets in the sorted batch,
+    # with no numpy sort (pointwise orders the batch by a stable sorted() of
+    # its indices and inverts that order by a scatter)
     params = ModelParams(alpha=0.7, beta=1.3, gamma=1.1, n=3)
     data = InitialData(amplitude_v=(0.3, -0.2, 0.1), amplitude_rho=0.8, width=0.9)
     rng = np.random.default_rng(5)
     dirs = rng.normal(size=(60, 3))
     xi = params.delta0 * rng.uniform(0.05, 3.0, 60)[:, None] * dirs / np.linalg.norm(
         dirs, axis=1)[:, None]
+    xi = np.concatenate([xi, -xi])
     order = np.argsort(np.sum(xi * xi, axis=1), kind="stable")
+    _forbid_numpy_sorts(monkeypatch)
     for t in (0.0, 2.5):
         v, rho = solve_exact_batch(params, data, xi, t)
         v_sorted, rho_sorted = solve_exact_batch(params, data, xi[order], t)
         assert _bits(v[order], rho[order]) == _bits(v_sorted, rho_sorted)
+
+
+@pytest.mark.parametrize("config", [{}, {"data": {"amplitude_v": [0.03, 0.04]}}],
+                         ids=["n2", "n2-p0"])
+def test_default_runs_call_no_numpy_sort(tmp_path, monkeypatch, config):
+    _forbid_numpy_sorts(monkeypatch)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    for sub in ("oracle-check",) + VERDICTS:
+        assert main([sub, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
 
 
 @pytest.mark.parametrize("n", [2, 3])
