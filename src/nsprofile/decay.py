@@ -2,7 +2,8 @@
 
 Each quadrature norm is one ``zone_norm_sq`` call: the isotropic sine kernel,
 and through :func:`field_norm_sq` every field(params, data, r, t) of this
-module and of ``profiles``.  The other kernel items of ``lemma31`` (the heat
+module and of ``profiles``, which ``zone_norm_sq`` evaluates on bounded slices
+of ascending radii.  The other kernel items of ``lemma31`` (the heat
 and damped-cosine projections and the cone witness) are closed-form Gaussian
 integrals and multiples of G - K_sin, with G the Gaussian integral and K_sin
 the sine kernel, since sin^2 + cos^2 = 1.  The norms of a time grid are taken
@@ -37,7 +38,6 @@ from .spectral import solve_exact_batch  # noqa: F401
 
 _TAIL_MIN_POINTS = 6
 _MAX_MOMENT_RATIO = 0.1  # |P0|/|Q0| above which the sandwich statement is not made
-_FIELD_BATCH = 1024  # radii per field call in field_norm_sq
 
 
 # a plain map; bench/spans.py wraps it and binds ``fn`` and ``threads``, so both stay
@@ -109,24 +109,14 @@ def field_norm_sq(field, params: ModelParams, data: InitialData, t: float, zone:
                   rel_tol: float) -> ZoneNorm:
     """:func:`zone_norm_sq` of ``field(params, data, r, t)``, a
     ``spectral.Field`` at the radii r: the one place that turns a field into
-    the sphere means and maxima that a zone norm integrates.
-
-    The integrand evaluates the field on consecutive slices of at most
-    ``_FIELD_BATCH`` radii and fills one mean and one maximum array per call,
-    so no temporary of the field spans a whole level layout (up to 5,115 radii
-    at the defaults).  The field works elementwise and the slices of an
-    ascending layout are ascending, so each radius gets the bits that the
-    whole batch gives it (see ``spectral._phi_psi``)."""
+    the sphere means and maxima that a zone norm integrates.  ``zone_norm_sq``
+    hands the field one slice of a level's radii at a time, so no temporary of
+    the field spans a whole level layout (up to 5,115 radii at the defaults).
+    The field works elementwise and the slices are ascending, so each radius
+    gets the bits that the whole level gives it (see ``spectral._phi_psi``)."""
     check_dimension(params, data.n)
-
-    def integrand(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        mean, peak = np.empty(r.size), np.empty(r.size)
-        for lo in range(0, r.size, _FIELD_BATCH):
-            part = slice(lo, lo + _FIELD_BATCH)
-            mean[part], peak[part] = field(params, data, r[part], t).sphere_mean_max(params.n)
-        return mean, peak
-
-    return zone_norm_sq(integrand, params, t, zone, rel_tol)
+    return zone_norm_sq(lambda r: field(params, data, r, t).sphere_mean_max(params.n),
+                        params, t, zone, rel_tol)
 
 
 def zone_series(field, params: ModelParams, data: InitialData, times: np.ndarray,

@@ -86,11 +86,12 @@ def moment_defect_field(params: ModelParams, data: InitialData, r: np.ndarray,
 def sine_correction_field(params: ModelParams, data: InitialData, r: np.ndarray,
                           t: float) -> Field:
     """Longitudinal damped-sine correction,
-    -(b/2) xi (xi.P0) e^{-b r^2 t/2} sin(gamma t r) / (gamma r); the scalar 0.0
-    for P0 = 0."""
+    -(b/2) xi (xi.P0) e^{-b r^2 t/2} sin(gamma t r) / (gamma r); zeros over r
+    for P0 = 0, so that its sphere means are arrays like those of every field
+    whose norm is taken."""
     p = data.p0_norm
     if not p:
-        return Field()
+        return Field(b1=np.zeros(r.size))
     wave = np.exp(-params.b * (r * r) * t / 2.0)
     return Field(b1=(-0.5 * params.b * p * r * wave * np.sin(params.gamma * t * r)
                      / params.gamma))

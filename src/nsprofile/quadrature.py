@@ -20,7 +20,8 @@ fields and kernels whose norms are taken live in ``decay``.
 The layout is fixed by the constants below, so ``rel_tol`` is the only
 accuracy setting, and a level that would need more than ``_MAX_RADIAL_NODES``
 radial nodes on one interval raises :class:`QuadratureError` instead of
-allocating them, so every call has a bounded cost.
+allocating them, so every call has a bounded cost.  A level is evaluated in
+slices of ``_SLICE_PANELS`` panels, which bounds every integrand batch.
 """
 
 from __future__ import annotations
@@ -66,6 +67,9 @@ _BASE_PANELS = 12
 _OSC_FACTOR = 2
 _MAX_REFINEMENTS = 6
 _MAX_RADIAL_NODES = 1 << 21  # ~400x the largest layout of a default run (5,115)
+# panels per integrand call: a level is evaluated in slices of at most 1,020
+# radii, so no array of the integrand spans a whole layout
+_SLICE_PANELS = 68
 DEFAULT_REL_TOL = 1e-6
 
 
@@ -99,40 +103,9 @@ def cone_cap_area(n: int) -> float:
     """
     if n < 2:
         raise ValueError(f"dimension must be >= 2, got {n}")
-    nodes, weights = _panel_nodes([(0.0, math.pi / 3.0, 1)])
-    return sphere_area(n - 1) * float(np.sum(np.sin(nodes) ** (n - 2) * weights))
-
-
-def _panel_nodes(segments: list[tuple[float, float, int]]) -> tuple[np.ndarray, np.ndarray]:
-    """K15 nodes and weights of consecutive segments, each (lo, hi, panels)
-    of equal panels on [lo, hi], written into one pair of arrays."""
-    for lo, hi, panels in segments:
-        if panels * _PANEL_ORDER > _MAX_RADIAL_NODES:
-            raise QuadratureError(
-                f"radial layout needs {panels * _PANEL_ORDER} nodes on [{lo:.4g}, {hi:.4g}], "
-                f"more than the cap of {_MAX_RADIAL_NODES}"
-            )
-    rows = sum(panels for _, _, panels in segments)
-    nodes, weights = np.empty((rows, _PANEL_ORDER)), np.empty((rows, _PANEL_ORDER))
-    row = 0
-    for lo, hi, panels in segments:
-        width = (hi - lo) / panels
-        # the values of np.linspace(lo, hi, panels + 1), by its own arithmetic
-        edges = np.arange(panels + 1.0) * width + lo
-        edges[-1] = hi
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        np.add(mids[:, None], 0.5 * width * _K15_NODES, out=nodes[row:row + panels])
-        np.multiply(0.5 * width, _K15_WEIGHTS, out=weights[row:row + panels])
-        row += panels
-    return nodes.ravel(), weights.ravel()
-
-
-def _kronrod(values: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
-    """K15 sum of ``values`` over a :func:`_radial_layout` with ``weights``, and
-    its error estimate, the sum over panels of |K15 - G7|."""
-    terms = values * weights
-    panel_gaps = (terms.reshape(-1, _PANEL_ORDER) * _GAUSS_GAP).sum(axis=1)
-    return float(np.sum(terms)), float(np.abs(panel_gaps).sum())
+    half = math.pi / 6.0  # the half width of the one K15 panel on [0, pi/3]
+    polar = half + half * _K15_NODES
+    return sphere_area(n - 1) * float(np.sum(np.sin(polar) ** (n - 2) * (half * _K15_WEIGHTS)))
 
 
 def _active_end(radii: np.ndarray, probe: np.ndarray, r_lo: float, r_hi: float) -> float:
@@ -160,15 +133,6 @@ def _osc_panels(gamma_t: float, span: float) -> int:
     return max(_BASE_PANELS, int(math.ceil(required)))
 
 
-def _radial_layout(r_lo: float, r_hi: float, split: float, gamma_t: float,
-                   refine: int) -> tuple[np.ndarray, np.ndarray]:
-    mult = 2 ** refine
-    if split >= r_hi:
-        return _panel_nodes([(r_lo, r_hi, _osc_panels(gamma_t, r_hi - r_lo) * mult)])
-    return _panel_nodes([(r_lo, split, _osc_panels(gamma_t, split - r_lo) * mult),
-                         (split, r_hi, _BASE_PANELS * mult)])
-
-
 def default_r_max(params: ModelParams, t: float) -> float:
     """Radius at which the "high" and "full" zones are truncated at time t > 0."""
     if t <= 0:
@@ -183,9 +147,7 @@ def zone_norm_sq(f: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
 
     ``f`` maps radii (m,) to the mean and the maximum, arrays (m,), of
     |field|^2 over the sphere of each radius (``spectral.Field.sphere_mean_max``),
-    or to 0.0 and 0.0 for a field that is 0 at every radius, so the radial
-    integrand is |S^(n-1)| r^(n-1) times the mean.  The probe and every layout
-    give ``f`` ascending radii.  Zones:
+    so the radial integrand is |S^(n-1)| r^(n-1) times the mean.  Zones:
     "low" = {|xi| <= delta0/sqrt(2)}, "high" = the complement truncated at
     r_max = :func:`default_r_max`, which needs t > 0, "full" = both.  A
     truncated zone adds the tail estimate: the maximum of |field|^2 at r_max
@@ -198,8 +160,15 @@ def zone_norm_sq(f: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     it, and ``est_error`` is those two estimates together.  An unconverged
     norm, a NaN integrand's among them, raises :class:`QuadratureError` naming
     its zone and t, and so does a radius r_max at which the kernels' b^2 r^2
-    or a r^2 overflows.  The probe and the edge radius r_max take one
-    integrand call; each level one more.
+    or a r^2 overflows.
+
+    ``f`` is called once for the probe, whose last radius is the zone's outer
+    edge (r_max, or delta0/sqrt(2) for the low zone), and then once per slice
+    of at most ``_SLICE_PANELS`` whole panels of a level, so no array spans a
+    level layout.  Every call takes ascending radii; a level's calls are
+    consecutive and ascending, and the radii restart below the last one at the
+    next level.  The K15 sum and the estimate are taken over the whole level,
+    so they do not depend on the slicing.
     """
     if zone not in ("low", "high", "full"):
         raise ValueError(f"unknown zone {zone!r}")
@@ -216,18 +185,43 @@ def zone_norm_sq(f: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     mean, peak = f(radii)
     # the radial integrand |S^(n-1)| r^(n-1) times the sphere mean of |field|^2
     split = _active_end(radii[:-1], (area * mean * radii ** (n - 1))[:-1], r_lo, r_hi)
-    gamma_t = params.gamma * t
     tail = 0.0
     if zone != "low":
         lam = min(2.0 * params.alpha, params.b) * t
-        edge = peak[-1] if np.ndim(peak) else peak
-        tail = float(edge) * area * _gaussian_tail_bound(r_hi, lam, n)
+        tail = float(peak[-1]) * area * _gaussian_tail_bound(r_hi, lam, n)
+    # level 0: oscillation panels on the active part [r_lo, split] and, if
+    # split < r_hi, _BASE_PANELS on the rest; each level doubles every segment
+    gamma_t = params.gamma * t
+    segments = ([(r_lo, r_hi, _osc_panels(gamma_t, r_hi - r_lo))] if split >= r_hi else
+                [(r_lo, split, _osc_panels(gamma_t, split - r_lo)), (split, r_hi, _BASE_PANELS)])
 
     points = radii.size
     for level in range(_MAX_REFINEMENTS + 1):
-        r, wr = _radial_layout(r_lo, r_hi, split, gamma_t, level)
-        points += r.size
-        value, est = _kronrod(area * f(r)[0] * r ** (n - 1), wr)
+        # each panel's midpoint and half width: arrays over panels, not radii
+        mids, halves = [], []
+        for lo, hi, base in segments:
+            panels = base << level
+            if panels * _PANEL_ORDER > _MAX_RADIAL_NODES:
+                raise QuadratureError(
+                    f"radial layout needs {panels * _PANEL_ORDER} nodes on [{lo:.4g}, {hi:.4g}], "
+                    f"more than the cap of {_MAX_RADIAL_NODES}")
+            width = (hi - lo) / panels
+            # the values of np.linspace(lo, hi, panels + 1), by its own arithmetic
+            edges = np.arange(panels + 1.0) * width + lo
+            edges[-1] = hi
+            mids.append(0.5 * (edges[:-1] + edges[1:]))
+            halves.append(np.full(panels, 0.5 * width))
+        mids, halves = np.concatenate(mids)[:, None], np.concatenate(halves)[:, None]
+        # each panel's K15 terms and K15 - G7, filled a slice of panels at a time
+        terms, gaps = np.empty((mids.size, _PANEL_ORDER)), np.empty(mids.size)
+        for first in range(0, mids.size, _SLICE_PANELS):
+            part = slice(first, first + _SLICE_PANELS)
+            r = (mids[part] + halves[part] * _K15_NODES).ravel()
+            np.multiply((area * f(r)[0] * r ** (n - 1)).reshape(-1, _PANEL_ORDER),
+                        halves[part] * _K15_WEIGHTS, out=terms[part])
+            np.sum(terms[part] * _GAUSS_GAP, axis=1, out=gaps[part])
+        points += terms.size
+        value, est = float(np.sum(terms)), float(np.abs(gaps).sum())
         if est + tail <= rel_tol * max(abs(value), 1e-300):
             return ZoneNorm(value, est + tail, points, level)
     raise QuadratureError(f"{zone}-zone norm at t={t:g} did not converge: value={value:.6g}, "

@@ -277,30 +277,48 @@ def black_box_norm_sq(f, params: ModelParams, t: float, zone: str,
     to complex scalars (m,) or vectors (m, n), axially symmetric about e1.
 
     At each batch of radii the sphere mean of |f|^2 is the 2-node Gauss rule
-    u = -+1/sqrt(n) in u = cos(phi), not the 1/n of ``zone_norm_sq``; three of
-    the radii are spot-checked for axial symmetry (:class:`SymmetryError`),
-    and the 3-node rule u = 0, -+sqrt(3/(n+2)) must give the same mass
-    (:class:`QuadratureError` "angular nodes" otherwise).  That mean goes to
-    ``zone_norm_sq`` with the largest |f|^2 on the 3 directions as the
-    maximum, so that is its edge value.
+    u = -+1/sqrt(n) in u = cos(phi), not the 1/n of ``zone_norm_sq``.  That
+    mean goes to ``zone_norm_sq`` with the largest |f|^2 on the 3 directions of
+    the 3-node rule u = 0, -+sqrt(3/(n+2)) as the maximum, so that is its edge
+    value.  Each level, and the probe, is checked as a whole: ``zone_norm_sq``
+    evaluates it in consecutive calls of ascending radii, and the radii restart
+    at the next level.  Three of its radii are spot-checked for axial symmetry
+    (:class:`SymmetryError`), and the 3-node rule must give the same mass
+    (:class:`QuadratureError` "angular nodes" otherwise).  A level is checked
+    when the next one starts or ``zone_norm_sq`` returns or raises, so its
+    check comes before the norm's own verdict on it.
     """
     n = params.n
     dirs, ang_w = _angular_frame(n, 2)
     finer_dirs, finer_w = _angular_frame(n, 3)
     area = sphere_area(n)
+    level = []  # (radii, 2-node profile, 3-node profile) of each call of the level
+
+    def check_level():
+        if not level:
+            return
+        r, probe, finer = (np.concatenate(parts) for parts in zip(*level))
+        level.clear()
+        spots = r[[r.size // 4, r.size // 2, 3 * r.size // 4]]
+        _check_axial_symmetry(spots, _eval_abs_sq(f, _symmetry_points(spots, n)))
+        _check_angular_rule(finer, probe, rel_tol)
 
     def mean_max(r):
-        spots = r[[r.size // 4, r.size // 2, 3 * r.size // 4]]
-        blocks = [_symmetry_points(spots, n), _on_frame(r, dirs), _on_frame(r, finer_dirs)]
-        at_spots, at_probe, at_finer = np.split(
-            _eval_abs_sq(f, np.concatenate(blocks)), np.cumsum([len(x) for x in blocks[:-1]]))
-        _check_axial_symmetry(spots, at_spots)
+        if level and r[0] < level[-1][0][-1]:
+            check_level()
+        blocks = [_on_frame(r, dirs), _on_frame(r, finer_dirs)]
+        at_probe, at_finer = np.split(_eval_abs_sq(f, np.concatenate(blocks)), [len(blocks[0])])
         probe = _radial_profile(at_probe, r, n, ang_w)
-        _check_angular_rule(_radial_profile(at_finer, r, n, finer_w), probe, rel_tol)
-        mean = probe / (area * r ** (n - 1))
-        return mean, at_finer.reshape(r.size, -1).max(axis=1)
+        level.append((r, probe, _radial_profile(at_finer, r, n, finer_w)))
+        return probe / (area * r ** (n - 1)), at_finer.reshape(r.size, -1).max(axis=1)
 
-    return zone_norm_sq(mean_max, params, t, zone, rel_tol)
+    try:
+        norm = zone_norm_sq(mean_max, params, t, zone, rel_tol)
+    except QuadratureError:
+        check_level()
+        raise
+    check_level()
+    return norm
 
 
 def pointwise_fields(params: ModelParams, data: InitialData, t: float) -> dict:

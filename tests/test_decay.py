@@ -26,7 +26,19 @@ from nsprofile.decay import (
     velocity_norm_series,
 )
 from nsprofile.profiles import remainder_bounds, velocity_profile
-from nsprofile.quadrature import DEFAULT_REL_TOL, sphere_area, zone_norm_sq
+from nsprofile.quadrature import (
+    _BASE_PANELS,
+    _GAUSS_GAP,
+    _K15_NODES,
+    _K15_WEIGHTS,
+    _PANEL_ORDER,
+    _SLICE_PANELS,
+    DEFAULT_REL_TOL,
+    _active_end,
+    _gaussian_tail_bound,
+    _osc_panels,
+    sphere_area,
+)
 from nsprofile.spectral import solve_exact_batch
 from oracles import black_box_norm_sq
 
@@ -351,25 +363,38 @@ def test_default_verdicts_keep_their_quadrature_work(case, tmp_path, monkeypatch
 
 @pytest.mark.parametrize("amplitude_v", [(0.0, 0.0), (0.03, 0.04)], ids=["p0-zero", "p0"])
 def test_field_norm_sq_evaluates_bounded_batches_with_the_bits_of_one(amplitude_v):
-    # rate's full-zone norm at t = 1e4 lays out 5,115 radii at level 0, more
-    # than one field batch: the field sees slices of at most _FIELD_BATCH
-    # radii, and the norm keeps the bits of the unsliced integrand
+    # rate's full-zone norm at t = 1e4 lays out 5,115 radii at level 0, which
+    # zone_norm_sq hands the field in slices of at most _SLICE_PANELS panels:
+    # the radii are those of np.linspace panel edges, and the norm keeps the
+    # bits of one K15 sum, with its |K15 - G7| estimate, over the whole level
     data = InitialData(amplitude_v=amplitude_v, amplitude_rho=1.0, width=1.0)
-    t, sizes = 1e4, []
+    t, n, calls = 1e4, PARAMS.n, []
 
     def velocity(params, data, r, t):
-        sizes.append(r.size)
+        calls.append(r)
         return velocity_field(params, data, r, t)
 
-    sliced = field_norm_sq(velocity, PARAMS, data, t, "full", DEFAULT_REL_TOL)
-    whole_sizes = []
+    norm = field_norm_sq(velocity, PARAMS, data, t, "full", DEFAULT_REL_TOL)
+    probe, radii = calls[0], np.concatenate(calls[1:])
+    assert radii.size == 5115 and norm.points == probe.size + radii.size and norm.level == 0
+    assert max(r.size for r in calls) == _SLICE_PANELS * _PANEL_ORDER
 
-    def whole(r):
-        whole_sizes.append(r.size)
-        return velocity_field(PARAMS, data, r, t).sphere_mean_max(PARAMS.n)
-
-    unsliced = zone_norm_sq(whole, PARAMS, t, "full", DEFAULT_REL_TOL)
-    assert max(whole_sizes) == 5115 > decay._FIELD_BATCH
-    assert max(sizes) == decay._FIELD_BATCH and sum(sizes) == sum(whole_sizes)
-    bits = lambda norm: (norm.value.hex(), norm.est_error.hex(), norm.points, norm.level)
-    assert bits(sliced) == bits(unsliced)
+    area, r_max = sphere_area(n), probe[-1]
+    mean, peak = velocity_field(PARAMS, data, probe, t).sphere_mean_max(n)
+    split = _active_end(probe[:-1], (area * mean * probe ** (n - 1))[:-1], 0.0, r_max)
+    layout = [(0.0, split, _osc_panels(PARAMS.gamma * t, split)), (split, r_max, _BASE_PANELS)]
+    nodes, weights = [], []
+    for lo, hi, panels in layout:
+        edges = np.linspace(lo, hi, panels + 1)
+        half = 0.5 * (hi - lo) / panels
+        nodes.append((0.5 * (edges[:-1] + edges[1:])[:, None] + half * _K15_NODES).ravel())
+        weights.append(np.tile(half * _K15_WEIGHTS, panels))
+    nodes, weights = np.concatenate(nodes), np.concatenate(weights)
+    np.testing.assert_array_equal(radii, nodes)
+    whole = velocity_field(PARAMS, data, nodes, t).sphere_mean_max(n)[0]
+    terms = area * whole * nodes ** (n - 1) * weights
+    gaps = (terms.reshape(-1, _PANEL_ORDER) * _GAUSS_GAP).sum(axis=1)
+    lam = min(2.0 * PARAMS.alpha, PARAMS.b) * t
+    tail = float(peak[-1]) * area * _gaussian_tail_bound(r_max, lam, n)
+    assert norm.value.hex() == float(np.sum(terms)).hex()
+    assert norm.est_error.hex() == (float(np.abs(gaps).sum()) + tail).hex()

@@ -18,10 +18,13 @@ from nsprofile.quadrature import (
     _OSC_FACTOR,
     _PANEL_ORDER,
     _PROBE_POINTS,
+    _SLICE_PANELS,
     QuadratureError,
+    _active_end,
     _gaussian_tail_bound,
-    _panel_nodes,
+    _osc_panels,
     cone_cap_area,
+    default_r_max,
     sphere_area,
     zone_norm_sq,
 )
@@ -41,6 +44,25 @@ def isotropic(abs_sq):
         return value, value
 
     return mean_max
+
+
+def recording(f):
+    """``f``, and the radii of its calls gathered by level: the probe with the
+    edge radius first, then each level, whose calls take consecutive slices of
+    ascending radii; the radii restart at each new level."""
+    levels = []
+
+    def recorded(r):
+        if not levels or r[0] < levels[-1][-1][-1]:
+            levels.append([])
+        levels[-1].append(r)
+        return f(r)
+
+    return recorded, levels
+
+
+def level_sizes(levels):
+    return [sum(r.size for r in level) for level in levels]
 
 
 def sine_kernel_sq(params, t):
@@ -155,10 +177,10 @@ def test_nan_integrand_is_not_converged(zone):
 
 
 @pytest.mark.parametrize("zone", ["low", "high", "full"])
-@pytest.mark.parametrize("as_array", [False, True], ids=["scalars", "arrays"])
-def test_zero_integrand_is_zero_at_level_zero(zone, as_array):
+@pytest.mark.parametrize("zeros", [np.zeros_like], ids=["arrays"])
+def test_zero_integrand_is_zero_at_level_zero(zone, zeros):
     # zero value, zero estimate and zero tail meet the 1e-300 floor at once
-    f = isotropic(lambda r: np.zeros(r.size) if as_array else 0.0)
+    f = isotropic(zeros)
     res = zone_norm_sq(f, PARAMS2, 1.0, zone)
     assert (res.value, res.est_error, res.level) == (0.0, 0.0, 0)
 
@@ -220,19 +242,18 @@ def test_unresolved_level_zero_refines_and_converges():
     # Dawson's integral
     dawsn = pytest.importorskip("scipy.special").dawsn
     t = 1000.0
-    sizes = []
-
-    def f(r):
-        sizes.append(r.size)
-        return isotropic(lambda r: (np.exp(-r * r * t) * np.sin(PARAMS2.gamma * t * r)) ** 2)(r)
+    f, levels = recording(
+        isotropic(lambda r: (np.exp(-r * r * t) * np.sin(PARAMS2.gamma * t * r)) ** 2))
 
     c = q = 2.0 * t
     exact = math.pi * q * dawsn(q / (2.0 * math.sqrt(c))) / (2.0 * c * math.sqrt(c))
     coarse = zone_norm_sq(f, PARAMS2, t, "low")
+    sizes = level_sizes(levels)
     assert len(sizes) == 2  # the probe, then level 0
     assert (coarse.level, coarse.points) == (0, sum(sizes))
-    sizes.clear()
+    levels.clear()
     fine = zone_norm_sq(f, PARAMS2, t, "low", 1e-12)
+    sizes = level_sizes(levels)
     assert len(sizes) > 2 and sizes[2] == 2 * sizes[1]
     assert (fine.level, fine.points) == (len(sizes) - 2, sum(sizes))
     assert fine.est_error <= 1e-12 * fine.value
@@ -241,33 +262,45 @@ def test_unresolved_level_zero_refines_and_converges():
 
 
 def test_oscillation_panel_rule():
-    # the radial layout must allocate at least _OSC_FACTOR panels per
-    # oscillation period 2*pi/(gamma*t) on the active interval
-    from nsprofile.quadrature import _osc_panels, _radial_layout
-
-    gamma_t = 500.0
-    span = 0.4
-    required = _OSC_FACTOR * gamma_t * span / (2 * math.pi)
+    # level 0 must allocate at least _OSC_FACTOR panels per oscillation period
+    # 2*pi/(gamma*t) on the radially active interval [0, split]
+    t = 500.0
+    f, levels = recording(isotropic(lambda r: np.exp(-50.0 * r * r)))
+    zone_norm_sq(f, PARAMS2, t, "full")
+    probe = levels[0][0][:-1]
+    split = _active_end(probe, sphere_area(2) * np.exp(-50.0 * probe * probe) * probe,
+                        0.0, default_r_max(PARAMS2, t))
+    required = _OSC_FACTOR * PARAMS2.gamma * t * split / (2 * math.pi)
     assert required > _BASE_PANELS
-    assert _osc_panels(gamma_t, span) >= required
-
-    nodes, _ = _radial_layout(0.0, 1.0, split=span, gamma_t=gamma_t, refine=0)
-    in_active = np.count_nonzero(nodes <= span)
+    in_active = np.count_nonzero(np.concatenate(levels[1]) <= split)
     assert in_active / _PANEL_ORDER >= required  # _PANEL_ORDER nodes per panel
 
 
-def test_panel_nodes_cap():
-    # one panel more than the cap allows raises, naming the requested count
+def test_panel_nodes_cap(monkeypatch):
+    # a level of one panel more than the cap allows raises, naming the
+    # requested count, and calls the integrand on the probe alone; a count no
+    # machine could allocate raises the same way, before allocating
+    calls = []
+
+    def f(r):
+        calls.append(r.size)
+        return np.ones(r.size), np.ones(r.size)
+
     panels = _MAX_RADIAL_NODES // _PANEL_ORDER
-    with pytest.raises(QuadratureError, match=f"needs {_PANEL_ORDER * (panels + 1)} nodes"):
-        _panel_nodes([(0.0, 1.0, panels + 1)])
-    # a count no machine could allocate raises the same way, before allocating
-    with pytest.raises(QuadratureError, match=f"needs {_PANEL_ORDER * 10**15} nodes"):
-        _panel_nodes([(0.0, 1.0, 10**15)])
-    # the largest allowed layout allocates
-    nodes, weights = _panel_nodes([(0.0, 1.0, panels)])
-    assert nodes.size == _PANEL_ORDER * panels > _MAX_RADIAL_NODES - _PANEL_ORDER
-    assert float(np.sum(weights)) == pytest.approx(1.0, rel=1e-12)
+    for requested in (panels + 1, 10**15):
+        monkeypatch.setattr(quadrature, "_osc_panels", lambda gamma_t, span: requested)
+        calls.clear()
+        with pytest.raises(QuadratureError, match=f"needs {_PANEL_ORDER * requested} nodes"):
+            zone_norm_sq(f, PARAMS2, 1.0, "low")
+        assert calls == [_PROBE_POINTS + 1]
+    # the largest allowed layout is evaluated, in slices, and integrates the
+    # disk area pi r_low^2 = pi/2 exactly
+    monkeypatch.setattr(quadrature, "_osc_panels", lambda gamma_t, span: panels)
+    calls.clear()
+    res = zone_norm_sq(f, PARAMS2, 1.0, "low")
+    assert res.points - calls[0] == _PANEL_ORDER * panels > _MAX_RADIAL_NODES - _PANEL_ORDER
+    assert max(calls[1:]) == _SLICE_PANELS * _PANEL_ORDER
+    assert res.value == pytest.approx(math.pi / 2, rel=1e-12)
 
 
 @pytest.mark.parametrize("alpha,beta,gamma", [(1.0, 1.0, 1.0), (0.5, 2.0, 3.0)])
@@ -418,6 +451,28 @@ def test_angular_certificate_rejects_non_polynomial_integrand(params):
         black_box_norm_sq(_exp_cosine_field, params, 1.0, "full")
 
 
+def test_angular_certificate_checks_a_level_across_its_slices():
+    # |f|^2 = e^{-2 r^2} (1 + u^4 band(r)), with band a bump of width 0.002
+    # midway between two probe radii: the probe sees only e^{-2 r^2}, which 2
+    # nodes integrate, but level 0 at gamma t = 1000 resolves the band, whose
+    # u^4 the 3-node rule integrates and the 2-node rule does not; that level
+    # spans many slices
+    t = 1000.0
+    r_max = default_r_max(PARAMS2, t)
+    spacing = r_max / _PROBE_POINTS
+    center = 20.0 * spacing
+    band = lambda r: np.exp(-((r - center) / 0.002) ** 2)
+    assert band((np.arange(_PROBE_POINTS) + 0.5) * spacing).max() < 1e-40
+    assert _osc_panels(PARAMS2.gamma * t, r_max) > 10 * _SLICE_PANELS
+
+    def banded(xi):
+        r = np.sqrt(np.sum(xi * xi, axis=1))
+        return (np.exp(-r * r) * np.sqrt(1.0 + (xi[:, 0] / r) ** 4 * band(r))).astype(complex)
+
+    with pytest.raises(QuadratureError, match="angular nodes"):
+        black_box_norm_sq(banded, PARAMS2, t, "full")
+
+
 def test_angular_certificate_accepts_enough_nodes():
     # |f|^2 = u^2 e^{-2 r^2} has degree 2 in u, so 2 and 3 nodes are both
     # exact: int_{R^n} u^2 e^{-2 r^2} dxi = |S^{n-1}|/n int r^{n-1} e^{-2 r^2} dr;
@@ -476,24 +531,56 @@ def test_tail_estimate_takes_the_sphere_maximum_of_the_edge(params, monkeypatch)
 
 
 def test_zone_norm_counts_its_points_and_level():
-    # a default rate call: one call for the probe and the edge radius, one for
-    # level 0, and points = that layout + the probe
+    # a default rate call: one call for the probe and the edge radius, then
+    # level 0 in calls of whole panels, at most _SLICE_PANELS each, on
+    # ascending radii; points = that layout + the probe
     from nsprofile.config import build_run_config
     from nsprofile.decay import velocity_field
 
     cfg = build_run_config("rate", {})
     for t in cfg.times.tolist():
-        sizes = []
-
-        def f(r):
-            sizes.append(r.size)
-            return velocity_field(cfg.params, cfg.data, r, t).sphere_mean_max(cfg.params.n)
-
+        f, levels = recording(
+            lambda r: velocity_field(cfg.params, cfg.data, r, t).sphere_mean_max(cfg.params.n))
         res = zone_norm_sq(f, cfg.params, t, "full", cfg.rel_tol)
-        assert res.level == 0
-        assert sizes[0] == _PROBE_POINTS + 1 and len(sizes) == 2
-        assert sizes[1] % _PANEL_ORDER == 0 and sizes[1] >= _PANEL_ORDER * _BASE_PANELS
-        assert res.points == _PROBE_POINTS + 1 + sizes[1]
+        assert res.level == 0 and len(levels) == 2
+        (probe,), level = levels
+        assert probe.size == _PROBE_POINTS + 1 and probe[-1] == default_r_max(cfg.params, t)
+        assert all(r.size % _PANEL_ORDER == 0 and r.size <= _SLICE_PANELS * _PANEL_ORDER
+                   for r in level)
+        radii = np.concatenate(level)
+        assert np.all(np.diff(radii) > 0) and radii.size >= _PANEL_ORDER * _BASE_PANELS
+        assert res.points == _PROBE_POINTS + 1 + radii.size
+
+
+def test_high_zone_layout_spans_the_active_part_above_r_low():
+    # e^{-20 r^2} leaves the high zone's probe mass near r = 1.9, below r_max = 4,
+    # so level 0 is two segments: oscillation panels on [r_low, split] for
+    # gamma t = 100, more than _BASE_PANELS, and _BASE_PANELS on [split, r_max]
+    t, probes = 100.0, []
+
+    def f(r):
+        probes.append(r)
+        value = np.exp(-20.0 * r * r)
+        return value, value
+
+    res = zone_norm_sq(f, PARAMS2, t, "high")
+    r_lo, r_hi = PARAMS2.r_low, default_r_max(PARAMS2, t)
+    probe = probes[0][:-1]
+    split = _active_end(probe, sphere_area(2) * np.exp(-20.0 * probe * probe) * probe,
+                        r_lo, r_hi)
+    panels = _osc_panels(PARAMS2.gamma * t, split - r_lo)
+    assert split < r_hi and panels > _BASE_PANELS
+    assert res.level == 0
+    assert res.points == _PROBE_POINTS + 1 + _PANEL_ORDER * (panels + _BASE_PANELS)
+
+
+def test_overflow_guard_squares_b():
+    # at alpha = 1e-10 and t = 100 the truncation radius is 8e4: a r_max^2 is
+    # 6.4e9, but b^2 r_max^2 overflows at beta = 1e150
+    params = ModelParams(alpha=1e-10, beta=1e150, gamma=1.0, n=2)
+    assert math.isfinite(params.a * 8e4 ** 2) and math.isfinite(params.b * 8e4 ** 2)
+    with pytest.raises(QuadratureError, match=r"overflows at r_max=8e\+04, t=100"):
+        zone_norm_sq(isotropic(lambda r: np.exp(-r * r)), params, 100.0, "full")
 
 
 def test_gaussian_tail_bound_dominates_for_low_dimensions():
