@@ -3,10 +3,10 @@
 Each quadrature norm is one ``zone_norm_sq`` call: the isotropic sine kernel,
 and through :func:`field_norm_sq` every field(params, data, r, t) of this
 module and of ``profiles``, which ``zone_norm_sq`` evaluates on bounded slices
-of ascending radii.  The other kernel items of ``lemma31`` (the heat
-and damped-cosine projections and the cone witness) are closed-form Gaussian
-integrals and multiples of G - K_sin, with G the Gaussian integral and K_sin
-the sine kernel, since sin^2 + cos^2 = 1.  The norms of a time grid are taken
+of radii.  The other kernel items of ``lemma31`` (the heat and damped-cosine
+projections and the cone witness) are closed-form Gaussian integrals and
+multiples of G - K_sin, with G the Gaussian integral and K_sin the sine
+kernel, since sin^2 + cos^2 = 1.  The norms of a time grid are taken
 in order on the calling thread: at the default sizes each is a run of short
 numpy calls that hold the GIL, so worker threads saved no time and cost
 memory.  Time series are fitted by log-log lines for polynomial rates and
@@ -23,13 +23,7 @@ import numpy as np
 
 from ._record import record
 from .model import InitialData, ModelParams, check_dimension
-from .profiles import (
-    expansion_field,
-    gaussian_moment_bound,
-    moment_defect_field,
-    profile_field,
-    sine_correction_field,
-)
+from .profiles import gaussian_moment_bound, profile_field
 from .quadrature import DEFAULT_REL_TOL, ZoneNorm, cone_cap_area, sphere_area, zone_norm_sq
 from .spectral import Field, exact_field
 # no function here calls them: bench/spans.py wraps these attributes as trace sites
@@ -112,8 +106,8 @@ def field_norm_sq(field, params: ModelParams, data: InitialData, t: float, zone:
     the sphere means and maxima that a zone norm integrates.  ``zone_norm_sq``
     hands the field one slice of a level's radii at a time, so no temporary of
     the field spans a whole level layout (up to 5,115 radii at the defaults).
-    The field works elementwise and the slices are ascending, so each radius
-    gets the bits that the whole level gives it (see ``spectral._phi_psi``)."""
+    The field works elementwise, so each radius gets the bits that the whole
+    level gives it (see ``spectral._phi_psi``)."""
     check_dimension(params, data.n)
     return zone_norm_sq(lambda r: field(params, data, r, t).sphere_mean_max(params.n),
                         params, t, zone, rel_tol)
@@ -177,20 +171,6 @@ def cone_cosine_integral(params: ModelParams, t: float,
     n = params.n
     return cone_cap_area(n) / sphere_area(n) * (gaussian_moment_bound(n, 0, params.b, t)
                                                 - sine_kernel_integral(params, t, rel_tol))
-
-
-def measured_remainder_norms(params: ModelParams, data: InitialData, t: float,
-                             rel_tol: float = DEFAULT_REL_TOL) -> dict[str, float]:
-    """Quadrature values of the computable remainder masses on the low zone.
-
-    Returns the squared norms of the moment defect, the longitudinal sine
-    correction, and the lumped five expansion corrections (obtained as the
-    exact moment flow minus leading profile minus sine correction).
-    """
-    fields = {"moment_defect": moment_defect_field, "sine_correction": sine_correction_field,
-              "expansion": expansion_field}
-    return {name: field_norm_sq(field, params, data, t, "low", rel_tol).value
-            for name, field in fields.items()}
 
 
 def velocity_norm_series(params: ModelParams, data: InitialData, times: np.ndarray,

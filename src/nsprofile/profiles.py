@@ -97,17 +97,17 @@ def sine_correction_field(params: ModelParams, data: InitialData, r: np.ndarray,
                      / params.gamma))
 
 
-def moment_field(params: ModelParams, data: InitialData, r: np.ndarray, t: float,
-                 scalar: bool = True) -> Field:
-    """Exact flow of the bare moments (P0, Q0) with the true divided-difference
-    coefficients; the moment defect is the exact field minus this."""
-    return flow(params, r, t, data.p0_norm, data.amplitude_rho, scalar=scalar)
+def moment_field(params: ModelParams, data: InitialData, r: np.ndarray, t: float) -> Field:
+    """Exact velocity flow of the bare moments (P0, Q0) with the true
+    divided-difference coefficients; the moment defect is the exact velocity
+    minus this."""
+    return flow(params, r, t, data.p0_norm, data.amplitude_rho, scalar=False)
 
 
 def expansion_field(params: ModelParams, data: InitialData, r: np.ndarray, t: float) -> Field:
     """The five expansion corrections together: the exact moment flow minus
     the leading velocity profile minus the sine correction."""
-    return (moment_field(params, data, r, t, scalar=False)
+    return (moment_field(params, data, r, t)
             - profile_field(params, data, r, t, scalar=False)
             - sine_correction_field(params, data, r, t))
 

@@ -167,7 +167,8 @@ def zone_norm_sq(f: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     of at most ``_SLICE_PANELS`` whole panels of a level, so no array spans a
     level layout.  Every call takes ascending radii; a level's calls are
     consecutive and ascending, and the radii restart below the last one at the
-    next level.  The K15 sum and the estimate are taken over the whole level,
+    next level (the black-box oracle of ``tests/oracles.py`` finds the levels
+    by that; no field needs the order).  The K15 sum and the estimate are taken over the whole level,
     so they do not depend on the slicing.
     """
     if zone not in ("low", "high", "full"):

@@ -40,9 +40,10 @@ pages OpenBLAS code and buffers in: 412 KiB of the 1.4 MB that the 8
 subcommands at n = 2 added to the resident set when they still called it
 (numpy 2.4.6, x86-64; the README gives the benchmark figures).  Nor does it
 call numpy's sorts (``np.sort``, ``np.argsort``, ``np.lexsort``,
-``np.unique``): the few orderings it needs, 10 oracle radii and the radii of
-a :func:`pointwise` batch, take Python's ``sorted``, since the first numpy
-sort pages 192-576 KiB of its kernels in.
+``np.unique``): the one ordering it needs, the 10 oracle radii of the CLI,
+takes Python's ``sorted``, since the first numpy sort pages 192-576 KiB of
+its kernels in.  No kernel needs its radii in order: :func:`_phi_psi` picks
+each radius's root type by the sign of its discriminant.
 """
 
 from __future__ import annotations
@@ -57,8 +58,9 @@ from .model import InitialData, ModelParams, check_dimension, fourier_data_batch
 def _phi_psi(params: ModelParams, r: np.ndarray, t: float,
              with_psi: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """Real divided differences Phi = (e^{s1 t}-e^{s2 t})/(s1-s2) and
-    Psi = (s1 e^{s1 t}-s2 e^{s2 t})/(s1-s2) at ascending radii r, where s1, s2
-    are the roots of lambda^2 + b r^2 lambda + a r^2, one formula per root type:
+    Psi = (s1 e^{s1 t}-s2 e^{s2 t})/(s1-s2) at radii r in any order, where
+    s1, s2 are the roots of lambda^2 + b r^2 lambda + a r^2, one formula per
+    root type:
 
     - conjugate pair m -+ i w (up to delta0): Phi = e^{mt} sin(wt)/w,
       Psi = e^{mt} cos(wt) + m Phi, with Phi = t e^{mt}, its w -> 0 limit,
@@ -67,37 +69,35 @@ def _phi_psi(params: ModelParams, r: np.ndarray, t: float,
       Phi = e^{s1 t} (-expm1(-(s1-s2) t)) / (s1-s2), Psi = s1 Phi + e^{s2 t}.
 
     Neither forms a difference of nearby exponentials, so each holds for
-    every (s1-s2) t, and both give Phi = 0, Psi = 1 at t = 0.  Each runs on its
-    own slice of the radii, where the root types are consecutive, so a radius
-    has the same bits in any batch; out of order, a radius in the other
-    type's slice gives NaN with a RuntimeWarning (a negative's root or 0/0)
-    unless it lands in the conjugate-pair slice with disc >= 0, where it gets
-    its own bits.  Without ``with_psi``, Psi is None.
+    every (s1-s2) t, and both give Phi = 0, Psi = 1 at t = 0.  The sign of the
+    discriminant picks each radius's formula, which runs elementwise on the
+    radii of its type alone, so a radius has the same bits in any batch.
+    Without ``with_psi``, Psi is None.
     """
     a, b = params.a, params.b
     rr = r * r
     disc = 4.0 * a - b * b * rr  # > 0 oscillatory, 0 at r = delta0, < 0 overdamped
-    # [0, osc) conjugate pair or double root (disc >= 0), [osc, size) real roots
-    size, osc = disc.size, int(np.searchsorted(-disc, 0.0, side="right"))
+    osc = disc >= 0.0  # conjugate pair or double root; the others are real roots
     m = -0.5 * b * rr  # (s1 + s2) / 2
-    phi = np.empty(size)
-    psi = np.empty(size) if with_psi else None
-    if osc:
-        m_osc = m[:osc]
-        emt = np.exp(m_osc * t)
-        w = 0.5 * (r[:osc] * np.sqrt(disc[:osc]))  # |s1 - s2| / 2
-        wt = w * t
-        np.multiply(t, emt, out=phi[:osc])
-        np.divide(emt * np.sin(wt), w, out=phi[:osc], where=w > 0.0)
-        if with_psi:
-            np.add(emt * np.cos(wt), m_osc * phi[:osc], out=psi[:osc])
-    if osc < size:
-        gap = r[osc:] * np.sqrt(-disc[osc:])  # s1 - s2
-        s2 = m[osc:] - 0.5 * gap
-        s1 = a * rr[osc:] / s2  # free of the cancellation in m + gap / 2
-        np.divide(np.exp(s1 * t) * -np.expm1(-gap * t), gap, out=phi[osc:])
-        if with_psi:
-            np.add(s1 * phi[osc:], np.exp(s2 * t), out=psi[osc:])
+    phi = np.empty(r.size)
+    psi = np.empty(r.size) if with_psi else None
+    m_osc = m[osc]
+    emt = np.exp(m_osc * t)
+    w = 0.5 * (r[osc] * np.sqrt(disc[osc]))  # |s1 - s2| / 2
+    wt = w * t
+    phi_osc = t * emt
+    np.divide(emt * np.sin(wt), w, out=phi_osc, where=w > 0.0)
+    phi[osc] = phi_osc
+    if with_psi:
+        psi[osc] = emt * np.cos(wt) + m_osc * phi_osc
+    real = ~osc
+    gap = r[real] * np.sqrt(-disc[real])  # s1 - s2
+    s2 = m[real] - 0.5 * gap
+    s1 = a * rr[real] / s2  # free of the cancellation in m + gap / 2
+    phi_real = np.exp(s1 * t) * -np.expm1(-gap * t) / gap
+    phi[real] = phi_real
+    if with_psi:
+        psi[real] = s1 * phi_real + np.exp(s2 * t)
     return phi, psi
 
 
@@ -160,19 +160,16 @@ def pointwise(field, params: ModelParams, data: InitialData, xi: np.ndarray,
               t: float) -> tuple[np.ndarray, np.ndarray]:
     """(vector (m, n), scalar (m,)) at xi of shape (m, n) of the :class:`Field`
     ``field(params, data, r, t)``: the one frequency-point entry point.  The
-    field takes r = |xi| in ascending order, found by a stable ``sorted`` of the
-    indices and undone by a scatter, so each point gets the bits that any
-    batch gives it.  Rejects what :func:`_check_run` rejects and xi = 0."""
+    field takes r = |xi| in the order of xi and works elementwise, so each
+    point gets the bits that any batch gives it.  Rejects what
+    :func:`_check_run` rejects and xi = 0."""
     xi = _check_run(params, data, xi, t)
     n = params.n
     r = np.sqrt(np.sum(xi * xi, axis=1))
     if np.any(r == 0.0):
         raise ValueError("xi = 0 is excluded from pointwise evaluation")
     p_hat = np.asarray(data.amplitude_v) / data.p0_norm if data.p0_norm else np.eye(n)[0]
-    order = np.array(sorted(range(r.size), key=r.tolist().__getitem__), dtype=np.intp)
-    back = np.empty_like(order)
-    back[order] = np.arange(r.size)
-    f = Field(*(x[back] if np.ndim(x) else x for x in field(params, data, r[order], t)))
+    f = field(params, data, r, t)
     xi_hat = xi / r[:, None]
     u = np.sum(xi_hat * p_hat, axis=1)
     return (np.multiply.outer(f.a, p_hat) + (f.b1 * u + 1j * f.b0)[:, None] * xi_hat,

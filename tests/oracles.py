@@ -332,11 +332,8 @@ def pointwise_fields(params: ModelParams, data: InitialData, t: float) -> dict:
 
     def flow(xi, v0, rho0):
         r2 = np.sum(xi * xi, axis=1)
-        # the kernel takes ascending radii; sqrt(r2), so that rotated copies
-        # of a radius keep sharing their bits
-        order = np.argsort(r2, kind="stable")
-        phi, psi = np.empty(r2.size), np.empty(r2.size)
-        phi[order], psi[order] = _phi_psi(params, np.sqrt(r2[order]), t)
+        # sqrt(r2), so that rotated copies of a radius keep sharing their bits
+        phi, psi = _phi_psi(params, np.sqrt(r2), t)
         heat = np.exp(-a * r2 * t)
         w0 = np.einsum("ij,ij->i", xi, v0)
         v_hat = (heat[:, None] * v0 - 1j * g * phi[:, None] * xi * rho0[:, None]

@@ -21,6 +21,7 @@ from nsprofile.config import (
     default_config,
     merge_config,
 )
+from nsprofile.quadrature import DEFAULT_REL_TOL
 from nsprofile.reporting import read_csv
 
 
@@ -231,9 +232,10 @@ def test_cli_bounds_row_check_fails_alone_past_the_cushion(tmp_path, monkeypatch
     from nsprofile import replace
 
     real = cli.remainder_bounds
+    field = getattr(cli, f"{row}_field")
 
     def tight(params, data, t):
-        bound = cli.measured_remainder_norms(params, data, t)[row] / factor
+        bound = cli.zone_series(field, params, data, [t], "low", DEFAULT_REL_TOL)[0] / factor
         if row == "expansion":  # the triangle bound of (bound, 0, 0, 0, 0) is bound
             return replace(real(params, data, t), expansion=(bound, 0.0, 0.0, 0.0, 0.0))
         return replace(real(params, data, t), **{row: bound})

@@ -19,13 +19,13 @@ from nsprofile.decay import (
     fit_loglog,
     highfreq_initial_energy,
     kernel_series,
-    measured_remainder_norms,
     ordered_map,
     tail_window,
     velocity_field,
     velocity_norm_series,
+    zone_series,
 )
-from nsprofile.profiles import remainder_bounds, velocity_profile
+from nsprofile.profiles import moment_defect_field, remainder_bounds, velocity_profile
 from nsprofile.quadrature import (
     _BASE_PANELS,
     _GAUSS_GAP,
@@ -159,11 +159,11 @@ DATA_2D = InitialData(amplitude_v=(0.1, 0.0), amplitude_rho=1.0, width=1.0)
 
 @pytest.mark.parametrize("call", [
     lambda: velocity_norm_series(PARAMS_3D, DATA_2D, np.geomspace(10, 100, 4)),
-    lambda: measured_remainder_norms(PARAMS_3D, DATA_2D, 10.0),
+    lambda: zone_series(moment_defect_field, PARAMS_3D, DATA_2D, [10.0], "low",
+                        DEFAULT_REL_TOL),
     lambda: remainder_bounds(PARAMS_3D, DATA_2D, 10.0),
     lambda: kernel_series(PARAMS_3D, DATA_2D, np.geomspace(10, 100, 4)),
-], ids=["velocity_norm_series", "measured_remainder_norms", "remainder_bounds",
-        "kernel_series"])
+], ids=["velocity_norm_series", "zone_series", "remainder_bounds", "kernel_series"])
 def test_library_calls_reject_a_datum_of_another_dimension(call):
     # the config rejects such a datum before a CLI run; a library call must too
     with pytest.raises(ValueError, match=r"^data dimension 2 != params dimension 3$"):

@@ -5,7 +5,6 @@ from functools import partial
 import numpy as np
 import pytest
 
-from nsprofile import spectral
 from nsprofile.cli import main
 from nsprofile.model import InitialData, ModelParams, fourier_data_batch
 from nsprofile.profiles import (
@@ -92,7 +91,6 @@ def assert_phi_psi_match_reference(params, r, t):
     cancellation. At a double root the reference takes the limit t e^{s t},
     and t replaces 1 / |s1 - s2|. Psi weighs each term by |s| + 1/t more.
     """
-    r = np.sort(r)  # the kernel takes ascending radii
     s1, s2 = complex_roots(params, r)
     ref_phi, ref_psi = complex_phi_psi(s1, s2, t)
     phi, psi = _phi_psi(params, r, t)
@@ -511,64 +509,29 @@ def _three_root_types():
 
 
 @pytest.mark.parametrize("t", [0.0, 0.7, 30.0])
-def test_phi_psi_of_an_ascending_batch_gives_each_radius_its_bits_alone(t):
-    # each formula runs on its own slice of the ascending batch, so every
-    # radius has the bits it has alone
-    r = _three_root_types()
-    phi, psi = _phi_psi(PARAMS, r, t)
-    for i in range(r.size):
-        assert _bits(*_phi_psi(PARAMS, r[i:i + 1], t)) == _bits(phi[i:i + 1], psi[i:i + 1])
-    # without Psi, Phi keeps its bits
-    alone, none = _phi_psi(PARAMS, r, t, with_psi=False)
-    assert none is None and _bits(alone) == _bits(phi)
-    assert [x.size for x in _phi_psi(PARAMS, np.empty(0), t)] == [0, 0]
-
-
-@pytest.mark.parametrize("t", [0.0, 0.7, 30.0])
-def test_phi_psi_of_a_batch_out_of_order_fails_loudly(t):
-    # a radius in the slice of the other root type takes the square root of a
-    # negative discriminant or divides by a zero gap (a RuntimeWarning, an
-    # error under the suite's filter): never finite wrong values
+def test_phi_psi_of_any_batch_gives_each_radius_its_bits_alone(t):
+    # the sign of the discriminant picks each radius's formula, so in any
+    # order every radius has the bits it has alone: the ascending batch, five
+    # seeded permutations of it, its reverse and short batches that mix the
+    # root types in every order, double roots included
     r = _three_root_types()
     d0 = PARAMS.delta0
-    batches = [r[np.random.default_rng([11, k]).permutation(r.size)] for k in range(5)]
+    batches = [r] + [r[np.random.default_rng([11, k]).permutation(r.size)] for k in range(5)]
     batches += [r[::-1]] + [d0 * np.array(x) for x in (
-        [2.0, 0.5], [2.0, 1.0], [0.5, 2.0, 1.0], [3.0, 1.0, 2.0], [2.0, 1.0, 1.0])]
+        [2.0, 0.5], [2.0, 1.0], [0.5, 2.0, 1.0], [3.0, 1.0, 2.0], [2.0, 1.0, 1.0], [1.0, 0.5])]
     for batch in batches:
-        with pytest.raises(RuntimeWarning):
-            _phi_psi(PARAMS, batch, t)
-    # a double root before an oscillatory radius stays in the conjugate-pair
-    # slice, whose formula holds for every disc >= 0: each radius its own bits
-    batch = d0 * np.array([1.0, 0.5])
-    phi, psi = _phi_psi(PARAMS, batch, t)
-    for i in range(batch.size):
-        assert _bits(*_phi_psi(PARAMS, batch[i:i + 1], t)) == _bits(phi[i:i + 1], psi[i:i + 1])
+        phi, psi = _phi_psi(PARAMS, batch, t)
+        for i in range(batch.size):
+            assert (_bits(*_phi_psi(PARAMS, batch[i:i + 1], t))
+                    == _bits(phi[i:i + 1], psi[i:i + 1]))
+        # without Psi, Phi keeps its bits
+        alone, none = _phi_psi(PARAMS, batch, t, with_psi=False)
+        assert none is None and _bits(alone) == _bits(phi)
+    assert [x.size for x in _phi_psi(PARAMS, np.empty(0), t)] == [0, 0]
 
 
 VERDICTS = ("profile-error", "density-profile-error", "rate", "sandwich", "lemma31",
             "highfreq", "bounds")
-
-
-@pytest.mark.parametrize("config,threads,subcommands", [
-    ({}, 1, ("oracle-check",) + VERDICTS),
-    ({"params": {"n": 3}}, 2, VERDICTS),
-], ids=["n2", "n3-t2"])
-def test_every_batch_of_the_default_runs_reaches_phi_psi_ascending(
-        tmp_path, monkeypatch, config, threads, subcommands):
-    batches = []
-
-    def recorded(params, r, t, with_psi=True):
-        batches.append((r.size, bool(np.any(r[1:] < r[:-1]))))
-        return _phi_psi(params, r, t, with_psi)
-
-    monkeypatch.setattr(spectral, "_phi_psi", recorded)
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(config))
-    for sub in subcommands:
-        assert main([sub, "--config", str(path), "--out", str(tmp_path / "out"),
-                     "--threads", str(threads)]) == 0
-    assert sum(size for size, _ in batches) > 10 ** 5
-    assert not any(unordered for _, unordered in batches)
 
 
 def _forbid_numpy_sorts(monkeypatch):
@@ -583,9 +546,9 @@ def _forbid_numpy_sorts(monkeypatch):
 
 def test_pointwise_of_an_unsorted_batch_matches_the_sorted_batch(monkeypatch):
     # both moments nonzero and radii across delta0, in no order and each twice
-    # (at xi and -xi): each point gets the bits it gets in the sorted batch,
-    # with no numpy sort (pointwise orders the batch by a stable sorted() of
-    # its indices and inverts that order by a scatter)
+    # (at xi and -xi): each point gets the bits it gets in the sorted batch.
+    # The fields take the radii in the order of xi, so pointwise sorts
+    # nothing; numpy's sorts stay forbidden so that none comes back
     params = ModelParams(alpha=0.7, beta=1.3, gamma=1.1, n=3)
     data = InitialData(amplitude_v=(0.3, -0.2, 0.1), amplitude_rho=0.8, width=0.9)
     rng = np.random.default_rng(5)
