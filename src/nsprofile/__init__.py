@@ -34,10 +34,10 @@ from .decay import (
     cone_cosine_integral,
     fit_loglog,
     fit_semilog,
-    highfreq_energy_series,
     kernel_series,
     sine_kernel_integral,
-    velocity_norm_series,
+    velocity_field,
+    zone_series,
 )
 
 __version__ = "0.1.0"

@@ -10,8 +10,9 @@ unless disabled, ``<subcommand>.svg``.  Exit status: 0 when every verdict
 passes, 1 on a verdict failure, 2 on argument, configuration or numerical
 errors and on any other error (with a diagnostic JSON on stderr, never a
 traceback).
-Each runner takes its series and norms from ``decay``, judges its verdict
-against its pass mark in ``THRESHOLDS``, and returns (verdict, columns, plot).
+Each verdict runner builds its series of norms with ``decay.zone_series``
+(``lemma31`` with ``decay.kernel_series``), judges its verdict against its
+pass mark in ``THRESHOLDS``, and returns (verdict, columns, plot).
 Every run computes on the calling thread.  ``--threads N`` is still accepted
 and checked (N below 1 exits 2) but changes nothing: at the default sizes a
 zone norm is a run of short numpy calls that hold the GIL, so worker threads
@@ -32,14 +33,16 @@ import numpy as np
 
 from .config import ConfigError, RunConfig, load_config_file
 from .decay import (
+    DecaySeries,
     check_moment_ratio,
+    energy_field,
     fit_loglog,
     fit_semilog,
-    highfreq_energy_series,
+    highfreq_initial_energy,
     kernel_series,
-    remainder_series,
+    remainder_field,
     tail_window,
-    velocity_norm_series,
+    velocity_field,
     zone_series,
 )
 # no function here calls it: bench/spans.py wraps this attribute as a trace site
@@ -123,7 +126,9 @@ def run_oracle_check(cfg: RunConfig):
 
 
 def run_remainder(component: str, cfg: RunConfig):
-    series = remainder_series(cfg.params, cfg.data, cfg.times, component, cfg.rel_tol)
+    field = partial(remainder_field, component=component)
+    series = DecaySeries(cfg.times, zone_series(field, cfg.params, cfg.data, cfg.times, "low",
+                                                cfg.rel_tol))
     fit = fit_loglog(series)
     expected = -(cfg.params.n / 2 + 1)
     threshold = expected + THRESHOLDS["remainder_slope_margin"]
@@ -132,18 +137,20 @@ def run_remainder(component: str, cfg: RunConfig):
         "metrics": {"slope": fit.slope, "intercept": fit.intercept,
                     "r_squared": fit.r_squared, "threshold_slope": threshold,
                     "expected_slope": expected},
-        "window": list(fit.window),
+        "window": [0, cfg.times.size],
     }
     columns = {"t": series.times, "remainder_norm_sq": series.values}
     plot = (["remainder_norm_sq"],
             AxesSpec(y_label="squared low-zone remainder norm",
-                     title=f"{series.label}: slope {fit.slope:.3f}", guide_slope=expected))
+                     title=f"{component}-remainder-sq: slope {fit.slope:.3f}",
+                     guide_slope=expected))
     return verdict, columns, plot
 
 
 def run_rate(cfg: RunConfig):
     check_moment_ratio(cfg.params, cfg.data)
-    series = velocity_norm_series(cfg.params, cfg.data, cfg.times, cfg.rel_tol)
+    norms_sq = zone_series(velocity_field, cfg.params, cfg.data, cfg.times, "full", cfg.rel_tol)
+    series = DecaySeries(cfg.times, np.sqrt(norms_sq))
     fit = fit_loglog(series)
     expected = -cfg.params.n / 4.0
     tol = THRESHOLDS["rate_slope_tol"]
@@ -151,7 +158,7 @@ def run_rate(cfg: RunConfig):
         "pass": abs(fit.slope - expected) <= tol,
         "metrics": {"slope": fit.slope, "expected_slope": expected, "tolerance": tol,
                     "intercept": fit.intercept, "r_squared": fit.r_squared},
-        "window": list(fit.window),
+        "window": [0, cfg.times.size],
     }
     columns = {"t": series.times, "velocity_norm": series.values}
     plot = (["velocity_norm"],
@@ -174,7 +181,8 @@ def _plateau(scaled: np.ndarray, max_ratio: float) -> dict:
 def run_sandwich(cfg: RunConfig):
     # two-sided optimality: ||v(t)|| t^{n/4} must plateau on the tail
     check_moment_ratio(cfg.params, cfg.data)
-    series = velocity_norm_series(cfg.params, cfg.data, cfg.times, cfg.rel_tol)
+    norms_sq = zone_series(velocity_field, cfg.params, cfg.data, cfg.times, "full", cfg.rel_tol)
+    series = DecaySeries(cfg.times, np.sqrt(norms_sq))
     scaled = series.values * series.times ** (cfg.params.n / 4)
     max_ratio = THRESHOLDS["sandwich_max_ratio"]
     plateau = _plateau(scaled, max_ratio)
@@ -217,7 +225,9 @@ def run_lemma31(cfg: RunConfig):
 
 
 def run_highfreq(cfg: RunConfig):
-    series, e_h0 = highfreq_energy_series(cfg.params, cfg.data, cfg.times, cfg.rel_tol)
+    series = DecaySeries(cfg.times, zone_series(energy_field, cfg.params, cfg.data, cfg.times,
+                                                "high", cfg.rel_tol))
+    e_h0 = highfreq_initial_energy(cfg.params, cfg.data)
     fit = fit_semilog(series)
     times, values = series.times, series.values
     # averaged-energy inequality int_t^T E_h <= T0 E_h(t): T0 is the largest
@@ -236,7 +246,7 @@ def run_highfreq(cfg: RunConfig):
         "metrics": {"slope": fit.slope, "r_squared": fit.r_squared,
                     "komornik_t0": t0, "initial_energy": e_h0,
                     "nonincreasing": nonincreasing, "conclusion_holds": conclusion},
-        "window": list(fit.window),
+        "window": [0, cfg.times.size],
     }
     columns = {"t": times, "energy": values, "exp_bound": bound}
     plot = (["energy", "exp_bound"],

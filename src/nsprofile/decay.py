@@ -17,7 +17,6 @@ themselves, with their pass marks, are judged by the CLI runners.
 from __future__ import annotations
 
 import math
-from functools import partial
 
 import numpy as np
 
@@ -45,7 +44,6 @@ def ordered_map(fn, items, threads: int = 1) -> list:
 class DecaySeries:
     times: np.ndarray
     values: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -54,12 +52,15 @@ class DecaySeries:
         object.__setattr__(self, "values", v)
         if t.shape != v.shape or t.size < 4:
             raise ValueError("series needs matching times/values with >= 4 entries")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
-            raise ValueError("times and values must be finite")
-        if np.any(np.diff(t) <= 0) or np.any(t <= 0):
-            raise ValueError("times must be ascending and positive")
-        if np.any(v <= 0):
-            raise ValueError("values must be strictly positive")
+        # each check names the first entry it rejects
+        for message, bad in (("times and values must be finite",
+                              ~(np.isfinite(t) & np.isfinite(v))),
+                             ("times must be ascending and positive",
+                              t <= np.concatenate(([0.0], t[:-1]))),
+                             ("values must be strictly positive", v <= 0)):
+            if np.any(bad):
+                i = int(np.argmax(bad))
+                raise ValueError(f"{message}: entry {i} has t={t[i]:g}, value={v[i]:g}")
 
 
 @record
@@ -67,7 +68,6 @@ class DecayFit:
     slope: float
     intercept: float
     r_squared: float
-    window: tuple[int, int]
 
 
 def tail_window(length: int) -> tuple[int, int]:
@@ -85,7 +85,7 @@ def _linear_fit(x: np.ndarray, y: np.ndarray) -> DecayFit:
     resid = y - (slope * x + intercept)
     ss_tot = float(np.sum(yc**2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - float(np.sum(resid**2)) / ss_tot
-    return DecayFit(slope, intercept, r2, (0, int(x.size)))
+    return DecayFit(slope, intercept, r2)
 
 
 def fit_loglog(series: DecaySeries) -> DecayFit:
@@ -173,22 +173,6 @@ def cone_cosine_integral(params: ModelParams, t: float,
                                                 - sine_kernel_integral(params, t, rel_tol))
 
 
-def velocity_norm_series(params: ModelParams, data: InitialData, times: np.ndarray,
-                         rel_tol: float = DEFAULT_REL_TOL) -> DecaySeries:
-    """L^2 norms ||v_hat(t, .)|| of the exact solution on a time grid."""
-    values = zone_series(velocity_field, params, data, times, "full", rel_tol)
-    return DecaySeries(np.asarray(times, float), np.sqrt(values), label="velocity-norm")
-
-
-def remainder_series(params: ModelParams, data: InitialData, times: np.ndarray,
-                     component: str, rel_tol: float = DEFAULT_REL_TOL) -> DecaySeries:
-    """Squared low-zone L^2 norms of (exact solution - leading profile) for the
-    ``component`` "velocity" or "density"."""
-    values = zone_series(partial(remainder_field, component=component), params, data,
-                         times, "low", rel_tol)
-    return DecaySeries(np.asarray(times, float), values, label=f"{component}-remainder-sq")
-
-
 def check_moment_ratio(params: ModelParams, data: InitialData):
     q0 = data.amplitude_rho
     if q0 == 0:
@@ -244,11 +228,3 @@ def highfreq_initial_energy(params: ModelParams, data: InitialData) -> float:
         upper = a * upper + (math.exp(a * math.log(x) - x) if 0.0 < x < math.inf else 0.0)
         a += 1.0
     return data.mass_sq * sphere_area(n) * upper / (4.0 * s ** n)
-
-
-def highfreq_energy_series(params: ModelParams, data: InitialData, times: np.ndarray,
-                           rel_tol: float = DEFAULT_REL_TOL) -> tuple[DecaySeries, float]:
-    """High-zone energy E_h(t) on a time grid, and E_h(0)."""
-    values = zone_series(energy_field, params, data, times, "high", rel_tol)
-    series = DecaySeries(times, values, label="highfreq-energy")
-    return series, highfreq_initial_energy(params, data)

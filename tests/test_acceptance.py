@@ -7,6 +7,7 @@ scale (seconds to a couple of minutes in total).
 import json
 import math
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -16,14 +17,16 @@ from nsprofile.cli import main as cli_main
 from nsprofile.cli import THRESHOLDS, run_highfreq, run_lemma31, run_sandwich
 from nsprofile.config import build_run_config
 from nsprofile.decay import (
+    DecaySeries,
     check_moment_ratio,
     fit_loglog,
-    remainder_series,
+    remainder_field,
     sine_kernel_integral,
-    velocity_norm_series,
+    velocity_field,
+    zone_series,
 )
 from nsprofile.model import InitialData, ModelParams, l11_weight
-from nsprofile.quadrature import cone_cap_area, sphere_area
+from nsprofile.quadrature import DEFAULT_REL_TOL, cone_cap_area, sphere_area
 from nsprofile.spectral import solve_exact_batch, solve_ode_oracle_batch
 from oracles import ab_decomposition
 
@@ -77,8 +80,9 @@ def test_01_oracle_equivalence():
 ], ids=["n2", "n3"])
 def test_02_velocity_remainder_rate(params, data, threshold):
     start = time.perf_counter()
-    series = remainder_series(params, data, REMAINDER_TIMES, "velocity")
-    fit = fit_loglog(series)
+    field = partial(remainder_field, component="velocity")
+    norms_sq = zone_series(field, params, data, REMAINDER_TIMES, "low", DEFAULT_REL_TOL)
+    fit = fit_loglog(DecaySeries(REMAINDER_TIMES, norms_sq))
     elapsed = time.perf_counter() - start
     report(f"velocity remainder rate n={params.n}",
            fit.slope <= threshold and elapsed < 300.0,
@@ -86,8 +90,9 @@ def test_02_velocity_remainder_rate(params, data, threshold):
 
 
 def test_03_density_remainder_rate():
-    series = remainder_series(P2, DATA2, REMAINDER_TIMES, "density")
-    fit = fit_loglog(series)
+    field = partial(remainder_field, component="density")
+    norms_sq = zone_series(field, P2, DATA2, REMAINDER_TIMES, "low", DEFAULT_REL_TOL)
+    fit = fit_loglog(DecaySeries(REMAINDER_TIMES, norms_sq))
     report("density remainder rate n=2", fit.slope <= -1.9,
            f"slope {fit.slope:.4f} <= -1.9")
 
@@ -98,7 +103,9 @@ def test_03_density_remainder_rate():
 ], ids=["n2", "n3"])
 def test_04_velocity_decay_rate(params, data, expected):
     check_moment_ratio(params, data)
-    fit = fit_loglog(velocity_norm_series(params, data, np.geomspace(100.0, 1.0e4, 11)))
+    times = np.geomspace(100.0, 1.0e4, 11)
+    norms_sq = zone_series(velocity_field, params, data, times, "full", DEFAULT_REL_TOL)
+    fit = fit_loglog(DecaySeries(times, np.sqrt(norms_sq)))
     report(f"velocity decay rate n={params.n}",
            abs(fit.slope - expected) <= 0.05,
            f"slope {fit.slope:.4f} = {expected} +/- 0.05")

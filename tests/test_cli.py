@@ -271,20 +271,16 @@ def test_cli_highfreq_check_fails_alone(tmp_path, monkeypatch, check):
     # a synthetic E_h series on the default grid that fails one check alone:
     # one step up by 1e-6, a constant (slope 0), a power law (semi-log r^2
     # 0.86), or an E_h(0) so small that the exponential bound falls below E_h
-    from nsprofile.decay import DecaySeries
-
-    def series(times):
+    def energies(field, params, data, times, zone, rel_tol):
         decaying = np.exp(-0.5 * times)
         if check == "nonincreasing":
             decaying[6] = decaying[5] * (1 + 1e-6)
-        return {"nonincreasing": (decaying, 1.0), "slope": (np.full(times.size, 0.5), 1.0),
-                "r_squared": (times ** -3.0, 0.125), "conclusion_holds": (decaying, 1e-3)}[check]
+        return {"nonincreasing": decaying, "slope": np.full(times.size, 0.5),
+                "r_squared": times ** -3.0, "conclusion_holds": decaying}[check]
 
-    def synthetic(params, data, times, rel_tol):
-        values, e_h0 = series(times)
-        return DecaySeries(times, values), e_h0
-
-    monkeypatch.setattr(cli, "highfreq_energy_series", synthetic)
+    e_h0 = {"r_squared": 0.125, "conclusion_holds": 1e-3}.get(check, 1.0)
+    monkeypatch.setattr(cli, "zone_series", energies)
+    monkeypatch.setattr(cli, "highfreq_initial_energy", lambda params, data: e_h0)
     exit_code, verdict = _exit_and_verdict(tmp_path, "highfreq", {})
     metrics = verdict["metrics"]
     failed = {"nonincreasing": not metrics["nonincreasing"], "slope": metrics["slope"] >= 0,
@@ -312,18 +308,18 @@ def test_cli_highfreq_checks_compare_exactly(tmp_path, monkeypatch, check):
     # no round-off slack: a flat step is nonincreasing and a step up by one
     # ulp is not; an E_h(0) whose bound just covers E_h past T0 passes and the
     # next float below fails
-    from nsprofile.decay import DecaySeries
-
     grid = {}
 
-    def synthetic(params, data, times, rel_tol):
+    def energies(field, params, data, times, zone, rel_tol):
         values = np.exp(-0.5 * times)
         if check == "nonincreasing":
             values[6] = grid["step"](values[5])
         grid["times"], grid["values"] = times, values
-        return DecaySeries(times, values), grid.get("e_h0", 1.0)
+        return values
 
-    monkeypatch.setattr(cli, "highfreq_energy_series", synthetic)
+    monkeypatch.setattr(cli, "zone_series", energies)
+    monkeypatch.setattr(cli, "highfreq_initial_energy",
+                        lambda params, data: grid.get("e_h0", 1.0))
 
     def verdict_at(**setting):
         grid.update(setting)
@@ -353,6 +349,15 @@ def test_cli_highfreq_checks_compare_exactly(tmp_path, monkeypatch, check):
         past_edge = verdict_at(e_h0=float(np.nextafter(edge, 0.0)))
     assert at_edge[0] == 0 and at_edge[1][check] is True
     assert past_edge[0] == 1 and past_edge[1][check] is False
+
+
+def test_cli_highfreq_names_the_first_vanished_energy(tmp_path, capsys):
+    # at gamma 50 every E_h of the default grid underflows to 0.0: no semi-log
+    # fit exists, and the diagnostic names the first entry it refused
+    path = write_config(tmp_path, {"params": {"gamma": 50}})
+    assert main(["highfreq", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    diagnostic = json.loads(capsys.readouterr().err)
+    assert diagnostic["error"] == "values must be strictly positive: entry 0 has t=2, value=0"
 
 
 def test_cli_threads_do_not_change_bytes(tmp_path):
@@ -830,6 +835,16 @@ def test_cli_plot_escapes_svg_text(tmp_path):
     texts = [el.text for el in ET.parse(out / "plot.svg").iter()
              if el.tag.endswith("text")]
     assert {"a<b & c", "t&u", "v<w"} <= set(texts)
+
+
+@pytest.mark.parametrize("subcommand,component", [("profile-error", "velocity"),
+                                                  ("density-profile-error", "density")])
+def test_cli_remainder_svg_title_names_its_component(tmp_path, subcommand, component):
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", write_config(tmp_path, {}), "--out", str(out)]) == 0
+    texts = [el.text for el in ET.parse(out / f"{subcommand}.svg").iter()
+             if el.tag.endswith("text")]
+    assert texts[0].startswith(f"{component}-remainder-sq: slope ")
 
 
 REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference" / "verdicts-n2"

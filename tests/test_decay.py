@@ -22,7 +22,6 @@ from nsprofile.decay import (
     ordered_map,
     tail_window,
     velocity_field,
-    velocity_norm_series,
     zone_series,
 )
 from nsprofile.profiles import moment_defect_field, remainder_bounds, velocity_profile
@@ -71,6 +70,26 @@ def test_series_validation():
             DecaySeries(times=[1.0, 2.0, 3.0, bad], values=[1.0, 1.0, 1.0, 1.0])
 
 
+@pytest.mark.parametrize("times,values,error", [
+    ([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, math.nan, -1.0],
+     "times and values must be finite: entry 2 has t=3, value=nan"),
+    ([1.0, math.inf, 0.5, 4.0], [1.0, 2.0, 3.0, 4.0],
+     "times and values must be finite: entry 1 has t=inf, value=2"),
+    ([-1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0],
+     "times must be ascending and positive: entry 0 has t=-1, value=1"),
+    ([1.0, 2.0, 2.0, 1.0], [1.0, -2.0, 3.0, 4.0],
+     "times must be ascending and positive: entry 2 has t=2, value=3"),
+    ([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, -0.0, 0.0],
+     "values must be strictly positive: entry 2 has t=3, value=-0"),
+], ids=["nan-value", "inf-time", "negative-time", "repeated-time", "zero-value"])
+def test_series_validation_names_the_first_bad_entry(times, values, error):
+    # the checks run in order (finite, then times, then values), and each
+    # names the first entry it refuses
+    with pytest.raises(ValueError) as info:
+        DecaySeries(times, values)
+    assert str(info.value) == error
+
+
 def test_fit_loglog_exact_power_law():
     t = np.geomspace(1, 1e3, 9)
     fit = fit_loglog(DecaySeries(t, 3.7 / t))
@@ -86,6 +105,12 @@ def test_fit_loglog_perturbed_power_law():
     assert fit.slope == pytest.approx(-1.0, abs=0.02)
 
 
+def velocity_series(params, data, times, rel_tol=DEFAULT_REL_TOL):
+    """The velocity norms ||v_hat(t, .)|| on ``times``, built as ``rate`` builds them."""
+    norms_sq = zone_series(velocity_field, params, data, times, "full", rel_tol)
+    return DecaySeries(times, np.sqrt(norms_sq))
+
+
 def assert_fit_matches_polyfit(x, y):
     """``_linear_fit`` gives ``np.polyfit``'s line to 1e-12 relative, and its
     r_squared is 1 - (residual sum of squares) / (total sum of squares)."""
@@ -96,7 +121,6 @@ def assert_fit_matches_polyfit(x, y):
     resid = y - (slope * x + intercept)
     r_squared = 1.0 - np.sum(resid**2) / np.sum((y - np.mean(y)) ** 2)
     assert fit.r_squared == pytest.approx(r_squared, rel=1e-12, abs=0)
-    assert fit.window == (0, x.size)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -104,7 +128,7 @@ def assert_fit_matches_polyfit(x, y):
                                         "sandwich", "lemma31", "highfreq", "bounds"])
 def test_linear_fit_matches_polyfit_on_default_grids(subcommand, n):
     cfg = build_run_config(subcommand, {"params": {"n": n}})
-    series = velocity_norm_series(cfg.params, cfg.data, cfg.times, cfg.rel_tol)
+    series = velocity_series(cfg.params, cfg.data, cfg.times, cfg.rel_tol)
     assert_fit_matches_polyfit(np.log(series.times), np.log(series.values))
 
 
@@ -158,12 +182,13 @@ DATA_2D = InitialData(amplitude_v=(0.1, 0.0), amplitude_rho=1.0, width=1.0)
 
 
 @pytest.mark.parametrize("call", [
-    lambda: velocity_norm_series(PARAMS_3D, DATA_2D, np.geomspace(10, 100, 4)),
+    lambda: zone_series(velocity_field, PARAMS_3D, DATA_2D, np.geomspace(10, 100, 4), "full",
+                        DEFAULT_REL_TOL),
     lambda: zone_series(moment_defect_field, PARAMS_3D, DATA_2D, [10.0], "low",
                         DEFAULT_REL_TOL),
     lambda: remainder_bounds(PARAMS_3D, DATA_2D, 10.0),
     lambda: kernel_series(PARAMS_3D, DATA_2D, np.geomspace(10, 100, 4)),
-], ids=["velocity_norm_series", "zone_series", "remainder_bounds", "kernel_series"])
+], ids=["zone_series-velocity", "zone_series", "remainder_bounds", "kernel_series"])
 def test_library_calls_reject_a_datum_of_another_dimension(call):
     # the config rejects such a datum before a CLI run; a library call must too
     with pytest.raises(ValueError, match=r"^data dimension 2 != params dimension 3$"):
@@ -173,7 +198,7 @@ def test_library_calls_reject_a_datum_of_another_dimension(call):
 def test_rate_smoke_run():
     data = InitialData(amplitude_v=(0.0, 0.0), amplitude_rho=1.0, width=1.0)
     check_moment_ratio(PARAMS, data)
-    fit = fit_loglog(velocity_norm_series(PARAMS, data, np.geomspace(100, 3000, 6)))
+    fit = fit_loglog(velocity_series(PARAMS, data, np.geomspace(100, 3000, 6)))
     assert fit.slope == pytest.approx(-0.5, abs=0.05)
     assert fit.r_squared > 0.999
 
@@ -183,8 +208,8 @@ def test_rate_scale_shift():
     t = np.geomspace(100, 2000, 5)
     d1 = InitialData(amplitude_v=(0.0, 0.0), amplitude_rho=1.0, width=1.0)
     d3 = InitialData(amplitude_v=(0.0, 0.0), amplitude_rho=3.0, width=1.0)
-    f1 = fit_loglog(velocity_norm_series(PARAMS, d1, t))
-    f3 = fit_loglog(velocity_norm_series(PARAMS, d3, t))
+    f1 = fit_loglog(velocity_series(PARAMS, d1, t))
+    f3 = fit_loglog(velocity_series(PARAMS, d3, t))
     assert f3.slope == pytest.approx(f1.slope, abs=1e-10)
     assert f3.intercept - f1.intercept == pytest.approx(math.log(3.0), abs=1e-9)
 
@@ -287,7 +312,7 @@ def test_remainder_decays_faster_than_solution():
         return math.sqrt(black_box_norm_sq(f, PARAMS, t, "low").value)
 
     rem = DecaySeries(times, np.array([remainder_norm(float(t)) for t in times]))
-    sol = velocity_norm_series(PARAMS, data, times)
+    sol = velocity_series(PARAMS, data, times)
     assert fit_loglog(rem).slope < fit_loglog(sol).slope - 0.3
 
 
