@@ -34,7 +34,6 @@ from .decay import (
     cone_cosine_integral,
     fit_loglog,
     fit_semilog,
-    kernel_series,
     sine_kernel_integral,
     velocity_field,
     zone_series,

@@ -11,8 +11,9 @@ passes, 1 on a verdict failure, 2 on argument, configuration or numerical
 errors and on any other error (with a diagnostic JSON on stderr, never a
 traceback).
 Each verdict runner builds its series of norms with ``decay.zone_series``
-(``lemma31`` with ``decay.kernel_series``), judges its verdict against its
-pass mark in ``THRESHOLDS``, and returns (verdict, columns, plot).
+(``lemma31`` its acoustic sine kernel, as the norm of the velocity profile at
+the unit density datum), judges its verdict against its pass mark in
+``THRESHOLDS``, and returns (verdict, columns, plot).
 Every run computes on the calling thread.  ``--threads N`` is still accepted
 and checked (N below 1 exits 2) but changes nothing: at the default sizes a
 zone norm is a run of short numpy calls that hold the GIL, so worker threads
@@ -39,7 +40,6 @@ from .decay import (
     fit_loglog,
     fit_semilog,
     highfreq_initial_energy,
-    kernel_series,
     remainder_field,
     tail_window,
     velocity_field,
@@ -47,15 +47,16 @@ from .decay import (
 )
 # no function here calls it: bench/spans.py wraps this attribute as a trace site
 from .decay import ordered_map  # noqa: F401
-from .model import fourier_data_batch
+from .model import InitialData, fourier_data_batch
 from .profiles import (
     expansion_field,
     gaussian_moment_bound,
     moment_defect_field,
+    profile_field,
     remainder_bounds,
     sine_correction_field,
 )
-from .quadrature import QuadratureError
+from .quadrature import QuadratureError, cone_cap_area, sphere_area
 from .reporting import AxesSpec, emit_csv, emit_svg, read_csv
 from .spectral import solve_exact_batch, solve_ode_oracle_batch
 
@@ -200,11 +201,31 @@ def run_sandwich(cfg: RunConfig):
 
 
 def run_lemma31(cfg: RunConfig):
-    # each profile-term integral that carries the quadrature K_sin, scaled by
-    # t^{n/2}, must plateau on the tail; the heat item and the cone witness are
-    # closed forms (see kernel_series), so they are reported, not judged
-    n = cfg.params.n
-    heat, sine, cosine, witness = kernel_series(cfg.params, cfg.data, cfg.times, cfg.rel_tol)
+    # The three profile-term integrals and the cone witness at each time: the
+    # full-space norms of the heat projection xi (xi.p0)/|xi|^2 e^{-alpha t |xi|^2}
+    # and the damped cosine projection xi (xi.p0)/|xi|^2 e^{-b t |xi|^2/2}
+    # cos(gamma t |xi|), the acoustic sine kernel K_sin, and a quarter of
+    # |p0|^2 times the cone mass of the damped cosine, p0 the velocity moment.
+    # K_sin is the one quadrature: the full-zone norm of the velocity profile
+    # at the unit density datum (Q0 = 1, P0 = 0).  The sphere mean of
+    # |xi_hat . p0|^2 is |p0|^2/n and cos^2 = 1 - sin^2, so with G(rate, t) the
+    # full-space integral of e^{-rate t |xi|^2}:
+    #     heat = |p0|^2/n G(2 alpha, t),
+    #     cosine = |p0|^2/n (G(b, t) - K_sin),
+    #     witness = |p0|^2/4 |cap|/|S^(n-1)| (G(b, t) - K_sin).
+    # Each item that carries K_sin, scaled by t^{n/2}, must plateau on the
+    # tail; the heat item and the witness are reported, not judged
+    n, p_sq = cfg.params.n, cfg.data.p0_sq
+    if p_sq == 0.0:
+        raise ValueError("kernel plateau items need a nonzero moment vector")
+    unit = InitialData((0.0,) * n, 1.0, cfg.data.width)
+    sine = zone_series(partial(profile_field, scalar=False), cfg.params, unit, cfg.times,
+                       "full", cfg.rel_tol)
+    gauss = lambda rate: np.array([gaussian_moment_bound(n, 0, rate, float(t))
+                                   for t in cfg.times])
+    cos_mass = gauss(cfg.params.b) - sine
+    heat, cosine = p_sq / n * gauss(2.0 * cfg.params.alpha), p_sq / n * cos_mass
+    witness = 0.25 * p_sq * cone_cap_area(n) / sphere_area(n) * cos_mass
     scale = cfg.times ** (n / 2)
     max_ratio = THRESHOLDS["kernel_max_ratio"]
     items = {label: _plateau(values * scale, max_ratio)

@@ -1,22 +1,22 @@
 """Every norm a verdict reports, decay series, and their least-squares fits.
 
-Each quadrature norm is one ``zone_norm_sq`` call: the isotropic sine kernel,
-and through :func:`field_norm_sq` every field(params, data, r, t) of this
-module and of ``profiles``, which ``zone_norm_sq`` evaluates on bounded slices
-of radii.  The other kernel items of ``lemma31`` (the heat and damped-cosine
-projections and the cone witness) are closed-form Gaussian integrals and
-multiples of G - K_sin, with G the Gaussian integral and K_sin the sine
-kernel, since sin^2 + cos^2 = 1.  The norms of a time grid are taken
-in order on the calling thread: at the default sizes each is a run of short
-numpy calls that hold the GIL, so worker threads saved no time and cost
-memory.  Time series are fitted by log-log lines for polynomial rates and
-semi-log lines for the exponential high-frequency regime.  The verdicts
-themselves, with their pass marks, are judged by the CLI runners.
+Each quadrature norm is one ``zone_norm_sq`` call through :func:`field_norm_sq`
+of a field(params, data, r, t) of this module or of ``profiles``, which
+``zone_norm_sq`` evaluates on bounded slices of radii.  The acoustic sine
+kernel K_sin is one of them: the norm of the velocity profile at the unit
+density datum.  The cone mass of the damped cosine is a closed-form multiple
+of G - K_sin, with G the Gaussian integral, since sin^2 + cos^2 = 1.  The
+norms of a time grid are taken in order on the calling thread: at the default
+sizes each is a run of short numpy calls that hold the GIL, so worker threads
+saved no time and cost memory.  Time series are fitted by log-log lines for
+polynomial rates and semi-log lines for the exponential high-frequency regime.
+The verdicts themselves, with their pass marks, are judged by the CLI runners.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
@@ -146,14 +146,13 @@ def sine_kernel_integral(params: ModelParams, t: float,
         K_sin(t) = int |i xi e^{-b |xi|^2 t / 2} sin(gamma t |xi|)/|xi||^2 dxi
                  = omega_{n-1} int_0^inf r^{n-1} e^{-b t r^2} sin^2(gamma t r) dr,
 
-    the only kernel item that needs quadrature.  For large t it behaves like
-    (S0/2) omega_{n-1} b^{-n/2} t^{-n/2} with S0 = Gamma(n/2)/2.
+    the full-zone norm of the velocity profile at the unit density datum
+    (Q0 = 1, P0 = 0), whose one term is the acoustic sine.  For large t it
+    behaves like (S0/2) omega_{n-1} b^{-n/2} t^{-n/2} with S0 = Gamma(n/2)/2.
     """
-    def f(r):
-        value = np.exp(-params.b * t * r * r) * np.sin(params.gamma * t * r) ** 2
-        return value, value
-
-    return zone_norm_sq(f, params, t, "full", rel_tol).value
+    unit = InitialData((0.0,) * params.n, 1.0, 1.0)
+    return field_norm_sq(partial(profile_field, scalar=False), params, unit, t, "full",
+                         rel_tol).value
 
 
 def cone_cosine_integral(params: ModelParams, t: float,
@@ -180,38 +179,6 @@ def check_moment_ratio(params: ModelParams, data: InitialData):
     if data.p0_norm / abs(q0) > _MAX_MOMENT_RATIO:
         raise ValueError(f"|P0|/|Q0| = {data.p0_norm / abs(q0):.3g} exceeds the admissible "
                          f"ratio {_MAX_MOMENT_RATIO}")
-
-
-def kernel_series(params: ModelParams, data: InitialData, times: np.ndarray,
-                  rel_tol: float = DEFAULT_REL_TOL):
-    """The three profile-term integrals and the conical-region witness at each
-    time: the full-space norms of the heat projection xi (xi.p0)/|xi|^2
-    e^{-alpha t |xi|^2} and the damped cosine projection xi (xi.p0)/|xi|^2
-    e^{-b t |xi|^2/2} cos(gamma t |xi|), the acoustic sine kernel K_sin, and a
-    quarter of |p0|^2 times the cone mass of the damped cosine.
-
-    Only K_sin is a quadrature (:func:`sine_kernel_integral`).  The sphere mean
-    of |xi_hat . p0|^2 is |p0|^2/n and cos^2 = 1 - sin^2, so with G(rate, t)
-    the full-space integral of e^{-rate t |xi|^2}:
-
-        heat = |p0|^2/n G(2 alpha, t),
-        cosine = |p0|^2/n (G(b, t) - K_sin),
-        witness = |p0|^2/4 |cap|/|S^(n-1)| (G(b, t) - K_sin).
-
-    p0 is the velocity moment of ``data``; the projection items need it nonzero.
-    """
-    check_dimension(params, data.n)
-    p_sq = data.p0_sq
-    if p_sq == 0.0:
-        raise ValueError("kernel plateau items need a nonzero moment vector")
-    n = params.n
-    times = [float(t) for t in times]
-    sine = np.array(ordered_map(lambda t: sine_kernel_integral(params, t, rel_tol), times))
-    gauss = lambda rate: np.array([gaussian_moment_bound(n, 0, rate, t) for t in times])
-    cos_mass = gauss(params.b) - sine
-    heat = p_sq / n * gauss(2.0 * params.alpha)
-    witness = 0.25 * p_sq * cone_cap_area(n) / sphere_area(n) * cos_mass
-    return heat, sine, p_sq / n * cos_mass, witness
 
 
 def highfreq_initial_energy(params: ModelParams, data: InitialData) -> float:

@@ -101,6 +101,8 @@ class InitialData:
             raise ParameterError("amplitudes and width must be finite")
         if not self.width > 0:
             raise ParameterError(f"width must be positive, got {self.width}")
+        if not math.isfinite(self.width * self.width):
+            raise ParameterError(f"width^2 overflows: width={self.width}")
         if len(self.amplitude_v) < 1:
             raise ParameterError("amplitude_v must have at least one component")
         if not math.isfinite(self.mass_sq):

@@ -72,12 +72,13 @@ def moment_defect_field(params: ModelParams, data: InitialData, r: np.ndarray,
 
     This is the exact velocity flow of the moment remainder A of the even data
     (``ab_decomposition`` in ``tests/oracles.py``, B = 0), (e^{-s^2 r^2/2} - 1)
-    times the moments.  Restricted to r <= delta0, where the divided
-    differences are oscillatory.
+    times the moments, formed by expm1: at small s r the difference keeps its
+    precision, and its squared norm scales as s^4.  Restricted to r <= delta0,
+    where the divided differences are oscillatory.
     """
     if np.any(r > params.delta0 * (1 + 1e-12)):
         raise ValueError("moment defect is evaluated on |xi| <= delta0 only")
-    defect = np.exp(-data.width ** 2 * (r * r) / 2.0) - 1.0
+    defect = np.expm1(-data.width ** 2 * (r * r) / 2.0)
     p, q = data.p0_norm, data.amplitude_rho
     return flow(params, r, t, p * defect if p else 0.0, q * defect if q else 0.0,
                 scalar=False)

@@ -41,9 +41,10 @@ class ABDecomposition(NamedTuple):
 
 def ab_decomposition(data: InitialData, xi: np.ndarray) -> ABDecomposition:
     """Moment remainder of the Gaussian data: A = (e^{-s^2 |xi|^2/2} - 1)
-    times the moments."""
+    times the moments, formed by expm1 as ``profiles.moment_defect_field``
+    forms it."""
     xi = np.asarray(xi, dtype=float)
-    defect = np.exp(-data.width ** 2 * np.sum(xi * xi, axis=1) / 2.0) - 1.0
+    defect = np.expm1(-data.width ** 2 * np.sum(xi * xi, axis=1) / 2.0)
     a0 = defect[:, None] * np.asarray(data.amplitude_v, dtype=float)[None, :]
     return ABDecomposition(A0=a0, A_rho=defect * data.amplitude_rho)
 

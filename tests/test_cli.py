@@ -21,6 +21,8 @@ from nsprofile.config import (
     default_config,
     merge_config,
 )
+from nsprofile.decay import field_norm_sq
+from nsprofile.profiles import gaussian_moment_bound, moment_defect_field
 from nsprofile.quadrature import DEFAULT_REL_TOL
 from nsprofile.reporting import read_csv
 
@@ -247,23 +249,34 @@ def test_cli_bounds_row_check_fails_alone_past_the_cushion(tmp_path, monkeypatch
     assert (exit_code, verdict["pass"]) == (code, code == 0)
 
 
-@pytest.mark.parametrize("column,code", [(0, 0), (1, 1), (2, 1), (3, 0)],
-                         ids=["heat", "sine", "cosine", "witness"])
-def test_cli_lemma31_judges_the_quadrature_items(tmp_path, monkeypatch, column, code):
-    # a series ramped by 1 -> 100 over the grid has a tail ratio above 4: the
-    # sine and cosine items then fail the verdict, while the closed-form heat
-    # item and the cone witness are reported and not judged
-    real = cli.kernel_series
+@pytest.mark.parametrize("column,failed", [
+    ("heat", []), ("sine", ["acoustic-sine"]), ("cosine", ["damped-cosine"]),
+    ("witness", ["damped-cosine"])], ids=["heat", "sine", "cosine", "witness"])
+def test_cli_lemma31_judges_the_quadrature_items(tmp_path, monkeypatch, column, failed):
+    # K_sin, the one series that lemma31 takes from zone_series, is replaced by
+    # the share f of the Gaussian integral G(b, t) that drives the named
+    # column's tail ratio above 4 through a 1 -> 100 ramp over the grid: f
+    # itself for the sine item, 1 - f for the cosine item and the cone witness,
+    # which is a multiple of the cosine item; no K_sin moves the closed-form
+    # heat item.  Only the sine and cosine items are judged
+    ramp = np.geomspace(1.0, 100.0, 12)
+    share = {"heat": np.full(12, 0.5), "sine": 0.005 * ramp,
+             "cosine": 1.0 - 0.005 * ramp[::-1], "witness": 1.0 - 0.005 * ramp[::-1]}[column]
 
-    def ramped(params, data, times, rel_tol):
-        series = list(real(params, data, times, rel_tol))
-        series[column] = series[column] * np.geomspace(1.0, 100.0, len(times))
-        return tuple(series)
+    def synthetic(field, params, data, times, zone, rel_tol):
+        assert (data.p0_sq, data.amplitude_rho, zone) == (0.0, 1.0, "full")
+        return share * np.array([cli.gaussian_moment_bound(params.n, 0, params.b, float(t))
+                                 for t in times])
 
-    monkeypatch.setattr(cli, "kernel_series", ramped)
+    monkeypatch.setattr(cli, "zone_series", synthetic)
     exit_code, verdict = _exit_and_verdict(tmp_path, "lemma31", {})
-    assert (exit_code, verdict["pass"]) == (code, code == 0)
-    assert sorted(verdict["metrics"]["items"]) == ["acoustic-sine", "damped-cosine"]
+    items = verdict["metrics"]["items"]
+    assert sorted(items) == ["acoustic-sine", "damped-cosine"]
+    assert [label for label, item in items.items() if not item["pass"]] == failed
+    assert (exit_code, verdict["pass"]) == (1 if failed else 0, not failed)
+    scaled = read_csv(str(tmp_path / "out" / "lemma31.csv"))[f"{column}_scaled"]
+    tail = scaled[6:]
+    assert (max(tail) / min(tail) > 4.0) == (column != "heat")
 
 
 @pytest.mark.parametrize("check", ["nonincreasing", "slope", "r_squared", "conclusion_holds"])
@@ -702,6 +715,51 @@ def test_cli_amplitude_whose_square_overflows_exits_2(tmp_path, capsys, subcomma
     assert main([subcommand, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     diagnostic = json.loads(capsys.readouterr().err)
     assert "traceback" not in diagnostic and "overflows" in diagnostic["error"]
+
+
+@pytest.mark.parametrize("subcommand", ["oracle-check", "profile-error",
+                                        "density-profile-error", "rate", "sandwich",
+                                        "lemma31", "highfreq", "bounds"])
+def test_cli_width_whose_square_overflows_exits_2(tmp_path, capsys, subcommand):
+    # the data envelope e^(-s^2 |xi|^2 / 2) forms s^2, so a width whose square
+    # is not finite is rejected before any field is formed, by every run
+    path = write_config(tmp_path, {"data": {"width": 1e200}})
+    assert main([subcommand, "--config", path, "--out", str(tmp_path / "out")]) == 2
+    diagnostic = json.loads(capsys.readouterr().err)
+    assert diagnostic["error_type"] == "ConfigError"
+    assert diagnostic["error"] == "width^2 overflows: width=1e+200"
+
+
+def test_cli_bounds_at_a_narrow_width(tmp_path):
+    # the moment defect (e^(-s^2 r^2/2) - 1) times the moments has a squared
+    # low-zone norm that scales as s^4; formed as a difference of exp and 1 it
+    # lost its digits at small s and the norm no longer converged
+    exit_code, verdict = _exit_and_verdict(tmp_path, "bounds", {"data": {"width": 1e-6}})
+    assert (exit_code, verdict["pass"]) == (0, True)
+    scaled = []
+    for s in (1e-5, 1e-6, 1e-7):
+        cfg = build_run_config("bounds", {"data": {"width": s}})
+        norm = field_norm_sq(moment_defect_field, cfg.params, cfg.data, 16.0, "low",
+                             cfg.rel_tol)
+        scaled.append(norm.value / s ** 4)
+    assert max(scaled) - min(scaled) <= 2 * DEFAULT_REL_TOL * min(scaled)
+
+
+def test_cli_lemma31_at_n5(tmp_path):
+    # a dimension that no reference pins: the sine item against the Kummer
+    # closed form of K_sin and the cosine item against |p0|^2/n (G(b, t) - K_sin)
+    from oracles import sine_kernel_exact
+
+    exit_code, verdict = _exit_and_verdict(tmp_path, "lemma31", {"params": {"n": 5}})
+    assert (exit_code, verdict["pass"]) == (0, True)
+    columns = read_csv(str(tmp_path / "out" / "lemma31.csv"))
+    cfg = build_run_config("lemma31", {"params": {"n": 5}})
+    for t, sine, cosine in zip(columns["t"], columns["sine_scaled"], columns["cosine_scaled"]):
+        exact = sine_kernel_exact(cfg.params, t)
+        gauss = gaussian_moment_bound(5, 0, cfg.params.b, t)
+        assert sine / t ** 2.5 == pytest.approx(exact, rel=2 * cfg.rel_tol)
+        assert cosine / t ** 2.5 == pytest.approx(cfg.data.p0_sq / 5 * (gauss - exact),
+                                                  rel=2 * cfg.rel_tol)
 
 
 def test_zero_density_moment_alone_is_accepted():

@@ -18,7 +18,6 @@ from nsprofile.decay import (
     field_norm_sq,
     fit_loglog,
     highfreq_initial_energy,
-    kernel_series,
     ordered_map,
     tail_window,
     velocity_field,
@@ -187,8 +186,7 @@ DATA_2D = InitialData(amplitude_v=(0.1, 0.0), amplitude_rho=1.0, width=1.0)
     lambda: zone_series(moment_defect_field, PARAMS_3D, DATA_2D, [10.0], "low",
                         DEFAULT_REL_TOL),
     lambda: remainder_bounds(PARAMS_3D, DATA_2D, 10.0),
-    lambda: kernel_series(PARAMS_3D, DATA_2D, np.geomspace(10, 100, 4)),
-], ids=["zone_series-velocity", "zone_series", "remainder_bounds", "kernel_series"])
+], ids=["zone_series-velocity", "zone_series", "remainder_bounds"])
 def test_library_calls_reject_a_datum_of_another_dimension(call):
     # the config rejects such a datum before a CLI run; a library call must too
     with pytest.raises(ValueError, match=r"^data dimension 2 != params dimension 3$"):
@@ -230,16 +228,18 @@ def test_sandwich_scale_equivariance():
 def test_kernel_plateaus_smoke():
     # the default lemma31 data have the moment direction p0 = (1, 0)
     times = np.geomspace(100, 5000, 8)
-    verdict = run_verdict(run_lemma31, "lemma31", times)
+    cfg = replace(build_run_config("lemma31", {}), times=times)
+    assert cfg.data == InitialData((1.0, 0.0), 1.0, 1.0)
+    verdict, columns, _ = run_lemma31(cfg)
     items = verdict["metrics"]["items"]
     assert verdict["metrics"]["max_ratio"] == 4.0 and verdict["pass"]
     # the heat projection, scaled by t^(n/2), has the closed-form value pi/4 here
-    heat = kernel_series(PARAMS, InitialData((1.0, 0.0), 1.0, 1.0), times)[0]
-    assert np.min(heat * times) == pytest.approx(math.pi / 4, rel=1e-6)
+    assert np.min(columns["heat_scaled"]) == pytest.approx(math.pi / 4, rel=1e-6)
     assert items["acoustic-sine"]["plateau_max"] == pytest.approx(
         verdict["metrics"]["sine_limit"], rel=0.02)
     with pytest.raises(ValueError, match="nonzero moment vector"):
-        kernel_series(PARAMS, InitialData((0.0, 0.0), 1.0, 1.0), np.geomspace(10, 100, 6))
+        run_verdict(run_lemma31, "lemma31", np.geomspace(10, 100, 6),
+                    InitialData((0.0, 0.0), 1.0, 1.0))
 
 
 def test_highfreq_energy_report():

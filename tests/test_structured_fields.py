@@ -1,7 +1,7 @@
 """Every field that the runtime integrates through its radial coefficients
 (``spectral.Field``) against its pointwise formula and against the black-box
 angular integrator of ``tests/oracles.py``, and the closed-form heat and
-damped-cosine items of ``kernel_series`` against the black-box norms of their
+damped-cosine items of ``lemma31`` against the black-box norms of their
 pointwise fields.
 
 A structured field is axially symmetric and quadratic in u by construction;
@@ -13,12 +13,12 @@ from functools import partial
 import numpy as np
 import pytest
 
+from nsprofile import decay, quadrature, replace
+from nsprofile.cli import run_lemma31
 from nsprofile.config import build_run_config
-from nsprofile import decay, quadrature
 from nsprofile.decay import (
     energy_field,
     field_norm_sq,
-    kernel_series,
     remainder_field,
     velocity_field,
 )
@@ -46,12 +46,13 @@ FIELDS = {
     "sine_correction": (sine_correction_field, "bounds", "low"),
     "expansion": (expansion_field, "bounds", "low"),
 }
-# the items of kernel_series' (heat, sine, cosine, witness) that are full-zone
-# norms of a projection field, by their index; they run on the lemma31 grid
-KERNEL_ITEMS = {"heat_projection": 0, "damped_cosine": 2}
+# the lemma31 items that are full-zone norms of a projection field, by their
+# t^{n/2}-scaled column; they run on the lemma31 grid
+KERNEL_ITEMS = {"heat_projection": "heat_scaled", "damped_cosine": "cosine_scaled"}
 # a case's seed is its name's index here, so that no case is re-drawn
 SEED_NAMES = sorted([*FIELDS, *KERNEL_ITEMS])
 _ROUNDING = 8 * np.finfo(float).eps  # relative rounding of a closed-form Gaussian integral
+_UNSCALING = 2 * np.finfo(float).eps  # relative rounding of (value * scale) / scale
 PARTS = {"energy": "both", "density_remainder": "scalar"}  # the rest are vectors
 # a difference of fields is compared at the size of the terms that it cancels
 CANCELS = {"velocity_remainder": "velocity", "density_remainder": "energy",
@@ -135,9 +136,10 @@ def test_zone_norm_matches_the_black_box_integrator(name, n, monkeypatch):
 
 
 def _kernel_item(name, params, data, t, monkeypatch):
-    """``kernel_series``' item ``name`` at t and its error: the rounding of its
-    Gaussian integral G and, for the cosine item |p0|^2/n (G(b, t) - K_sin),
-    |p0|^2/n times the sine kernel's estimate."""
+    """``lemma31``'s item ``name`` at t, its scaled column over the scale, and
+    its error: the rounding of its Gaussian integral G and of the unscaling
+    and, for the cosine item |p0|^2/n (G(b, t) - K_sin), |p0|^2/n times the
+    sine kernel's estimate."""
     sine_norms = []
 
     def recorded(*args, **kwargs):
@@ -145,9 +147,13 @@ def _kernel_item(name, params, data, t, monkeypatch):
         return sine_norms[-1]
 
     monkeypatch.setattr(decay, "zone_norm_sq", recorded)
-    value = float(kernel_series(params, data, [t])[KERNEL_ITEMS[name]][0])
+    cfg = replace(build_run_config("lemma31", {}), params=params, data=data,
+                  times=np.array([t]))
+    _, columns, _ = run_lemma31(cfg)
+    value = float((columns[KERNEL_ITEMS[name]] / cfg.times ** (params.n / 2))[0])
     (sine,) = sine_norms
     share = float(np.dot(data.amplitude_v, data.amplitude_v)) / params.n
     if name == "heat_projection":
-        return value, _ROUNDING * value
-    return value, share * (_ROUNDING * (value / share + sine.value) + sine.est_error)
+        return value, (_ROUNDING + _UNSCALING) * value
+    error = share * (_ROUNDING * (value / share + sine.value) + sine.est_error)
+    return value, error + _UNSCALING * value
