@@ -11,9 +11,10 @@ passes, 1 on a verdict failure, 2 on argument, configuration or numerical
 errors and on any other error (with a diagnostic JSON on stderr, never a
 traceback).
 Each verdict runner builds its series of norms with ``decay.zone_series``
-(``lemma31`` its acoustic sine kernel, as the norm of the velocity profile at
-the unit density datum), judges its verdict against its pass mark in
-``THRESHOLDS``, and returns (verdict, columns, plot).
+(``lemma31`` takes its acoustic sine kernel from ``decay.sine_kernel_integral``
+at each time: the norm of the velocity profile at the unit density datum),
+judges its verdict against its pass mark in ``THRESHOLDS``, and returns
+(verdict, columns, plot).
 Every run computes on the calling thread.  ``--threads N`` is still accepted
 and checked (N below 1 exits 2) but changes nothing: at the default sizes a
 zone norm is a run of short numpy calls that hold the GIL, so worker threads
@@ -32,6 +33,7 @@ from functools import partial
 
 import numpy as np
 
+from . import decay
 from .config import ConfigError, RunConfig, load_config_file
 from .decay import (
     DecaySeries,
@@ -40,19 +42,17 @@ from .decay import (
     fit_loglog,
     fit_semilog,
     highfreq_initial_energy,
+    ordered_map,
     remainder_field,
     tail_window,
     velocity_field,
     zone_series,
 )
-# no function here calls it: bench/spans.py wraps this attribute as a trace site
-from .decay import ordered_map  # noqa: F401
-from .model import InitialData, fourier_data_batch
+from .model import fourier_data_batch
 from .profiles import (
     expansion_field,
     gaussian_moment_bound,
     moment_defect_field,
-    profile_field,
     remainder_bounds,
     sine_correction_field,
 )
@@ -206,8 +206,9 @@ def run_lemma31(cfg: RunConfig):
     # and the damped cosine projection xi (xi.p0)/|xi|^2 e^{-b t |xi|^2/2}
     # cos(gamma t |xi|), the acoustic sine kernel K_sin, and a quarter of
     # |p0|^2 times the cone mass of the damped cosine, p0 the velocity moment.
-    # K_sin is the one quadrature: the full-zone norm of the velocity profile
-    # at the unit density datum (Q0 = 1, P0 = 0).  The sphere mean of
+    # K_sin is the one quadrature, ``decay.sine_kernel_integral``: the
+    # full-zone norm of the velocity profile at the unit density datum
+    # (Q0 = 1, P0 = 0).  The sphere mean of
     # |xi_hat . p0|^2 is |p0|^2/n and cos^2 = 1 - sin^2, so with G(rate, t) the
     # full-space integral of e^{-rate t |xi|^2}:
     #     heat = |p0|^2/n G(2 alpha, t),
@@ -218,9 +219,9 @@ def run_lemma31(cfg: RunConfig):
     n, p_sq = cfg.params.n, cfg.data.p0_sq
     if p_sq == 0.0:
         raise ValueError("kernel plateau items need a nonzero moment vector")
-    unit = InitialData((0.0,) * n, 1.0, cfg.data.width)
-    sine = zone_series(partial(profile_field, scalar=False), cfg.params, unit, cfg.times,
-                       "full", cfg.rel_tol)
+    # looked up on ``decay`` at call time: bench/spans.py wraps that attribute
+    sine = np.array(ordered_map(lambda t: decay.sine_kernel_integral(cfg.params, t, cfg.rel_tol),
+                                [float(t) for t in cfg.times]))
     gauss = lambda rate: np.array([gaussian_moment_bound(n, 0, rate, float(t))
                                    for t in cfg.times])
     cos_mass = gauss(cfg.params.b) - sine

@@ -251,32 +251,37 @@ def test_cli_bounds_row_check_fails_alone_past_the_cushion(tmp_path, monkeypatch
 
 @pytest.mark.parametrize("column,failed", [
     ("heat", []), ("sine", ["acoustic-sine"]), ("cosine", ["damped-cosine"]),
-    ("witness", ["damped-cosine"])], ids=["heat", "sine", "cosine", "witness"])
+    ("witness", [])], ids=["heat", "sine", "cosine", "witness"])
 def test_cli_lemma31_judges_the_quadrature_items(tmp_path, monkeypatch, column, failed):
-    # K_sin, the one series that lemma31 takes from zone_series, is replaced by
-    # the share f of the Gaussian integral G(b, t) that drives the named
-    # column's tail ratio above 4 through a 1 -> 100 ramp over the grid: f
-    # itself for the sine item, 1 - f for the cosine item and the cone witness,
-    # which is a multiple of the cosine item; no K_sin moves the closed-form
-    # heat item.  Only the sine and cosine items are judged
-    ramp = np.geomspace(1.0, 100.0, 12)
-    share = {"heat": np.full(12, 0.5), "sine": 0.005 * ramp,
-             "cosine": 1.0 - 0.005 * ramp[::-1], "witness": 1.0 - 0.005 * ramp[::-1]}[column]
-
-    def synthetic(field, params, data, times, zone, rel_tol):
-        assert (data.p0_sq, data.amplitude_rho, zone) == (0.0, 1.0, "full")
-        return share * np.array([cli.gaussian_moment_bound(params.n, 0, params.b, float(t))
-                                 for t in times])
-
-    monkeypatch.setattr(cli, "zone_series", synthetic)
-    exit_code, verdict = _exit_and_verdict(tmp_path, "lemma31", {})
+    # a 1 -> 100 ramp over the grid drives the named column's tail ratio above
+    # 4: K_sin is replaced by a share of the Gaussian integral G(b, t) that
+    # ramps itself for the sine item and G - K_sin for the cosine item, the
+    # heat item ramps through G(2 alpha, t) alone (beta = 2 keeps b = 3 apart
+    # from 2 alpha = 2) and the cone witness through its cap area alone.  Only
+    # the sine and cosine items are judged
+    overrides = {"params": {"beta": 2.0}}
+    cfg = build_run_config("lemma31", overrides)
+    ramp = np.geomspace(1.0, 100.0, cfg.times.size)
+    at = dict(zip(cfg.times.tolist(), ramp))
+    gauss, cap = cli.gaussian_moment_bound, cli.cone_cap_area
+    if column in ("sine", "cosine"):
+        share = (lambda t: 0.005 * at[t]) if column == "sine" else \
+            (lambda t: 1.0 - 0.5 / at[t])
+        monkeypatch.setattr(cli.decay, "sine_kernel_integral",
+                            lambda params, t, rel_tol: share(t) * gauss(params.n, 0, params.b, t))
+    elif column == "heat":
+        two_alpha = 2.0 * cfg.params.alpha
+        monkeypatch.setattr(cli, "gaussian_moment_bound", lambda n, k, rate, t: gauss(
+            n, k, rate, t) * (at[t] if rate == two_alpha else 1.0))
+    else:
+        monkeypatch.setattr(cli, "cone_cap_area", lambda n: cap(n) * ramp)
+    exit_code, verdict = _exit_and_verdict(tmp_path, "lemma31", overrides)
     items = verdict["metrics"]["items"]
     assert sorted(items) == ["acoustic-sine", "damped-cosine"]
     assert [label for label, item in items.items() if not item["pass"]] == failed
     assert (exit_code, verdict["pass"]) == (1 if failed else 0, not failed)
-    scaled = read_csv(str(tmp_path / "out" / "lemma31.csv"))[f"{column}_scaled"]
-    tail = scaled[6:]
-    assert (max(tail) / min(tail) > 4.0) == (column != "heat")
+    tail = read_csv(str(tmp_path / "out" / "lemma31.csv"))[f"{column}_scaled"][6:]
+    assert max(tail) / min(tail) > 4.0
 
 
 @pytest.mark.parametrize("check", ["nonincreasing", "slope", "r_squared", "conclusion_holds"])
@@ -702,12 +707,16 @@ def test_cli_zero_initial_data_exits_2(tmp_path, capsys, subcommand):
                               {"data": {"amplitude_rho": 0.0, "amplitude_v": [0.0, 0.0]}})
 
 
-@pytest.mark.parametrize("subcommand", ["rate", "highfreq", "bounds"])
+@pytest.mark.parametrize("subcommand", ["oracle-check", "profile-error",
+                                        "density-profile-error", "rate", "sandwich",
+                                        "lemma31", "highfreq", "bounds"])
 @pytest.mark.parametrize("data", [{"amplitude_rho": 1e160},
-                                  {"amplitude_v": [1e160, 0.0]}], ids=["rho", "v"])
+                                  {"amplitude_v": [1e160, 0.0]},
+                                  {"width": 1e200}], ids=["rho", "v", "width"])
 def test_cli_amplitude_whose_square_overflows_exits_2(tmp_path, capsys, subcommand, data):
-    # |P0|^2 + Q0^2 bounds every energy density, so data whose square is not
-    # finite are rejected before any field is formed
+    # |P0|^2 + Q0^2 bounds every energy density and the data envelope
+    # e^(-s^2 |xi|^2 / 2) forms the square of the width s, so data whose
+    # square is not finite are rejected before any field is formed
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert_rejected_by_config(tmp_path, capsys, subcommand, {"data": data})
@@ -715,19 +724,6 @@ def test_cli_amplitude_whose_square_overflows_exits_2(tmp_path, capsys, subcomma
     assert main([subcommand, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     diagnostic = json.loads(capsys.readouterr().err)
     assert "traceback" not in diagnostic and "overflows" in diagnostic["error"]
-
-
-@pytest.mark.parametrize("subcommand", ["oracle-check", "profile-error",
-                                        "density-profile-error", "rate", "sandwich",
-                                        "lemma31", "highfreq", "bounds"])
-def test_cli_width_whose_square_overflows_exits_2(tmp_path, capsys, subcommand):
-    # the data envelope e^(-s^2 |xi|^2 / 2) forms s^2, so a width whose square
-    # is not finite is rejected before any field is formed, by every run
-    path = write_config(tmp_path, {"data": {"width": 1e200}})
-    assert main([subcommand, "--config", path, "--out", str(tmp_path / "out")]) == 2
-    diagnostic = json.loads(capsys.readouterr().err)
-    assert diagnostic["error_type"] == "ConfigError"
-    assert diagnostic["error"] == "width^2 overflows: width=1e+200"
 
 
 def test_cli_bounds_at_a_narrow_width(tmp_path):
