@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -19,12 +20,13 @@ from nsprofile.config import (
     build_run_config,
     config_hash,
     default_config,
+    geometric_grid,
     merge_config,
 )
 from nsprofile.decay import field_norm_sq
 from nsprofile.profiles import gaussian_moment_bound, moment_defect_field
 from nsprofile.quadrature import DEFAULT_REL_TOL
-from nsprofile.reporting import read_csv
+from nsprofile.reporting import AxesSpec, emit_svg, read_csv
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -164,6 +166,31 @@ def test_config_hash_is_the_sha256_prefix_of_the_canonical_json(subcommand, user
     cfg = merge_config(subcommand, user)
     canonical = json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()
     assert config_hash(cfg) == hashlib.sha256(canonical).hexdigest()[:16]
+
+
+def test_geometric_grid_has_the_bits_of_np_geomspace():
+    # every default time grid, the two oracle grids, a seeded sweep of spans
+    # and sizes, and the edges: the fewest and most points, a span of one ulp
+    # and the widest span of positive normal floats
+    for subcommand in cli._RUNNERS:
+        g = default_config(subcommand)["time_grid"]
+        assert np.array_equal(build_run_config(subcommand, {}).times,
+                              np.geomspace(g["t_min"], g["t_max"], g["points"]))
+    assert np.array_equal(cli._ORACLE_RADII,
+                          np.array(sorted([*np.geomspace(0.05, 5.0, 8), 0.999, 1.001])))
+    assert np.array_equal(cli._ORACLE_TIMES, np.geomspace(0.1, 20.0, 10))
+    rng = random.Random(41)
+    grids = []
+    for _ in range(2000):
+        start = 10.0 ** rng.uniform(-3.0, 3.0)
+        stop = start * 10.0 ** rng.uniform(math.log10(1.0001), 6.0)
+        grids.append((start, stop, rng.randint(8, 1024)))
+    for points in (8, 1024):
+        grids += [(100.0, 1.0e4, points), (1.0, math.nextafter(1.0, math.inf), points),
+                  (3.7, math.nextafter(3.7, math.inf), points), (1e-300, 1e300, points)]
+    for start, stop, points in grids:
+        assert np.array_equal(geometric_grid(start, stop, points),
+                              np.geomspace(start, stop, points)), (start, stop, points)
 
 
 def test_cli_bad_config_exits_2(tmp_path, capsys):
@@ -739,6 +766,27 @@ def test_cli_bounds_at_a_narrow_width(tmp_path):
                              cfg.rel_tol)
         scaled.append(norm.value / s ** 4)
     assert max(scaled) - min(scaled) <= 2 * DEFAULT_REL_TOL * min(scaled)
+
+
+def test_cli_bounds_draws_only_positive_columns_on_its_log_axis(tmp_path):
+    # at width 1e-100 the moment defect's norm (s^4) underflows to 0 at every
+    # time: the run passes and writes its SVG without that column, which the
+    # CSV still lists; at the defaults every plot column is drawn, so the SVG
+    # is the one of the whole plot list
+    plotted = ["meas_moment_defect", "bound_moment_defect", "meas_expansion",
+               "bound_expansion"]
+    for config, drawn in (({"data": {"width": 1e-100}}, plotted[1:]), ({}, plotted)):
+        out = tmp_path / str(len(drawn))
+        path = write_config(tmp_path, config)
+        assert main(["bounds", "--config", path, "--out", str(out)]) == 0
+        columns = read_csv(str(out / "bounds.csv"))
+        if len(drawn) < len(plotted):
+            assert set(columns["meas_moment_defect"]) == {0.0}
+        texts = [el.text for el in ET.parse(out / "bounds.svg").iter() if el.text]
+        assert [name for name in plotted if name in texts] == drawn
+        emit_svg(columns, drawn, AxesSpec(y_label="squared norm / bound",
+                                          title="remainder bounds"), str(out / "all.svg"))
+        assert (out / "bounds.svg").read_bytes() == (out / "all.svg").read_bytes()
 
 
 def test_cli_lemma31_at_n5(tmp_path):

@@ -534,13 +534,15 @@ VERDICTS = ("profile-error", "density-profile-error", "rate", "sandwich", "lemma
             "highfreq", "bounds")
 
 
-def _forbid_numpy_sorts(monkeypatch):
-    """Make numpy's sorting entry points raise: no run-time code may page
-    numpy's sort kernels in (see the spectral docstring)."""
+def _forbid_numpy_sorts_and_grids(monkeypatch):
+    """Make numpy's sorting entry points and its geometric grids raise: no
+    run-time code may page numpy's sort kernels in (see the spectral
+    docstring), nor the promotion code behind ``np.geomspace`` (every grid is
+    ``config.geometric_grid``)."""
     def forbidden(*args, **kwargs):
-        raise AssertionError("numpy sort called at run time")
+        raise AssertionError("numpy sort or geometric grid called at run time")
 
-    for name in ("sort", "argsort", "lexsort", "unique"):
+    for name in ("sort", "argsort", "lexsort", "unique", "geomspace", "logspace"):
         monkeypatch.setattr(np, name, forbidden)
 
 
@@ -557,7 +559,7 @@ def test_pointwise_of_an_unsorted_batch_matches_the_sorted_batch(monkeypatch):
         dirs, axis=1)[:, None]
     xi = np.concatenate([xi, -xi])
     order = np.argsort(np.sum(xi * xi, axis=1), kind="stable")
-    _forbid_numpy_sorts(monkeypatch)
+    _forbid_numpy_sorts_and_grids(monkeypatch)
     for t in (0.0, 2.5):
         v, rho = solve_exact_batch(params, data, xi, t)
         v_sorted, rho_sorted = solve_exact_batch(params, data, xi[order], t)
@@ -567,7 +569,7 @@ def test_pointwise_of_an_unsorted_batch_matches_the_sorted_batch(monkeypatch):
 @pytest.mark.parametrize("config", [{}, {"data": {"amplitude_v": [0.03, 0.04]}}],
                          ids=["n2", "n2-p0"])
 def test_default_runs_call_no_numpy_sort(tmp_path, monkeypatch, config):
-    _forbid_numpy_sorts(monkeypatch)
+    _forbid_numpy_sorts_and_grids(monkeypatch)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
     for sub in ("oracle-check",) + VERDICTS:
