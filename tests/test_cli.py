@@ -171,7 +171,7 @@ def test_config_hash_is_the_sha256_prefix_of_the_canonical_json(subcommand, user
 def test_geometric_grid_has_the_bits_of_np_geomspace():
     # every default time grid, the two oracle grids, a seeded sweep of spans
     # and sizes, and the edges: the fewest and most points, a span of one ulp
-    # and the widest span of positive normal floats
+    # and a span of 600 decades
     for subcommand in cli._RUNNERS:
         g = default_config(subcommand)["time_grid"]
         assert np.array_equal(build_run_config(subcommand, {}).times,
