@@ -35,9 +35,9 @@ class ModelParams:
     """Coefficients of the linearized system plus the space dimension.
 
     Requires finite alpha > 0, beta >= 0, gamma > 0 and integer n >= 2, the
-    dimensions of the paper's decay statements, with a = gamma^2,
-    b^2 = (alpha + beta)^2 and a (4 delta0)^2 finite, so the discriminant
-    4a - b^2 r^2 can be formed out to r = 4 delta0.
+    dimensions of the paper's decay statements, with a = gamma^2, a r^2 and
+    b^2 r^2 finite at r = 5 delta0, so the discriminant 4a - b^2 r^2 can be
+    formed out to r = 5 delta0.
     """
 
     alpha: float
@@ -52,12 +52,13 @@ class ModelParams:
             raise ParameterError(f"beta must be nonnegative and finite, got {self.beta}")
         if not 0 < self.gamma < math.inf:
             raise ParameterError(f"gamma must be positive and finite, got {self.gamma}")
-        # the kernels form a r^2 out to the full-zone radius, at least 4 delta0;
-        # its time-dependent part 8/sqrt(alpha t) is checked by zone_norm_sq
-        r = 4.0 * self.delta0
-        if not all(map(math.isfinite, (self.b * self.b, self.gamma * self.gamma * (r * r)))):
-            raise ParameterError(f"(alpha + beta)^2 or gamma^2 (4 delta0)^2 overflows: "
-                                 f"gamma={self.gamma}, alpha + beta={self.b}")
+        # the kernels form a r^2 and b^2 r^2 out to oracle-check's 5 delta0; the
+        # full-zone radius's part 8/sqrt(alpha t) is checked by zone_norm_sq
+        r = 5.0 * self.delta0
+        if not (math.isfinite(self.gamma * self.gamma) and math.isfinite(self.a * (r * r))
+                and math.isfinite(self.b * self.b * (r * r))):
+            raise ParameterError(f"gamma^2, a (5 delta0)^2 or (alpha + beta)^2 (5 delta0)^2 "
+                                 f"overflows: gamma={self.gamma}, alpha + beta={self.b}")
         if int(self.n) != self.n or self.n < 2:
             raise ParameterError(f"n must be an integer >= 2, got {self.n}")
 

@@ -41,29 +41,18 @@ from .spectral import solve_exact_batch  # noqa: F401
 
 def profile_field(params: ModelParams, data: InitialData, r: np.ndarray, t: float,
                   vector: bool = True, scalar: bool = True) -> Field:
-    """Leading profiles at radii r: the velocity is heat flow of P0 less its
-    longitudinal part, plus the acoustic sine of Q0 and the damped cosine on
-    the longitudinal part; the density is the matching sine/cosine pair.
-    ``vector``, ``scalar`` and zero moments leave coefficients the scalar 0.0
-    as in ``spectral.flow``, and the sine and cosine are formed only where
-    used."""
+    """Leading profiles at radii r: ``spectral.flow``'s assembly
+    (``Field.from_factors``) with gamma r Phi replaced by the damped sine
+    e^{-b r^2 t/2} sin(gamma t r), and Psi and Psi + b r^2 Phi by the damped
+    cosine; the heat, sine and cosine are formed only where it reads them."""
     p, q = data.p0_norm, data.amplitude_rho
     rr = r * r
     wave = np.exp(-params.b * rr * t / 2.0)
     phase = params.gamma * t * r
     sine = wave * np.sin(phase) if (vector and q) or (scalar and p) else None
     cosine = wave * np.cos(phase) if (vector and p) or (scalar and q) else None
-    a = b0 = b1 = c0 = c1 = 0.0
-    if vector and p:
-        heat = np.exp(-params.alpha * rr * t)
-        a, b1 = heat * p, (cosine - heat) * p
-    if vector and q:
-        b0 = sine * -q
-    if scalar and q:
-        c0 = q * cosine
-    if scalar and p:
-        c1 = -p * sine
-    return Field(a, b0, b1, c0, c1)
+    heat = np.exp(-params.alpha * rr * t) if vector and p else None
+    return Field.from_factors(p, q, vector, scalar, heat, sine, cosine, cosine)
 
 
 def moment_defect_field(params: ModelParams, data: InitialData, r: np.ndarray,
@@ -160,9 +149,9 @@ def gaussian_moment_bound(n: int, k: int, rate: float, t: float) -> float:
 
 @record
 class RemainderBounds:
-    """Closed-form upper bounds for the squared low-zone L^2 norms of the
-    remainder pieces: the moment defect, the five expansion corrections, and
-    the longitudinal sine correction.  ``total`` is their sum."""
+    """Closed-form upper bounds for the squared low-zone L^2 norms of the moment
+    defect, the five expansion corrections and the longitudinal sine correction.
+    ``total`` sums these squares; it does not bound the square of the pieces' sum."""
 
     moment_defect: float
     expansion: tuple[float, float, float, float, float]

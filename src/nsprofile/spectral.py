@@ -102,8 +102,8 @@ def _phi_psi(params: ModelParams, r: np.ndarray, t: float,
 
 
 def _zero(x) -> bool:
-    """Whether a coefficient or amplitude is held as the scalar zero."""
-    return isinstance(x, float) and x == 0.0
+    """Whether a coefficient or amplitude is held as a scalar zero."""
+    return isinstance(x, (int, float)) and x == 0.0
 
 
 class Field(NamedTuple):
@@ -112,14 +112,34 @@ class Field(NamedTuple):
     a p_hat + (i b0 + b1 u) xi_hat and the scalar c0 + i c1 u.  Each coefficient
     is a real array over the radii r = |xi| or a scalar; b0 and c1 are the real
     coefficients of i.  A coefficient that a zero amplitude makes 0 everywhere
-    is held as the scalar 0.0: :func:`flow` spends no array arithmetic on it,
-    and the arithmetic below takes it as an exact zero."""
+    is held as the scalar 0.0: :meth:`from_factors` spends no array arithmetic
+    on it, and the arithmetic below takes it as an exact zero."""
 
     a: np.ndarray | float = 0.0
     b0: np.ndarray | float = 0.0
     b1: np.ndarray | float = 0.0
     c0: np.ndarray | float = 0.0
     c1: np.ndarray | float = 0.0
+
+    @classmethod
+    def from_factors(cls, p, q, vector: bool, scalar: bool, heat, acoustic, psi,
+                     density) -> "Field":
+        """The field of amplitudes p (velocity) and q (density), scalars or arrays
+        over the radii, from a flow's factors there: a = heat p, b1 = (psi - heat) p
+        and b0 = acoustic (-q) form the vector, c0 = density q and c1 = acoustic (-p)
+        the scalar.  A coefficient of a part that ``vector`` or ``scalar`` leaves out,
+        or of a scalar-zero p or q, stays the scalar 0.0: a factor only it reads may be None."""
+        with_p, with_q = not _zero(p), not _zero(q)
+        a = b0 = b1 = c0 = c1 = 0.0
+        if vector and with_p:
+            a, b1 = heat * p, (psi - heat) * p
+        if vector and with_q:
+            b0 = acoustic * -q
+        if scalar and with_q:
+            c0 = density * q
+        if scalar and with_p:
+            c1 = acoustic * -p
+        return cls(a, b0, b1, c0, c1)
 
     def __sub__(self, other: "Field") -> "Field":
         return Field(*(x - y for x, y in zip(self, other)))
@@ -186,26 +206,16 @@ def flow(params: ModelParams, r: np.ndarray, t: float, p, q, vector: bool = True
         v_hat   = heat p p_hat + (-i gamma r Phi q + (Psi - heat) p u) xi_hat,
         rho_hat = (Psi + b r^2 Phi) q - i gamma r Phi p u,
 
-    heat = e^{-alpha r^2 t}; b0 and c1 hold -gamma r Phi q and -gamma r Phi p.
-    With ``vector`` or ``scalar`` false that part is left out.  Its
-    coefficients, and those of a p or q that is the scalar 0.0, stay the
-    scalar 0.0, and only the factors that the others use are formed: heat for
-    a and b1, Psi for b1 and c0."""
+    heat = e^{-alpha r^2 t}, assembled by :meth:`Field.from_factors`.  ``vector``
+    or ``scalar`` false leaves that part out, and only the factors that the
+    coefficients left in read are formed: heat for a and b1, Psi for b1 and c0."""
     with_p, with_q = not _zero(p), not _zero(q)
     rr = r * r
     phi, psi = _phi_psi(params, r, t, (vector and with_p) or (scalar and with_q))
-    acoustic = -params.gamma * r * phi
-    a = b0 = b1 = c0 = c1 = 0.0
-    if vector and with_p:
-        heat = np.exp(-params.alpha * rr * t)
-        a, b1 = heat * p, (psi - heat) * p
-    if vector and with_q:
-        b0 = acoustic * q
-    if scalar and with_q:
-        c0 = (psi + params.b * rr * phi) * q
-    if scalar and with_p:
-        c1 = acoustic * p
-    return Field(a, b0, b1, c0, c1)
+    heat = np.exp(-params.alpha * rr * t) if vector and with_p else None
+    density = psi + params.b * rr * phi if scalar and with_q else None
+    acoustic = params.gamma * r * phi
+    return Field.from_factors(p, q, vector, scalar, heat, acoustic, psi, density)
 
 
 def exact_field(params: ModelParams, data: InitialData, r: np.ndarray, t: float,

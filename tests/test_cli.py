@@ -622,7 +622,7 @@ def test_cli_oversized_quadrature_exits_2(tmp_path, monkeypatch, capsys):
                                     {"alpha": 1e-100, "beta": 1e120, "gamma": 1e120}],
                          ids=["beta1e150", "beta1e120"])
 def test_cli_radius_where_the_kernels_overflow_exits_2(tmp_path, capsys, subcommand, params):
-    # the params are checked at r = 4 delta0, but the full-zone radius
+    # the params are checked at r = 5 delta0, but the full-zone radius
     # 8/sqrt(alpha t) reaches 8e4 and more here, where b^2 r^2 overflows: the
     # norm stops before its probe, and stderr is the one diagnostic JSON
     path = write_config(tmp_path, {"params": params})
@@ -667,7 +667,7 @@ def assert_rejected_by_config(tmp_path, capsys, subcommand, payload):
     {"oracle": {"seed": 4.5}}, {"time_grid": {"points": 8.5}},
     # the oracle grid is fixed: its old keys are unknown, even at their old values
     {"oracle": {"radii": 10}},
-    # a (4 delta0)^2 overflows in the kernels although gamma^2 is finite
+    # a (5 delta0)^2 overflows in the kernels although gamma^2 is finite
     {"params": {"gamma": 1e150}},
     {"oracle": {"times": 10}}, {"oracle": {"r_min": 0.05}}, {"oracle": {"r_max": 5.0}},
     {"oracle": {"t_min": 0.1}}, {"oracle": {"t_max": 20.0}},
@@ -685,10 +685,25 @@ def assert_rejected_by_config(tmp_path, capsys, subcommand, payload):
     [], {"params": 3}, pytest.param("not json {", id="not-json"),
     # a velocity moment with no component has no dimension
     {"data": {"amplitude_v": []}},
+    # a (4 delta0)^2 = 64 gamma^4/b^2 is finite here, a (5 delta0)^2 is not
+    {"params": {"alpha": 0.5, "beta": 0.5, "gamma": 3.7e76}},
 ])
 def test_cli_bad_value_exits_2(tmp_path, capsys, payload):
     # json writes NaN/Infinity, which json.load reads back as floats
     assert_rejected_by_config(tmp_path, capsys, "rate", payload)
+
+
+def test_cli_oracle_check_rejects_an_overflow_at_its_largest_radius(tmp_path, capsys):
+    # oracle-check forms a r^2 out to r = 5 delta0, where 100 gamma^4/b^2
+    # overflows although 64 gamma^4/b^2 at 4 delta0 does not: the config is
+    # rejected before any field is formed, so no numpy warning is raised
+    path = write_config(tmp_path, {"params": {"alpha": 0.5, "beta": 0.5, "gamma": 3.7e76}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["oracle-check", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    diagnostic = json.loads(capsys.readouterr().err)
+    assert diagnostic["error_type"] == "ConfigError"
+    assert "traceback" not in diagnostic and "(5 delta0)^2" in diagnostic["error"]
 
 
 @pytest.mark.parametrize("plot", [

@@ -11,6 +11,7 @@ from nsprofile.profiles import (
     density_profile,
     moment_defect_term,
     moment_flow,
+    profile_field,
     sine_correction_term,
     velocity_profile,
 )
@@ -597,3 +598,17 @@ def test_zero_moment_coefficients_are_scalars_with_the_same_sphere_means(n):
                     == _bits(*array_zeros.sphere_mean_max(n)))
     # a field that is zero at every radius gives zero means
     assert Field().sphere_mean_max(n) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("part", [{"scalar": False}, {"vector": False}, {}],
+                         ids=["vector", "scalar", "both"])
+def test_integer_zero_moment_is_a_scalar_zero(part):
+    # Field.from_factors takes an int 0 as it takes 0.0, so the profile, which
+    # forms no factor for a zero moment, and the flow give the same coefficients
+    params = ModelParams(alpha=1.0, beta=1.0, gamma=1.0, n=2)
+    r = params.delta0 * np.linspace(0.01, 3.0, 30)
+    for zero in (0, 0.0):
+        data = InitialData(amplitude_v=(0.6, 0.8), amplitude_rho=zero, width=1.0)
+        field = profile_field(params, data, r, 40.0, **part)
+        assert all(isinstance(c, float) and c == 0.0 for c in (field.b0, field.c0))
+        assert flow(params, r, 40.0, zero, zero, **part) == Field()

@@ -1,13 +1,17 @@
 """Every field that the runtime integrates through its radial coefficients
 (``spectral.Field``) against its pointwise formula and against the black-box
-angular integrator of ``tests/oracles.py``, and the closed-form heat and
+angular integrator of ``tests/oracles.py``, the closed-form heat and
 damped-cosine items of ``lemma31`` against the black-box norms of their
-pointwise fields.
+pointwise fields, each field that a truncated zone integrates against its
+Gaussian envelope, and the sphere means against the sum of their P0 and Q0
+parts.
 
 A structured field is axially symmetric and quadratic in u by construction;
 this seeded sweep is what checks that its coefficients are the right ones.
 """
 
+import math
+import random
 from functools import partial
 
 import numpy as np
@@ -26,6 +30,7 @@ from nsprofile.model import InitialData, ModelParams
 from nsprofile.profiles import (
     expansion_field,
     moment_defect_field,
+    moment_field,
     profile_field,
     sine_correction_field,
 )
@@ -157,3 +162,76 @@ def _kernel_item(name, params, data, t, monkeypatch):
         return value, (_ROUNDING + _UNSCALING) * value
     error = share * (_ROUNDING * (value / share + sine.value) + sine.est_error)
     return value, error + _UNSCALING * value
+
+
+# field that a truncated zone integrates -> (its function (params, data, r, t)
+# to its Field, its Gaussian envelope (M, lambda) at (params, data, t)): the
+# sphere mean of |f|^2 is at most M e^(-lambda r^2) at every radius r.  The flow
+# does not increase |v_hat|^2 + |rho_hat|^2, which start at (|P0|^2 + Q0^2)
+# e^(-s^2 r^2); the profile's heat, sine and cosine decay as e^(-alpha r^2 t)
+# and e^(-b r^2 t / 2)
+ENVELOPES = {
+    "velocity": (velocity_field, lambda params, data, t: (data.mass_sq, data.width ** 2)),
+    "energy": (energy_field, lambda params, data, t: (data.mass_sq / 2, data.width ** 2)),
+    "profile": (partial(profile_field, scalar=False),
+                lambda params, data, t: (data.mass_sq, min(2 * params.alpha, params.b) * t)),
+}
+
+
+def _log_uniform(rng, lo, hi):
+    return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+
+def _moment_draw(rng, n):
+    """Coefficients log-uniform on [0.1, 10], a width on [0.5, 2], and a unit
+    velocity moment direction with |P0| and |Q0| log-uniform on [1e-3, 1]."""
+    params = ModelParams(*(_log_uniform(rng, 0.1, 10.0) for _ in range(3)), n=n)
+    direction = np.array([rng.gauss(0.0, 1.0) for _ in range(n)])
+    direction /= np.linalg.norm(direction)
+    p0 = _log_uniform(rng, 1e-3, 1.0) * direction
+    q0 = rng.choice((-1.0, 1.0)) * _log_uniform(rng, 1e-3, 1.0)
+    return params, InitialData(tuple(p0), q0, rng.uniform(0.5, 2.0))
+
+
+@pytest.mark.parametrize("name", ENVELOPES)
+def test_truncated_zone_field_stays_under_its_gaussian_envelope(name):
+    field, envelope = ENVELOPES[name]
+    rng = random.Random(7)
+    for _ in range(300):
+        params, data = _moment_draw(rng, rng.choice((2, 3, 5, 8, 16)))
+        t = _log_uniform(rng, 0.5, 1e4)
+        r = np.linspace(1e-4, 12.0 / data.width, 400)
+        mean = field(params, data, r, t).sphere_mean_max(params.n)[0]
+        m, rate = envelope(params, data, t)
+        assert np.all(mean <= m * np.exp(-rate * (r * r)) * (1 + 1e-12)), (params, data, t)
+
+
+# every field whose sphere mean is taken on its own, not as a difference of
+# fields that cancel, by its function (params, data, r, t) to its Field
+MOMENT_FIELDS = {
+    "exact": exact_field, "velocity": velocity_field, "energy": energy_field,
+    "profile": profile_field, "moment": moment_field, "moment_defect": moment_defect_field,
+    "sine_correction": sine_correction_field,
+}
+
+
+@pytest.mark.parametrize("name", MOMENT_FIELDS)
+def test_sphere_mean_has_no_cross_term_between_the_moments(name):
+    # a, b1 and c1 take P0 and b0 and c0 take Q0 (Field.from_factors), and the
+    # sphere mean pairs no P0 coefficient with a Q0 one: the mean at (P0, Q0)
+    # is |P0|^2 times that at (P0/|P0|, 0) plus Q0^2 times that at (0, 1)
+    field = MOMENT_FIELDS[name]
+    rng = random.Random(24)
+    for _ in range(200):
+        params, data = _moment_draw(rng, rng.choice((2, 3, 5, 8)))
+        t = rng.uniform(1.0, 1e3)
+        r_hi = params.delta0 if name == "moment_defect" else 4.0 * params.delta0
+        r = r_hi * np.linspace(0.0, 1.0, 65)[1:]
+        unit_p = replace(data, amplitude_v=tuple(np.array(data.amplitude_v) / data.p0_norm),
+                         amplitude_rho=0.0)
+        unit_q = replace(data, amplitude_v=(0.0,) * params.n, amplitude_rho=1.0)
+        mean = {d: field(params, d, r, t).sphere_mean_max(params.n)[0]
+                for d in (data, unit_p, unit_q)}
+        parts = data.p0_sq * mean[unit_p] + data.amplitude_rho ** 2 * mean[unit_q]
+        # a subnormal mean has no relative precision to compare
+        np.testing.assert_allclose(mean[data], parts, rtol=1e-14, atol=np.finfo(float).tiny)
